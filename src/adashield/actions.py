@@ -10,6 +10,7 @@ every test in its intermediate state (an undefined test is fail-safe false).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Union
 
 from .dl import (
@@ -127,7 +128,7 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
     if st is SpaceUnit:
         return at is AUnit
     if st is SpaceReal:
-        return at is AReal
+        return at is AReal and isinstance(a.value, Real)
     if st is SpaceProd:
         return at is APair and action_fits(space.left, a.left) and action_fits(space.right, a.right)
     if at is ALeft:
@@ -216,46 +217,48 @@ def _exec(ctrl, state: dict, a, interp) -> None:
 
 def ctrl_monitor(ctrl: HybridProgram, state: dict, a: ControlAction, interp=None) -> bool:
     """True iff every test on the selected path holds in its intermediate
-    state; undefined tests are false."""
-    return not ctrl_monitor_trace(ctrl, state, a, interp)[1]
+    state; undefined tests are false.  Stops at the first failing test."""
+    return _monitor(ctrl, dict(state), a, interp or {}, None)
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
                        interp=None) -> tuple[list[tuple[str, object]], list[str]]:
-    """Per-test breakdown: (list of (test, verdict), list of failing tests)."""
-    interp = interp or {}
-    st = dict(state)
-    results: list[tuple[str, object]] = []
-    failures: list[str] = []
-
-    def walk(p, act):
-        t = type(p)
-        if t is Seq:
-            if type(act) is not APair:
-                raise StructureError("sequence expects a pair action")
-            walk(p.left, act.left)
-            walk(p.right, act.right)
-            return
-        if t is Choice:
-            at = type(act)
-            if at is ALeft:
-                walk(p.left, act.action)
-            elif at is ARight:
-                walk(p.right, act.action)
-            else:
-                raise StructureError("choice expects a left/right action")
-            return
-        if t is Test:
-            r = eval_formula(p.cond, interp, st)
-            shown = pretty_print(p.cond)
-            results.append((shown, r))
-            if r is UNDEF or not r:
-                failures.append(shown)
-            return
-        _exec(p, st, act, interp)
-
-    walk(ctrl, a)
+    """Per-test breakdown: (list of (test, verdict), list of failing tests).
+    The diagnostic path behind ``monitor-eval``: it checks every test on the
+    path, past failures, and prints each."""
+    tests: list = []
+    _monitor(ctrl, dict(state), a, interp or {}, tests)
+    results = [(pretty_print(cond), r) for cond, r in tests]
+    failures = [shown for shown, r in results if r is UNDEF or not r]
     return results, failures
+
+
+def _monitor(p, st: dict, act, interp, tests: Optional[list]) -> bool:
+    """Replay the path of ``act`` through ``p`` in ``st``.  With ``tests`` a
+    list, append every test's (condition, verdict) and go on past failures;
+    with None, return at the first failure."""
+    t = type(p)
+    if t is Seq:
+        if type(act) is not APair:
+            raise StructureError("sequence expects a pair action")
+        ok = _monitor(p.left, st, act.left, interp, tests)
+        if not ok and tests is None:
+            return False
+        return _monitor(p.right, st, act.right, interp, tests) and ok
+    if t is Choice:
+        at = type(act)
+        if at is ALeft:
+            return _monitor(p.left, st, act.action, interp, tests)
+        if at is ARight:
+            return _monitor(p.right, st, act.action, interp, tests)
+        raise StructureError("choice expects a left/right action")
+    if t is Test:
+        r = eval_formula(p.cond, interp, st)
+        if tests is not None:
+            tests.append((p.cond, r))
+        return r is not UNDEF and bool(r)
+    _exec(p, st, act, interp)
+    return True
 
 
 def resolve_fallback(ctrl: HybridProgram, fb: FallbackDecl, state: dict,

@@ -55,6 +55,12 @@ _TOKEN_RE = re.compile(r"""
 
 _RESERVED = frozenset({"true", "false", "min", "max", "abs"})
 
+#: deepest nesting of brackets, unary operators, quantifiers and modalities
+#: the parser accepts.  Every cycle of the recursive descent passes through
+#: ``Parser.nested``; a few Python frames per level keeps 64 levels well
+#: inside the interpreter's recursion limit
+MAX_NESTING = 64
+
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
@@ -85,6 +91,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------
 
@@ -117,6 +124,17 @@ class Parser:
     def fail(self, message: str, *expected: str):
         t = self.peek()
         raise ParseError(message, t.line, t.col, expected)
+
+    def nested(self, parse):
+        """``parse()`` one nesting level deeper; a ``ParseError`` past
+        ``MAX_NESTING`` levels instead of a ``RecursionError``."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # -- identifiers ---------------------------------------------------
 
@@ -163,7 +181,7 @@ class Parser:
 
     def _unary(self):
         if self.accept("-"):
-            arg = self._unary()
+            arg = self.nested(self._unary)
             if type(arg) is Lit:
                 return Lit(-arg.value)
             return Neg(arg)
@@ -187,15 +205,15 @@ class Parser:
         if t.text in ("min", "max"):
             self.next()
             self.expect("(")
-            a = self.term()
+            a = self.nested(self.term)
             self.expect(",")
-            b = self.term()
+            b = self.nested(self.term)
             self.expect(")")
             return BinOp(t.text, a, b)
         if t.text == "abs":
             self.next()
             self.expect("(")
-            a = self.term()
+            a = self.nested(self.term)
             self.expect(")")
             return Abs(a)
         if t.kind == "ident":
@@ -204,14 +222,14 @@ class Parser:
                 self.expect("(")
                 args = []
                 if not self.at(")"):
-                    args.append(self.term())
+                    args.append(self.nested(self.term))
                     while self.accept(","):
-                        args.append(self.term())
+                        args.append(self.nested(self.term))
                 self.expect(")")
                 return App(name, tuple(args))
             return Var(self.ident())
         if self.accept("("):
-            inner = self.term()
+            inner = self.nested(self.term)
             self.expect(")")
             return inner
         self.fail("expected term", "number", "identifier", "(")
@@ -219,10 +237,12 @@ class Parser:
     # -- formulas --------------------------------------------------------
 
     def formula(self):
-        left = self._f_or()
-        if self.accept("->"):
-            return Imp(left, self.formula())
-        return left
+        # right-associative, folded from a list so that a long chain does
+        # not nest
+        parts = [self._f_or()]
+        while self.accept("->"):
+            parts.append(self._f_or())
+        return _fold_right(Imp, parts)
 
     def _f_or(self):
         left = self._f_and()
@@ -240,21 +260,21 @@ class Parser:
         t = self.peek()
         if t.text == "!":
             self.next()
-            return Not(self._f_unary())
+            return Not(self.nested(self._f_unary))
         if t.kind == "quant":
             self.next()
             v = self.ident()
-            return (Forall if t.text == "\\forall" else Exists)(v, self._f_unary())
+            return (Forall if t.text == "\\forall" else Exists)(v, self.nested(self._f_unary))
         if t.text == "[":
             self.next()
-            prog = self.program()
+            prog = self.nested(self.program)
             self.expect("]")
-            return Box(prog, self._f_unary())
+            return Box(prog, self.nested(self._f_unary))
         if t.text == "<":
             self.next()
-            prog = self.program()
+            prog = self.nested(self.program)
             self.expect(">")
-            return Dia(prog, self._f_unary())
+            return Dia(prog, self.nested(self._f_unary))
         if t.text == "true":
             self.next()
             return BoolLit(True)
@@ -266,7 +286,7 @@ class Parser:
             saved = self.pos
             try:
                 self.next()
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.expect(")")
                 return inner
             except ParseError:
@@ -286,30 +306,32 @@ class Parser:
     # -- hybrid programs ---------------------------------------------------
 
     def program(self):
-        left = self._p_seq()
-        if self.accept("++"):
-            return Choice(left, self.program())
-        return left
+        # both operators associate to the right; folded from a list so that
+        # a long chain does not nest
+        parts = [self._p_seq()]
+        while self.accept("++"):
+            parts.append(self._p_seq())
+        return _fold_right(Choice, parts)
 
     def _p_seq(self):
-        left = self._p_atom()
-        if self.accept(";"):
-            return Seq(left, self._p_seq())
-        return left
+        parts = [self._p_atom()]
+        while self.accept(";"):
+            parts.append(self._p_atom())
+        return _fold_right(Seq, parts)
 
     def _p_atom(self):
         t = self.peek()
         if t.text == "?":
             self.next()
             self.expect("(")
-            cond = self.formula()
+            cond = self.nested(self.formula)
             self.expect(")")
             return Test(cond)
         if t.text == "{":
             if self._looks_like_ode():
                 return self._ode()
             self.next()
-            inner = self.program()
+            inner = self.nested(self.program)
             self.expect("}")
             if self.accept("*"):
                 return Loop(inner)
@@ -345,9 +367,16 @@ class Parser:
                 break
         domain = BoolLit(True)
         if self.accept("&"):
-            domain = self.formula()
+            domain = self.nested(self.formula)
         self.expect("}")
         return ODE(tuple(eqs), domain)
+
+
+def _fold_right(ctor, parts: list):
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = ctor(p, out)
+    return out
 
 
 def _run(text: str, method: str, symbols: frozenset[str]):

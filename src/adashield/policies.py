@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .dl import Ident
 from .actions import make_action
 from .runtime import PolicyView, Shield
-from .strategy import AggregateAction, Direct, Best, Aggregate
+from .strategy import AggregateAction
 
 _X, _Y = Ident("x"), Ident("y")
 
@@ -29,16 +29,11 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def _slot_kinds(shield: Shield) -> list[str]:
-    out = []
-    for a in shield.spec.infer:
-        if isinstance(a.body, Direct):
-            out.append("direct")
-        elif isinstance(a.body, Best):
-            out.append("best")
-        else:
-            out.append("aggregate")
-    return out
+def _fill_slots(shield: Shield, best, agg) -> tuple:
+    """One slot per assignment: ``best`` in best slots, ``agg`` in aggregate
+    slots, nothing in direct ones."""
+    return tuple(None if kind == "direct" else best if kind == "best" else agg
+                 for kind, _ in shield.strategy.space)
 
 
 def _uniform(indices: list[int]) -> tuple:
@@ -126,7 +121,7 @@ def acas_control(shield: Shield, env) -> Callable[[PolicyView], object]:
 # Inference policies
 
 def skip_inference(shield: Shield, env) -> Callable[[PolicyView], tuple]:
-    empty = tuple(None for _ in shield.spec.infer)
+    empty = shield.empty_action
 
     def policy(view: PolicyView):
         return empty
@@ -143,13 +138,10 @@ def sisyphean_inference(shield: Shield, env, n_obs: int = 10,
     The greedy stand-in agent passes through any radius faster than a
     learning agent would, so the default batch is 10; the 20-observation
     variant is available through ``n_obs``."""
-    kinds = _slot_kinds(shield)
-
     def policy(view: PolicyView):
         x = view.state[_X]
         fresh = [hv.index for hv in view.history
                  if "w" in hv.available and abs(hv.state[_X] - x) <= radius]
-        slots: list = []
         agg: Optional[AggregateAction] = None
         if len(fresh) >= n_obs:
             consumed_at = [hv.index for hv in view.history if not hv.available]
@@ -157,14 +149,7 @@ def sisyphean_inference(shield: Shield, env, n_obs: int = 10,
             eps = fraction_rule(max(since, 1), total_steps, view.budget_remaining)
             agg = AggregateAction(eps, _uniform(fresh[-n_obs:]))
         best = tuple((hv.index,) for hv in view.history[-best_window:])
-        for kind in kinds:
-            if kind == "direct":
-                slots.append(None)
-            elif kind == "best":
-                slots.append(best)
-            else:
-                slots.append(agg)
-        return tuple(slots)
+        return _fill_slots(shield, best, agg)
 
     return policy
 
@@ -174,8 +159,6 @@ def periodic_train_inference(shield: Shield, env, every: int = 20,
                              best_window: int = 25) -> Callable:
     """Aggregate all available observations every ``every`` steps with a fixed
     per-aggregation tolerance (defaults to budget * every / max_steps)."""
-    kinds = _slot_kinds(shield)
-
     def policy(view: PolicyView):
         fire = (view.step + 1) % every == 0
         fresh = [hv.index for hv in view.history if "w" in hv.available]
@@ -184,15 +167,7 @@ def periodic_train_inference(shield: Shield, env, every: int = 20,
             e = eps if eps is not None else view.budget_initial * every / view.max_steps
             agg = AggregateAction(min(e, 1.0), _uniform(fresh))
         best = tuple((hv.index,) for hv in view.history[-best_window:])
-        slots = []
-        for kind in kinds:
-            if kind == "direct":
-                slots.append(None)
-            elif kind == "best":
-                slots.append(best)
-            else:
-                slots.append(agg)
-        return tuple(slots)
+        return _fill_slots(shield, best, agg)
 
     return policy
 
@@ -218,8 +193,6 @@ def acas_inference(shield: Shield, env, eps_track: float = 5e-10,
     Tracking aggregates avoid evidence-bearing entries so that surfacing a
     position measurement never burns unused compliance evidence.
     """
-    kinds = _slot_kinds(shield)
-
     def policy(view: PolicyView):
         track = None
         evidence = None
@@ -232,7 +205,7 @@ def acas_inference(shield: Shield, env, eps_track: float = 5e-10,
             evidence = AggregateAction(eps_evidence, _uniform(pending[-2:]))
         slots = []
         agg_seen = 0
-        for kind in kinds:
+        for kind, _ in shield.strategy.space:
             if kind != "aggregate":
                 slots.append(None)
                 continue

@@ -25,11 +25,12 @@ from .dl import Ident, UNDEF, eval_formula, is_runtime_evaluable
 from .dl.syntax import conjuncts
 from .specfile import ShieldSpec
 from .actions import (
-    ControlAction, ctrl_exec, ctrl_monitor, resolve_fallback,
+    ControlAction, action_fits, ctrl_exec, ctrl_monitor, derive_action_space,
+    resolve_fallback,
 )
 from .strategy import (
-    BOTTOM, InferenceAction, eval_sbi, interpret_strategy,
-    referenced_indices, referenced_observations,
+    BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
+    eval_sbi, interpret_strategy, referenced_indices, referenced_observations,
 )
 
 TRACE_SCHEMA_VERSION = 1
@@ -172,7 +173,12 @@ class PolicyView:
 
 
 class Shield:
-    """A checked spec compiled against an environment's constants."""
+    """A checked spec compiled against an environment's constants.
+
+    Everything that depends on the spec alone is worked out here once, not
+    on every step: both action spaces, the empty inference action and the
+    compiled strategy, which keeps best-slot instantiations across steps.
+    """
 
     def __init__(self, spec: ShieldSpec, consts: dict, allow_cantelli: bool = False):
         self.spec = spec
@@ -183,6 +189,9 @@ class Shield:
         self.global_params = tuple(spec.global_params)
         self.obs_names = spec.obs_names
         self.noise_decls = spec.noise_decls
+        self.ctrl_space = derive_action_space(spec.ctrl)
+        self.strategy = CompiledStrategy(spec.infer)
+        self.empty_action = empty_action(spec.infer)
 
     def initial_globals(self, env) -> dict:
         from .dl import eval_term
@@ -276,9 +285,16 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     t0 = time.perf_counter()
 
     if flags.non_adaptive:
-        a_inf = tuple(None for _ in a_inf)
-    assignments = interpret_strategy(spec.infer, a_inf, shield.directions,
-                                     shield.noise_decls)
+        a_inf = shield.empty_action
+    try:
+        assignments = interpret_strategy(spec.infer, a_inf, shield.directions,
+                                         shield.noise_decls, shield.strategy)
+    except ActionShapeError:
+        # a malformed inference action is the empty one: nothing is
+        # surfaced and no tolerance is spent
+        assignments = interpret_strategy(spec.infer, shield.empty_action,
+                                         shield.directions, shield.noise_decls,
+                                         shield.strategy)
 
     history = st.history
     n = len(history) + 1
@@ -347,10 +363,12 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     mval = {**sval, **bounds}
     overridden = False
     executed = a_ctrl
-    if not flags.unshielded:
-        if not ctrl_monitor(spec.ctrl, mval, a_ctrl, interp):
-            executed = resolve_fallback(spec.ctrl, spec.fallback, mval, interp)
-            overridden = True
+    # a control action of the wrong shape cannot be run even unshielded; it
+    # is overridden like one the monitor rejects
+    if not action_fits(shield.ctrl_space, a_ctrl) or not (
+            flags.unshielded or ctrl_monitor(spec.ctrl, mval, a_ctrl, interp)):
+        executed = resolve_fallback(spec.ctrl, spec.fallback, mval, interp)
+        overridden = True
     exec_vals = ctrl_exec(spec.ctrl, mval, executed, interp)
 
     t1 = time.perf_counter()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .dl import (
     Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Neg, Term, UNDEF, Var,
@@ -130,24 +130,38 @@ def strategy_action_space(strategy: InferenceStrategy) -> tuple[tuple[str, int],
 
 
 def validate_action(strategy: InferenceStrategy, action: InferenceAction) -> None:
-    space = strategy_action_space(strategy)
-    if len(action) != len(space):
+    _check_action(strategy_action_space(strategy), action)
+
+
+def _check_action(space: tuple[tuple[str, int], ...], action: InferenceAction) -> None:
+    """Raise ``ActionShapeError`` unless ``action`` fits the action space:
+    one slot per assignment, and every index tuple ``n`` integers long."""
+    if not isinstance(action, tuple) or len(action) != len(space):
         raise ActionShapeError(
-            f"expected {len(space)} slots, got {len(action)}")
+            f"expected a tuple of {len(space)} slots, got {action!r}")
     for slot, (kind, n) in zip(action, space):
         if slot is None:
             continue
         if kind == "direct":
             raise ActionShapeError("direct slots take no action input")
         if kind == "best":
-            if not isinstance(slot, tuple) or any(
-                    not isinstance(j, tuple) or len(j) != n for j in slot):
+            if not isinstance(slot, tuple) or not _index_tuples(slot, n):
                 raise ActionShapeError(f"best slot expects {n}-tuples of indices")
         else:
             if not isinstance(slot, AggregateAction):
                 raise ActionShapeError("aggregate slot expects (eps, dist)")
-            if any(len(j) != n for _, j in slot.dist):
+            if not _index_tuples((j for _, j in slot.dist), n):
                 raise ActionShapeError(f"aggregate slot expects {n}-tuples of indices")
+
+
+def _index_tuples(js, n: int) -> bool:
+    for j in js:
+        if not isinstance(j, tuple) or len(j) != n:
+            return False
+        for i in j:
+            if not isinstance(i, int):
+                return False
+    return True
 
 
 def empty_action(strategy: InferenceStrategy) -> InferenceAction:
@@ -193,61 +207,144 @@ class SymbolicAssignment:
     param: Ident
     sbi: SBI
     eps: float
+    #: ``sbi_free_vars(sbi)``, computed once when the SBI is built
+    free_vars: frozenset[Ident]
+
+
+class CompiledStrategy:
+    """What a ``Shield`` works out once for its strategy: the action space,
+    the free variables of every template, the direct assignments, and the
+    best-slot instantiations of the last two interpretations.
+
+    Best instantiations are keyed by (slot position, index tuple).  A best
+    window slides by one entry per step, so nearly every tuple an agent
+    lists was instantiated one interpretation earlier.  Each interpretation
+    starts a new generation that keeps only the entries it used, so at most
+    two actions' worth are held, whatever index tuples the agent sends.
+    Aggregates are not kept: surfacing burns their observations, so their
+    index tuples do not recur.
+    """
+
+    def __init__(self, strategy: InferenceStrategy):
+        self.strategy = strategy
+        self.space = strategy_action_space(strategy)
+        #: per slot: free variables of the observable (or term) and guard,
+        #: and of the noise component
+        self.template_vars = tuple(_template_vars(a) for a in strategy)
+        self.directs = {
+            pos: SymbolicAssignment(a.target, GuardedSBI(TermSBI(a.body.term), a.guard),
+                                    0.0, frozenset(self.template_vars[pos][0]))
+            for pos, a in enumerate(strategy) if isinstance(a.body, Direct)}
+        self.current: dict[tuple[int, tuple[int, ...]], SymbolicAssignment] = {}
+        self.previous: dict[tuple[int, tuple[int, ...]], SymbolicAssignment] = {}
+
+    def best(self, pos: int, j: tuple[int, ...]) -> SymbolicAssignment:
+        key = (pos, j)
+        sa = self.current.get(key)
+        if sa is None:
+            sa = self.previous.get(key)
+            if sa is None:
+                assign = self.strategy[pos]
+                names = list(assign.body.indices)
+                term = instantiate_indices(assign.body.term, names, list(j))
+                guard = instantiate_indices(assign.guard, names, list(j))
+                m = dict(zip(names, j))
+                sa = SymbolicAssignment(
+                    assign.target, GuardedSBI(TermSBI(term), guard), 0.0,
+                    frozenset(_instantiate_var(v, m) for v in self.template_vars[pos][0]))
+            self.current[key] = sa
+        return sa
+
+
+def _template_vars(a: InferAssign) -> tuple[set[Ident], set[Ident]]:
+    body = a.body
+    if isinstance(body, Aggregate):
+        return free_vars(body.observable) | free_vars(a.guard), free_vars(body.noise)
+    return free_vars(body.term) | free_vars(a.guard), set()
+
+
+def _instantiate_var(v: Ident, m: dict) -> Ident:
+    """``v`` re-indexed as ``instantiate_indices`` re-indexes its variables,
+    so that the free variables of an instance follow from its template's."""
+    return Ident(v.name, m[v.index]) if v.index in m else v
 
 
 def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
                        direction_of: dict[Ident, str],
-                       noise_decls: dict[str, DistExpr]) -> list[SymbolicAssignment]:
-    """Map an inference action to the list of symbolic inference assignments."""
-    validate_action(strategy, action)
+                       noise_decls: dict[str, DistExpr],
+                       compiled: Optional[CompiledStrategy] = None) -> list[SymbolicAssignment]:
+    """Map an inference action to the list of symbolic inference assignments.
+
+    ``compiled`` is the strategy's ``CompiledStrategy`` kept across calls, so
+    that best instantiations are reused; without it all are built afresh.
+    Raises ``ActionShapeError`` for an action that does not fit the strategy.
+    """
+    if compiled is None:
+        compiled = CompiledStrategy(strategy)
+    elif compiled.strategy is not strategy:
+        raise ValueError("compiled for a different strategy")
+    _check_action(compiled.space, action)
+    compiled.previous, compiled.current = compiled.current, {}
     out: list[SymbolicAssignment] = []
-    for assign, slot in zip(strategy, action):
-        p = assign.target
+    for pos, (assign, slot) in enumerate(zip(strategy, action)):
         body = assign.body
         if isinstance(body, Direct):
-            out.append(SymbolicAssignment(p, GuardedSBI(TermSBI(body.term), assign.guard), 0.0))
+            out.append(compiled.directs[pos])
+        elif slot is None:
             continue
-        if slot is None:
-            continue
-        names = list(body.indices)
-        if isinstance(body, Best):
+        elif isinstance(body, Best):
             for j in slot:
-                term = instantiate_indices(body.term, names, list(j))
-                guard = instantiate_indices(assign.guard, names, list(j))
-                out.append(SymbolicAssignment(p, GuardedSBI(TermSBI(term), guard), 0.0))
-            continue
-        # aggregate
-        obs_sum = None
-        noise_sum = None
-        guards = []
-        bindings: dict[Ident, DistExpr] = {}
-        for w, j in slot.dist:
-            vals = list(j)
-            obs_j = BinOp("*", Lit(w), instantiate_indices(body.observable, names, vals))
-            noise_j = BinOp("*", Lit(w), instantiate_indices(body.noise, names, vals))
-            obs_sum = obs_j if obs_sum is None else BinOp("+", obs_sum, obs_j)
-            noise_sum = noise_j if noise_sum is None else BinOp("+", noise_sum, noise_j)
-            guards.append(instantiate_indices(assign.guard, names, vals))
-            for ident in free_vars(noise_j):
-                if ident.name in noise_decls and ident not in bindings:
-                    decl = noise_decls[ident.name]
-                    tagged = tuple(
-                        tag_with_index(t, ident.index) if ident.index is not None else t
-                        for t in decl.params)
-                    bindings[ident] = DistExpr(decl.kind, tagged)
-        node = InvCCDFNode(tuple(sorted(bindings.items(), key=lambda kv: str(kv[0]))),
-                           noise_sum, Lit(slot.eps),
-                           tail=("lo" if direction_of.get(p) == "lo" else "up"))
-        sbi = GuardedSBI(SumSBI(TermSBI(obs_sum), node), conj(guards))
-        out.append(SymbolicAssignment(p, sbi, slot.eps))
+                out.append(compiled.best(pos, j))
+        else:
+            out.append(_interpret_aggregate(assign, slot, compiled.template_vars[pos],
+                                            direction_of, noise_decls))
     return out
+
+
+def _interpret_aggregate(assign: InferAssign, slot: AggregateAction, template_vars,
+                         direction_of, noise_decls) -> SymbolicAssignment:
+    p = assign.target
+    body = assign.body
+    names = list(body.indices)
+    obs_vars, noise_vars = template_vars
+    obs_sum = None
+    noise_sum = None
+    guards = []
+    free: set[Ident] = set()
+    bindings: dict[Ident, DistExpr] = {}
+    for w, j in slot.dist:
+        vals = list(j)
+        obs_j = BinOp("*", Lit(w), instantiate_indices(body.observable, names, vals))
+        noise_j = BinOp("*", Lit(w), instantiate_indices(body.noise, names, vals))
+        obs_sum = obs_j if obs_sum is None else BinOp("+", obs_sum, obs_j)
+        noise_sum = noise_j if noise_sum is None else BinOp("+", noise_sum, noise_j)
+        guards.append(instantiate_indices(assign.guard, names, vals))
+        m = dict(zip(names, vals))
+        for v in obs_vars:
+            free.add(_instantiate_var(v, m))
+        for v in noise_vars:
+            ident = _instantiate_var(v, m)
+            free.add(ident)
+            if ident.name in noise_decls and ident not in bindings:
+                decl = noise_decls[ident.name]
+                tagged = tuple(
+                    tag_with_index(t, ident.index) if ident.index is not None else t
+                    for t in decl.params)
+                bindings[ident] = DistExpr(decl.kind, tagged)
+                for t in tagged:
+                    free |= free_vars(t)
+    node = InvCCDFNode(tuple(sorted(bindings.items(), key=lambda kv: str(kv[0]))),
+                       noise_sum, Lit(slot.eps),
+                       tail=("lo" if direction_of.get(p) == "lo" else "up"))
+    sbi = GuardedSBI(SumSBI(TermSBI(obs_sum), node), conj(guards))
+    return SymbolicAssignment(p, sbi, slot.eps, frozenset(free))
 
 
 def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
     """Concrete history indices mentioned by any SBI."""
     out: set[int] = set()
     for a in assignments:
-        for ident in sbi_free_vars(a.sbi):
+        for ident in a.free_vars:
             if isinstance(ident.index, int):
                 out.add(ident.index)
     return out
@@ -257,7 +354,7 @@ def referenced_observations(assignments: list[SymbolicAssignment],
                             obs_names: frozenset[str]) -> set[Ident]:
     out: set[Ident] = set()
     for a in assignments:
-        for ident in sbi_free_vars(a.sbi):
+        for ident in a.free_vars:
             if isinstance(ident.index, int) and ident.name in obs_names:
                 out.add(ident)
     return out

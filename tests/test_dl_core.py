@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adashield.dl import (
-    And, BoolLit, Forall, Ident, Lit, ParseError, StructuralError, UNDEF,
+    And, BoolLit, Choice, Forall, Imp, Seq, Ident, Lit, ParseError, StructuralError, UNDEF,
     Var, eval_formula, eval_term, free_vars, instantiate_indices,
     parse_formula, parse_program, parse_term, pretty_print, substitute,
     symbols, tag_with_index,
@@ -229,3 +229,33 @@ class TestPrinter:
             r2 = eval_term(t, {}, val)
             if r1 is not UNDEF:  # only ^ overflow can yield UNDEF here
                 assert math.isfinite(r1) and r1 == r2
+
+
+class TestParserNesting:
+    @pytest.mark.parametrize("parse, text", [
+        (parse_term, "(" * 400 + "1" + ")" * 400),
+        (parse_term, "-" * 400 + "x"),
+        (parse_formula, "!" * 400 + "x > 0"),
+        (parse_formula, "(" * 400 + "x > 0" + ")" * 400),
+        (parse_program, "{" * 400 + "x := 1" + "}" * 400),
+    ])
+    def test_deep_nesting_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "nesting deeper than" in str(info.value)
+        assert info.value.line == 1 and info.value.col > 1
+
+    def test_nesting_below_the_limit_parses(self):
+        assert parse_term("(" * 60 + "x" + ")" * 60) == Var(Ident("x"))
+
+    @pytest.mark.parametrize("parse, text, ctor", [
+        (parse_program, "; ".join(["x := 1"] * 400), Seq),
+        (parse_program, " ++ ".join(["x := 1"] * 400), Choice),
+        (parse_formula, " -> ".join(["x > 0"] * 400), Imp),
+    ])
+    def test_long_chains_do_not_nest(self, parse, text, ctor):
+        # ';', '++' and '->' associate to the right without the parser recursing
+        node, links = parse(text), 0
+        while isinstance(node, ctor):
+            node, links = node.right, links + 1
+        assert links == 399

@@ -10,10 +10,10 @@ from adashield.dl import (
 )
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal,
-    SpaceSum, SpaceUnit, StructureError, UNIT, ctrl_exec, ctrl_monitor,
-    ctrl_monitor_trace, derive_action_space, encode_choice_search,
-    enumerate_actions, find_discrete_fallback, make_action,
-    resolve_fallback, space_cardinality,
+    SpaceSum, SpaceUnit, StructureError, UNIT, action_fits, ctrl_exec,
+    ctrl_monitor, ctrl_monitor_trace, derive_action_space,
+    encode_choice_search, enumerate_actions, find_discrete_fallback,
+    make_action, resolve_fallback, space_cardinality,
 )
 
 from conftest import TermGen
@@ -129,6 +129,12 @@ class TestActionSpaces:
         with pytest.raises(StructureError):
             derive_action_space(parse_program("{x' = 1}"))
 
+    def test_action_fits_needs_real_values(self):
+        assert action_fits(SpaceReal(), AReal(1.5))
+        assert not action_fits(SpaceReal(), AReal("1.5"))
+        assert not action_fits(SpaceReal(), UNIT)
+        assert not action_fits(SpaceProd(SpaceUnit(), SpaceUnit()), None)
+
     def test_cardinality_matches_enumeration(self):
         gen = ControllerGen(8)
         for _ in range(200):
@@ -205,6 +211,22 @@ class TestMonitor:
             assert got == expected
             agreements += 1
         assert agreements == 1000
+
+    def test_bool_path_agrees_with_trace(self):
+        # the bool-only path stops at the first failing test; the trace
+        # checks them all, and both must give the same verdict
+        gen = ControllerGen(31)
+        for _ in range(1000):
+            ctrl = gen.controller()
+            a = gen.action_for(ctrl)
+            s = gen.terms.valuation()
+            assert ctrl_monitor(ctrl, s, a) == (not ctrl_monitor_trace(ctrl, s, a)[1])
+
+    def test_trace_reports_tests_after_a_failure(self):
+        ctrl = parse_program("?(x > 0); ?(x > 1)")
+        results, failures = ctrl_monitor_trace(ctrl, {Ident("x"): -1.0}, APair(UNIT, UNIT))
+        assert [holds for _, holds in results] == [False, False]
+        assert failures == ["x > 0", "x > 1"]
 
 
 class TestFallback:

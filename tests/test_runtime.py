@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adashield.dl import Ident
-from adashield.actions import make_action
+from adashield.actions import ALeft, APair, AReal, UNIT, make_action
 from adashield.runtime import (
     ExperimentConfig, InitialConditionViolation, KahanLedger, Shield,
     StepFlags, init_shielded_state, make_policy_view, run_episode,
@@ -214,6 +214,60 @@ class TestOverride:
                                  flags=StepFlags(non_adaptive=True))
         assert rec.bounds_after[Ident("fbar")] == 3.0
         assert st.ledger.spent == 0.0
+
+
+class TestZeroTrust:
+    @pytest.mark.parametrize("bad", [
+        AReal(1.0), UNIT, ALeft(UNIT), APair(UNIT, ALeft(UNIT)),
+        APair(UNIT, ALeft(APair(UNIT, AReal(1.0)))), None, "left",
+    ])
+    @pytest.mark.parametrize("unshielded", [False, True])
+    def test_malformed_control_action_is_overridden(self, train_setup, bad, unshielded):
+        shield, env = train_setup
+        rngs = _rngs()
+        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st, _, _, rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
+                                 flags=StepFlags(unshielded=unshielded))
+        assert rec.overridden and rec.proposed is bad
+        assert rec.executed == make_action(shield.spec.ctrl, ["right"])
+        json.dumps(rec.to_json())
+
+    def test_non_real_control_value_is_overridden(self, specs):
+        env = make_acas()
+        shield = Shield(specs["acas"], env.consts)
+        rngs = _rngs(3)
+        st = init_shielded_state(shield, env, 1e-7, rngs[0])
+        level = make_action(shield.spec.ctrl, [0.0])
+
+        def swap(a):
+            t = type(a)
+            if t is AReal:
+                return AReal("level")
+            if t is APair:
+                return APair(swap(a.left), swap(a.right))
+            if hasattr(a, "action"):
+                return t(swap(a.action))
+            return a
+
+        st, _, _, rec, _ = _step(shield, env, st, swap(level),
+                                 shield.empty_action, rngs, 0)
+        assert rec.overridden
+
+    @pytest.mark.parametrize("bad", [
+        (None, None), None, [None, (), None], (None, ((1, 2),), None),
+        (None, (("a",),), None), (None, (([1],),), None),
+        (None, ((1, 2),), AggregateAction(1e-5, ((1.0, (1,)),))),
+    ])
+    def test_malformed_inference_action_is_empty(self, train_setup, bad):
+        shield, env = train_setup
+        rngs = _rngs()
+        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        accel = make_action(shield.spec.ctrl, ["left"])
+        st, *_ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
+        st, _, _, rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
+        assert [(a.param, a.eps) for a in rec.assignments] == [("fbar", 0.0)]
+        assert st.ledger.spent == 0.0
+        assert rec.consumed == [] and st.history[0].available == {"w"}
 
 
 class TestPolicyBarrier:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from adashield.dl import BoolLit, Ident, Lit, parse_formula, parse_term
 from adashield.strategy import (
-    ActionShapeError, AggregateAction, BOTTOM, DistExpr, GuardedSBI,
-    InvCCDFNode, SumSBI, TermSBI, empty_action, eval_sbi,
+    ActionShapeError, Aggregate, AggregateAction, BOTTOM, CompiledStrategy,
+    DistExpr, GuardedSBI, InferAssign, InvCCDFNode, SumSBI, TermSBI,
+    empty_action, eval_sbi,
     interpret_strategy, linearize, sbi_free_vars, strategy_action_space,
     validate_action,
 )
@@ -47,6 +49,18 @@ class TestActionSpace:
         with pytest.raises(ActionShapeError):
             validate_action(strategy, (None, ((1, 2),), None))
         validate_action(strategy, (None, ((1,), (2,)), None))
+
+    @pytest.mark.parametrize("action", [
+        None, [None, (), None], (None, ((1.0,),), None), (None, (("i",),), None),
+        (None, (([1],),), None), (None, [(1,)], None),
+        (None, (), AggregateAction(0.1, ((1.0, ("j",)),))),
+    ])
+    def test_malformed_actions_rejected(self, train_strategy, action):
+        _, strategy, dirs, noise = train_strategy
+        with pytest.raises(ActionShapeError):
+            validate_action(strategy, action)
+        with pytest.raises(ActionShapeError):
+            interpret_strategy(strategy, action, dirs, noise)
 
 
 class TestAggregateAction:
@@ -102,6 +116,87 @@ class TestInterpret:
                                  spec.noise_decls)
         tails = {str(sa.param): sa.sbi.body.right.tail for sa in out}
         assert tails == {"yb_lo": "lo", "yb_up": "up"}
+
+
+def _actions(space, max_index=30):
+    """Hypothesis strategy for well-formed actions of ``space``."""
+    def index_tuple(n):
+        return st.tuples(*[st.integers(1, max_index)] * n)
+
+    def slot(kind, n):
+        if kind == "direct":
+            return st.none()
+        if kind == "best":
+            return st.none() | st.lists(index_tuple(n), max_size=6).map(tuple)
+        dist = st.lists(st.tuples(st.floats(0.01, 1.0), index_tuple(n)),
+                        min_size=1, max_size=4).map(tuple)
+        return st.none() | st.builds(AggregateAction, st.floats(0.0, 1.0), dist)
+
+    return st.tuples(*[slot(kind, n) for kind, n in space])
+
+
+class TestCompiledStrategy:
+    @pytest.mark.parametrize("name", ["train_local", "sisyphean", "train_global",
+                                      "river", "acas"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_warm_equals_cold(self, specs, name, data):
+        # a sequence of actions, the first one repeated at the end, through one
+        # compiled strategy gives the SBIs a fresh interpretation gives, and
+        # every assignment carries its SBI's free variables
+        spec = specs[name]
+        compiled = CompiledStrategy(spec.infer)
+        actions = data.draw(st.lists(_actions(compiled.space), min_size=1, max_size=3))
+        for action in actions + actions[:1]:
+            warm = interpret_strategy(spec.infer, action, spec.directions,
+                                      spec.noise_decls, compiled)
+            cold = interpret_strategy(spec.infer, action, spec.directions,
+                                      spec.noise_decls)
+            assert warm == cold
+            for sa in warm:
+                assert sa.free_vars == sbi_free_vars(sa.sbi)
+
+    def test_state_dependent_noise_parameters(self):
+        # a noise scale that mentions a state variable is tagged with the
+        # observation's index, and its variables are free in the SBI
+        strategy = (InferAssign(Ident("p"), Aggregate(("i",), parse_term("w@i"),
+                                                      parse_term("eta@i"))),)
+        noise = {"eta": DistExpr("normal", (Lit(0.0), parse_term("x^2 + 1")))}
+        act = AggregateAction(0.1, ((0.5, (3,)), (0.5, (4,))))
+        sa, = interpret_strategy(strategy, (act,), {}, noise)
+        assert sa.free_vars == sbi_free_vars(sa.sbi)
+        assert {Ident("x", 3), Ident("x", 4)} <= sa.free_vars
+
+    def test_best_memo_holds_two_interpretations(self, train_strategy):
+        # 10^4 fresh indices on each of 5 steps: only the last two steps'
+        # instantiations stay
+        _, strategy, dirs, noise = train_strategy
+        compiled = CompiledStrategy(strategy)
+        n = 10_000
+        for step in range(5):
+            window = tuple((step * n + i,) for i in range(1, n + 1))
+            out = interpret_strategy(strategy, (None, window, None), dirs, noise, compiled)
+            assert len(out) == n + 1
+            held = {**compiled.previous, **compiled.current}
+            assert len(held) <= 2 * n
+        assert {j[0] for _, j in held} == set(range(3 * n + 1, 5 * n + 1))
+
+    def test_sliding_window_reuses_instances(self, train_strategy):
+        _, strategy, dirs, noise = train_strategy
+        compiled = CompiledStrategy(strategy)
+        first = interpret_strategy(strategy, (None, ((1,), (2,), (3,)), None),
+                                   dirs, noise, compiled)
+        second = interpret_strategy(strategy, (None, ((2,), (3,), (4,)), None),
+                                    dirs, noise, compiled)
+        assert second[1] is first[2] and second[2] is first[3]
+        assert second[0] is first[0]  # the direct assignment
+
+    def test_rejects_another_strategy(self, specs):
+        compiled = CompiledStrategy(specs["train_local"].infer)
+        spec = specs["river"]
+        with pytest.raises(ValueError):
+            interpret_strategy(spec.infer, (None, None), spec.directions,
+                               spec.noise_decls, compiled)
 
 
 class TestEvalSBI:
