@@ -61,6 +61,12 @@ _RESERVED = frozenset({"true", "false", "min", "max", "abs"})
 #: inside the interpreter's recursion limit
 MAX_NESTING = 64
 
+#: deepest tree a whole term, formula or program may parse to.  Operator
+#: chains add one level per operator without nesting the parser, and the
+#: tree walks that follow recurse once per level, so this keeps them inside
+#: the interpreter's default recursion limit of 1000
+MAX_HEIGHT = 500
+
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
@@ -135,6 +141,18 @@ class Parser:
             return parse()
         finally:
             self.depth -= 1
+
+    def bounded(self, parse):
+        """``parse()`` a whole term, formula or program; a ``ParseError`` at
+        its first token if the tree is more than ``MAX_HEIGHT`` levels deep."""
+        t, start = self.peek(), self.pos
+        node = parse()
+        # every level of a tree but a leaf spans a token of its own, so only
+        # a long expression can be too deep
+        if self.pos - start >= MAX_HEIGHT and _deeper_than(node, MAX_HEIGHT):
+            raise ParseError(f"expression deeper than {MAX_HEIGHT} levels; "
+                             "split long operator chains", t.line, t.col)
+        return node
 
     # -- identifiers ---------------------------------------------------
 
@@ -379,9 +397,27 @@ def _fold_right(ctor, parts: list):
     return out
 
 
+def _deeper_than(node, limit: int) -> bool:
+    """Whether the syntax tree ``node`` has more than ``limit`` levels,
+    found without recursing."""
+    stack = [(node, 1)]
+    while stack:
+        e, d = stack.pop()
+        if isinstance(e, tuple):  # App arguments, ODE equations
+            stack.extend((x, d) for x in e)
+            continue
+        fields = getattr(type(e), "__dataclass_fields__", None)
+        if fields is None:
+            continue
+        if d > limit:
+            return True
+        stack.extend((getattr(e, f), d + 1) for f in fields)
+    return False
+
+
 def _run(text: str, method: str, symbols: frozenset[str]):
     p = Parser(tokenize(text))
-    node = getattr(p, method)()
+    node = p.bounded(getattr(p, method))
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)

@@ -160,12 +160,12 @@ def periodic_train_inference(shield: Shield, env, every: int = 20,
     """Aggregate all available observations every ``every`` steps with a fixed
     per-aggregation tolerance (defaults to budget * every / max_steps)."""
     def policy(view: PolicyView):
-        fire = (view.step + 1) % every == 0
-        fresh = [hv.index for hv in view.history if "w" in hv.available]
         agg = None
-        if fire and fresh:
-            e = eps if eps is not None else view.budget_initial * every / view.max_steps
-            agg = AggregateAction(min(e, 1.0), _uniform(fresh))
+        if (view.step + 1) % every == 0:
+            fresh = [hv.index for hv in view.history if "w" in hv.available]
+            if fresh:
+                e = eps if eps is not None else view.budget_initial * every / view.max_steps
+                agg = AggregateAction(min(e, 1.0), _uniform(fresh))
         best = tuple((hv.index,) for hv in view.history[-best_window:])
         return _fill_slots(shield, best, agg)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .strategy import (
 )
 
 TRACE_SCHEMA_VERSION = 1
+
+_MISSING = object()
 
 
 class InitialConditionViolation(Exception):
@@ -70,12 +73,34 @@ class KahanLedger:
         return self.initial - self._sum
 
 
+class HistoryView(NamedTuple):
+    """The policy-facing part of a history entry: its index, a read-only
+    view of its state and the observations still available at it.  A
+    tuple, so that no field can be reassigned, not even through
+    ``object.__setattr__``."""
+
+    index: int
+    state: Mapping
+    available: frozenset
+
+
 @dataclass
 class HistoryEntry:
-    state_val: dict
-    available: set
+    """A history entry.  ``view`` is built once, when the entry is appended,
+    and replaced only when surfacing burns the entry's availability; it is
+    the only record of the entry's state and of what is still available."""
+
+    view: HistoryView
     local_bounds: dict
     cache: dict = field(default_factory=dict, repr=False)  # private measurements
+
+    @property
+    def state_val(self) -> Mapping:
+        return self.view.state
+
+    @property
+    def available(self) -> frozenset:
+        return self.view.available
 
 
 @dataclass
@@ -84,6 +109,11 @@ class ShieldedState:
     history: list
     global_bounds: dict
     ledger: KahanLedger
+    #: ``entry.view`` of every history entry, in order
+    views: list = field(default_factory=list)
+    #: per observation name, the number of entries at which it is available;
+    #: names with no such entry are left out
+    avail_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -148,18 +178,14 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class HistoryView:
-    index: int
-    state: dict
-    available: frozenset
-
-
-@dataclass(frozen=True)
 class PolicyView:
     """Policy-facing projection of a shielded state.
 
     Carries state features, current bound values, step/budget progress and
-    per-entry observation availability; never any measurement value.
+    per-entry observation availability; never any measurement value.  It is
+    a snapshot the policy cannot write through: the history views are the
+    runtime's own, but frozen and read-only, and ``state``, ``bounds`` and
+    ``avail_counts`` are copies.
     """
 
     state: dict
@@ -192,6 +218,9 @@ class Shield:
         self.ctrl_space = derive_action_space(spec.ctrl)
         self.strategy = CompiledStrategy(spec.infer)
         self.empty_action = empty_action(spec.infer)
+        #: the unindexed identifier of each variable name an SBI mentioned,
+        #: so that reading history values builds no identifiers
+        self.plain_idents: dict[str, Ident] = {}
 
     def initial_globals(self, env) -> dict:
         from .dl import eval_term
@@ -247,12 +276,6 @@ def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
     bounds = dict(st.global_bounds)
     if st.history:
         bounds.update(st.history[-1].local_bounds)
-    counts: dict = {}
-    views = []
-    for i, e in enumerate(st.history, start=1):
-        views.append(HistoryView(i, e.state_val, frozenset(e.available)))
-        for name in e.available:
-            counts[name] = counts.get(name, 0) + 1
     return PolicyView(
         state=env.state_map(st.env_state),
         bounds=bounds,
@@ -260,9 +283,30 @@ def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
         max_steps=max_steps,
         budget_remaining=st.ledger.remaining,
         budget_initial=st.ledger.initial,
-        history=tuple(views),
-        avail_counts=counts,
+        history=tuple(st.views),
+        avail_counts=dict(st.avail_counts),
     )
+
+
+def read_history(shield: Shield, history: list, assignments: list, v: dict) -> None:
+    """Put into ``v`` the value of every indexed variable the assignments
+    mention, read from its history entry: its local bounds first, then its
+    state.  Observations are left to surfacing.  The identifiers come from
+    the assignments' free variables, so the work follows what the SBIs
+    reference, not the length of the history."""
+    plain = shield.plain_idents
+    for ident in frozenset().union(*[sa.free_vars for sa in assignments]):
+        i = ident.index
+        if isinstance(i, int) and 1 <= i <= len(history):
+            entry = history[i - 1]
+            base = plain.get(ident.name)
+            if base is None:
+                base = plain[ident.name] = Ident(ident.name)
+            x = entry.local_bounds.get(base, _MISSING)
+            if x is _MISSING:
+                x = entry.view.state.get(base, _MISSING)
+            if x is not _MISSING:
+                v[ident] = x
 
 
 @dataclass
@@ -297,6 +341,8 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
                                          shield.strategy)
 
     history = st.history
+    views = st.views
+    counts = st.avail_counts
     n = len(history) + 1
     sval = env.state_map(st.env_state)
     v: dict = dict(sval)
@@ -306,25 +352,30 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     for k, x in st.global_bounds.items():
         v[Ident(k.name, n)] = x
 
+    read_history(shield, history, assignments, v)
+
     consumed: list = []
-    obs_refs = referenced_observations(assignments, shield.obs_names)
-    obs_idx = {}
-    for ident in obs_refs:
-        obs_idx.setdefault(ident.index, []).append(ident.name)
+    obs_idx: dict = {}
+    for ident in referenced_observations(assignments, shield.obs_names):
+        obs_idx.setdefault(ident.index, []).append(ident)
     for i in sorted(referenced_indices(assignments)):
-        if not 1 <= i <= len(history):
+        if not 1 <= i < n or i not in obs_idx:
             continue
         entry = history[i - 1]
-        for k, x in entry.state_val.items():
-            v[Ident(k.name, i)] = x
-        for k, x in entry.local_bounds.items():
-            v[Ident(k.name, i)] = x
-        if i in obs_idx:
-            for name in sorted(obs_idx[i]):
-                if name in entry.available:
-                    v[Ident(name, i)] = entry.cache[name]
-                    consumed.append((i, name))
-            entry.available = set()  # nothing at this step may be reused later
+        hv = entry.view
+        if not hv.available:
+            continue
+        for ident in sorted(obs_idx[i]):
+            if ident.name in hv.available:
+                v[ident] = entry.cache[ident.name]
+                consumed.append((i, ident.name))
+        # nothing at this step may be reused later
+        for name in hv.available:
+            if counts[name] == 1:
+                del counts[name]
+            else:
+                counts[name] -= 1
+        entry.view = views[i - 1] = HistoryView(i, hv.state, frozenset())
 
     ledger = st.ledger
     bounds_before = dict(st.global_bounds)
@@ -357,7 +408,11 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
 
     availability = env.obs_available(st.env_state)
     cache = env.measure(st.env_state, measure_rng)
-    history.append(HistoryEntry(sval, set(availability), b_l, cache))
+    hv = HistoryView(n, MappingProxyType(sval), frozenset(availability))
+    history.append(HistoryEntry(hv, b_l, cache))
+    views.append(hv)
+    for name in hv.available:
+        counts[name] = counts.get(name, 0) + 1
 
     bounds = {**b_g, **b_l}
     mval = {**sval, **bounds}
@@ -384,7 +439,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         availability={name: True for name in sorted(availability)},
         reward=reward, safe=env.ground_truth_safe(s2), terminal=terminal)
 
-    new_state = ShieldedState(s2, history, b_g, ledger)
+    new_state = ShieldedState(s2, history, b_g, ledger, views, counts)
     return new_state, reward, terminal, record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
 
 
@@ -428,7 +483,9 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
     steps = 0
 
     for step in range(max_steps):
+        t0 = time.perf_counter()
         view = make_policy_view(shield, env, st, step, max_steps)
+        shield_s += time.perf_counter() - t0
         a_ctrl = control_policy(view)
         a_inf = inference_policy(view)
         st, reward, terminal, rec, (ts, te) = shielded_transition(

@@ -203,13 +203,13 @@ class _SpecParser(Parser):
         self.symbols = symbols
 
     def resolved_term(self):
-        return resolve_symbols(self.term(), frozenset(self.symbols))
+        return resolve_symbols(self.bounded(self.term), frozenset(self.symbols))
 
     def resolved_formula(self):
-        return resolve_symbols(self.formula(), frozenset(self.symbols))
+        return resolve_symbols(self.bounded(self.formula), frozenset(self.symbols))
 
     def resolved_program(self):
-        return resolve_symbols(self.program(), frozenset(self.symbols))
+        return resolve_symbols(self.bounded(self.program), frozenset(self.symbols))
 
     def at_section(self) -> bool:
         t = self.peek()

@@ -259,3 +259,19 @@ class TestParserNesting:
         while isinstance(node, ctor):
             node, links = node.right, links + 1
         assert links == 399
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_term, " + ".join(["x"] * 2000)),
+        (parse_formula, " & ".join(["x > k"] * 2000)),
+        # chains at different bracket levels add up
+        (parse_term, "(" * 60 + " * ".join(["x"] * 480) + ")" * 60 + " + k" * 30),
+    ])
+    def test_too_deep_trees_are_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError) as info:
+            parse(text, frozenset({"k"}))
+        assert "deeper than 500 levels" in str(info.value)
+        assert (info.value.line, info.value.col) == (1, 1)
+
+    def test_long_sum_below_the_limit_loads(self):
+        t = parse_term(" + ".join(["x"] * 400), frozenset({"k"}))
+        assert eval_term(t, {}, {Ident("x"): 1.0}) == 400.0

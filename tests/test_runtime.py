@@ -1,21 +1,32 @@
 """Shielded-transition mechanics: budget, non-reuse, overrides, determinism."""
 
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from adashield import runtime
+from adashield.cli import bundled_spec_path
 from adashield.dl import Ident
 from adashield.actions import ALeft, APair, AReal, UNIT, make_action
 from adashield.runtime import (
-    ExperimentConfig, InitialConditionViolation, KahanLedger, Shield,
-    StepFlags, init_shielded_state, make_policy_view, run_episode,
-    run_experiment, shielded_transition,
+    ExperimentConfig, HistoryView, InitialConditionViolation, KahanLedger,
+    PolicyView, Shield, StepFlags, init_shielded_state, make_policy_view,
+    read_history, run_episode, run_experiment, shielded_transition,
 )
-from adashield.strategy import AggregateAction
-from adashield.envs import make_acas, make_crossing_river, make_sisyphean_train
+from adashield.specfile import load_spec
+from adashield.strategy import (
+    BOTTOM, ActionShapeError, AggregateAction, eval_sbi, interpret_strategy,
+    referenced_indices, referenced_observations,
+)
+from adashield.envs import (
+    REGISTRY, make_acas, make_crossing_river, make_sisyphean_train,
+)
 from adashield.policies import (
+    CONTROL_POLICIES, DEFAULT_POLICIES, INFERENCE_POLICIES,
     greedy_train_control, river_control, river_inference,
     sisyphean_inference, skip_inference,
 )
@@ -270,7 +281,51 @@ class TestZeroTrust:
         assert rec.consumed == [] and st.history[0].available == {"w"}
 
 
+def _run_digest(specs, inference_policy, episodes=4):
+    """Results digest, overrides and spent tolerance of a seeded train run."""
+    records = []
+    cfg = ExperimentConfig(
+        spec_name="sisyphean", env_factory=make_sisyphean_train,
+        control_policy=greedy_train_control, inference_policy=inference_policy,
+        episodes=episodes, budget=1e-3, mode="fixed", seed=0)
+    shield = Shield(specs["sisyphean"], make_sisyphean_train().consts)
+    stats = run_experiment(shield, cfg, record_sink=lambda r: records.append(
+        json.dumps(r.to_json())))
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    return digest, stats.overrides, stats.eps_spent
+
+
 class TestPolicyBarrier:
+    def test_policy_cannot_write_through_the_view(self, specs):
+        refused = []
+
+        def hostile_inference(shield, env):
+            honest = sisyphean_inference(shield, env)
+
+            def policy(view):
+                action = honest(view)
+                for hv in view.history:
+                    try:
+                        hv.state[Ident("x")] = -1e9
+                    except TypeError:
+                        refused.append(hv.index)
+                    try:  # would un-burn the entry's observations
+                        object.__setattr__(hv, "available", frozenset({"w"}))
+                    except AttributeError:
+                        refused.append(hv.index)
+                view.avail_counts["w"] = 10**6
+                view.state[Ident("x")] = -1e9
+                view.bounds.clear()
+                return action
+
+            return policy
+
+        hostile = _run_digest(specs, hostile_inference)
+        assert refused
+        assert hostile == _run_digest(specs, sisyphean_inference)
+        assert hostile[2] > 0.0
+
+
     def test_view_invariant_under_cache_perturbation(self, train_setup):
         shield, env = train_setup
         rngs = _rngs(21)
@@ -295,6 +350,130 @@ class TestPolicyBarrier:
         blob = repr(view)
         assert "cache" not in blob
         assert view.history[0].available == frozenset({"w"})
+
+
+def _reference_policy_view(env, st, step, max_steps) -> PolicyView:
+    """The policy view built from scratch off the history entries on every
+    step: the reference for the incrementally kept one."""
+    bounds = dict(st.global_bounds)
+    if st.history:
+        bounds.update(st.history[-1].local_bounds)
+    counts: dict = {}
+    views = []
+    for i, e in enumerate(st.history, start=1):
+        views.append(HistoryView(i, e.state_val, frozenset(e.available)))
+        for name in e.available:
+            counts[name] = counts.get(name, 0) + 1
+    return PolicyView(
+        state=env.state_map(st.env_state), bounds=bounds, step=step,
+        max_steps=max_steps, budget_remaining=st.ledger.remaining,
+        budget_initial=st.ledger.initial, history=tuple(views),
+        avail_counts=counts)
+
+
+def _reference_history_valuation(history, assignments) -> dict:
+    """Every state variable and local bound of each referenced entry, tagged
+    with the entry's index: the reference for ``read_history``."""
+    v: dict = {}
+    for i in sorted(referenced_indices(assignments)):
+        if 1 <= i <= len(history):
+            entry = history[i - 1]
+            for k, x in entry.state_val.items():
+                v[Ident(k.name, i)] = x
+            for k, x in entry.local_bounds.items():
+                v[Ident(k.name, i)] = x
+    return v
+
+
+def _same(a, b) -> bool:
+    return a is b or a == b or (
+        isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+def _check_valuations(shield, env, st, a_inf) -> int:
+    """Evaluate the step's assignments in order under the referenced-only
+    and the full history valuation, tightening both alike; the number of
+    assignments that read history."""
+    try:
+        assignments = interpret_strategy(shield.spec.infer, a_inf, shield.directions,
+                                         shield.noise_decls)
+    except ActionShapeError:
+        return 0
+    history = st.history
+    n = len(history) + 1
+    base = {}
+    for src in (env.state_map(st.env_state), st.global_bounds):
+        for k, x in src.items():
+            base[k] = x
+            base[Ident(k.name, n)] = x
+    surfaced = {}
+    for ident in referenced_observations(assignments, shield.obs_names):
+        i = ident.index
+        if 1 <= i <= len(history) and ident.name in history[i - 1].available:
+            surfaced[ident] = history[i - 1].cache[ident.name]
+    full = {**base, **_reference_history_valuation(history, assignments), **surfaced}
+    lazy = dict(base)
+    read_history(shield, history, assignments, lazy)
+    lazy.update(surfaced)
+    assert lazy.items() <= full.items()
+
+    read = 0
+    for sa in assignments:
+        r, meta = eval_sbi(sa.sbi, shield.interp, full, config=shield)
+        r_lazy, meta_lazy = eval_sbi(sa.sbi, shield.interp, lazy, config=shield)
+        assert _same(r_lazy, r) and meta_lazy == meta
+        read += any(isinstance(x.index, int) for x in sa.free_vars)
+        if r is BOTTOM or not math.isfinite(r):
+            continue
+        up = shield.directions.get(sa.param) != "lo"
+        for v in (full, lazy):
+            cur = v.get(sa.param)
+            if cur is None or (r < cur if up else r > cur):
+                v[sa.param] = r
+                v[Ident(sa.param.name, n)] = r
+    return read
+
+
+class TestIncrementalState:
+    @pytest.mark.parametrize("env_name, episodes", [
+        ("sisyphean", 3), ("versatile", 2), ("river", 12), ("acas", 3)])
+    def test_matches_from_scratch_reference(self, env_name, episodes):
+        factory, stem, budget, mode = REGISTRY[env_name]
+        env = factory()
+        env.meta_mode = mode == "meta"
+        shield = Shield(load_spec(bundled_spec_path(stem)), env.consts)
+        ctrl_name, inf_name = DEFAULT_POLICIES[env_name]
+        cp = CONTROL_POLICIES[ctrl_name](shield, env)
+        ip = INFERENCE_POLICIES[inf_name](shield, env)
+        burned = read = 0
+        ledger = KahanLedger(budget)
+        for ep in range(episodes):
+            rngs = _rngs(5, ep)
+            st = init_shielded_state(shield, env, budget, rngs[0], ledger=ledger)
+            for step in range(env.max_steps):
+                view = make_policy_view(shield, env, st, step, env.max_steps)
+                assert view == _reference_policy_view(env, st, step, env.max_steps)
+                a_ctrl, a_inf = cp(view), ip(view)
+                read += _check_valuations(shield, env, st, a_inf)
+                st, _, term, rec, _ = _step(shield, env, st, a_ctrl, a_inf, rngs, step)
+                burned += len(rec.consumed)
+                if term:
+                    break
+        assert burned > 0 and read > 0
+
+    def test_shield_seconds_include_the_policy_view(self, train_setup, monkeypatch):
+        shield, env = train_setup
+        real = runtime.make_policy_view
+
+        def slow(*args):
+            time.sleep(0.01)
+            return real(*args)
+
+        monkeypatch.setattr(runtime, "make_policy_view", slow)
+        stats = run_episode(shield, env, greedy_train_control(shield, env),
+                            skip_inference(shield, env), 1e-3, 5,
+                            np.random.SeedSequence(1))
+        assert stats.steps == 5 and stats.shield_seconds >= 5 * 0.01
 
 
 class TestDeterminism:
