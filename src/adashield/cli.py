@@ -165,7 +165,12 @@ def cmd_simulate(args) -> int:
               f"choose from {sorted(REGISTRY)}", file=sys.stderr)
         return EXIT_USAGE
     factory, spec_stem, default_budget, default_mode = REGISTRY[args.env]
-    overrides = load_env_config(args.env_config) if args.env_config else None
+    try:
+        overrides = load_env_config(args.env_config) if args.env_config else None
+        env0 = factory(overrides)
+    except (OSError, TypeError, ValueError) as e:
+        print(f"error: --env-config: {e}", file=sys.stderr)
+        return EXIT_USAGE
     spec_path = args.spec or bundled_spec_path(spec_stem)
     spec = _load(spec_path)
     diags = check_spec(spec)
@@ -174,7 +179,6 @@ def cmd_simulate(args) -> int:
             print(d, file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
-    env0 = factory(overrides)
     shield = Shield(spec, env0.consts)
     ctrl_name, infer_name = _resolve_policies(args, args.env)
     budget = default_budget if args.budget is None else args.budget

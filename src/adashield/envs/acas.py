@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dl import Ident
-from .base import Environment, apply_overrides
+from .base import Environment, apply_overrides, require_counts
 
 _H, _V, _T, _T0 = Ident("h"), Ident("v"), Ident("t"), Ident("t0")
 _HN, _VN, _TL = Ident("hnext"), Ident("vnext"), Ident("tleft")
@@ -55,6 +55,7 @@ class AcasConfig:
             raise ValueError("p must lie in (0, 1)")
         if self.collision_dist > self.R:
             raise ValueError("collision distance above the shield margin R")
+        require_counts(self, "max_steps")
         return self
 
 

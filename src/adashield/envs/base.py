@@ -12,6 +12,7 @@ executed control action); it integrates the physics from there.
 from __future__ import annotations
 
 from dataclasses import fields
+from numbers import Integral
 from typing import Optional
 
 from ..dl import Ident
@@ -96,6 +97,15 @@ def apply_overrides(cfg, overrides: Optional[dict]):
             raise ValueError(f"unknown config key {key!r} for {type(cfg).__name__}")
         setattr(cfg, key, value)
     return cfg
+
+
+def require_counts(cfg, *names):
+    """Reject a config whose named fields are not integers >= 1; a bool is
+    not a count."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def ids(names: str) -> list[Ident]:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from ..dl import Ident
-from .base import Environment, apply_overrides
+from .base import Environment, apply_overrides, require_counts
 
 _X, _Y, _T = Ident("x"), Ident("y"), Ident("t")
 _VX, _VY, _L = Ident("vx"), Ident("vy"), Ident("l")
@@ -33,6 +33,7 @@ class RiverConfig:
     def validate(self):
         if not (self.V > 0 and self.W > 0 and self.T > 0 and self.sigma > 0):
             raise ValueError("V, W, T, sigma must be positive")
+        require_counts(self, "obs_period", "max_steps")
         return self
 
 

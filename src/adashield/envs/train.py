@@ -9,15 +9,36 @@ which is bounded by g*C*omega/sqrt(1 + (C*omega)^2) and g*C*omega^2-Lipschitz;
 both are far inside the declared envelope (F and k), so the declared
 assumptions hold with margin.  Dynamics integrate x' = v, v' = a + f(x) with
 fixed-step RK4 sub-stepping, stopping exactly when v reaches 0.
+
+One straight-line function, ``_rk4_step``, is the whole integrator: the
+sub-step loop and the bisection for the exact stop both call it, and it
+computes the slope inline from locals.  Its trajectories are bit-identical
+to four ``_slope_at`` calls composed into a textbook RK4 step, because it
+keeps that operation order:
+
+- ``0.5*h*k`` is ``(0.5*h)*k`` and ``h/6*(...)`` is ``(h/6)*(...)``, so
+  both factors are hoisted;
+- ``C*omega*cos(...)`` is ``(C*omega)*cos(...)``, so ``C*omega`` is hoisted;
+- ``k1 + 2*k2 + 2*k3 + k4`` is summed left to right, written ``2.0*k``
+  (the int 2 converts to 2.0 exactly; a float-by-float multiply is the
+  cheaper bytecode).
+
+No fused (``fma``, ``hypot``) or vectorised math may replace these
+operations, since each rounds differently.  ``_slope_at`` stays for
+``measure`` and the audit-only ``unknowns`` and must give the same slope
+bit for bit.  ``step`` reads ``C``, ``omega``, ``T`` and ``substeps`` from
+``cfg`` on every call, not once at construction, so a config edited after
+construction takes effect.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, sqrt
 
 from ..dl import Ident
-from .base import Environment, apply_overrides
+from .base import Environment, apply_overrides, require_counts
 
 G = 9.81
 
@@ -59,9 +80,50 @@ class TrainConfig:
             raise ValueError("slope amplitude exceeds the declared bound F")
         if G * self.C * self.omega ** 2 > self.k:
             raise ValueError("slope exceeds the declared Lipschitz constant k")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        require_counts(self, "substeps", "max_steps")
         return self
+
+
+def _rk4_step(x, v, a, h, cw, omega, phase):
+    """One RK4 step of x' = v, v' = a + f(x) with f's ``C*omega`` as ``cw``;
+    the operation order is fixed (see the module docstring)."""
+    hh = 0.5 * h
+    u = cw * cos(omega * x + phase)
+    k1v = a + G * u / sqrt(1.0 + u * u)
+    k2x = v + hh * k1v
+    u = cw * cos(omega * (x + hh * v) + phase)
+    k2v = a + G * u / sqrt(1.0 + u * u)
+    k3x = v + hh * k2v
+    u = cw * cos(omega * (x + hh * k2x) + phase)
+    k3v = a + G * u / sqrt(1.0 + u * u)
+    k4x = v + h * k3v
+    u = cw * cos(omega * (x + h * k3x) + phase)
+    k4v = a + G * u / sqrt(1.0 + u * u)
+    h6 = h / 6.0
+    return (x + h6 * (v + 2.0 * k2x + 2.0 * k3x + k4x),
+            v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
+def _integrate(x, v, a, phase, h, substeps, cw, omega):
+    """``substeps`` RK4 steps of length h, with an exact stop when v crosses
+    0 (braking only).  Returns the end position, speed and elapsed time."""
+    t = 0.0
+    for _ in range(substeps):
+        x2, v2 = _rk4_step(x, v, a, h, cw, omega, phase)
+        if v2 < 0.0:
+            lo, hi = 0.0, h
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if _rk4_step(x, v, a, mid, cw, omega, phase)[1] < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return _rk4_step(x, v, a, lo, cw, omega, phase)[0], 0.0, t + lo
+        x, v = x2, v2
+        t += h
+        if v == 0.0:
+            break
+    return x, v, t
 
 
 @dataclass(frozen=True)
@@ -101,47 +163,15 @@ class TrainEnv(Environment):
             self._phase = rng.uniform(0.0, 2.0 * math.pi)
         return TrainState(c.x0, c.v0, c.F, 0.0, 0.0, self._phase)
 
-    def _integrate(self, x: float, v: float, a: float, phase: float,
-                   duration: float, substeps: int):
-        """RK4 with an exact stop when v crosses 0 (braking only)."""
-        h = duration / substeps
-        t = 0.0
-        for _ in range(substeps):
-            x2, v2 = self._rk4(x, v, a, phase, h)
-            if v2 < 0.0:
-                lo, hi = 0.0, h
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    _, vm = self._rk4(x, v, a, phase, mid)
-                    if vm < 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                x, _ = self._rk4(x, v, a, phase, lo)
-                return x, 0.0, t + lo
-            x, v = x2, v2
-            t += h
-            if v == 0.0:
-                return x, v, t
-        return x, v, t
-
-    def _rk4(self, x, v, a, phase, h):
-        f = self._slope_at
-        k1x, k1v = v, a + f(phase, x)
-        k2x, k2v = v + 0.5 * h * k1v, a + f(phase, x + 0.5 * h * k1x)
-        k3x, k3v = v + 0.5 * h * k2v, a + f(phase, x + 0.5 * h * k2x)
-        k4x, k4v = v + h * k3v, a + f(phase, x + h * k3x)
-        return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-                v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
     # -- environment interface -------------------------------------------
 
     def step(self, state: TrainState, exec_vals: dict, rng):
         c = self.cfg
         a_val = exec_vals[_A]
         y_ctrl = exec_vals[_Y]
-        x2, v2, t2 = self._integrate(state.x, state.v, a_val, state.phase,
-                                     c.T, c.substeps)
+        x2, v2, t2 = _integrate(state.x, state.v, a_val, state.phase,
+                                c.T / c.substeps, c.substeps,
+                                c.C * c.omega, c.omega)
         y2 = y_ctrl + c.k * (x2 - state.x)
         nxt = TrainState(x2, v2, y2, a_val, t2, state.phase)
         if x2 > 0.0:

@@ -116,6 +116,32 @@ class TestSimulate:
             capsys)
         assert json.loads(out)["steps"] <= 5
 
+    @pytest.mark.parametrize("line,needle", [
+        ("bogus = 1", "unknown config key 'bogus'"),
+        ("substeps = 0", "substeps must be an integer >= 1"),
+        ("substeps = 2.5", "substeps must be an integer >= 1"),
+        ("v0 = fast", "cannot parse value 'fast'"),
+        ("v0 12.5", "expected 'key = value'"),
+        ("A = 'steep'", "not supported"),
+    ])
+    def test_env_config_error_is_a_diagnostic(self, tmp_path, capsys, line,
+                                              needle):
+        cfgfile = tmp_path / "env.cfg"
+        cfgfile.write_text(line + "\n")
+        code, out, err = run_cli(
+            ["simulate", "--env", "sisyphean", "--episodes", "1",
+             "--env-config", str(cfgfile), "--out", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --env-config: ")
+        assert needle in err
+
+    def test_missing_env_config_is_a_diagnostic(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--env", "sisyphean", "--episodes", "1",
+             "--env-config", str(tmp_path / "missing.cfg"),
+             "--out", str(tmp_path)], capsys)
+        assert code == 2 and err.startswith("error: --env-config: ")
+
 
 class TestMonitorEval:
     @pytest.fixture

@@ -1,19 +1,21 @@
 """Environment fidelity: plant conformance, observation distributions,
 assumption certification and configured constants."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import solve_ivp
 
 from adashield.dl import Assign, Ident, ODE, Seq, UNDEF, eval_formula, eval_term
 from adashield.envs import (
-    AcasConfig, TrainConfig, load_env_config, make_acas,
+    AcasConfig, RiverConfig, TrainConfig, load_env_config, make_acas,
     make_crossing_river, make_sisyphean_train, make_versatile_train,
 )
-from adashield.envs.train import G
+from adashield.envs.train import G, TrainState
 from adashield.actions import make_action, ctrl_exec
 from adashield.runtime import Shield
 
@@ -175,6 +177,165 @@ class TestPlantConformance:
         audit_transition(spec, env, s, exec_vals, s2)
 
 
+def _reference_slope(cfg, phase, x):
+    """The track slope as ``TrainEnv._slope_at`` computes it."""
+    u = cfg.C * cfg.omega * math.cos(cfg.omega * x + phase)
+    return G * u / math.sqrt(1.0 + u * u)
+
+
+def _reference_rk4(cfg, x, v, a, phase, h):
+    """The composed RK4 step the train environments used before the
+    straight-line kernel: four slope calls, operations in source order."""
+    f = lambda p, y: _reference_slope(cfg, p, y)
+    k1x, k1v = v, a + f(phase, x)
+    k2x, k2v = v + 0.5 * h * k1v, a + f(phase, x + 0.5 * h * k1x)
+    k3x, k3v = v + 0.5 * h * k2v, a + f(phase, x + 0.5 * h * k2x)
+    k4x, k4v = v + h * k3v, a + f(phase, x + h * k3x)
+    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def _reference_integrate(cfg, x, v, a, phase):
+    """One environment step's integration with the reference RK4, including
+    the exact stop by bisection when v crosses 0."""
+    h = cfg.T / cfg.substeps
+    t = 0.0
+    for _ in range(cfg.substeps):
+        x2, v2 = _reference_rk4(cfg, x, v, a, phase, h)
+        if v2 < 0.0:
+            lo, hi = 0.0, h
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                _, vm = _reference_rk4(cfg, x, v, a, phase, mid)
+                if vm < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            x, _ = _reference_rk4(cfg, x, v, a, phase, lo)
+            return x, 0.0, t + lo
+        x, v = x2, v2
+        t += h
+        if v == 0.0:
+            return x, v, t
+    return x, v, t
+
+
+def _bits(*values):
+    return [float(z).hex() for z in values]
+
+
+TRAIN_FACTORIES = {
+    "sisyphean": make_sisyphean_train,
+    "versatile-large": lambda: make_versatile_train(None, "k_sigma_large"),
+    "versatile-small": lambda: make_versatile_train(None, "k_sigma_small"),
+}
+
+_Y, _A = Ident("y"), Ident("a")
+
+
+def train_rollout(env, seed, episodes=12, steps=40):
+    """Seeded rollouts stepping the env directly from random starts: each
+    step brakes, accelerates, takes an in-between acceleration or, when the
+    train is at rest, holds it there with a = -f(x).  Returns
+    ``(kind, before, after)`` per step."""
+    rng = np.random.default_rng(seed)
+    env.meta_mode = True
+    c = env.cfg
+    out = []
+    for _ in range(episodes):
+        phase = env.reset(rng).phase
+        s = TrainState(float(rng.uniform(-2000.0, -10.0)),
+                       float(rng.uniform(0.0, 12.0)), c.F, 0.0, 0.0, phase)
+        for _ in range(steps):
+            u = rng.random()
+            if s.v == 0.0 and u < 0.3:
+                kind, a = "hold", -env._slope_at(s.phase, s.x)
+            elif u < 0.55:
+                kind, a = "brake", -c.B
+            elif u < 0.85:
+                kind, a = "accelerate", c.A
+            else:
+                kind, a = "between", float(rng.uniform(-c.B, c.A))
+            s2, _, _ = env.step(s, {_Y: c.F, _A: a}, rng)
+            out.append((kind, s, s2))
+            s = s2
+    return out
+
+
+class TestTrainKernel:
+    """The train dynamics are pinned bit for bit: a speedup of the RK4
+    kernel may not move a single trajectory."""
+
+    GOLDEN = {
+        "sisyphean":
+            "4149dfc969aa69692b817485ddbd7b86f530ceeb25535f089721f261cf4c1e05",
+        "versatile-large":
+            "be2eb63b04b1dcdf1ed6a37b5046278c82c696ae1653ab5c331fee63ac869354",
+        "versatile-small":
+            "557335c48261cb3f6764ab42d49d14e95ce707ce7a24bfdaa7d0135078c9aa85",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_trajectories(self, name):
+        env = TRAIN_FACTORIES[name]()
+        steps = train_rollout(env, seed=2024)
+        h = env.cfg.T / env.cfg.substeps
+        kinds = {k for k, _, _ in steps}
+        assert kinds == {"hold", "brake", "accelerate", "between"}
+        # the exact stop by bisection, from motion and from rest
+        assert any(s2.v == 0.0 and 0.0 < s2.t < env.cfg.T and s.v > 0.0
+                   for _, s, s2 in steps)
+        assert any(s2.v == 0.0 and s2.t == 0.0 and k == "brake"
+                   for k, s, s2 in steps)
+        # the v == 0.0 early exit after one substep
+        assert any(s2.v == 0.0 and s2.t == h and s2.x == s.x
+                   for k, s, s2 in steps if k == "hold")
+        digest = hashlib.sha256(
+            "\n".join(repr(s2) for _, _, s2 in steps).encode()).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(TRAIN_FACTORIES)),
+           x=st.floats(-1e5, 1e3), v=st.floats(0.0, 40.0),
+           a=st.floats(-4.0, 4.0), phase=st.floats(0.0, 2 * math.pi),
+           h=st.one_of(st.floats(0.0, 0.01),
+                       st.integers(1, 60).map(lambda n: 0.01 * 0.5 ** n)))
+    def test_kernel_matches_reference_rk4(self, name, x, v, a, phase, h):
+        from adashield.envs.train import _rk4_step
+        cfg = TRAIN_FACTORIES[name]().cfg
+        got = _rk4_step(x, v, a, h, cfg.C * cfg.omega, cfg.omega, phase)
+        assert _bits(*got) == _bits(*_reference_rk4(cfg, x, v, a, phase, h))
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(TRAIN_FACTORIES)),
+           x=st.floats(-1e5, 1e3), v=st.floats(0.0, 40.0),
+           a=st.one_of(st.sampled_from([-4.0, 4.0]), st.floats(-4.0, 4.0)),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_step_matches_reference(self, name, x, v, a, phase):
+        env = TRAIN_FACTORIES[name]()
+        s = TrainState(x, v, env.cfg.F, 0.0, 0.0, phase)
+        s2, _, _ = env.step(s, {_Y: env.cfg.F, _A: a}, None)
+        assert _bits(s2.x, s2.v, s2.t) == _bits(
+            *_reference_integrate(env.cfg, x, v, a, phase))
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(TRAIN_FACTORIES)),
+           x=st.floats(-1e5, 1e3), phase=st.floats(0.0, 2 * math.pi))
+    def test_kernel_slope_is_slope_at(self, name, x, phase):
+        """``measure`` reads the slope through ``_slope_at``; the kernel
+        computes it inline.  Holding a train at rest with a = -f(x) keeps it
+        exactly still only if the two agree bit for bit, since a + f == 0.0
+        exactly iff f == -a."""
+        from adashield.envs.train import _rk4_step
+        env = TRAIN_FACTORIES[name]()
+        c = env.cfg
+        f = env._slope_at(phase, x)
+        assert f == _reference_slope(c, phase, x)
+        got = _rk4_step(x, 0.0, -f, c.T / c.substeps, c.C * c.omega, c.omega,
+                        phase)
+        assert got == (x, 0.0)
+
+
 class TestObservationConsistency:
     N = 100_000
     ALPHA = 1e-3
@@ -324,6 +485,16 @@ class TestConfiguredDefaults:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(F=5.0).validate()  # F < B violated
+        for bad in (0, -1, 2.5, 100.0, True, "100", None):
+            with pytest.raises(ValueError, match="substeps"):
+                TrainConfig(substeps=bad).validate()
+            with pytest.raises(ValueError, match="max_steps"):
+                TrainConfig(max_steps=bad).validate()
+            with pytest.raises(ValueError, match="max_steps"):
+                AcasConfig(max_steps=bad).validate()
+            with pytest.raises(ValueError, match="obs_period"):
+                RiverConfig(obs_period=bad).validate()
+        assert TrainConfig(substeps=np.int64(3), max_steps=1).validate()
         with pytest.raises(ValueError):
             TrainConfig(C=5000.0).validate()  # slope amplitude above F
         with pytest.raises(ValueError):
