@@ -1,33 +1,3 @@
 """Adaptive-shield specification compiler and simulation runtime."""
 
-from . import dl
-from .specfile import (
-    BoundDecl, FallbackDecl, NoiseDecl, ObsDecl, ShieldSpec, classify_bounds,
-    load_spec, parse_spec,
-)
-from .checks import Diagnostic, check_spec
-from .obligations import (
-    Obligation, emit_obligation_files, gen_inference_obligations,
-    gen_model_obligations, gen_obligations,
-)
-from .actions import (
-    ALeft, APair, AReal, ARight, AUnit, ControlAction, FallbackViolation,
-    SpaceProd, SpaceReal, SpaceSum, SpaceUnit, UNIT, ctrl_exec, ctrl_monitor,
-    ctrl_monitor_trace, derive_action_space, encode_choice_search,
-    enumerate_actions, find_discrete_fallback, make_action, resolve_fallback,
-    space_cardinality,
-)
-from .strategy import (
-    Aggregate, AggregateAction, Best, BOTTOM, Direct, DistExpr, GuardedSBI,
-    InferAssign, InvCCDFNode, SumSBI, SymbolicAssignment, TermSBI,
-    empty_action, eval_sbi, interpret_strategy, strategy_action_space,
-)
-from .tailbounds import Dist, DomainError, erfinv, invccdf, normal_upper_quantile
-from .runtime import (
-    EpisodeStats, ExperimentConfig, ExperimentStats, HistoryEntry,
-    InitialConditionViolation, KahanLedger, LocalParamUnset, PolicyView,
-    Shield, ShieldedState, StepFlags, StepRecord, init_shielded_state,
-    make_policy_view, run_episode, run_experiment, shielded_transition,
-)
-
 __version__ = "0.1.0"

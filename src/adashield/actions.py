@@ -14,8 +14,8 @@ from numbers import Real
 from typing import Optional, Union
 
 from .dl import (
-    Assign, AssignAny, Choice, HybridProgram, Ident, Lit, Seq, Test, UNDEF,
-    Var, eval_formula, eval_term, free_vars, pretty_print,
+    Assign, AssignAny, Choice, HybridProgram, Seq, Test, UNDEF, eval_formula,
+    eval_term, pretty_print,
 )
 from .specfile import FallbackDecl
 
@@ -138,33 +138,6 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
     return False
 
 
-def space_cardinality(space: ActionSpace) -> Optional[int]:
-    """Number of actions for fully discrete spaces, None when continuous."""
-    st = type(space)
-    if st is SpaceUnit:
-        return 1
-    if st is SpaceReal:
-        return None
-    l, r = space_cardinality(space.left), space_cardinality(space.right)
-    if l is None or r is None:
-        return None
-    return l * r if st is SpaceProd else l + r
-
-
-def enumerate_actions(space: ActionSpace) -> list[ControlAction]:
-    """All actions of a fully discrete space."""
-    st = type(space)
-    if st is SpaceUnit:
-        return [UNIT]
-    if st is SpaceReal:
-        raise StructureError("cannot enumerate a continuous action space")
-    if st is SpaceProd:
-        return [APair(l, r) for l in enumerate_actions(space.left)
-                for r in enumerate_actions(space.right)]
-    return ([ALeft(a) for a in enumerate_actions(space.left)]
-            + [ARight(a) for a in enumerate_actions(space.right)])
-
-
 # ---------------------------------------------------------------------------
 # Execution and monitoring
 
@@ -278,28 +251,14 @@ def resolve_fallback(ctrl: HybridProgram, fb: FallbackDecl, state: dict,
     if template is None:
         raise FallbackViolation("no fallback template is applicable")
 
-    directives = list(template)
+    def term_value(p, term):
+        v = eval_term(term, interp, state)
+        if v is UNDEF:
+            raise FallbackViolation(
+                f"fallback term for {p.var} is undefined in the current state")
+        return v
 
-    def build(p) -> ControlAction:
-        t = type(p)
-        if t is Seq:
-            l = build(p.left)
-            return APair(l, build(p.right))
-        if t is Choice:
-            d = directives.pop(0)
-            if d == "left":
-                return ALeft(build(p.left))
-            return ARight(build(p.right))
-        if t is AssignAny:
-            d = directives.pop(0)
-            v = eval_term(d, interp, state)
-            if v is UNDEF:
-                raise FallbackViolation(
-                    f"fallback term for {p.var} is undefined in the current state")
-            return AReal(v)
-        return UNIT
-
-    action = build(ctrl)
+    action = walk_directives(ctrl, template, term_value)
     if not ctrl_monitor(ctrl, state, action, interp):
         raise FallbackViolation(
             "fallback action rejected by the controller monitor "
@@ -310,75 +269,42 @@ def resolve_fallback(ctrl: HybridProgram, fb: FallbackDecl, state: dict,
 def make_action(ctrl: HybridProgram, directives: list) -> ControlAction:
     """Build a shape-correct action from a directive list: 'left'/'right' per
     choice, a float per unconstrained assignment, both in pre-order."""
-    rest = list(directives)
-
-    def build(p) -> ControlAction:
-        t = type(p)
-        if t is Seq:
-            l = build(p.left)
-            return APair(l, build(p.right))
-        if t is Choice:
-            d = rest.pop(0)
-            if d == "left":
-                return ALeft(build(p.left))
-            if d == "right":
-                return ARight(build(p.right))
-            raise StructureError(f"expected 'left' or 'right', got {d!r}")
-        if t is AssignAny:
-            return AReal(float(rest.pop(0)))
-        return UNIT
-
-    a = build(ctrl)
-    if rest:
-        raise StructureError("leftover action directives")
-    return a
+    return walk_directives(ctrl, directives, lambda p, d: float(d))
 
 
 # ---------------------------------------------------------------------------
-# Choice encoding for diagnostic search
+# Directive lists
 
-def encode_choice_search(ctrl: HybridProgram) -> tuple[HybridProgram, list[Ident]]:
-    """Rewrite nondeterminism into fresh decision variables: ``x := *``
-    becomes ``x := u_k`` and each choice is guarded by ``?(u_k = 0/1)``."""
-    taken = {v.name for v in free_vars(ctrl)}
-    fresh: list[Ident] = []
-    counter = [0]
+_END = object()
 
-    def new_var() -> Ident:
-        while True:
-            counter[0] += 1
-            name = f"u{counter[0]}"
-            if name not in taken:
-                taken.add(name)
-                fresh.append(Ident(name))
-                return Ident(name)
 
-    def walk(p):
-        t = type(p)
-        if t is Choice:
-            u = new_var()
-            return Choice(Seq(Test(_eq(u, 0)), walk(p.left)),
-                          Seq(Test(_eq(u, 1)), walk(p.right)))
-        if t is Seq:
-            return Seq(walk(p.left), walk(p.right))
+def walk_directives(ctrl: HybridProgram, directives, value) -> ControlAction:
+    """The action that walks ``ctrl`` along ``directives`` in pre-order:
+    every choice takes a branch word, 'left' or 'right', and every ``x := *``
+    takes one directive, which ``value(node, directive)`` turns into the
+    assigned real.  Raises StructureError on a bad branch word, a list that
+    ends before the path does, or leftover directives."""
+    it = iter(directives)
+    action = _walk(ctrl, it, value)
+    if next(it, _END) is not _END:
+        raise StructureError("leftover directives")
+    return action
+
+
+def _walk(p, it, value) -> ControlAction:
+    t = type(p)
+    if t is Seq:
+        left = _walk(p.left, it, value)
+        return APair(left, _walk(p.right, it, value))
+    if t is Choice or t is AssignAny:
+        d = next(it, _END)
+        if d is _END:
+            raise StructureError("directives end before the controller path does")
         if t is AssignAny:
-            u = new_var()
-            return Assign(p.var, Var(u))
-        return p
-
-    def _eq(u: Ident, v: int):
-        from .dl.syntax import Cmp
-        return Cmp("=", Var(u), Lit(float(v)))
-
-    return walk(ctrl), fresh
-
-
-def find_discrete_fallback(ctrl: HybridProgram, state: dict, interp=None):
-    """Enumerate a fully discrete action space for a monitor-true action."""
-    space = derive_action_space(ctrl)
-    if space_cardinality(space) is None:
-        raise StructureError("action space is continuous; provide an explicit fallback")
-    for a in enumerate_actions(space):
-        if ctrl_monitor(ctrl, state, a, interp):
-            return a
-    return None
+            return AReal(value(p, d))
+        if d == "left":
+            return ALeft(_walk(p.left, it, value))
+        if d == "right":
+            return ARight(_walk(p.right, it, value))
+        raise StructureError(f"expected a branch directive (left/right), got {d!r}")
+    return UNIT

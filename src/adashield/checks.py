@@ -8,6 +8,7 @@ from .dl import (
     Assign, AssignAny, Choice, Ident, Loop, ODE, Seq, Test, free_vars,
     is_runtime_evaluable, symbols,
 )
+from .actions import StructureError, walk_directives
 from .specfile import ShieldSpec
 from .strategy import Aggregate, Best, Direct
 
@@ -301,39 +302,14 @@ def _check_fallback(spec: ShieldSpec) -> list[Diagnostic]:
 def _template_shape_error(ctrl, template) -> str | None:
     """Walk the controller along the template; every choice consumes a branch
     directive, every unconstrained assignment consumes a term."""
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(template):
-            raise _ShapeError("fallback template ends before the controller path does")
-        d = template[pos]
-        pos += 1
-        return d
-
-    class _ShapeError(Exception):
-        pass
-
-    def walk(p):
-        t = type(p)
-        if t is Seq:
-            walk(p.left)
-            walk(p.right)
-        elif t is Choice:
-            d = take()
-            if d not in ("left", "right"):
-                raise _ShapeError("expected a branch directive (left/right) for a choice")
-            walk(p.left if d == "left" else p.right)
-        elif t is AssignAny:
-            d = take()
-            if isinstance(d, str):
-                raise _ShapeError(f"expected a term for {p.var} := *")
-        # Assign / Test consume nothing
-
     try:
-        walk(ctrl)
-    except _ShapeError as e:
-        return str(e)
-    if pos != len(template):
-        return "fallback template has leftover directives"
+        walk_directives(ctrl, template, _term_directive)
+    except StructureError as e:
+        return f"fallback template: {e}"
     return None
+
+
+def _term_directive(p, d) -> float:
+    if isinstance(d, str):
+        raise StructureError(f"expected a term for {p.var} := *")
+    return 0.0

@@ -14,9 +14,13 @@ from .specfile import load_spec
 from .checks import check_spec
 from .obligations import gen_obligations, emit_obligation_files
 from .actions import (
-    ALeft, APair, AReal, ARight, UNIT, ctrl_monitor_trace, make_action,
+    ALeft, APair, AReal, ARight, UNIT, FallbackViolation, StructureError,
+    ctrl_monitor_trace, make_action,
 )
-from .runtime import ExperimentConfig, Shield, run_experiment
+from .runtime import (
+    ExperimentConfig, ExperimentStats, InitialConditionViolation,
+    LocalParamUnset, Shield, aggregate_stats, run_episodes, run_experiment,
+)
 from .envs import REGISTRY, load_env_config
 from .policies import (
     CONTROL_POLICIES, DEFAULT_POLICIES, INFERENCE_POLICIES, UNSHIELDED_CONTROL,
@@ -97,66 +101,62 @@ def _resolve_policies(args, env_name: str):
     return ctrl_name, infer_name
 
 
-def _worker_chunk(payload):
-    """Run a contiguous episode range in a worker process; per-episode seed
-    derivation keeps the result independent of the process layout."""
-    (env_name, overrides, spec_path, ctrl_name, infer_name, ep_lo, ep_hi,
-     budget, mode, seed, max_steps, unshielded, non_adaptive, want_trace) = payload
-    factory = REGISTRY[env_name][0]
-    spec = load_spec(spec_path)
+def _experiment(args, spec):
+    """The shield, experiment config and policy names ``simulate`` runs;
+    the main process and every ``--workers`` process build them here.  A
+    bad ``--env-config`` raises OSError, TypeError or ValueError."""
+    factory, _, default_budget, default_mode = REGISTRY[args.env]
+    overrides = load_env_config(args.env_config) if args.env_config else None
     env = factory(overrides)
-    env.meta_mode = mode == "meta"
-    shield = Shield(spec, env.consts)
-    control = CONTROL_POLICIES[ctrl_name](shield, env)
-    inference = INFERENCE_POLICIES[infer_name](shield, env)
-    from .runtime import StepFlags, run_episode
-    import numpy as np
-    flags = StepFlags(unshielded=unshielded, non_adaptive=non_adaptive)
-    episodes, records = [], []
-    sink = (lambda rec: records.append(json.dumps(rec.to_json()) + "\n")) \
-        if want_trace else None
-    for ep in range(ep_lo, ep_hi):
-        ss = np.random.SeedSequence(entropy=(seed, ep))
-        episodes.append(run_episode(
-            shield, env, control, inference, budget,
-            max_steps or env.max_steps, ss, episode=ep, flags=flags,
-            record_sink=sink))
-    return episodes, records
+    ctrl_name, infer_name = _resolve_policies(args, args.env)
+    cfg = ExperimentConfig(
+        spec_name=spec.name,
+        env_factory=lambda: factory(overrides),
+        control_policy=CONTROL_POLICIES[ctrl_name],
+        inference_policy=INFERENCE_POLICIES[infer_name],
+        episodes=args.episodes, max_steps=args.max_steps,
+        budget=default_budget if args.budget is None else args.budget,
+        mode=args.mode or default_mode, seed=args.seed,
+        unshielded=args.unshielded, non_adaptive=args.non_adaptive)
+    return Shield(spec, env.consts), cfg, (ctrl_name, infer_name)
 
 
-def _run_parallel(args, spec, spec_path, overrides, ctrl_name, infer_name,
-                  budget, mode, trace_file):
-    import math as _math
+def _trace_line(rec) -> str:
+    return json.dumps(rec.to_json()) + "\n"
+
+
+def _worker(payload):
+    """One ``--workers`` process: the episodes ``episodes`` of the experiment
+    and, with ``--trace``, their trace lines."""
+    args, spec_path, episodes = payload
+    shield, cfg, _ = _experiment(args, _load(spec_path))
+    lines: list = []
+    sink = (lambda rec: lines.append(_trace_line(rec))) if args.trace else None
+    return run_episodes(shield, cfg, episodes, sink), lines
+
+
+def _run(args, spec_path, shield, cfg, trace_file) -> ExperimentStats:
+    """Run the experiment here or, in meta mode with ``--workers`` > 1, as
+    contiguous episode ranges in worker processes; either way through
+    ``run_episodes`` and ``aggregate_stats``."""
+    if args.workers <= 1 or cfg.mode != "meta":
+        sink = (lambda rec: trace_file.write(_trace_line(rec))) if trace_file else None
+        return run_experiment(shield, cfg, record_sink=sink)
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from .runtime import ExperimentStats
-    import numpy as np
-
-    chunk = max(1, _math.ceil(args.episodes / args.workers))
-    payloads = [
-        (args.env, overrides, spec_path, ctrl_name, infer_name,
-         lo, min(lo + chunk, args.episodes), budget, mode, args.seed,
-         args.max_steps, args.unshielded, args.non_adaptive, bool(trace_file))
-        for lo in range(0, args.episodes, chunk)]
-    episodes, all_records = [], []
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for eps, records in pool.map(_worker_chunk, payloads):
+    chunk = max(1, (cfg.episodes + args.workers - 1) // args.workers)
+    payloads = [(args, spec_path, range(lo, min(lo + chunk, cfg.episodes)))
+                for lo in range(0, cfg.episodes, chunk)]
+    episodes: list = []
+    # spawned workers import afresh instead of forking a process that may
+    # run threads (numpy's BLAS pool)
+    with ProcessPoolExecutor(max_workers=max(1, len(payloads)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for eps, lines in pool.map(_worker, payloads):
             episodes.extend(eps)
-            all_records.extend(records)
-    if trace_file:
-        trace_file.writelines(all_records)
-    rets = [e.ret for e in episodes]
-    import math as m
-    return ExperimentStats(
-        episodes=episodes,
-        crashes=sum(1 for e in episodes if e.crash),
-        mean_return=float(np.mean(rets)) if rets else 0.0,
-        overrides=sum(e.overrides for e in episodes),
-        eps_spent=m.fsum(e.eps_spent for e in episodes),
-        ledger_error=max((e.ledger_error for e in episodes), default=0.0),
-        reuse_violations=sum(e.reuse_violations for e in episodes),
-        shield_seconds=sum(e.shield_seconds for e in episodes),
-        env_seconds=sum(e.env_seconds for e in episodes),
-        steps=sum(e.steps for e in episodes))
+            if trace_file:
+                trace_file.writelines(lines)
+    return aggregate_stats(episodes)
 
 
 def cmd_simulate(args) -> int:
@@ -164,51 +164,33 @@ def cmd_simulate(args) -> int:
         print(f"error: unknown environment {args.env!r}; "
               f"choose from {sorted(REGISTRY)}", file=sys.stderr)
         return EXIT_USAGE
-    factory, spec_stem, default_budget, default_mode = REGISTRY[args.env]
-    try:
-        overrides = load_env_config(args.env_config) if args.env_config else None
-        env0 = factory(overrides)
-    except (OSError, TypeError, ValueError) as e:
-        print(f"error: --env-config: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    spec_path = args.spec or bundled_spec_path(spec_stem)
+    spec_path = args.spec or bundled_spec_path(REGISTRY[args.env][1])
     spec = _load(spec_path)
     diags = check_spec(spec)
     if diags:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_DIAGNOSTICS
-
-    shield = Shield(spec, env0.consts)
-    ctrl_name, infer_name = _resolve_policies(args, args.env)
-    budget = default_budget if args.budget is None else args.budget
-    mode = args.mode or default_mode
+    try:
+        shield, cfg, (ctrl_name, infer_name) = _experiment(args, spec)
+    except (OSError, TypeError, ValueError) as e:
+        print(f"error: --env-config: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    budget, mode = cfg.budget, cfg.mode
 
     os.makedirs(args.out, exist_ok=True)
-    sink = None
     trace_file = None
     if args.trace:
         trace_path = os.path.join(args.out, f"{args.env}_seed{args.seed}.jsonl")
         trace_file = open(trace_path, "w", encoding="utf-8")
-        sink = lambda rec: trace_file.write(json.dumps(rec.to_json()) + "\n")
-
     if args.workers > 1 and mode == "fixed":
         print("note: fixed-mode budgets are sequential; running with 1 worker",
               file=sys.stderr)
-    cfg = ExperimentConfig(
-        spec_name=spec.name,
-        env_factory=lambda: factory(overrides),
-        control_policy=CONTROL_POLICIES[ctrl_name],
-        inference_policy=INFERENCE_POLICIES[infer_name],
-        episodes=args.episodes, max_steps=args.max_steps, budget=budget,
-        mode=mode, seed=args.seed, unshielded=args.unshielded,
-        non_adaptive=args.non_adaptive)
     try:
-        if args.workers > 1 and mode == "meta":
-            stats = _run_parallel(args, spec, spec_path, overrides, ctrl_name,
-                                  infer_name, budget, mode, trace_file)
-        else:
-            stats = run_experiment(shield, cfg, record_sink=sink)
+        stats = _run(args, spec_path, shield, cfg, trace_file)
+    except (InitialConditionViolation, LocalParamUnset, FallbackViolation) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     finally:
         if trace_file:
             trace_file.close()
@@ -279,7 +261,7 @@ def cmd_monitor_eval(args) -> int:
         action = _parse_action_json(action_doc)
         if action is None:
             action = make_action(spec.ctrl, action_doc["directives"])
-    except (ValueError, IndexError) as e:
+    except (TypeError, ValueError, StructureError) as e:
         print(f"error: malformed action: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     consts = {}

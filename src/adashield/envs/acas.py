@@ -88,7 +88,6 @@ class AcasState:
 
 class AcasEnv(Environment):
     name = "acas"
-    spec_name = "acas"
 
     def __init__(self, cfg: AcasConfig):
         self.cfg = cfg.validate()

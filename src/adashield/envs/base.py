@@ -20,7 +20,6 @@ from ..dl import Ident
 
 class Environment:
     name = "env"
-    spec_name = "spec"
     max_steps = 100
     meta_mode = False
 

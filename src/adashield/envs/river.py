@@ -53,7 +53,6 @@ class RiverState:
 
 class RiverEnv(Environment):
     name = "river"
-    spec_name = "river"
 
     def __init__(self, cfg: RiverConfig):
         self.cfg = cfg.validate()

@@ -80,6 +80,9 @@ class TrainConfig:
             raise ValueError("slope amplitude exceeds the declared bound F")
         if G * self.C * self.omega ** 2 > self.k:
             raise ValueError("slope exceeds the declared Lipschitz constant k")
+        if self.noise_kind not in ("uniform", "gauss"):
+            raise ValueError(f"noise_kind must be 'uniform' or 'gauss', "
+                             f"got {self.noise_kind!r}")
         require_counts(self, "substeps", "max_steps")
         return self
 
@@ -138,7 +141,6 @@ class TrainState:
 
 class TrainEnv(Environment):
     name = "train"
-    spec_name = "sisyphean"
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg.validate()
@@ -212,7 +214,6 @@ def make_sisyphean_train(overrides: dict | None = None) -> TrainEnv:
     cfg = apply_overrides(TrainConfig(), overrides)
     env = TrainEnv(cfg)
     env.name = "sisyphean"
-    env.spec_name = "sisyphean"
     return env
 
 
@@ -235,5 +236,4 @@ def make_versatile_train(overrides: dict | None = None,
     cfg = apply_overrides(cfg, overrides)
     env = TrainEnv(cfg)
     env.name = f"versatile[{setting}]"
-    env.spec_name = "train_local"
     return env

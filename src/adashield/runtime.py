@@ -23,7 +23,6 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .dl import Ident, UNDEF, eval_formula, is_runtime_evaluable
-from .dl.syntax import conjuncts
 from .specfile import ShieldSpec
 from .actions import (
     ControlAction, action_fits, ctrl_exec, ctrl_monitor, derive_action_space,
@@ -93,14 +92,6 @@ class HistoryEntry:
     view: HistoryView
     local_bounds: dict
     cache: dict = field(default_factory=dict, repr=False)  # private measurements
-
-    @property
-    def state_val(self) -> Mapping:
-        return self.view.state
-
-    @property
-    def available(self) -> frozenset:
-        return self.view.available
 
 
 @dataclass
@@ -547,10 +538,13 @@ class ExperimentStats:
     steps: int
 
 
-def run_experiment(shield: Shield, cfg: ExperimentConfig,
-                   record_sink: Optional[Callable] = None) -> ExperimentStats:
-    """Run an experiment; in fixed mode one budget spans all episodes and
-    the environment's unknowns stay fixed, in meta mode both reset."""
+def run_episodes(shield: Shield, cfg: ExperimentConfig, episodes: range,
+                 record_sink: Optional[Callable] = None) -> list[EpisodeStats]:
+    """Run the episodes numbered ``episodes`` on one fresh environment and
+    pair of policies.  In fixed mode one budget spans the range and the
+    environment's unknowns stay fixed; in meta mode both reset every
+    episode, whose seed comes from ``cfg.seed`` and its number alone, so
+    disjoint ranges can run in separate processes."""
     env = cfg.env_factory()
     env.meta_mode = cfg.mode == "meta"
     max_steps = cfg.max_steps or env.max_steps
@@ -559,22 +553,31 @@ def run_experiment(shield: Shield, cfg: ExperimentConfig,
     flags = StepFlags(unshielded=cfg.unshielded, non_adaptive=cfg.non_adaptive)
 
     shared = KahanLedger(cfg.budget) if cfg.mode == "fixed" else None
-    out = []
-    for ep in range(cfg.episodes):
-        ss = np.random.SeedSequence(entropy=(cfg.seed, ep))
-        out.append(run_episode(
-            shield, env, control, inference, cfg.budget, max_steps, ss,
-            episode=ep, flags=flags, ledger=shared, record_sink=record_sink))
+    return [run_episode(shield, env, control, inference, cfg.budget, max_steps,
+                        np.random.SeedSequence(entropy=(cfg.seed, ep)),
+                        episode=ep, flags=flags, ledger=shared,
+                        record_sink=record_sink)
+            for ep in episodes]
 
-    rets = [e.ret for e in out]
+
+def aggregate_stats(episodes: list) -> ExperimentStats:
+    """The experiment's totals over ``episodes``, kept in the given order."""
+    rets = [e.ret for e in episodes]
     return ExperimentStats(
-        episodes=out,
-        crashes=sum(1 for e in out if e.crash),
+        episodes=episodes,
+        crashes=sum(1 for e in episodes if e.crash),
         mean_return=float(np.mean(rets)) if rets else 0.0,
-        overrides=sum(e.overrides for e in out),
-        eps_spent=math.fsum(e.eps_spent for e in out),
-        ledger_error=max((e.ledger_error for e in out), default=0.0),
-        reuse_violations=sum(e.reuse_violations for e in out),
-        shield_seconds=sum(e.shield_seconds for e in out),
-        env_seconds=sum(e.env_seconds for e in out),
-        steps=sum(e.steps for e in out))
+        overrides=sum(e.overrides for e in episodes),
+        eps_spent=math.fsum(e.eps_spent for e in episodes),
+        ledger_error=max((e.ledger_error for e in episodes), default=0.0),
+        reuse_violations=sum(e.reuse_violations for e in episodes),
+        shield_seconds=sum(e.shield_seconds for e in episodes),
+        env_seconds=sum(e.env_seconds for e in episodes),
+        steps=sum(e.steps for e in episodes))
+
+
+def run_experiment(shield: Shield, cfg: ExperimentConfig,
+                   record_sink: Optional[Callable] = None) -> ExperimentStats:
+    """Run all ``cfg.episodes`` episodes in this process and aggregate them."""
+    return aggregate_stats(run_episodes(shield, cfg, range(cfg.episodes),
+                                        record_sink))

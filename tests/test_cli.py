@@ -123,6 +123,7 @@ class TestSimulate:
         ("v0 = fast", "cannot parse value 'fast'"),
         ("v0 12.5", "expected 'key = value'"),
         ("A = 'steep'", "not supported"),
+        ("noise_kind = 'unifrom'", "noise_kind must be 'uniform' or 'gauss'"),
     ])
     def test_env_config_error_is_a_diagnostic(self, tmp_path, capsys, line,
                                               needle):
@@ -141,6 +142,39 @@ class TestSimulate:
              "--env-config", str(tmp_path / "missing.cfg"),
              "--out", str(tmp_path)], capsys)
         assert code == 2 and err.startswith("error: --env-config: ")
+
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_contract_failure_is_a_diagnostic(self, tmp_path, capsys, workers):
+        # a valid noise kind that the train_local spec has no constant for
+        cfgfile = tmp_path / "env.cfg"
+        cfgfile.write_text('noise_kind = "uniform"\n')
+        code, out, err = run_cli(
+            ["simulate", "--env", "versatile", "--episodes", "4",
+             "--env-config", str(cfgfile), "--workers", workers,
+             "--out", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: InitialConditionViolation: ")
+
+    @pytest.mark.parametrize("env,episodes,seed", [
+        ("river", "40", "3"),
+        ("acas", "6", "0"),
+    ])
+    def test_workers_match_sequential(self, tmp_path, capsys, env, episodes,
+                                      seed):
+        outs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            code, _, _ = run_cli(
+                ["simulate", "--env", env, "--episodes", episodes,
+                 "--seed", seed, "--trace", "--workers", workers,
+                 "--out", str(out_dir)], capsys)
+            assert code == 0
+            outs.append([(out_dir / f"{env}_seed{seed}{suffix}").read_bytes()
+                         for suffix in (".jsonl", "_summary.csv")])
+        assert outs[0] == outs[1]
+        assert outs[0][0]
 
 
 class TestMonitorEval:
@@ -189,6 +223,16 @@ class TestMonitorEval:
             ["monitor-eval", "--spec", "sisyphean", "--state", str(spath),
              "--action", str(apath)], capsys)
         assert code == 1 and "malformed" in err
+
+    @pytest.mark.parametrize("directives", [["sideways"], [], ["left", 1.0]])
+    def test_bad_directives_are_malformed(self, docs, capsys, directives):
+        tmp, spath, _ = docs
+        apath = tmp / "action.json"
+        apath.write_text(json.dumps({"directives": directives}))
+        code, _, err = run_cli(
+            ["monitor-eval", "--spec", "sisyphean", "--state", str(spath),
+             "--action", str(apath)], capsys)
+        assert code == 1 and err.startswith("error: malformed action: ")
 
 
 class TestConsoleEntry:

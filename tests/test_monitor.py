@@ -6,14 +6,13 @@ import pytest
 
 from adashield.dl import (
     Assign, AssignAny, Choice, Ident, Seq, Test, UNDEF, eval_formula,
-    eval_term, parse_program, pretty_print,
+    eval_term, parse_program,
 )
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal,
     SpaceSum, SpaceUnit, StructureError, UNIT, action_fits, ctrl_exec,
-    ctrl_monitor, ctrl_monitor_trace, derive_action_space,
-    encode_choice_search, enumerate_actions, find_discrete_fallback,
-    make_action, resolve_fallback, space_cardinality,
+    ctrl_monitor, ctrl_monitor_trace, derive_action_space, make_action,
+    resolve_fallback,
 )
 
 from conftest import TermGen
@@ -107,13 +106,11 @@ class TestActionSpaces:
         ctrl = parse_program("a := -B ++ { ?(Q > 0); a := A }")
         space = derive_action_space(ctrl)
         assert space == SpaceSum(SpaceUnit(), SpaceProd(SpaceUnit(), SpaceUnit()))
-        assert space_cardinality(space) == 2
 
     def test_continuous_train_controller(self, specs):
         space = derive_action_space(specs["train_global"].ctrl)
         assert space == SpaceProd(SpaceReal(),
                                   SpaceProd(SpaceUnit(), SpaceUnit()))
-        assert space_cardinality(space) is None
 
     def test_two_branch_example_space(self):
         ctrl = parse_program(
@@ -134,14 +131,6 @@ class TestActionSpaces:
         assert not action_fits(SpaceReal(), AReal("1.5"))
         assert not action_fits(SpaceReal(), UNIT)
         assert not action_fits(SpaceProd(SpaceUnit(), SpaceUnit()), None)
-
-    def test_cardinality_matches_enumeration(self):
-        gen = ControllerGen(8)
-        for _ in range(200):
-            ctrl = gen.controller(3, 0)  # discrete only
-            space = derive_action_space(ctrl)
-            n = space_cardinality(space)
-            assert n == len(enumerate_actions(space))
 
 
 class TestExec:
@@ -274,24 +263,32 @@ class TestFallback:
         assert a == make_action(spec.ctrl, [-3.0])
 
 
-class TestChoiceSearch:
-    def test_example_encoding(self):
-        alpha = parse_program(
-            "{ {x := *; y := v*x} ++ y := w }; ?(y >= 1)")
-        enc, us = encode_choice_search(alpha)
-        assert [str(u) for u in us] == ["u1", "u2"]
-        text = pretty_print(enc)
-        assert "?(u1 = 0)" in text and "?(u1 = 1)" in text
-        assert "x := u2" in text
+def directives_of(ctrl, a) -> list:
+    """The pre-order directive list that selects action ``a``."""
+    t = type(ctrl)
+    if t is Seq:
+        return directives_of(ctrl.left, a.left) + directives_of(ctrl.right, a.right)
+    if t is Choice:
+        if type(a) is ALeft:
+            return ["left"] + directives_of(ctrl.left, a.action)
+        return ["right"] + directives_of(ctrl.right, a.action)
+    if t is AssignAny:
+        return [a.value]
+    return []
 
-    def test_test_only_controller_unchanged(self):
-        prog = parse_program("?(x > 0)")
-        enc, us = encode_choice_search(prog)
-        assert enc == prog and us == []
 
-    def test_enumeration_finds_brake(self):
-        ctrl = parse_program("{ ?(x + 100 <= 0); a := 4 } ++ a := -4")
-        found = find_discrete_fallback(ctrl, {Ident("x"): -10.0})
-        assert found == ARight(UNIT)  # acceleration guard fails, braking passes
-        found2 = find_discrete_fallback(ctrl, {Ident("x"): -500.0})
-        assert found2 == ALeft(APair(UNIT, UNIT))  # first passing branch
+class TestDirectives:
+    def test_round_trip(self):
+        gen = ControllerGen(31)
+        for _ in range(300):
+            ctrl = gen.controller()
+            a = gen.action_for(ctrl)
+            assert make_action(ctrl, directives_of(ctrl, a)) == a
+
+    @pytest.mark.parametrize("directives", [
+        ["up"], [], ["left"], ["left", 1.0, 2.0], ["right", "left"],
+    ])
+    def test_malformed_list_is_a_structure_error(self, directives):
+        ctrl = parse_program("{x := *; ?(x > 0)} ++ x := 0")
+        with pytest.raises(StructureError):
+            make_action(ctrl, directives)

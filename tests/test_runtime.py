@@ -144,12 +144,12 @@ class TestNonReuse:
         level = make_action(shield.spec.ctrl, [0.0])
         empty = tuple(None for _ in shield.spec.infer)
         st, *_ = _step(shield, env, st, level, empty, rngs, 0)
-        assert st.history[0].available == {"wv", "wh"}
+        assert st.history[0].view.available == {"wv", "wh"}
         slots = list(empty)
         slots[4] = AggregateAction(1e-9, ((1.0, (1,)),))  # references wv@1
         st, _, _, rec, _ = _step(shield, env, st, level, tuple(slots), rngs, 1)
         assert rec.consumed == [(1, "wv")]
-        assert st.history[0].available == set()  # wh gone as well
+        assert st.history[0].view.available == set()  # wh gone as well
 
 
 class TestTightening:
@@ -278,7 +278,7 @@ class TestZeroTrust:
         st, _, _, rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
         assert [(a.param, a.eps) for a in rec.assignments] == [("fbar", 0.0)]
         assert st.ledger.spent == 0.0
-        assert rec.consumed == [] and st.history[0].available == {"w"}
+        assert rec.consumed == [] and st.history[0].view.available == {"w"}
 
 
 def _run_digest(specs, inference_policy, episodes=4):
@@ -361,8 +361,8 @@ def _reference_policy_view(env, st, step, max_steps) -> PolicyView:
     counts: dict = {}
     views = []
     for i, e in enumerate(st.history, start=1):
-        views.append(HistoryView(i, e.state_val, frozenset(e.available)))
-        for name in e.available:
+        views.append(HistoryView(i, e.view.state, frozenset(e.view.available)))
+        for name in e.view.available:
             counts[name] = counts.get(name, 0) + 1
     return PolicyView(
         state=env.state_map(st.env_state), bounds=bounds, step=step,
@@ -378,7 +378,7 @@ def _reference_history_valuation(history, assignments) -> dict:
     for i in sorted(referenced_indices(assignments)):
         if 1 <= i <= len(history):
             entry = history[i - 1]
-            for k, x in entry.state_val.items():
+            for k, x in entry.view.state.items():
                 v[Ident(k.name, i)] = x
             for k, x in entry.local_bounds.items():
                 v[Ident(k.name, i)] = x
@@ -409,7 +409,7 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     surfaced = {}
     for ident in referenced_observations(assignments, shield.obs_names):
         i = ident.index
-        if 1 <= i <= len(history) and ident.name in history[i - 1].available:
+        if 1 <= i <= len(history) and ident.name in history[i - 1].view.available:
             surfaced[ident] = history[i - 1].cache[ident.name]
     full = {**base, **_reference_history_valuation(history, assignments), **surfaced}
     lazy = dict(base)
