@@ -181,11 +181,14 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace_file = None
     if args.trace:
+        # the trace takes its name only once the run has finished, so a
+        # failed run leaves none behind
         trace_path = os.path.join(args.out, f"{args.env}_seed{args.seed}.jsonl")
-        trace_file = open(trace_path, "w", encoding="utf-8")
+        trace_file = open(trace_path + ".tmp", "w", encoding="utf-8")
     if args.workers > 1 and mode == "fixed":
         print("note: fixed-mode budgets are sequential; running with 1 worker",
               file=sys.stderr)
+    stats = None
     try:
         stats = _run(args, spec_path, shield, cfg, trace_file)
     except (InitialConditionViolation, LocalParamUnset, FallbackViolation) as e:
@@ -194,6 +197,10 @@ def cmd_simulate(args) -> int:
     finally:
         if trace_file:
             trace_file.close()
+            if stats is None:
+                os.remove(trace_file.name)
+            else:
+                os.replace(trace_file.name, trace_path)
 
     csv_path = os.path.join(args.out, f"{args.env}_seed{args.seed}_summary.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

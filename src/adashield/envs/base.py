@@ -15,8 +15,6 @@ from dataclasses import fields
 from numbers import Integral
 from typing import Optional
 
-from ..dl import Ident
-
 
 class Environment:
     name = "env"
@@ -106,6 +104,3 @@ def require_counts(cfg, *names):
         if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
-
-def ids(names: str) -> list[Ident]:
-    return [Ident(n) for n in names.split()]

@@ -203,16 +203,10 @@ def acas_inference(shield: Shield, env, eps_track: float = 5e-10,
         pending = [hv.index for hv in view.history if "wc" in hv.available]
         if len(pending) >= 2:
             evidence = AggregateAction(eps_evidence, _uniform(pending[-2:]))
-        slots = []
-        agg_seen = 0
-        for kind, _ in shield.strategy.space:
-            if kind != "aggregate":
-                slots.append(None)
-                continue
-            agg_seen += 1
-            # strategy order: four tracking aggregates, then the evidence one
-            slots.append(track if agg_seen <= 4 else evidence)
-        return tuple(slots)
+        # strategy order: four tracking aggregates, then the evidence one
+        aggs = iter((track, track, track, track, evidence))
+        return tuple(next(aggs) if kind == "aggregate" else None
+                     for kind, _ in shield.strategy.space)
 
     return policy
 

@@ -25,8 +25,8 @@ import numpy as np
 from .dl import Ident, UNDEF, eval_formula, is_runtime_evaluable
 from .specfile import ShieldSpec
 from .actions import (
-    ControlAction, action_fits, ctrl_exec, ctrl_monitor, derive_action_space,
-    resolve_fallback,
+    ControlAction, FallbackViolation, action_fits, ctrl_exec, ctrl_monitor,
+    derive_action_space, resolve_fallback,
 )
 from .strategy import (
     BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
@@ -194,7 +194,7 @@ class Shield:
 
     Everything that depends on the spec alone is worked out here once, not
     on every step: both action spaces, the empty inference action and the
-    compiled strategy, which keeps best-slot instantiations across steps.
+    compiled strategy, whose templates every step's SBIs bind.
     """
 
     def __init__(self, spec: ShieldSpec, consts: dict, allow_cantelli: bool = False):
@@ -207,11 +207,8 @@ class Shield:
         self.obs_names = spec.obs_names
         self.noise_decls = spec.noise_decls
         self.ctrl_space = derive_action_space(spec.ctrl)
-        self.strategy = CompiledStrategy(spec.infer)
+        self.strategy = CompiledStrategy(spec.infer, self.directions, self.noise_decls)
         self.empty_action = empty_action(spec.infer)
-        #: the unindexed identifier of each variable name an SBI mentioned,
-        #: so that reading history values builds no identifiers
-        self.plain_idents: dict[str, Ident] = {}
 
     def initial_globals(self, env) -> dict:
         from .dl import eval_term
@@ -279,25 +276,44 @@ def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
     )
 
 
-def read_history(shield: Shield, history: list, assignments: list, v: dict) -> None:
-    """Put into ``v`` the value of every indexed variable the assignments
-    mention, read from its history entry: its local bounds first, then its
-    state.  Observations are left to surfacing.  The identifiers come from
-    the assignments' free variables, so the work follows what the SBIs
-    reference, not the length of the history."""
-    plain = shield.plain_idents
-    for ident in frozenset().union(*[sa.free_vars for sa in assignments]):
-        i = ident.index
-        if isinstance(i, int) and 1 <= i <= len(history):
-            entry = history[i - 1]
-            base = plain.get(ident.name)
-            if base is None:
-                base = plain[ident.name] = Ident(ident.name)
-            x = entry.local_bounds.get(base, _MISSING)
-            if x is _MISSING:
-                x = entry.view.state.get(base, _MISSING)
+class StepValuation:
+    """What the SBIs of step ``n`` read, under an index ``binding`` (see
+    ``strategy.DictValuation``).  ``x`` and ``x@n`` resolve to ``current``:
+    the state, the global bounds and the bounds assigned so far this step.
+    ``x@i`` for ``1 <= i < n`` resolves from history entry ``i``: an
+    observation surfaced at this step, else its local bounds, else its
+    state.  Any other index resolves to nothing.  Binding the index and
+    reading the entry are one lookup, so nothing is copied per step."""
+
+    __slots__ = ("binding", "current", "history", "n", "surfaced")
+
+    def __init__(self, current: dict, history: list, n: int):
+        self.binding = {}
+        self.current = current
+        self.history = history
+        self.n = n
+        self.surfaced: dict = {}
+
+    def get(self, ident: Ident, default=None):
+        name, i = ident
+        if i is None:
+            return self.current.get(ident, default)
+        if i.__class__ is str:
+            i = self.binding.get(i)
+            if i is None:
+                return default
+        key = (name, None)  # equal to Ident(name)
+        if i == self.n:
+            return self.current.get(key, default)
+        if not 0 < i < self.n:
+            return default
+        if self.surfaced:
+            x = self.surfaced.get((name, i), _MISSING)
             if x is not _MISSING:
-                v[ident] = x
+                return x
+        entry = self.history[i - 1]
+        x = entry.local_bounds.get(key, _MISSING)
+        return entry.view.state.get(key, default) if x is _MISSING else x
 
 
 @dataclass
@@ -337,13 +353,8 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     n = len(history) + 1
     sval = env.state_map(st.env_state)
     v: dict = dict(sval)
-    for k, x in sval.items():
-        v[Ident(k.name, n)] = x
     v.update(st.global_bounds)
-    for k, x in st.global_bounds.items():
-        v[Ident(k.name, n)] = x
-
-    read_history(shield, history, assignments, v)
+    val = StepValuation(v, history, n)
 
     consumed: list = []
     obs_idx: dict = {}
@@ -358,7 +369,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             continue
         for ident in sorted(obs_idx[i]):
             if ident.name in hv.available:
-                v[ident] = entry.cache[ident.name]
+                val.surfaced[ident] = entry.cache[ident.name]
                 consumed.append((i, ident.name))
         # nothing at this step may be reused later
         for name in hv.available:
@@ -378,7 +389,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             arecs.append(AssignmentRecord(str(sa.param), sa.eps, True, False, False, None))
             continue
         ledger.add(sa.eps)
-        r, meta = eval_sbi(sa.sbi, interp, v, config=shield)
+        r, meta = eval_sbi(sa.sbi, interp, val, config=shield)
         method = meta["methods"][-1] if meta["methods"] else None
         if r is BOTTOM or not math.isfinite(r):
             arecs.append(AssignmentRecord(str(sa.param), sa.eps, False, True, False, method))
@@ -388,7 +399,6 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         tighter = cur is None or (r < cur if up else r > cur)
         if tighter:
             v[sa.param] = r
-            v[Ident(sa.param.name, n)] = r
         arecs.append(AssignmentRecord(str(sa.param), sa.eps, False, False, tighter, method))
 
     b_l = {p: v[p] for p in shield.local_params if p in v}
@@ -454,13 +464,19 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
                 ledger: Optional[KahanLedger] = None,
                 record_sink: Optional[Callable] = None) -> EpisodeStats:
     """Run one episode; audits the tolerance ledger and observation reuse on
-    the fly."""
+    the fly.  A policy that raises is treated as one that sent a malformed
+    action: the control action is overridden, the inference action counts
+    as empty.  A contract failure is raised again naming the episode and,
+    past the initial state, the step."""
     reset_ss, env_ss, meas_ss = seed_seq.spawn(3)
     reset_rng = np.random.default_rng(reset_ss)
     env_rng = np.random.default_rng(env_ss)
     measure_rng = np.random.default_rng(meas_ss)
 
-    st = init_shielded_state(shield, env, budget, reset_rng, ledger=ledger)
+    try:
+        st = init_shielded_state(shield, env, budget, reset_rng, ledger=ledger)
+    except InitialConditionViolation as e:
+        raise InitialConditionViolation(f"episode {episode}: {e}") from e
     led = st.ledger
     spent_before = led.spent
 
@@ -477,11 +493,20 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
         t0 = time.perf_counter()
         view = make_policy_view(shield, env, st, step, max_steps)
         shield_s += time.perf_counter() - t0
-        a_ctrl = control_policy(view)
-        a_inf = inference_policy(view)
-        st, reward, terminal, rec, (ts, te) = shielded_transition(
-            shield, st, env, a_ctrl, a_inf, env_rng, measure_rng,
-            episode, step, flags)
+        try:
+            a_ctrl = control_policy(view)
+        except Exception:
+            a_ctrl = None  # fits no action space, so the fallback runs
+        try:
+            a_inf = inference_policy(view)
+        except Exception:
+            a_inf = shield.empty_action
+        try:
+            st, reward, terminal, rec, (ts, te) = shielded_transition(
+                shield, st, env, a_ctrl, a_inf, env_rng, measure_rng,
+                episode, step, flags)
+        except (FallbackViolation, LocalParamUnset) as e:
+            raise type(e)(f"episode {episode}, step {step}: {e}") from e
         shield_s += ts
         env_s += te
         total += reward

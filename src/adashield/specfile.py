@@ -190,11 +190,6 @@ class ShieldSpec:
         return out
 
 
-def classify_bounds(spec: ShieldSpec) -> dict[Ident, str]:
-    """Partition parameters by free state-variable occurrence in their bound."""
-    return {b.param: b.locality for b in spec.bounds}
-
-
 class _SpecParser(Parser):
     reserved = _RESERVED | _SPEC_KEYWORDS
 

@@ -3,26 +3,27 @@ assignments, and staged evaluation of symbolic bound instantiations.
 
 A strategy is an ordered list of assignments (direct / best / aggregate, each
 with an optional guard).  Interpreting a strategy under an inference action
-yields symbolic bound instantiations (SBIs) that are later evaluated against
-a valuation assembled from the current state, bound values and index-tagged
-history.  Evaluation is staged deliberately: SBIs are built without access to
-measurement values, so the weights and tolerances feeding them cannot depend
-on the data they will aggregate.
+yields symbolic bound instantiations (SBIs): an assignment's template with
+the index tuples the action binds its index names to.  Nothing is
+instantiated; evaluation reads ``x@i`` at the index ``i`` is bound to, from
+a valuation of the current state, bound values and history.  Evaluation is
+staged deliberately: SBIs are built without access to measurement values, so
+the weights and tolerances feeding them cannot depend on the data they will
+aggregate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dl import (
     Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Neg, Term, UNDEF, Var,
-    eval_formula, eval_term, free_vars, instantiate_indices, tag_with_index,
+    eval_formula, eval_term, free_vars, tag_with_index,
 )
-from .dl.syntax import conj
 from . import tailbounds
-from .tailbounds import Dist, DomainError
+from .tailbounds import Dist
 
 
 class BottomType:
@@ -129,10 +130,6 @@ def strategy_action_space(strategy: InferenceStrategy) -> tuple[tuple[str, int],
     return tuple(out)
 
 
-def validate_action(strategy: InferenceStrategy, action: InferenceAction) -> None:
-    _check_action(strategy_action_space(strategy), action)
-
-
 def _check_action(space: tuple[tuple[str, int], ...], action: InferenceAction) -> None:
     """Raise ``ActionShapeError`` unless ``action`` fits the action space:
     one slot per assignment, and every index tuple ``n`` integers long."""
@@ -171,102 +168,90 @@ def empty_action(strategy: InferenceStrategy) -> InferenceAction:
 # ---------------------------------------------------------------------------
 # Symbolic bound instantiations
 
-@dataclass(frozen=True)
-class TermSBI:
-    term: Term
+@dataclass(frozen=True, eq=False)
+class Template:
+    """One strategy assignment, ready to evaluate under index bindings.
 
+    ``indexed`` holds (name, position of its index name) for every variable
+    read at an index name, ``fixed`` every variable read at a literal index:
+    the history an SBI of the template reads.  An aggregate also carries
+    its noise variables, each with its distribution's hyperparameters read
+    at the noise variable's index, and the tail side of its bound."""
 
-@dataclass(frozen=True)
-class SumSBI:
-    left: "SBI"
-    right: "SBI"
-
-
-@dataclass(frozen=True)
-class GuardedSBI:
-    body: "SBI"
-    guard: Formula
-
-
-@dataclass(frozen=True)
-class InvCCDFNode:
-    """Bound noise variables with their distributions, a target linear in
-    those variables, a tolerance term and the tail side."""
-
-    bindings: tuple[tuple[Ident, DistExpr], ...]
-    target: Term
-    eps: Term
+    assign: InferAssign
+    names: tuple[str, ...]
+    indexed: tuple[tuple[str, int], ...]
+    fixed: tuple[Ident, ...]
+    noise: tuple[tuple[Ident, DistExpr], ...] = ()
     tail: str = "up"  # 'up' | 'lo'
 
 
-SBI = Union[TermSBI, SumSBI, GuardedSBI, InvCCDFNode]
+def compile_template(a: InferAssign, direction_of: dict[Ident, str],
+                     noise_decls: dict[str, DistExpr]) -> Template:
+    body = a.body
+    names = getattr(body, "indices", ())
+    reads = free_vars(a.guard)
+    noise = []
+    if isinstance(body, Aggregate):
+        reads |= free_vars(body.observable) | free_vars(body.noise)
+        for v in sorted(free_vars(body.noise), key=str):
+            if v.name in noise_decls:
+                dx = noise_decls[v.name]
+                if v.index is not None:
+                    dx = DistExpr(dx.kind, tuple(tag_with_index(t, v.index) for t in dx.params))
+                    reads |= set().union(*map(free_vars, dx.params))
+                noise.append((v, dx))
+    else:
+        reads |= free_vars(body.term)
+    pos = {name: k for k, name in enumerate(names)}  # the last one wins, as in a binding
+    return Template(
+        a, names,
+        indexed=tuple(sorted({(v.name, pos[v.index]) for v in reads if v.index in pos})),
+        fixed=tuple(sorted(v for v in reads if isinstance(v.index, int))),
+        noise=tuple(noise), tail="lo" if direction_of.get(a.target) == "lo" else "up")
 
 
-@dataclass(frozen=True)
-class SymbolicAssignment:
+class BoundSBI(NamedTuple):
+    """A direct or best template with its index names bound to ``j``
+    (empty for a direct assignment)."""
+
+    template: Template
+    j: tuple[int, ...]
+
+
+class AggregateSBI(NamedTuple):
+    """An aggregate template with its index names bound to each ``j`` of
+    the ``(w, j)`` pairs in ``dist``, at tolerance ``eps``."""
+
+    template: Template
+    dist: tuple[tuple[float, tuple[int, ...]], ...]
+    eps: float
+
+
+SBI = Union[BoundSBI, AggregateSBI]
+
+
+class SymbolicAssignment(NamedTuple):
     param: Ident
     sbi: SBI
     eps: float
-    #: ``sbi_free_vars(sbi)``, computed once when the SBI is built
-    free_vars: frozenset[Ident]
 
 
 class CompiledStrategy:
     """What a ``Shield`` works out once for its strategy: the action space,
-    the free variables of every template, the direct assignments, and the
-    best-slot instantiations of the last two interpretations.
+    one template per assignment, and the symbolic assignment of every
+    direct assignment, which takes no index binding."""
 
-    Best instantiations are keyed by (slot position, index tuple).  A best
-    window slides by one entry per step, so nearly every tuple an agent
-    lists was instantiated one interpretation earlier.  Each interpretation
-    starts a new generation that keeps only the entries it used, so at most
-    two actions' worth are held, whatever index tuples the agent sends.
-    Aggregates are not kept: surfacing burns their observations, so their
-    index tuples do not recur.
-    """
-
-    def __init__(self, strategy: InferenceStrategy):
+    def __init__(self, strategy: InferenceStrategy, direction_of: dict[Ident, str],
+                 noise_decls: dict[str, DistExpr]):
         self.strategy = strategy
         self.space = strategy_action_space(strategy)
-        #: per slot: free variables of the observable (or term) and guard,
-        #: and of the noise component
-        self.template_vars = tuple(_template_vars(a) for a in strategy)
-        self.directs = {
-            pos: SymbolicAssignment(a.target, GuardedSBI(TermSBI(a.body.term), a.guard),
-                                    0.0, frozenset(self.template_vars[pos][0]))
-            for pos, a in enumerate(strategy) if isinstance(a.body, Direct)}
-        self.current: dict[tuple[int, tuple[int, ...]], SymbolicAssignment] = {}
-        self.previous: dict[tuple[int, tuple[int, ...]], SymbolicAssignment] = {}
-
-    def best(self, pos: int, j: tuple[int, ...]) -> SymbolicAssignment:
-        key = (pos, j)
-        sa = self.current.get(key)
-        if sa is None:
-            sa = self.previous.get(key)
-            if sa is None:
-                assign = self.strategy[pos]
-                names = list(assign.body.indices)
-                term = instantiate_indices(assign.body.term, names, list(j))
-                guard = instantiate_indices(assign.guard, names, list(j))
-                m = dict(zip(names, j))
-                sa = SymbolicAssignment(
-                    assign.target, GuardedSBI(TermSBI(term), guard), 0.0,
-                    frozenset(_instantiate_var(v, m) for v in self.template_vars[pos][0]))
-            self.current[key] = sa
-        return sa
-
-
-def _template_vars(a: InferAssign) -> tuple[set[Ident], set[Ident]]:
-    body = a.body
-    if isinstance(body, Aggregate):
-        return free_vars(body.observable) | free_vars(a.guard), free_vars(body.noise)
-    return free_vars(body.term) | free_vars(a.guard), set()
-
-
-def _instantiate_var(v: Ident, m: dict) -> Ident:
-    """``v`` re-indexed as ``instantiate_indices`` re-indexes its variables,
-    so that the free variables of an instance follow from its template's."""
-    return Ident(v.name, m[v.index]) if v.index in m else v
+        self.templates = tuple(compile_template(a, direction_of, noise_decls)
+                               for a in strategy)
+        self.directs = tuple(
+            SymbolicAssignment(t.assign.target, BoundSBI(t, ()), 0.0)
+            if isinstance(t.assign.body, Direct) else None
+            for t in self.templates)
 
 
 def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
@@ -275,202 +260,191 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
                        compiled: Optional[CompiledStrategy] = None) -> list[SymbolicAssignment]:
     """Map an inference action to the list of symbolic inference assignments.
 
-    ``compiled`` is the strategy's ``CompiledStrategy`` kept across calls, so
-    that best instantiations are reused; without it all are built afresh.
+    ``compiled`` is the strategy's ``CompiledStrategy``, built once with the
+    same directions and noise declarations; without it one is built here.
     Raises ``ActionShapeError`` for an action that does not fit the strategy.
     """
     if compiled is None:
-        compiled = CompiledStrategy(strategy)
+        compiled = CompiledStrategy(strategy, direction_of, noise_decls)
     elif compiled.strategy is not strategy:
         raise ValueError("compiled for a different strategy")
     _check_action(compiled.space, action)
-    compiled.previous, compiled.current = compiled.current, {}
     out: list[SymbolicAssignment] = []
-    for pos, (assign, slot) in enumerate(zip(strategy, action)):
-        body = assign.body
-        if isinstance(body, Direct):
-            out.append(compiled.directs[pos])
-        elif slot is None:
-            continue
-        elif isinstance(body, Best):
-            for j in slot:
-                out.append(compiled.best(pos, j))
-        else:
-            out.append(_interpret_aggregate(assign, slot, compiled.template_vars[pos],
-                                            direction_of, noise_decls))
+    for direct, t, slot in zip(compiled.directs, compiled.templates, action):
+        if direct is not None:
+            out.append(direct)
+        elif isinstance(slot, AggregateAction):
+            out.append(SymbolicAssignment(t.assign.target,
+                                          AggregateSBI(t, slot.dist, slot.eps), slot.eps))
+        elif slot is not None:
+            out.extend(SymbolicAssignment(t.assign.target, BoundSBI(t, j), 0.0)
+                       for j in slot)
     return out
 
 
-def _interpret_aggregate(assign: InferAssign, slot: AggregateAction, template_vars,
-                         direction_of, noise_decls) -> SymbolicAssignment:
-    p = assign.target
-    body = assign.body
-    names = list(body.indices)
-    obs_vars, noise_vars = template_vars
-    obs_sum = None
-    noise_sum = None
-    guards = []
-    free: set[Ident] = set()
-    bindings: dict[Ident, DistExpr] = {}
-    for w, j in slot.dist:
-        vals = list(j)
-        obs_j = BinOp("*", Lit(w), instantiate_indices(body.observable, names, vals))
-        noise_j = BinOp("*", Lit(w), instantiate_indices(body.noise, names, vals))
-        obs_sum = obs_j if obs_sum is None else BinOp("+", obs_sum, obs_j)
-        noise_sum = noise_j if noise_sum is None else BinOp("+", noise_sum, noise_j)
-        guards.append(instantiate_indices(assign.guard, names, vals))
-        m = dict(zip(names, vals))
-        for v in obs_vars:
-            free.add(_instantiate_var(v, m))
-        for v in noise_vars:
-            ident = _instantiate_var(v, m)
-            free.add(ident)
-            if ident.name in noise_decls and ident not in bindings:
-                decl = noise_decls[ident.name]
-                tagged = tuple(
-                    tag_with_index(t, ident.index) if ident.index is not None else t
-                    for t in decl.params)
-                bindings[ident] = DistExpr(decl.kind, tagged)
-                for t in tagged:
-                    free |= free_vars(t)
-    node = InvCCDFNode(tuple(sorted(bindings.items(), key=lambda kv: str(kv[0]))),
-                       noise_sum, Lit(slot.eps),
-                       tail=("lo" if direction_of.get(p) == "lo" else "up"))
-    sbi = GuardedSBI(SumSBI(TermSBI(obs_sum), node), conj(guards))
-    return SymbolicAssignment(p, sbi, slot.eps, frozenset(free))
+def _reads(assignments: list[SymbolicAssignment]):
+    """(name, index) of every variable the SBIs read at a concrete index."""
+    for sa in assignments:
+        sbi = sa.sbi
+        t = sbi.template
+        yield from t.fixed
+        if t.indexed:
+            for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
+                for name, pos in t.indexed:
+                    yield name, j[pos]
 
 
 def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
     """Concrete history indices mentioned by any SBI."""
-    out: set[int] = set()
-    for a in assignments:
-        for ident in a.free_vars:
-            if isinstance(ident.index, int):
-                out.add(ident.index)
-    return out
+    return {i for _, i in _reads(assignments)}
 
 
 def referenced_observations(assignments: list[SymbolicAssignment],
                             obs_names: frozenset[str]) -> set[Ident]:
-    out: set[Ident] = set()
-    for a in assignments:
-        for ident in a.free_vars:
-            if isinstance(ident.index, int) and ident.name in obs_names:
-                out.add(ident)
-    return out
-
-
-def sbi_free_vars(e: SBI) -> set[Ident]:
-    if isinstance(e, TermSBI):
-        return free_vars(e.term)
-    if isinstance(e, SumSBI):
-        return sbi_free_vars(e.left) | sbi_free_vars(e.right)
-    if isinstance(e, GuardedSBI):
-        return sbi_free_vars(e.body) | free_vars(e.guard)
-    out = free_vars(e.target) | free_vars(e.eps)
-    for ident, dist in e.bindings:
-        out.add(ident)
-        for t in dist.params:
-            out |= free_vars(t)
-    return out
+    return {Ident(name, i) for name, i in _reads(assignments) if name in obs_names}
 
 
 # ---------------------------------------------------------------------------
 # SBI evaluation
 
+class DictValuation:
+    """A dict keyed by (indexed) identifiers, read under an index binding.
+
+    A valuation has a ``binding`` from a template's index names to history
+    indices, and ``get(ident, default)`` reads ``x@i`` at the index ``i`` is
+    bound to.  An identifier is a tuple, so ``(name, index)`` is the same
+    key as ``Ident(name, index)``."""
+
+    __slots__ = ("values", "binding")
+
+    def __init__(self, values: dict):
+        self.values = values
+        self.binding = {}
+
+    def get(self, ident: Ident, default=None):
+        j = self.binding.get(ident[1]) if ident[1].__class__ is str else None
+        return self.values.get(ident if j is None else (ident[0], j), default)
+
+
 def eval_sbi(e: SBI, interp, val, config=None):
     """Evaluate to a float or ``BOTTOM``; returns ``(value, meta)`` where
-    ``meta['methods']`` lists the tail-bound methods used."""
+    ``meta['methods']`` lists the tail-bound methods used.  ``val`` is a
+    valuation with a ``binding``, or a dict for ``DictValuation``."""
     meta: dict = {"methods": []}
-    v = _eval_sbi(e, interp, val, meta, config)
-    return v, meta
-
-
-def _eval_sbi(e: SBI, interp, val, meta, config):
+    if not hasattr(val, "binding"):
+        val = DictValuation(val)
     t = type(e)
-    if t is TermSBI:
-        r = eval_term(e.term, interp, val)
-        return BOTTOM if r is UNDEF else r
-    if t is SumSBI:
-        a = _eval_sbi(e.left, interp, val, meta, config)
-        if a is BOTTOM:
-            return BOTTOM
-        b = _eval_sbi(e.right, interp, val, meta, config)
-        if b is BOTTOM:
-            return BOTTOM
-        return a + b
-    if t is GuardedSBI:
-        g = eval_formula(e.guard, interp, val)
-        if g is UNDEF or not g:
-            return BOTTOM
-        return _eval_sbi(e.body, interp, val, meta, config)
-    if t is InvCCDFNode:
-        return _eval_invccdf(e, interp, val, meta, config)
+    if t is BoundSBI:
+        return _eval_bound(e, interp, val), meta
+    if t is AggregateSBI:
+        return _eval_aggregate(e, interp, val, meta, config), meta
     raise TypeError(f"not an SBI: {e!r}")
 
 
-def _eval_invccdf(node: InvCCDFNode, interp, val, meta, config):
-    eps = eval_term(node.eps, interp, val)
-    if eps is UNDEF:
+def _eval_bound(e: BoundSBI, interp, val):
+    a = e.template.assign
+    val.binding = dict(zip(e.template.names, e.j))
+    g = eval_formula(a.guard, interp, val)
+    if g is UNDEF or not g:
         return BOTTOM
-    dists: dict[Ident, Dist] = {}
-    for ident, dx in node.bindings:
-        params = []
-        for t in dx.params:
-            r = eval_term(t, interp, val)
-            if r is UNDEF:
-                return BOTTOM
-            params.append(r)
-        if dx.kind == "normal":
-            d = Dist("normal", params[0], params[1])
-        elif dx.kind == "uniform":
-            d = Dist("uniform", params[0], params[1])
-        else:
-            d = Dist("bernoulli", params[0])
-        try:
-            d.validate()
-        except ValueError:
+    r = eval_term(a.body.term, interp, val)
+    return BOTTOM if r is UNDEF else r
+
+
+def _eval_aggregate(e: AggregateSBI, interp, val, meta, config):
+    """``sum w*observable`` plus the inverse tail bound of ``sum w*noise``,
+    binding the index names to each pair's ``j`` in turn.  Sums accumulate
+    left to right, and the checks run in a fixed order: every guard, the
+    observable, the noise distributions, linearity, then the tail bound."""
+    t = e.template
+    a = t.assign
+    body = a.body
+    bindings = [(w, dict(zip(t.names, j))) for w, j in e.dist]
+
+    g = None  # the guards conjoined left to right in strong-Kleene logic
+    for _, b in bindings:
+        if g is False:
+            break
+        val.binding = b
+        h = eval_formula(a.guard, interp, val)
+        g = h if g is None or h is False else UNDEF if UNDEF in (g, h) else True
+    if g is UNDEF or not g:
+        return BOTTOM
+
+    s = None
+    for w, b in bindings:
+        val.binding = b
+        o = eval_term(body.observable, interp, val)
+        if o is UNDEF:
             return BOTTOM
-        dists[ident] = d
-    lin = linearize(node.target, interp, val, frozenset(dists))
-    if lin is None:
-        return BOTTOM
-    c0, coeffs = lin
-    pairs = [(c, dists[ident]) for ident, c in coeffs.items()]
+        s = w * o if s is None else s + w * o
+
+    # per pair, the noise variable each template noise variable stands for
+    keys: list[dict[Ident, Ident]] = []
+    dists: dict[Ident, Dist] = {}
+    for _, b in bindings:
+        val.binding = b
+        k = {}
+        for v, dx in t.noise:
+            i = v.index
+            key = k[v] = Ident(v.name, b[i]) if i.__class__ is str and i in b else v
+            if key not in dists:
+                params = [eval_term(p, interp, val) for p in dx.params]
+                if UNDEF in params:
+                    return BOTTOM
+                d = dists[key] = Dist(dx.kind, *params)
+                try:
+                    d.validate()
+                except ValueError:
+                    return BOTTOM
+        keys.append(k)
+
+    c0 = cs = None
+    for (w, b), k in zip(bindings, keys):
+        val.binding = b
+        r = _lin(body.noise, interp, val, k)
+        if r is None:
+            return BOTTOM
+        if cs is None:
+            c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}
+        else:
+            c0 = c0 + r[0] * w
+            for key, c in r[1].items():
+                cs[key] = cs.get(key, 0.0) + c * w
+
+    pairs = [(c, dists[key]) for key, c in cs.items() if c != 0.0]
     allow_cantelli = bool(config and getattr(config, "allow_cantelli", False))
-    try:
-        r = tailbounds.invccdf(pairs, c0, eps, tail=node.tail,
-                               allow_cantelli=allow_cantelli)
-    except DomainError:
-        raise
+    r = tailbounds.invccdf(pairs, c0, e.eps, tail=t.tail, allow_cantelli=allow_cantelli)
     if r is None:
         return BOTTOM
     value, method = r
     meta["methods"].append(method)
     if not math.isfinite(value):
         return BOTTOM
-    return value
+    return s + value
 
 
 def linearize(term: Term, interp, val, noise_vars: frozenset[Ident]):
     """Reduce ``term`` to ``c0 + sum c_i * eta_i`` after substituting every
     non-noise variable with its value; ``None`` if not syntactically linear."""
-    r = _lin(term, interp, val, noise_vars)
+    r = _lin(term, interp, val, {v: v for v in noise_vars})
     if r is None:
         return None
     c0, coeffs = r
     return c0, {k: v for k, v in coeffs.items() if v != 0.0}
 
 
-def _lin(t: Term, interp, val, nv):
+def _lin(t: Term, interp, val, noise: dict[Ident, Ident]):
+    """``linearize`` without dropping zero coefficients; ``noise`` maps each
+    noise variable of ``t`` to the key of its coefficient."""
     tt = type(t)
-    if tt is Var and t.ident in nv:
-        return 0.0, {t.ident: 1.0}
+    if tt is Var and t.ident in noise:
+        return 0.0, {noise[t.ident]: 1.0}
     if tt in (Lit, Var, App):
         r = eval_term(t, interp, val)
         return None if r is UNDEF else (r, {})
     if tt is Neg:
-        r = _lin(t.arg, interp, val, nv)
+        r = _lin(t.arg, interp, val, noise)
         if r is None:
             return None
         c0, cs = r
@@ -482,8 +456,8 @@ def _lin(t: Term, interp, val, nv):
     if tt is BinOp:
         op = t.op
         if op in ("+", "-"):
-            a = _lin(t.left, interp, val, nv)
-            b = _lin(t.right, interp, val, nv)
+            a = _lin(t.left, interp, val, noise)
+            b = _lin(t.right, interp, val, noise)
             if a is None or b is None:
                 return None
             sgn = 1.0 if op == "+" else -1.0
@@ -493,8 +467,8 @@ def _lin(t: Term, interp, val, nv):
                 cs[k] = cs.get(k, 0.0) + sgn * v
             return c0, cs
         if op == "*":
-            a = _lin(t.left, interp, val, nv)
-            b = _lin(t.right, interp, val, nv)
+            a = _lin(t.left, interp, val, noise)
+            b = _lin(t.right, interp, val, noise)
             if a is None or b is None:
                 return None
             if a[1] and b[1]:
@@ -504,8 +478,8 @@ def _lin(t: Term, interp, val, nv):
             scale = b[0]
             return a[0] * scale, {k: v * scale for k, v in a[1].items()}
         if op == "/":
-            a = _lin(t.left, interp, val, nv)
-            b = _lin(t.right, interp, val, nv)
+            a = _lin(t.left, interp, val, noise)
+            b = _lin(t.right, interp, val, noise)
             if a is None or b is None or b[1] or b[0] == 0.0:
                 return None
             inv = 1.0 / b[0]

@@ -155,7 +155,17 @@ class TestSimulate:
              "--out", str(tmp_path)], capsys)
         assert code == 1 and out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error: InitialConditionViolation: ")
+        assert err.startswith("error: InitialConditionViolation: episode 0: ")
+
+    def test_failed_run_leaves_no_trace(self, tmp_path, capsys):
+        cfgfile = tmp_path / "env.cfg"
+        cfgfile.write_text('noise_kind = "uniform"\n')
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["simulate", "--env", "versatile", "--episodes", "2", "--trace",
+             "--env-config", str(cfgfile), "--out", str(out_dir)], capsys)
+        assert code == 1 and err.startswith("error: InitialConditionViolation: ")
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("env,episodes,seed", [
         ("river", "40", "3"),

@@ -14,8 +14,8 @@ from adashield.dl import Ident
 from adashield.actions import ALeft, APair, AReal, UNIT, make_action
 from adashield.runtime import (
     ExperimentConfig, HistoryView, InitialConditionViolation, KahanLedger,
-    PolicyView, Shield, StepFlags, init_shielded_state, make_policy_view,
-    read_history, run_episode, run_experiment, shielded_transition,
+    PolicyView, Shield, StepFlags, StepValuation, init_shielded_state,
+    make_policy_view, run_episode, run_experiment, shielded_transition,
 )
 from adashield.specfile import load_spec
 from adashield.strategy import (
@@ -78,6 +78,26 @@ class TestInit:
         reset_rng, _, _ = _rngs()
         with pytest.raises(InitialConditionViolation):
             init_shielded_state(shield, env, 1e-3, reset_rng)
+
+    def test_contract_failures_name_episode_and_step(self, train_setup, monkeypatch):
+        shield, env = train_setup
+        control, inference = greedy_train_control(shield, env), skip_inference(shield, env)
+
+        def episode(n):
+            run_episode(shield, env, control, inference, 1e-3, 100,
+                        np.random.SeedSequence(0), episode=n)
+
+        def rejected(*args):
+            raise runtime.FallbackViolation("fallback rejected")
+
+        monkeypatch.setattr(runtime, "resolve_fallback", rejected)
+        with pytest.raises(runtime.FallbackViolation,
+                           match=r"^episode 4, step \d+: fallback rejected$"):
+            episode(4)
+        env.cfg.x0 = 10.0
+        with pytest.raises(InitialConditionViolation,
+                           match=r"^episode 7: initial state violates "):
+            episode(7)
 
 
 class TestBudget:
@@ -281,6 +301,38 @@ class TestZeroTrust:
         assert rec.consumed == [] and st.history[0].view.available == {"w"}
 
 
+    def test_raising_policies_do_not_end_the_run(self, specs):
+        # a raising control policy is overridden like a malformed action, and
+        # a raising inference policy counts as the empty action
+        def raising(factory, every):
+            def make(shield, env):
+                policy = factory(shield, env)
+
+                def call(view):
+                    if view.step % every == 1:
+                        raise ZeroDivisionError("division by zero")
+                    return policy(view)
+                return call
+            return make
+
+        records = []
+        cfg = ExperimentConfig(
+            spec_name="river", env_factory=make_crossing_river,
+            control_policy=raising(river_control, 3),
+            inference_policy=raising(river_inference, 4),
+            episodes=20, budget=1e-7, mode="meta", seed=0)
+        shield = Shield(specs["river"], make_crossing_river().consts)
+        stats = run_experiment(shield, cfg, record_sink=records.append)
+        assert len(stats.episodes) == 20
+        control_raised = [r for r in records if r.step % 3 == 1]
+        inference_raised = [r for r in records if r.step % 4 == 1]
+        assert control_raised and inference_raised
+        assert all(r.overridden and r.proposed is None for r in control_raised)
+        assert all(r.assignments == [] and r.consumed == [] for r in inference_raised)
+        assert any(r.consumed for r in records)
+        assert stats.crashes == 0 and stats.reuse_violations == 0
+
+
 def _run_digest(specs, inference_policy, episodes=4):
     """Results digest, overrides and spent tolerance of a seeded train run."""
     records = []
@@ -373,7 +425,7 @@ def _reference_policy_view(env, st, step, max_steps) -> PolicyView:
 
 def _reference_history_valuation(history, assignments) -> dict:
     """Every state variable and local bound of each referenced entry, tagged
-    with the entry's index: the reference for ``read_history``."""
+    with the entry's index: the reference for ``StepValuation``."""
     v: dict = {}
     for i in sorted(referenced_indices(assignments)):
         if 1 <= i <= len(history):
@@ -391,9 +443,9 @@ def _same(a, b) -> bool:
 
 
 def _check_valuations(shield, env, st, a_inf) -> int:
-    """Evaluate the step's assignments in order under the referenced-only
-    and the full history valuation, tightening both alike; the number of
-    assignments that read history."""
+    """Evaluate the step's assignments in order under the lazy valuation and
+    under a dict of every referenced entry's values, tightening both alike;
+    the number of assignments that read history."""
     try:
         assignments = interpret_strategy(shield.spec.infer, a_inf, shield.directions,
                                          shield.noise_decls)
@@ -401,36 +453,38 @@ def _check_valuations(shield, env, st, a_inf) -> int:
         return 0
     history = st.history
     n = len(history) + 1
-    base = {}
-    for src in (env.state_map(st.env_state), st.global_bounds):
-        for k, x in src.items():
-            base[k] = x
-            base[Ident(k.name, n)] = x
+    current = {**env.state_map(st.env_state), **st.global_bounds}
     surfaced = {}
     for ident in referenced_observations(assignments, shield.obs_names):
         i = ident.index
         if 1 <= i <= len(history) and ident.name in history[i - 1].view.available:
             surfaced[ident] = history[i - 1].cache[ident.name]
-    full = {**base, **_reference_history_valuation(history, assignments), **surfaced}
-    lazy = dict(base)
-    read_history(shield, history, assignments, lazy)
-    lazy.update(surfaced)
-    assert lazy.items() <= full.items()
+    full = dict(current)
+    for k, x in current.items():
+        full[Ident(k.name, n)] = x
+    full.update(_reference_history_valuation(history, assignments))
+    full.update(surfaced)
+    lazy = StepValuation(dict(current), history, n)
+    lazy.surfaced.update(surfaced)
+    for ident, x in full.items():
+        assert _same(lazy.get(ident), x)
+    for k in current:
+        for i in (-1, 0, n + 1):
+            assert lazy.get(Ident(k.name, i)) is None
 
     read = 0
     for sa in assignments:
         r, meta = eval_sbi(sa.sbi, shield.interp, full, config=shield)
         r_lazy, meta_lazy = eval_sbi(sa.sbi, shield.interp, lazy, config=shield)
         assert _same(r_lazy, r) and meta_lazy == meta
-        read += any(isinstance(x.index, int) for x in sa.free_vars)
+        read += bool(referenced_indices([sa]))
         if r is BOTTOM or not math.isfinite(r):
             continue
         up = shield.directions.get(sa.param) != "lo"
-        for v in (full, lazy):
-            cur = v.get(sa.param)
-            if cur is None or (r < cur if up else r > cur):
-                v[sa.param] = r
-                v[Ident(sa.param.name, n)] = r
+        cur = full.get(sa.param)
+        if cur is None or (r < cur if up else r > cur):
+            full[sa.param] = full[Ident(sa.param.name, n)] = r
+            lazy.current[sa.param] = r
     return read
 
 

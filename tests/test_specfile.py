@@ -3,7 +3,7 @@
 import pytest
 
 from adashield.dl import Ident, ParseError
-from adashield.specfile import classify_bounds, parse_spec
+from adashield.specfile import parse_spec
 from adashield.checks import (
     ARITY_MISMATCH, ASSUMPTION_FREE_VARS, CTRL_STRUCTURE, FALLBACK_MISSING,
     FALLBACK_SHAPE, LOCAL_IN_INVARIANT, LOCAL_WITHOUT_DEFAULT,
@@ -35,15 +35,15 @@ class TestParseBundled:
 
     def test_river(self, specs):
         spec = specs["river"]
-        assert classify_bounds(spec) == {Ident("yb_lo"): "global",
-                                         Ident("yb_up"): "global"}
+        assert {b.param: b.locality for b in spec.bounds} == {
+            Ident("yb_lo"): "global", Ident("yb_up"): "global"}
         assert len(spec.infer) == 2
 
     def test_acas_classification(self, specs):
         # bounds at the running time t are local; bounds at the fixed times
         # 0 and tm (and on c) are global
         spec = specs["acas"]
-        locality = {str(p): loc for p, loc in classify_bounds(spec).items()}
+        locality = {str(b.param): b.locality for b in spec.bounds}
         assert locality == {
             "c_lo": "global",
             "vint_lo": "local", "vint_up": "local",

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from adashield.dl import BoolLit, Ident, Lit, parse_formula, parse_term
-from adashield.strategy import (
-    ActionShapeError, Aggregate, AggregateAction, BOTTOM, CompiledStrategy,
-    DistExpr, GuardedSBI, InferAssign, InvCCDFNode, SumSBI, TermSBI,
-    empty_action, eval_sbi,
-    interpret_strategy, linearize, sbi_free_vars, strategy_action_space,
-    validate_action,
+from adashield import tailbounds
+from adashield.dl import (
+    BinOp, Ident, Lit, UNDEF, conj, eval_formula, eval_term, free_vars,
+    instantiate_indices, parse_formula, parse_term, tag_with_index,
 )
+from adashield.strategy import (
+    ActionShapeError, Aggregate, AggregateAction, AggregateSBI, BOTTOM,
+    BoundSBI, CompiledStrategy, Direct, DistExpr, InferAssign, _check_action,
+    empty_action, eval_sbi, interpret_strategy, linearize, referenced_indices,
+    referenced_observations, strategy_action_space,
+)
+from adashield.tailbounds import Dist
 
 
 def _z(eps):
@@ -44,11 +48,12 @@ class TestActionSpace:
 
     def test_shape_validation(self, train_strategy):
         _, strategy, _, _ = train_strategy
+        space = strategy_action_space(strategy)
         with pytest.raises(ActionShapeError):
-            validate_action(strategy, (None, None))
+            _check_action(space, (None, None))
         with pytest.raises(ActionShapeError):
-            validate_action(strategy, (None, ((1, 2),), None))
-        validate_action(strategy, (None, ((1,), (2,)), None))
+            _check_action(space, (None, ((1, 2),), None))
+        _check_action(space, (None, ((1,), (2,)), None))
 
     @pytest.mark.parametrize("action", [
         None, [None, (), None], (None, ((1.0,),), None), (None, (("i",),), None),
@@ -58,7 +63,7 @@ class TestActionSpace:
     def test_malformed_actions_rejected(self, train_strategy, action):
         _, strategy, dirs, noise = train_strategy
         with pytest.raises(ActionShapeError):
-            validate_action(strategy, action)
+            _check_action(strategy_action_space(strategy), action)
         with pytest.raises(ActionShapeError):
             interpret_strategy(strategy, action, dirs, noise)
 
@@ -84,8 +89,9 @@ class TestInterpret:
         assert len(out) == 1
         sa = out[0]
         assert str(sa.param) == "fbar" and sa.eps == 0.0
-        assert sa.sbi == GuardedSBI(TermSBI(parse_term("F", symbols=frozenset({"F"}))),
-                                    BoolLit(True))
+        assert type(sa.sbi) is BoundSBI and sa.sbi.j == ()
+        assert sa.sbi.template.assign is strategy[0]
+        assert eval_sbi(sa.sbi, {"F": 3.0}, {}) == (3.0, {"methods": []})
 
     def test_best_two_instances(self, train_strategy):
         spec, strategy, dirs, noise = train_strategy
@@ -93,8 +99,11 @@ class TestInterpret:
         assert len(out) == 3
         bests = out[1:]
         assert all(sa.eps == 0.0 for sa in bests)
-        assert Ident("fbar", 3) in sbi_free_vars(bests[0].sbi)
-        assert Ident("fbar", 7) in sbi_free_vars(bests[1].sbi)
+        assert [sa.sbi.j for sa in bests] == [(3,), (7,)]
+        assert referenced_indices(bests) == {3, 7}
+        val = {Ident("x"): 0.0, Ident("x", 3): 0.0, Ident("fbar", 3): 1.5}
+        assert eval_sbi(bests[0].sbi, {"k": 1.0}, val)[0] == 1.5
+        assert eval_sbi(bests[1].sbi, {"k": 1.0}, val)[0] is BOTTOM
 
     def test_aggregate_eps_accounting(self, train_strategy):
         spec, strategy, dirs, noise = train_strategy
@@ -102,26 +111,26 @@ class TestInterpret:
         out = interpret_strategy(strategy, (None, (), act), dirs, noise)
         agg = out[-1]
         assert agg.eps == 1e-8
-        assert isinstance(agg.sbi, GuardedSBI)
-        assert isinstance(agg.sbi.body, SumSBI)
-        node = agg.sbi.body.right
-        assert isinstance(node, InvCCDFNode)
-        assert [str(k) for k, _ in node.bindings] == ["eta@2", "eta@5"]
-        assert node.tail == "up"
+        assert type(agg.sbi) is AggregateSBI
+        assert agg.sbi.dist == act.dist and agg.sbi.eps == 1e-8
+        assert [str(v) for v, _ in agg.sbi.template.noise] == ["eta@i"]
+        assert agg.sbi.template.tail == "up"
+        assert referenced_observations(out, frozenset({"w"})) == {
+            Ident("w", 2), Ident("w", 5)}
 
     def test_lower_bound_dual_tail(self, specs):
         spec = specs["river"]
         act = AggregateAction(0.01, ((1.0, (1,)),))
         out = interpret_strategy(spec.infer, (act, act), spec.directions,
                                  spec.noise_decls)
-        tails = {str(sa.param): sa.sbi.body.right.tail for sa in out}
+        tails = {str(sa.param): sa.sbi.template.tail for sa in out}
         assert tails == {"yb_lo": "lo", "yb_up": "up"}
 
 
-def _actions(space, max_index=30):
+def _actions(space, min_index=1, max_index=30):
     """Hypothesis strategy for well-formed actions of ``space``."""
     def index_tuple(n):
-        return st.tuples(*[st.integers(1, max_index)] * n)
+        return st.tuples(*[st.integers(min_index, max_index)] * n)
 
     def slot(kind, n):
         if kind == "direct":
@@ -135,6 +144,11 @@ def _actions(space, max_index=30):
     return st.tuples(*[slot(kind, n) for kind, n in space])
 
 
+def _shape(sa):
+    """A symbolic assignment with its template named by its assignment."""
+    return sa.param, sa.eps, type(sa.sbi), sa.sbi.template.assign, sa.sbi[1:]
+
+
 class TestCompiledStrategy:
     @pytest.mark.parametrize("name", ["train_local", "sisyphean", "train_global",
                                       "river", "acas"])
@@ -142,67 +156,178 @@ class TestCompiledStrategy:
     @given(data=st.data())
     def test_warm_equals_cold(self, specs, name, data):
         # a sequence of actions, the first one repeated at the end, through one
-        # compiled strategy gives the SBIs a fresh interpretation gives, and
-        # every assignment carries its SBI's free variables
+        # compiled strategy gives the SBIs a fresh interpretation gives
         spec = specs[name]
-        compiled = CompiledStrategy(spec.infer)
+        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls)
         actions = data.draw(st.lists(_actions(compiled.space), min_size=1, max_size=3))
         for action in actions + actions[:1]:
             warm = interpret_strategy(spec.infer, action, spec.directions,
                                       spec.noise_decls, compiled)
             cold = interpret_strategy(spec.infer, action, spec.directions,
                                       spec.noise_decls)
-            assert warm == cold
-            for sa in warm:
-                assert sa.free_vars == sbi_free_vars(sa.sbi)
+            assert [_shape(sa) for sa in warm] == [_shape(sa) for sa in cold]
+            assert all(sa.sbi.template in compiled.templates for sa in warm)
 
     def test_state_dependent_noise_parameters(self):
-        # a noise scale that mentions a state variable is tagged with the
-        # observation's index, and its variables are free in the SBI
+        # a noise scale that mentions a state variable reads it at the
+        # observation's index, and that index counts as referenced
         strategy = (InferAssign(Ident("p"), Aggregate(("i",), parse_term("w@i"),
                                                       parse_term("eta@i"))),)
         noise = {"eta": DistExpr("normal", (Lit(0.0), parse_term("x^2 + 1")))}
         act = AggregateAction(0.1, ((0.5, (3,)), (0.5, (4,))))
         sa, = interpret_strategy(strategy, (act,), {}, noise)
-        assert sa.free_vars == sbi_free_vars(sa.sbi)
-        assert {Ident("x", 3), Ident("x", 4)} <= sa.free_vars
-
-    def test_best_memo_holds_two_interpretations(self, train_strategy):
-        # 10^4 fresh indices on each of 5 steps: only the last two steps'
-        # instantiations stay
-        _, strategy, dirs, noise = train_strategy
-        compiled = CompiledStrategy(strategy)
-        n = 10_000
-        for step in range(5):
-            window = tuple((step * n + i,) for i in range(1, n + 1))
-            out = interpret_strategy(strategy, (None, window, None), dirs, noise, compiled)
-            assert len(out) == n + 1
-            held = {**compiled.previous, **compiled.current}
-            assert len(held) <= 2 * n
-        assert {j[0] for _, j in held} == set(range(3 * n + 1, 5 * n + 1))
+        assert referenced_indices([sa]) == {3, 4}
+        val = {Ident("x"): 100.0, Ident("x", 3): 1.0, Ident("x", 4): 2.0,
+               Ident("w", 3): 0.0, Ident("w", 4): 0.0}
+        v, meta = eval_sbi(sa.sbi, {}, val)
+        # variance 0.25*(1 + 1) + 0.25*(4 + 1) of the weighted noise
+        z = math.sqrt(2.0) * float(special.erfinv(0.8))
+        assert abs(v - math.sqrt(1.75) * z) < 1e-9 and meta["methods"] == ["gaussian"]
 
     def test_sliding_window_reuses_instances(self, train_strategy):
+        # the direct assignment is built once; best SBIs bind the shared
+        # template to each index tuple
         _, strategy, dirs, noise = train_strategy
-        compiled = CompiledStrategy(strategy)
+        compiled = CompiledStrategy(strategy, dirs, noise)
         first = interpret_strategy(strategy, (None, ((1,), (2,), (3,)), None),
                                    dirs, noise, compiled)
         second = interpret_strategy(strategy, (None, ((2,), (3,), (4,)), None),
                                     dirs, noise, compiled)
-        assert second[1] is first[2] and second[2] is first[3]
         assert second[0] is first[0]  # the direct assignment
+        assert second[1] == first[2] and second[2] == first[3]
+        assert second[3].sbi == BoundSBI(compiled.templates[1], (4,))
 
     def test_rejects_another_strategy(self, specs):
-        compiled = CompiledStrategy(specs["train_local"].infer)
+        spec = specs["train_local"]
+        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls)
         spec = specs["river"]
         with pytest.raises(ValueError):
             interpret_strategy(spec.infer, (None, None), spec.directions,
                                spec.noise_decls, compiled)
 
 
+def _oracle(assign, slot, direction_of, noise_decls, interp, val):
+    """The SBIs of one assignment instantiated as trees and evaluated with
+    the term semantics: the reference for index-bound evaluation.  A list
+    of ``(value, meta)``, one per SBI."""
+    body = assign.body
+    names = list(getattr(body, "indices", ()))
+
+    def guarded(guard, term):
+        g = eval_formula(guard, interp, val)
+        if g is UNDEF or not g:
+            return BOTTOM
+        r = eval_term(term, interp, val)
+        return BOTTOM if r is UNDEF else r
+
+    if not names:
+        return [(guarded(assign.guard, body.term), {"methods": []})]
+    if not isinstance(body, Aggregate):
+        return [(guarded(instantiate_indices(assign.guard, names, list(j)),
+                         instantiate_indices(body.term, names, list(j))),
+                 {"methods": []})
+                for j in slot]
+
+    meta = {"methods": []}
+    guards, obs_sum, noise_sum, dists = [], None, None, {}
+    for w, j in slot.dist:
+        guards.append(instantiate_indices(assign.guard, names, list(j)))
+        obs = BinOp("*", Lit(w), instantiate_indices(body.observable, names, list(j)))
+        noise = BinOp("*", Lit(w), instantiate_indices(body.noise, names, list(j)))
+        obs_sum = obs if obs_sum is None else BinOp("+", obs_sum, obs)
+        noise_sum = noise if noise_sum is None else BinOp("+", noise_sum, noise)
+        for v in free_vars(noise):
+            if v.name in noise_decls:
+                dists[v] = noise_decls[v.name]
+    s = guarded(conj(guards), obs_sum)
+    if s is BOTTOM:
+        return [(BOTTOM, meta)]
+    for v, dx in dists.items():
+        params = [eval_term(tag_with_index(t, v.index), interp, val) for t in dx.params]
+        if UNDEF in params:
+            return [(BOTTOM, meta)]
+        d = Dist(dx.kind, *params)
+        try:
+            d.validate()
+        except ValueError:
+            return [(BOTTOM, meta)]
+        dists[v] = d
+    lin = linearize(noise_sum, interp, val, frozenset(dists))
+    if lin is None:
+        return [(BOTTOM, meta)]
+    c0, coeffs = lin
+    r = tailbounds.invccdf([(c, dists[v]) for v, c in coeffs.items()], c0, slot.eps,
+                           tail="lo" if direction_of.get(assign.target) == "lo" else "up")
+    if r is None:
+        return [(BOTTOM, meta)]
+    meta["methods"].append(r[1])
+    return [(BOTTOM if not math.isfinite(r[0]) else s + r[0], meta)]
+
+
+def _outcome(f):
+    """``f()``, or the type and text of what it raised."""
+    try:
+        return f()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _exact(a, b) -> bool:
+    """Equal values, bit for bit for floats; NaN equals NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return repr(a) == repr(b)
+    return a is b or a == b
+
+
+class TestIndexBoundDifferential:
+    @pytest.mark.parametrize("name", ["train_local", "sisyphean", "train_global",
+                                      "river", "acas"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_instantiated_oracle(self, specs, name, data):
+        # random well-formed actions with indices in [-3, n + 3], duplicate
+        # index tuples, and valuations with missing, NaN and infinite
+        # values: index-bound evaluation gives the instantiated trees' value,
+        # BOTTOM or raise, and the same tail methods
+        spec = specs[name]
+        n = data.draw(st.integers(1, 5))
+        space = strategy_action_space(spec.infer)
+        action = data.draw(_actions(space, min_index=-3, max_index=n + 3))
+        interp = {c: data.draw(st.floats(0.01, 10.0)) for c in spec.consts}
+        names = sorted({v.name for v in spec.state_vars} | {p.name for p in spec.param_idents}
+                       | set(spec.obs_names))
+        keys = [Ident(x, i) for i in [None, *range(-3, n + 4)] for x in names]
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(keys),
+                                    max_size=len(keys)))
+        val = dict(zip(keys, values))
+        holes = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(
+            [None, 0.0, -0.0, math.nan, math.inf, -math.inf])), max_size=8))
+        for key, value in holes:
+            if value is None:
+                val.pop(key, None)
+            else:
+                val[key] = value
+        out = interpret_strategy(spec.infer, action, spec.directions, spec.noise_decls)
+        expected = []
+        for assign, slot in zip(spec.infer, action):
+            if slot is not None or not getattr(assign.body, "indices", ()):
+                r = _outcome(lambda: _oracle(
+                    assign, slot, spec.directions, spec.noise_decls, interp, val))
+                expected.extend(r if isinstance(r, list) else [r])
+        assert len(out) == len(expected)
+        for sa, want in zip(out, expected):
+            got = _outcome(lambda: eval_sbi(sa.sbi, interp, val))
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want
+            else:
+                assert _exact(got[0], want[0]) and got[1] == want[1], (got, want)
+
+
 class TestEvalSBI:
     def test_guard_false_is_bottom(self):
-        sbi = GuardedSBI(TermSBI(Lit(5.0)), parse_formula("1 > 2"))
-        v, _ = eval_sbi(sbi, {}, {})
+        strategy = (InferAssign(Ident("p"), Direct(Lit(5.0)), parse_formula("1 > 2")),)
+        sa, = interpret_strategy(strategy, (None,), {}, {})
+        v, _ = eval_sbi(sa.sbi, {}, {})
         assert v is BOTTOM
 
     def test_unbound_observation_is_bottom(self, train_strategy):
@@ -250,12 +375,29 @@ class TestEvalSBI:
                 val[Ident("x", i)] = float(rng.uniform(-100, 100))
                 val[Ident("w", i)] = float(rng.uniform(-1, 1))
             v, _ = eval_sbi(out[-1].sbi, consts, val)
-            lam = [w for w, _ in out[-1].sbi.body.left.term and act.dist]
             expected = sum(
                 w * (val[Ident("w", i)] + consts["k"] * abs(x - val[Ident("x", i)]))
                 for w, (i,) in act.dist)
             expected += math.sqrt(sum(w * w for w, _ in act.dist)) * sigma * _z(eps)
             assert abs(v - expected) < 1e-9
+
+    def test_ten_thousand_observation_aggregate(self, train_strategy):
+        # observations w@i = 0.1*i at x@i = i, x = 0, uniform weights: the
+        # mean of w@i + k*i plus sigma/sqrt(n) times the Gaussian quantile
+        _, strategy, dirs, noise = train_strategy
+        n, eps = 10_000, 1e-6
+        consts = {"F": 3.0, "k": 0.0025, "sigma": 0.5}
+        act = AggregateAction(eps, tuple((1.0 / n, (i,)) for i in range(1, n + 1)))
+        val = {Ident("x"): 0.0}
+        for i in range(1, n + 1):
+            val[Ident("x", i)] = float(i)
+            val[Ident("w", i)] = 0.1 * i
+        out = interpret_strategy(strategy, (None, (), act), dirs, noise)
+        v, meta = eval_sbi(out[-1].sbi, consts, val)
+        expected = sum((0.1 * i + consts["k"] * i) / n for i in range(1, n + 1))
+        expected += consts["sigma"] / math.sqrt(n) * _z(eps)
+        assert abs(v - expected) <= 1e-9 * abs(expected)
+        assert meta["methods"] == ["gaussian"]
 
     def test_state_dependent_noise_scale(self, specs):
         # the river noise component |x_i| * eta_i picks up the historical
@@ -272,12 +414,13 @@ class TestEvalSBI:
         assert abs(lo - (10.0 - 3.0 * _z(0.025))) < 1e-9
 
     def test_nonlinear_noise_is_bottom(self):
-        node = InvCCDFNode(
-            bindings=((Ident("eta", 1), DistExpr("normal", (Lit(0.0), Lit(1.0)))),),
-            target=parse_term("eta@1 * eta@1"),
-            eps=Lit(0.1))
-        v, _ = eval_sbi(node, {}, {})
-        assert v is BOTTOM
+        strategy = (InferAssign(Ident("p"), Aggregate(("i",), Lit(0.0),
+                                                      parse_term("eta@i * eta@i"))),)
+        noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
+        sa, = interpret_strategy(strategy, (AggregateAction(0.1, ((1.0, (1,)),)),),
+                                 {}, noise)
+        v, meta = eval_sbi(sa.sbi, {}, {})
+        assert v is BOTTOM and meta["methods"] == []
 
     def test_linearize_distributes(self):
         t = parse_term("(w@2 - w@1)/(u@2 - u@1)")
