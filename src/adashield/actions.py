@@ -5,18 +5,21 @@ nondeterministic loop-free controller: each choice contributes a branch side,
 each unconstrained assignment contributes a real value.  Execution replays
 the chosen path ignoring tests; the monitor replays the same path and checks
 every test in its intermediate state (an undefined test is fail-safe false).
+Both walk the controller's tree, the reference, or run the functions that
+``controller_code`` generates for a ``Shield``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .dl import (
-    Assign, AssignAny, Choice, HybridProgram, Seq, Test, UNDEF, eval_formula,
-    eval_term, pretty_print,
+    Assign, AssignAny, Choice, HybridProgram, Module, Seq, Test, UNDEF,
+    eval_formula, eval_term, pretty_print,
 )
+from .dl.codegen import MAX_DEPTH, Body
 from .specfile import FallbackDecl
 
 
@@ -141,7 +144,20 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
 # ---------------------------------------------------------------------------
 # Execution and monitoring
 
-def ctrl_exec(ctrl: HybridProgram, state: dict, a: ControlAction, interp=None) -> dict:
+class CompiledProgram(NamedTuple):
+    """A controller with its generated monitor and execution, both called
+    as ``f(state, action, interp)`` on a state they update: the monitor
+    returns ``_monitor``'s verdict, execution returns nothing.
+    ``ctrl_monitor``, ``ctrl_exec`` and ``resolve_fallback`` take one in
+    place of the controller."""
+
+    program: HybridProgram
+    monitor: Callable
+    exec: Callable
+
+
+def ctrl_exec(ctrl: Union[HybridProgram, CompiledProgram], state: dict, a: ControlAction,
+              interp=None) -> dict:
     """State after running ``ctrl`` along the path selected by ``a``.
 
     Tests are skipped (the monitor checks them); an undefined assignment
@@ -150,7 +166,10 @@ def ctrl_exec(ctrl: HybridProgram, state: dict, a: ControlAction, interp=None) -
     """
     interp = interp or {}
     out = dict(state)
-    _exec(ctrl, out, a, interp)
+    if type(ctrl) is CompiledProgram:
+        ctrl.exec(out, a, interp)
+    else:
+        _exec(ctrl, out, a, interp)
     return out
 
 
@@ -188,9 +207,12 @@ def _exec(ctrl, state: dict, a, interp) -> None:
     raise StructureError(f"controller contains {t.__name__}, not executable")
 
 
-def ctrl_monitor(ctrl: HybridProgram, state: dict, a: ControlAction, interp=None) -> bool:
+def ctrl_monitor(ctrl: Union[HybridProgram, CompiledProgram], state: dict, a: ControlAction,
+                 interp=None) -> bool:
     """True iff every test on the selected path holds in its intermediate
     state; undefined tests are false.  Stops at the first failing test."""
+    if type(ctrl) is CompiledProgram:
+        return ctrl.monitor(dict(state), a, interp or {})
     return _monitor(ctrl, dict(state), a, interp or {}, None)
 
 
@@ -234,17 +256,20 @@ def _monitor(p, st: dict, act, interp, tests: Optional[list]) -> bool:
     return True
 
 
-def resolve_fallback(ctrl: HybridProgram, fb: FallbackDecl, state: dict,
-                     interp=None) -> ControlAction:
+def resolve_fallback(ctrl: Union[HybridProgram, CompiledProgram], fb: FallbackDecl,
+                     state: dict, interp=None) -> ControlAction:
     """Action denoted by the first fallback template whose guard holds;
-    verified against the monitor before being returned."""
+    verified against the monitor before being returned.  With a compiled
+    controller, ``fb``'s guards and terms are the generated functions of
+    ``controller_code``."""
     interp = interp or {}
+    compiled = type(ctrl) is CompiledProgram
     template = None
     for guard, tpl in fb.cases:
         if guard is None:
             template = tpl
             break
-        g = eval_formula(guard, interp, state)
+        g = guard(state, interp) if compiled else eval_formula(guard, interp, state)
         if g is not UNDEF and g:
             template = tpl
             break
@@ -252,18 +277,83 @@ def resolve_fallback(ctrl: HybridProgram, fb: FallbackDecl, state: dict,
         raise FallbackViolation("no fallback template is applicable")
 
     def term_value(p, term):
-        v = eval_term(term, interp, state)
+        v = term(state, interp) if compiled else eval_term(term, interp, state)
         if v is UNDEF:
             raise FallbackViolation(
                 f"fallback term for {p.var} is undefined in the current state")
         return v
 
-    action = walk_directives(ctrl, template, term_value)
+    action = walk_directives(ctrl.program if compiled else ctrl, template, term_value)
     if not ctrl_monitor(ctrl, state, action, interp):
         raise FallbackViolation(
             "fallback action rejected by the controller monitor "
             "(unproven totality obligation or bounds outside their contract)")
     return action
+
+
+def controller_code(m: Module, ctrl: HybridProgram, fb: Optional[FallbackDecl]) -> tuple:
+    """``ctrl``'s monitor and execution, and the cases of ``fb`` with
+    their guards and terms, generated into ``m``, as ``Fn`` names until
+    ``m`` is linked.  The monitor and execution replay the path as
+    ``_monitor`` and ``_exec`` do, with the same checks of the action's
+    shape in the same order."""
+    m.ns.update(APair=APair, ALeft=ALeft, ARight=ARight, AUnit=AUnit, AReal=AReal,
+                StructureError=StructureError)
+    cases = tuple((None if guard is None else m.formula(guard),
+                   tuple(d if isinstance(d, str) else m.term(d) for d in tpl))
+                  for guard, tpl in (fb.cases if fb else ()))
+    return CompiledProgram(ctrl, _path_function(m, ctrl, True), _path_function(m, ctrl, False)), cases
+
+
+def _path_function(m: Module, p: HybridProgram, monitor: bool):
+    def emit(b: Body):
+        _path_code(b, p, "a", monitor)
+        if monitor:
+            b.emit("return True")
+    return m.function("cur, a, interp", None, emit)
+
+
+def _path_code(b: Body, p, act: str, monitor: bool) -> None:
+    """Emit the replay of action ``act`` through ``p``: the monitor returns
+    False at the first test that does not hold."""
+    t = type(p)
+
+    def expect(cls: str, message: str) -> None:
+        b.emit(f"if type({act}) is not {cls}: raise StructureError({b.const(message)})")
+
+    if t is Seq:
+        expect("APair", "sequence expects a pair action")
+        for side, sub in (("left", p.left), ("right", p.right)):
+            a = b.new()
+            b.emit(f"{a} = {act}.{side}")
+            _path_code(b, sub, a, monitor)
+    elif t is Choice and b.depth >= MAX_DEPTH:
+        fn = _path_function(b.m, p, monitor).name
+        b.emit(f"if not {fn}(cur, {act}, interp): return False" if monitor
+               else f"{fn}(cur, {act}, interp)")
+    elif t is Choice:
+        kind = b.new()
+        b.emit(f"{kind} = type({act})")
+        for word, cls, sub in (("if", "ALeft", p.left), ("elif", "ARight", p.right)):
+            with b.block(f"{word} {kind} is {cls}:"):
+                a = b.new()
+                b.emit(f"{a} = {act}.action")
+                _path_code(b, sub, a, monitor)
+        b.emit(f"else: raise StructureError({b.const('choice expects a left/right action')})")
+    elif t is Test and monitor:
+        r = b.formula(p.cond)
+        b.emit(f"if {r} is UNDEF or not {r}: return False")
+    elif t is Assign:
+        expect("AUnit", "assignment expects the unit action")
+        b.emit(f"cur[{b.const(p.var)}] = {b.term_into(p.term)}")
+    elif t is AssignAny:
+        expect("AReal", "unconstrained assignment expects a real action")
+        b.emit(f"cur[{b.const(p.var)}] = {act}.value")
+    elif t is Test:
+        expect("AUnit", "test expects the unit action")
+    else:
+        b.emit(f"raise StructureError("
+               f"{b.const(f'controller contains {t.__name__}, not executable')})")
 
 
 def make_action(ctrl: HybridProgram, directives: list) -> ControlAction:

@@ -105,10 +105,11 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                 ASSUMPTION_FREE_VARS,
                 f"assumption has free variable(s) {sorted(map(str, fv))}"))
 
-    # noise hyperparameters: constants and state variables only
+    # noise hyperparameters: constants and unindexed state variables only;
+    # an aggregate reads them at its noise variable's index
     for n in spec.noise:
         for t in n.dist.params:
-            bad = {v for v in free_vars(t) if v.name not in state_names}
+            bad = {v for v in free_vars(t) if v.name not in state_names or v.index is not None}
             if bad:
                 out.append(Diagnostic(
                     NOISE_HYPERPARAMS,

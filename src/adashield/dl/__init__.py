@@ -12,5 +12,6 @@ from .transform import (
     SubstitutionError, free_vars, instantiate_indices, resolve_symbols,
     substitute, symbols, tag_with_index,
 )
+from .codegen import Module
 from .printer import pretty_print, print_formula, print_program, print_term
 from .parser import ParseError, parse_formula, parse_program, parse_term, tokenize

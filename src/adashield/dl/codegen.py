@@ -1,0 +1,343 @@
+"""Straight-line Python for terms and quantifier-free formulas.
+
+A :class:`Module` collects generated functions and compiles them once.
+Each function has exactly the semantics of
+:func:`~adashield.dl.semantics.eval_term` or ``eval_formula``, which stay the
+reference: operands evaluate left to right, an undefined term operand makes
+its term undefined at once, and each connective follows strong Kleene logic
+as ``eval_formula`` does, so a decided left operand skips the right one and
+an undefined left operand does not stop it.  Nothing is folded or
+simplified.  Every constant and identifier of the tree is a name in the
+module's namespace, never text in its source.
+
+A function reads variables one of two ways.  Without index names it reads a
+plain dict, ``cur``, as ``eval_term`` reads a valuation: its signature is
+``(cur, interp)``.  With a template's index names its signature is
+``(val, j, interp)``: ``x`` reads ``val.current``, and ``x@i`` at an index
+name reads ``val.at(x, j[k])``, where ``k`` is the position of ``i`` among
+the names, without building a binding.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Callable, NamedTuple, Optional
+
+from .semantics import UNDEF, StructuralError, apply, power
+from .syntax import (
+    Abs, And, App, BinOp, BoolLit, Box, Cmp, Dia, Exists, Forall, Ident, Imp,
+    Lit, Neg, Not, Or, Var,
+)
+
+#: block depth past which a nested formula or program is generated as a
+#: function of its own, well inside the compiler's 100 indentation levels
+MAX_DEPTH = 40
+
+_CMP = {"=": "==", "<": "<", "<=": "<=", ">=": ">="}  # any other op is '>'
+
+#: per connective: the left value that decides it, the right value that
+#: decides it, the decided result, and the result when both are defined
+_KLEENE = {And: ("False", "False", "False", "True"),
+           Or: ("True", "True", "True", "False"),
+           Imp: ("False", "True", "True", "False")}
+
+
+class Fn(NamedTuple):
+    """A generated function, by name, until its module is compiled."""
+
+    name: str
+
+
+class Module:
+    """Generated functions and their namespace, compiled once by ``compile``;
+    ``link`` then swaps every ``Fn`` for the function it names."""
+
+    def __init__(self):
+        self.ns = {"UNDEF": UNDEF, "StructuralError": StructuralError,
+                   "_apply": apply, "_power": power}
+        self.defs: list[str] = []
+        self.count = 0
+
+    def const(self, value) -> str:
+        self.count += 1
+        name = f"_k{self.count}"
+        self.ns[name] = value
+        return name
+
+    def function(self, params: str, names: Optional[tuple], emit: Callable) -> Fn:
+        """A function of ``params`` whose statements ``emit(body)`` writes,
+        reading variables under the index ``names`` (None: a plain dict)."""
+        self.count += 1
+        name = f"_f{self.count}"
+        body = Body(self, names)
+        emit(body)
+        self.defs.append(body.source(name, params))
+        return Fn(name)
+
+    def term(self, t, names: Optional[tuple] = None) -> Fn:
+        """``eval_term(t, ...)``: a value or UNDEF."""
+        return self.function(_params(names), names,
+                             lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}"))
+
+    def formula(self, f, names: Optional[tuple] = None) -> Fn:
+        """``eval_formula(f, ...)``: True, False or UNDEF."""
+        return self.function(_params(names), names,
+                             lambda b: b.emit(f"return {b.formula(f)}"))
+
+    def terms(self, ts, names: Optional[tuple] = None) -> Fn:
+        """The list of ``eval_term`` of each of ``ts``, every one evaluated."""
+        return self.function(_params(names), names, lambda b: b.emit(
+            f"return [{', '.join(b.term_into(t) for t in ts)}]"))
+
+    def lin(self, t, noise: tuple, names: tuple) -> Fn:
+        """``strategy._lin(t, interp, val, k)`` as ``f(val, j, interp, k)``,
+        for noise variables ``noise`` of distinct names, so that each has
+        its own key in ``k``.  Every subterm ``_lin`` evaluates with
+        ``eval_term`` is evaluated, in its order, and the coefficients are
+        combined with the same float operations in the same order."""
+        return self.function("val, j, interp, k", names, lambda b: _Lin(b, noise).emit(t))
+
+    def compile(self) -> None:
+        """Compile each function on its own into the shared namespace.  The
+        parser's transient memory grows with the source it is given: the
+        24 KB of acas's functions at once peak at 2.5 MB, its largest
+        function alone at 0.6 MB, and the process's peak memory keeps the
+        larger figure."""
+        for source in self.defs:
+            exec(compile(source, "<shield>", "exec"), self.ns)
+
+    def link(self, x):
+        """``x`` with every ``Fn`` in it, at any depth of tuples, replaced
+        by its compiled function."""
+        if type(x) is Fn:
+            return self.ns[x.name]
+        if isinstance(x, tuple):
+            parts = [self.link(y) for y in x]
+            return x._make(parts) if hasattr(x, "_make") else tuple(parts)
+        return x
+
+
+def _params(names: Optional[tuple]) -> str:
+    return "cur, interp" if names is None else "val, j, interp"
+
+
+class Body:
+    """The statements of one generated function.  ``term`` and ``formula``
+    emit the statements that compute a tree and return the name that holds
+    its value."""
+
+    def __init__(self, module: Module, names: Optional[tuple]):
+        self.m = module
+        self.names = names
+        self.pos = {name: k for k, name in enumerate(names or ())}  # the last one wins
+        self.lines: list[str] = []
+        self.depth = 1
+        self.uses: set[str] = set()
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def new(self) -> str:
+        self.m.count += 1
+        return f"_{self.m.count}"
+
+    def const(self, value) -> str:
+        return self.m.const(value)
+
+    @contextmanager
+    def block(self, header: str):
+        self.emit(header)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def source(self, name: str, params: str) -> str:
+        prologue = [f"    {v} = val.{attr}" for v, attr in (("cur", "current"), ("at", "at"))
+                    if v in self.uses and self.names is not None]
+        return "\n".join([f"def {name}({params}):", *prologue, *self.lines])
+
+    def read(self, ident: Ident) -> str:
+        """The expression that reads ``ident``, UNDEF when it is unset."""
+        name, i = ident
+        if self.names is None or i is None or (i.__class__ is str and i not in self.pos):
+            self.uses.add("cur")
+            return f"cur.get({self.const(ident)}, UNDEF)"
+        self.uses.add("at")
+        at = f"j[{self.pos[i]}]" if i.__class__ is str else self.const(i)
+        return f"at({self.const(Ident(name))}, {at})"
+
+    # -- terms -----------------------------------------------------------------
+
+    def term(self, t, fail: str) -> str:
+        """Emit ``t`` in post-order; ``fail`` runs where ``eval_term`` would
+        return UNDEF."""
+        tt = type(t)
+        if tt is Lit:
+            return self.const(t.value)
+        r = self.new()
+        if tt is Var:
+            self.emit(f"{r} = {self.read(t.ident)}")
+            self.emit(f"if {r} is UNDEF: {fail}")
+        elif tt is BinOp:
+            a = self.term(t.left, fail)
+            b = self.term(t.right, fail)
+            op = t.op
+            if op in ("+", "-", "*"):
+                self.emit(f"{r} = {a} {op} {b}")
+            elif op == "/":
+                self.emit(f"if {b} == 0.0: {fail}")
+                self.emit(f"{r} = {a} / {b}")
+            elif op in ("min", "max"):
+                self.emit(f"{r} = {a} if {a} {'<=' if op == 'min' else '>='} {b} else {b}")
+            elif op == "^":
+                self.emit(f"{r} = _power({a}, {b})")
+                self.emit(f"if {r} is UNDEF: {fail}")
+            else:
+                self._raise(f"unknown operator {op!r}")
+        elif tt is Neg:
+            self.emit(f"{r} = -{self.term(t.arg, fail)}")
+        elif tt is Abs:
+            self.emit(f"{r} = abs({self.term(t.arg, fail)})")
+        elif tt is App:
+            f = self.new()
+            self.emit(f"{f} = interp.get({self.const(t.func)}, UNDEF)")
+            self.emit(f"if {f} is UNDEF: {fail}")
+            if not t.args:
+                self.emit(f"{r} = float({f}()) if callable({f}) else {f}")
+            else:
+                args = [self.term(arg, fail) for arg in t.args]
+                self.emit(f"{r} = _apply({self.const(t.func)}, {f}, ({', '.join(args)},))")
+                self.emit(f"if {r} is UNDEF: {fail}")
+        else:
+            self._raise(f"not a term: {t!r}")
+        return r
+
+    def term_into(self, t) -> str:
+        """Emit ``t`` so that an undefined ``t`` leaves UNDEF in the
+        returned name and the function goes on."""
+        if type(t) is Lit:
+            return self.const(t.value)
+        r = self.new()
+        if type(t) is Var:
+            self.emit(f"{r} = {self.read(t.ident)}")
+            return r
+        self.emit(f"{r} = UNDEF")
+        with self.block("while True:"):
+            self.emit(f"{r} = {self.term(t, 'break')}")
+            self.emit("break")
+        return r
+
+    def _raise(self, message: str) -> None:
+        self.emit(f"raise StructuralError({self.const(message)})")
+
+    # -- formulas --------------------------------------------------------------
+
+    def formula(self, f) -> str:
+        ft = type(f)
+        if ft is BoolLit:
+            return self.const(f.value)
+        r = self.new()
+        if ft is Cmp:
+            self.emit(f"{r} = UNDEF")
+            with self.block("while True:"):
+                a = self.term(f.left, "break")
+                b = self.term(f.right, "break")
+                self.emit(f"{r} = True if {a} {_CMP.get(f.op, '>')} {b} else False")
+                self.emit("break")
+        elif ft is Not:
+            a = self.formula(f.arg)
+            self.emit(f"{r} = UNDEF if {a} is UNDEF else (not {a})")
+        elif ft in _KLEENE:
+            left, right, decided, defined = _KLEENE[ft]
+            a = self.formula(f.left)
+            self.emit(f"if {a} is {left}: {r} = {decided}")
+            with self.block("else:"):
+                b = self.nested(f.right)
+                self.emit(f"{r} = {decided} if {b} is {right} else "
+                          f"UNDEF if {a} is UNDEF or {b} is UNDEF else {defined}")
+        elif ft in (Forall, Exists, Box, Dia):
+            self._raise(f"cannot evaluate quantified/modal formula: {ft.__name__}")
+        else:
+            self._raise(f"not a formula: {f!r}")
+        return r
+
+    def nested(self, f) -> str:
+        """``formula(f)`` one block down, or past ``MAX_DEPTH`` a call to a
+        function of its own."""
+        if self.depth < MAX_DEPTH:
+            return self.formula(f)
+        fn = self.m.formula(f, self.names)
+        r = self.new()
+        self.emit(f"{r} = {fn.name}({_params(self.names)})")
+        return r
+
+
+class _Lin:
+    """Emits ``_lin``: every subterm it evaluates with ``eval_term``, in its
+    order, then, if all are defined, the float operations that combine
+    them, each a statement of its own."""
+
+    def __init__(self, body: Body, noise: tuple):
+        self.b = body
+        self.noise = noise
+        self.leaves: list[str] = []
+        self.ops: list[str] = []
+
+    def emit(self, t) -> None:
+        b = self.b
+        r = self.lin(t)
+        if r is None:
+            b.emit("return None")
+            return
+        if self.leaves:
+            b.emit(f"if {' or '.join(f'{v} is UNDEF' for v in self.leaves)}: return None")
+        for op in self.ops:
+            b.emit(op)
+        c0, cs = r
+        b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
+
+    def op(self, expr: str) -> str:
+        r = self.b.new()
+        self.ops.append(f"{r} = {expr}")
+        return r
+
+    def lin(self, t):
+        """``(c0, [(noise variable, coefficient)])`` as names, in ``_lin``'s
+        key order, or None where ``_lin`` is None whatever the values."""
+        tt = type(t)
+        if tt is Var and t.ident in self.noise:
+            return self.op("0.0"), [(t.ident, self.op("1.0"))]
+        if tt in (Lit, Var, App, Abs) or (tt is BinOp and t.op not in ("+", "-", "*", "/")):
+            v = self.b.term_into(t)
+            if tt is not Lit:
+                self.leaves.append(v)
+            return v, []
+        if tt is Neg:
+            r = self.lin(t.arg)
+            if r is None:
+                return None
+            return self.op(f"-{r[0]}"), [(v, self.op(f"-{c}")) for v, c in r[1]]
+        if tt is not BinOp:
+            return None
+        a = self.lin(t.left)
+        b = self.lin(t.right)
+        if a is None or b is None:
+            return None
+        op = t.op
+        if op in ("+", "-"):
+            sgn = "1.0" if op == "+" else "-1.0"
+            bcs = dict(b[1])
+            cs = [(v, self.op(f"{c} + {sgn} * {bcs.pop(v)}") if v in bcs else c) for v, c in a[1]]
+            cs += [(v, self.op(f"0.0 + {sgn} * {c}")) for v, c in b[1] if v in bcs]
+            return self.op(f"{a[0]} + {sgn} * {b[0]}"), cs
+        if op == "*":
+            if a[1] and b[1]:
+                return None  # product of two noise-carrying factors
+            if b[1]:
+                a, b = b, a
+            return self.op(f"{a[0]} * {b[0]}"), [(v, self.op(f"{c} * {b[0]}")) for v, c in a[1]]
+        if b[1]:
+            return None
+        self.ops.append(f"if {b[0]} == 0.0: return None")
+        inv = self.op(f"1.0 / {b[0]}")
+        return self.op(f"{a[0]} * {inv}"), [(v, self.op(f"{c} * {inv}")) for v, c in a[1]]

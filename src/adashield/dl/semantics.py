@@ -1,9 +1,15 @@
 """Three-valued evaluation of terms and quantifier-free formulas.
 
 Evaluation never raises on missing bindings or partial operations: it returns
-the ``UNDEF`` sentinel instead, which propagates strictly through every
-connective.  Quantifiers and modalities are not evaluable and raise
-:class:`StructuralError`.
+the ``UNDEF`` sentinel instead, which propagates strictly through every term
+operation, while the connectives follow strong Kleene logic.  A comparison
+gives a Python ``bool`` whatever the type of its operands.  Quantifiers and
+modalities are not evaluable and raise :class:`StructuralError`.
+
+This module is the reference semantics.  A ``Shield`` does not walk trees on
+a step: ``codegen`` turns the terms and formulas it evaluates into
+straight-line Python, compiled once, which must agree with ``eval_term`` and
+``eval_formula`` on every input; the tests check that it does.
 """
 
 from __future__ import annotations
@@ -74,13 +80,7 @@ def eval_term(t: Term, interp: Interpretation, val: Valuation):
         if op == "max":
             return a if a >= b else b
         if op == "^":
-            # exponent restricted to natural literals at construction/parse time
-            if b != int(b) or b < 0:
-                return UNDEF
-            r = a ** int(b)
-            if not math.isfinite(r):
-                return UNDEF
-            return r
+            return power(a, b)
         raise StructuralError(f"unknown operator {op!r}")
     if tt is Neg:
         a = eval_term(t.arg, interp, val)
@@ -102,13 +102,31 @@ def eval_term(t: Term, interp: Interpretation, val: Valuation):
             if a is UNDEF:
                 return UNDEF
             args.append(a)
-        if not callable(f):
-            raise StructuralError(f"symbol {t.func!r} applied to arguments but bound to a real")
-        r = float(f(*args))
-        if not math.isfinite(r):
-            return UNDEF
-        return r
+        return apply(t.func, f, args)
     raise StructuralError(f"not a term: {t!r}")
+
+
+def power(a, b):
+    """``a ^ b``; UNDEF unless ``b`` is a natural number (the parser admits
+    only natural literals) and the result is finite."""
+    try:
+        if b != int(b) or b < 0:
+            return UNDEF
+        r = a ** int(b)
+    except (OverflowError, ValueError):
+        # an infinite or NaN exponent, or a power past the float range:
+        # float ** int raises where float * float gives inf
+        return UNDEF
+    return r if math.isfinite(r) else UNDEF
+
+
+def apply(func: str, f, args):
+    """The symbol ``func``, bound to ``f``, applied to ``args``; UNDEF if
+    the result is not finite."""
+    if not callable(f):
+        raise StructuralError(f"symbol {func!r} applied to arguments but bound to a real")
+    r = float(f(*args))
+    return r if math.isfinite(r) else UNDEF
 
 
 def eval_formula(f: Formula, interp: Interpretation, val: Valuation):
@@ -122,15 +140,16 @@ def eval_formula(f: Formula, interp: Interpretation, val: Valuation):
         if b is UNDEF:
             return UNDEF
         op = f.op
+        # numpy operands compare to numpy booleans, which ``is False`` misses
         if op == "=":
-            return a == b
+            return True if a == b else False
         if op == "<":
-            return a < b
+            return True if a < b else False
         if op == "<=":
-            return a <= b
+            return True if a <= b else False
         if op == ">=":
-            return a >= b
-        return a > b
+            return True if a >= b else False
+        return True if a > b else False
     if ft is BoolLit:
         return f.value
     if ft is Not:

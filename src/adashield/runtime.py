@@ -17,20 +17,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dl import Ident, UNDEF, eval_formula, is_runtime_evaluable
-from .specfile import ShieldSpec
+from .dl import Ident, Module, UNDEF, eval_formula, is_runtime_evaluable
+from .specfile import FallbackDecl, ShieldSpec
 from .actions import (
-    ControlAction, FallbackViolation, action_fits, ctrl_exec, ctrl_monitor,
-    derive_action_space, resolve_fallback,
+    CompiledProgram, ControlAction, FallbackViolation, action_fits,
+    controller_code, ctrl_exec, ctrl_monitor, derive_action_space,
+    resolve_fallback,
 )
 from .strategy import (
     BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
     eval_sbi, interpret_strategy, referenced_indices, referenced_observations,
+    template_code,
 )
 
 TRACE_SCHEMA_VERSION = 1
@@ -189,12 +192,24 @@ class PolicyView:
     avail_counts: dict
 
 
+class ShieldCode(NamedTuple):
+    """What a step evaluates, as generated code: per strategy template its
+    ``Evaluators``, the controller's monitor and execution, and the
+    fallback with generated guards and terms."""
+
+    templates: dict
+    ctrl: CompiledProgram
+    fallback: FallbackDecl
+
+
 class Shield:
     """A checked spec compiled against an environment's constants.
 
     Everything that depends on the spec alone is worked out here once, not
     on every step: both action spaces, the empty inference action and the
-    compiled strategy, whose templates every step's SBIs bind.
+    compiled strategy, whose templates every step's SBIs bind.  The
+    generated code of ``code`` is compiled on first use, which is the first
+    transition, so that a shield that never steps does not pay for it.
     """
 
     def __init__(self, spec: ShieldSpec, consts: dict, allow_cantelli: bool = False):
@@ -209,6 +224,17 @@ class Shield:
         self.ctrl_space = derive_action_space(spec.ctrl)
         self.strategy = CompiledStrategy(spec.infer, self.directions, self.noise_decls)
         self.empty_action = empty_action(spec.infer)
+
+    @cached_property
+    def code(self) -> ShieldCode:
+        """One generated module for every term and formula a step
+        evaluates: the strategy templates, the controller and the fallback."""
+        m = Module()
+        templates = {t: template_code(m, t) for t in self.strategy.templates}
+        ctrl, cases = controller_code(m, self.spec.ctrl, self.spec.fallback)
+        m.compile()
+        return ShieldCode({t: m.link(ev) for t, ev in templates.items()}, m.link(ctrl),
+                          FallbackDecl(m.link(cases)))
 
     def initial_globals(self, env) -> dict:
         from .dl import eval_term
@@ -277,7 +303,8 @@ def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
 
 
 class StepValuation:
-    """What the SBIs of step ``n`` read, under an index ``binding`` (see
+    """What the SBIs of step ``n`` read, under an index ``binding``, or at
+    an index passed to ``at`` by generated code (see
     ``strategy.DictValuation``).  ``x`` and ``x@n`` resolve to ``current``:
     the state, the global bounds and the bounds assigned so far this step.
     ``x@i`` for ``1 <= i < n`` resolves from history entry ``i``: an
@@ -302,18 +329,23 @@ class StepValuation:
             i = self.binding.get(i)
             if i is None:
                 return default
-        key = (name, None)  # equal to Ident(name)
+        x = self.at((name, None), i)
+        return default if x is UNDEF else x
+
+    def at(self, key: Ident, i: int):
+        """The unindexed identifier ``key`` at history index ``i``, or
+        UNDEF."""
         if i == self.n:
-            return self.current.get(key, default)
+            return self.current.get(key, UNDEF)
         if not 0 < i < self.n:
-            return default
+            return UNDEF
         if self.surfaced:
-            x = self.surfaced.get((name, i), _MISSING)
+            x = self.surfaced.get((key[0], i), _MISSING)
             if x is not _MISSING:
                 return x
         entry = self.history[i - 1]
         x = entry.local_bounds.get(key, _MISSING)
-        return entry.view.state.get(key, default) if x is _MISSING else x
+        return entry.view.state.get(key, UNDEF) if x is _MISSING else x
 
 
 @dataclass
@@ -334,6 +366,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     spec = shield.spec
     interp = shield.interp
     t0 = time.perf_counter()
+    code = shield.code
 
     if flags.non_adaptive:
         a_inf = shield.empty_action
@@ -389,7 +422,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             arecs.append(AssignmentRecord(str(sa.param), sa.eps, True, False, False, None))
             continue
         ledger.add(sa.eps)
-        r, meta = eval_sbi(sa.sbi, interp, val, config=shield)
+        r, meta = eval_sbi(sa.sbi, interp, val, config=shield, code=code.templates)
         method = meta["methods"][-1] if meta["methods"] else None
         if r is BOTTOM or not math.isfinite(r):
             arecs.append(AssignmentRecord(str(sa.param), sa.eps, False, True, False, method))
@@ -422,10 +455,10 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     # a control action of the wrong shape cannot be run even unshielded; it
     # is overridden like one the monitor rejects
     if not action_fits(shield.ctrl_space, a_ctrl) or not (
-            flags.unshielded or ctrl_monitor(spec.ctrl, mval, a_ctrl, interp)):
-        executed = resolve_fallback(spec.ctrl, spec.fallback, mval, interp)
+            flags.unshielded or ctrl_monitor(code.ctrl, mval, a_ctrl, interp)):
+        executed = resolve_fallback(code.ctrl, code.fallback, mval, interp)
         overridden = True
-    exec_vals = ctrl_exec(spec.ctrl, mval, executed, interp)
+    exec_vals = ctrl_exec(code.ctrl, mval, executed, interp)
 
     t1 = time.perf_counter()
     s2, reward, terminal = env.step(st.env_state, exec_vals, env_rng)

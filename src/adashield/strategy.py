@@ -6,7 +6,9 @@ with an optional guard).  Interpreting a strategy under an inference action
 yields symbolic bound instantiations (SBIs): an assignment's template with
 the index tuples the action binds its index names to.  Nothing is
 instantiated; evaluation reads ``x@i`` at the index ``i`` is bound to, from
-a valuation of the current state, bound values and history.  Evaluation is
+a valuation of the current state, bound values and history.  A ``Shield``
+evaluates its templates with code generated once (``template_code``);
+walking their trees (``interpreted``) is the reference.  Evaluation is
 staged deliberately: SBIs are built without access to measurement values, so
 the weights and tolerances feeding them cannot depend on the data they will
 aggregate.
@@ -16,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .dl import (
-    Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Neg, Term, UNDEF, Var,
-    eval_formula, eval_term, free_vars, tag_with_index,
+    Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Module, Neg, Term, UNDEF,
+    Var, eval_formula, eval_term, free_vars, tag_with_index,
 )
 from . import tailbounds
 from .tailbounds import Dist
@@ -176,13 +178,16 @@ class Template:
     read at an index name, ``fixed`` every variable read at a literal index:
     the history an SBI of the template reads.  An aggregate also carries
     its noise variables, each with its distribution's hyperparameters read
-    at the noise variable's index, and the tail side of its bound."""
+    at the noise variable's index, in ``noise_at`` the position of each
+    one's index among the names (None if it is not one of them), and the
+    tail side of its bound."""
 
     assign: InferAssign
     names: tuple[str, ...]
     indexed: tuple[tuple[str, int], ...]
     fixed: tuple[Ident, ...]
     noise: tuple[tuple[Ident, DistExpr], ...] = ()
+    noise_at: tuple[Optional[int], ...] = ()
     tail: str = "up"  # 'up' | 'lo'
 
 
@@ -190,6 +195,7 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
                      noise_decls: dict[str, DistExpr]) -> Template:
     body = a.body
     names = getattr(body, "indices", ())
+    pos = {name: k for k, name in enumerate(names)}  # the last one wins, as in a binding
     reads = free_vars(a.guard)
     noise = []
     if isinstance(body, Aggregate):
@@ -203,12 +209,13 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
                 noise.append((v, dx))
     else:
         reads |= free_vars(body.term)
-    pos = {name: k for k, name in enumerate(names)}  # the last one wins, as in a binding
     return Template(
         a, names,
         indexed=tuple(sorted({(v.name, pos[v.index]) for v in reads if v.index in pos})),
         fixed=tuple(sorted(v for v in reads if isinstance(v.index, int))),
-        noise=tuple(noise), tail="lo" if direction_of.get(a.target) == "lo" else "up")
+        noise=tuple(noise),
+        noise_at=tuple(pos.get(v.index) if v.index.__class__ is str else None for v, _ in noise),
+        tail="lo" if direction_of.get(a.target) == "lo" else "up")
 
 
 class BoundSBI(NamedTuple):
@@ -312,69 +319,133 @@ class DictValuation:
 
     A valuation has a ``binding`` from a template's index names to history
     indices, and ``get(ident, default)`` reads ``x@i`` at the index ``i`` is
-    bound to.  An identifier is a tuple, so ``(name, index)`` is the same
-    key as ``Ident(name, index)``."""
+    bound to; generated code reads ``current`` for ``x`` and ``at(x, i)``
+    for ``x@i`` at a history index ``i``.  An identifier is a tuple, so
+    ``(name, index)`` is the same key as ``Ident(name, index)``."""
 
-    __slots__ = ("values", "binding")
+    __slots__ = ("current", "binding")
 
     def __init__(self, values: dict):
-        self.values = values
+        self.current = values
         self.binding = {}
 
     def get(self, ident: Ident, default=None):
         j = self.binding.get(ident[1]) if ident[1].__class__ is str else None
-        return self.values.get(ident if j is None else (ident[0], j), default)
+        return self.current.get(ident if j is None else (ident[0], j), default)
+
+    def at(self, key: Ident, i: int):
+        return self.current.get((key[0], i), UNDEF)
 
 
-def eval_sbi(e: SBI, interp, val, config=None):
+class Evaluators(NamedTuple):
+    """What evaluating a template's SBIs calls, each function as
+    ``f(val, j, interp)`` with the template's index names bound to the
+    index tuple ``j``: the guard (a bool or UNDEF), the body (the direct or
+    best term, or the aggregate's observable: a value or UNDEF), per noise
+    variable the list of its hyperparameters, and the noise term reduced by
+    ``_lin``, called with the pair's noise keys as a fourth argument (an
+    aggregate's only)."""
+
+    guard: Callable
+    body: Callable
+    params: tuple
+    lin: Optional[Callable]
+
+
+def interpreted(t: Template) -> Evaluators:
+    """The reference evaluators: bind the index names and walk the trees."""
+    a = t.assign
+    body = a.body
+    agg = isinstance(body, Aggregate)
+    term = body.observable if agg else body.term
+    bindings: dict = {}  # each stage of an aggregate binds every j again
+
+    def bound(val, j):
+        b = bindings.get(j)
+        if b is None:
+            b = bindings[j] = dict(zip(t.names, j))
+        val.binding = b
+        return val
+
+    def params(dx):
+        def evaluate(val, j, interp):
+            v = bound(val, j)
+            return [eval_term(p, interp, v) for p in dx.params]
+        return evaluate
+
+    return Evaluators(
+        lambda val, j, interp: eval_formula(a.guard, interp, bound(val, j)),
+        lambda val, j, interp: eval_term(term, interp, bound(val, j)),
+        tuple(params(dx) for _, dx in t.noise),
+        (lambda val, j, interp, k: _lin(body.noise, interp, bound(val, j), k)) if agg else None)
+
+
+def template_code(m: Module, t: Template) -> Evaluators:
+    """``t``'s evaluators generated into ``m``, as ``Fn`` names until ``m``
+    is linked.  A noise term with two noise variables of one name, whose
+    keys can coincide for some ``j``, keeps the reference ``_lin``."""
+    a = t.assign
+    body = a.body
+    agg = isinstance(body, Aggregate)
+    noise = tuple(v for v, _ in t.noise)
+    lin = None
+    if agg:
+        lin = (m.lin(body.noise, noise, t.names) if len({v.name for v in noise}) == len(noise)
+               else interpreted(t).lin)
+    return Evaluators(
+        m.formula(a.guard, t.names),
+        m.term(body.observable if agg else body.term, t.names),
+        tuple(m.terms(dx.params, t.names) for _, dx in t.noise),
+        lin)
+
+
+def eval_sbi(e: SBI, interp, val, config=None, code=None):
     """Evaluate to a float or ``BOTTOM``; returns ``(value, meta)`` where
     ``meta['methods']`` lists the tail-bound methods used.  ``val`` is a
-    valuation with a ``binding``, or a dict for ``DictValuation``."""
+    valuation such as ``DictValuation``, or a dict for one.  ``code`` maps
+    each template to its generated ``Evaluators`` (a ``Shield``'s
+    ``code.templates``); without it the template's trees are walked."""
     meta: dict = {"methods": []}
     if not hasattr(val, "binding"):
         val = DictValuation(val)
     t = type(e)
+    if t is not BoundSBI and t is not AggregateSBI:
+        raise TypeError(f"not an SBI: {e!r}")
+    ev = interpreted(e.template) if code is None else code[e.template]
     if t is BoundSBI:
-        return _eval_bound(e, interp, val), meta
-    if t is AggregateSBI:
-        return _eval_aggregate(e, interp, val, meta, config), meta
-    raise TypeError(f"not an SBI: {e!r}")
+        return _eval_bound(e, ev, interp, val), meta
+    return _eval_aggregate(e, ev, interp, val, meta, config), meta
 
 
-def _eval_bound(e: BoundSBI, interp, val):
-    a = e.template.assign
-    val.binding = dict(zip(e.template.names, e.j))
-    g = eval_formula(a.guard, interp, val)
+def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
+    g = ev.guard(val, e.j, interp)
     if g is UNDEF or not g:
         return BOTTOM
-    r = eval_term(a.body.term, interp, val)
+    r = ev.body(val, e.j, interp)
     return BOTTOM if r is UNDEF else r
 
 
-def _eval_aggregate(e: AggregateSBI, interp, val, meta, config):
+def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, config):
     """``sum w*observable`` plus the inverse tail bound of ``sum w*noise``,
-    binding the index names to each pair's ``j`` in turn.  Sums accumulate
-    left to right, and the checks run in a fixed order: every guard, the
-    observable, the noise distributions, linearity, then the tail bound."""
+    with the index names bound to each pair's ``j`` in turn.  Sums
+    accumulate left to right, and the checks run in a fixed order: every
+    guard, the observable, the noise distributions, linearity, then the
+    tail bound."""
     t = e.template
-    a = t.assign
-    body = a.body
-    bindings = [(w, dict(zip(t.names, j))) for w, j in e.dist]
+    dist = e.dist
 
     g = None  # the guards conjoined left to right in strong-Kleene logic
-    for _, b in bindings:
+    for _, j in dist:
         if g is False:
             break
-        val.binding = b
-        h = eval_formula(a.guard, interp, val)
+        h = ev.guard(val, j, interp)
         g = h if g is None or h is False else UNDEF if UNDEF in (g, h) else True
     if g is UNDEF or not g:
         return BOTTOM
 
     s = None
-    for w, b in bindings:
-        val.binding = b
-        o = eval_term(body.observable, interp, val)
+    for w, j in dist:
+        o = ev.body(val, j, interp)
         if o is UNDEF:
             return BOTTOM
         s = w * o if s is None else s + w * o
@@ -382,17 +453,15 @@ def _eval_aggregate(e: AggregateSBI, interp, val, meta, config):
     # per pair, the noise variable each template noise variable stands for
     keys: list[dict[Ident, Ident]] = []
     dists: dict[Ident, Dist] = {}
-    for _, b in bindings:
-        val.binding = b
+    for _, j in dist:
         k = {}
-        for v, dx in t.noise:
-            i = v.index
-            key = k[v] = Ident(v.name, b[i]) if i.__class__ is str and i in b else v
+        for (v, dx), p, params in zip(t.noise, t.noise_at, ev.params):
+            key = k[v] = v if p is None else Ident(v.name, j[p])
             if key not in dists:
-                params = [eval_term(p, interp, val) for p in dx.params]
-                if UNDEF in params:
+                ps = params(val, j, interp)
+                if UNDEF in ps:
                     return BOTTOM
-                d = dists[key] = Dist(dx.kind, *params)
+                d = dists[key] = Dist(dx.kind, *ps)
                 try:
                     d.validate()
                 except ValueError:
@@ -400,9 +469,8 @@ def _eval_aggregate(e: AggregateSBI, interp, val, meta, config):
         keys.append(k)
 
     c0 = cs = None
-    for (w, b), k in zip(bindings, keys):
-        val.binding = b
-        r = _lin(body.noise, interp, val, k)
+    for (w, j), k in zip(dist, keys):
+        r = ev.lin(val, j, interp, k)
         if r is None:
             return BOTTOM
         if cs is None:

@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from adashield.dl import (
-    And, BoolLit, Choice, Forall, Imp, Seq, Ident, Lit, ParseError, StructuralError, UNDEF,
+    And, BoolLit, Choice, Forall, Imp, Seq, Ident, Lit, Module, ParseError, StructuralError, UNDEF,
     Var, eval_formula, eval_term, free_vars, instantiate_indices,
     parse_formula, parse_program, parse_term, pretty_print, substitute,
     symbols, tag_with_index,
@@ -44,6 +45,17 @@ class TestEvalTerm:
         assert eval_term(parse_term("3^2"), {}, {}) == 9.0
         assert eval_term(parse_term("x^0"), {}, {Ident("x"): 7.0}) == 1.0
 
+    def test_power_overflow_is_undefined(self):
+        # float ** int raises OverflowError where float * float gives inf
+        t = parse_term("x^2")
+        m = Module()
+        fn = m.term(t)
+        m.compile()
+        with np.errstate(over="ignore"):  # numpy gives inf, with a warning
+            for x in (1e200, -1e200, np.float64(1e200)):
+                assert eval_term(t, {}, {Ident("x"): x}) is UNDEF
+                assert m.link(fn)({Ident("x"): x}, {}) is UNDEF
+
 
 class TestEvalFormula:
     def test_braking_init_condition(self):
@@ -53,6 +65,15 @@ class TestEvalFormula:
 
     def test_partial_op_propagates(self):
         assert eval_formula(parse_formula("1/0 > 0"), {}, {}) is UNDEF
+
+    def test_numpy_comparisons_are_python_bools(self):
+        # a numpy bool is neither ``True`` nor ``False`` to the connectives
+        f = parse_formula("a <= A & x <= 0", frozenset({"A"}))
+        interp = {"A": 3.0}
+        for a, expected in ((np.float64(10.0), False), (np.float64(1.0), True)):
+            val = {Ident("a"): a, Ident("x"): -1.0}
+            assert eval_formula(f, interp, val) is expected
+            assert eval_formula(parse_formula("a = 10"), {}, val) is bool(a == 10.0)
 
     def test_quantifier_is_structural_error(self):
         with pytest.raises(StructuralError):

@@ -2,15 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from adashield.dl import (
-    Assign, AssignAny, Choice, Ident, Seq, Test, UNDEF, eval_formula,
+    Assign, AssignAny, Choice, Ident, Module, Seq, Test, UNDEF, eval_formula,
     eval_term, parse_program,
 )
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal,
-    SpaceSum, SpaceUnit, StructureError, UNIT, action_fits, ctrl_exec,
+    SpaceSum, SpaceUnit, StructureError, UNIT, action_fits, controller_code, ctrl_exec,
     ctrl_monitor, ctrl_monitor_trace, derive_action_space, make_action,
     resolve_fallback,
 )
@@ -244,6 +245,39 @@ class TestFallback:
              Ident("theta_lo"): 0.1, Ident("theta_up"): 9.9, Ident("phi_up"): 0.3}
         with pytest.raises(FallbackViolation):
             resolve_fallback(spec.ctrl, spec.fallback, s, consts)
+
+    def test_numpy_action_is_checked(self):
+        # action_fits admits any Real, so a numpy float reaches the monitor
+        ctrl = parse_program("a := *; ?(a <= A & x <= 0)", frozenset({"A"}))
+        m = Module()
+        code, _ = controller_code(m, ctrl, None)
+        m.compile()
+        code = m.link(code)
+        s = {Ident("x"): -1.0}
+        for value, expected in ((10.0, False), (1.0, True)):
+            for a in (make_action(ctrl, [value]), APair(AReal(np.float64(value)), UNIT)):
+                assert action_fits(derive_action_space(ctrl), a)
+                assert ctrl_monitor(ctrl, s, a, {"A": 3.0}) is expected
+                assert ctrl_monitor(code, s, a, {"A": 3.0}) is expected
+
+    def test_acas_numpy_actions_match_floats(self, specs, shields):
+        spec = specs["acas"]
+        code = shields["acas"].code.ctrl
+        consts = dict(tm=40.0, T=1.0, A=3.0, Aint=3.0, R=500.0, V=50.0,
+                      H=2000.0, sigv=2.0, sigh=20.0, p=1e-4)
+        accepted = 0
+        for h in (-800.0, 0.0, 800.0):
+            s = {Ident("h"): h, Ident("v"): 0.0, Ident("t"): 0.0,
+                 Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
+            for value in (-3.0, -1.0, 0.0, 2.0, 3.0, 5.0):
+                verdict = ctrl_monitor(spec.ctrl, s, make_action(spec.ctrl, [value]), consts)
+                accepted += verdict
+                a = make_action(spec.ctrl, [np.float64(value)])
+                a = APair(AReal(np.float64(value)), a.right)
+                assert type(a.left.value) is np.float64
+                assert ctrl_monitor(spec.ctrl, s, a, consts) is verdict
+                assert ctrl_monitor(code, s, a, consts) is verdict
+        assert 0 < accepted < 18
 
     def test_guarded_fallback_picks_matching_case(self, specs):
         spec = specs["acas"]

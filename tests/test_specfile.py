@@ -174,6 +174,13 @@ class TestCheckMutations:
         text = _mutated(source, "eta ~ N(0, sigma^2)", "eta ~ N(0, fbar^2)")
         assert NOISE_HYPERPARAMS in self._diag_codes(text)
 
+    def test_indexed_noise_hyperparameter_rejected(self):
+        # an aggregate reads hyperparameters at its noise variable's index,
+        # which an indexed variable already carries
+        with open(bundled_spec_path("acas"), "r", encoding="utf-8") as fh:
+            text = _mutated(fh.read(), "etav ~ N(0, sigv^2)", "etav ~ N(0, sigv^2 + 0*h@3)")
+        assert NOISE_HYPERPARAMS in self._diag_codes(text)
+
     def test_noise_in_observable_component(self, source):
         text = _mutated(source, "aggregate i: w@i + k*abs(x - x@i) and eta@i",
                         "aggregate i: w@i + eta@i and eta@i")

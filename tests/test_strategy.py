@@ -284,12 +284,14 @@ class TestIndexBoundDifferential:
                                       "river", "acas"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_equals_instantiated_oracle(self, specs, name, data):
+    def test_equals_instantiated_oracle(self, specs, shields, name, data):
         # random well-formed actions with indices in [-3, n + 3], duplicate
         # index tuples, and valuations with missing, NaN and infinite
-        # values: index-bound evaluation gives the instantiated trees' value,
-        # BOTTOM or raise, and the same tail methods
+        # values: index-bound evaluation, walking the templates' trees or
+        # running the shield's generated code, gives the instantiated trees'
+        # value, BOTTOM or raise, and the same tail methods
         spec = specs[name]
+        shield = shields[name]
         n = data.draw(st.integers(1, 5))
         space = strategy_action_space(spec.infer)
         action = data.draw(_actions(space, min_index=-3, max_index=n + 3))
@@ -314,13 +316,17 @@ class TestIndexBoundDifferential:
                 r = _outcome(lambda: _oracle(
                     assign, slot, spec.directions, spec.noise_decls, interp, val))
                 expected.extend(r if isinstance(r, list) else [r])
-        assert len(out) == len(expected)
-        for sa, want in zip(out, expected):
-            got = _outcome(lambda: eval_sbi(sa.sbi, interp, val))
-            if isinstance(want, tuple) and isinstance(want[0], type):
-                assert got == want
-            else:
-                assert _exact(got[0], want[0]) and got[1] == want[1], (got, want)
+        compiled = interpret_strategy(spec.infer, action, spec.directions, spec.noise_decls,
+                                      shield.strategy)
+        assert len(out) == len(compiled) == len(expected)
+        for sa, sc, want in zip(out, compiled, expected):
+            for got in (_outcome(lambda: eval_sbi(sa.sbi, interp, val)),
+                        _outcome(lambda: eval_sbi(sc.sbi, interp, val,
+                                                  code=shield.code.templates))):
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    assert got == want
+                else:
+                    assert _exact(got[0], want[0]) and got[1] == want[1], (got, want)
 
 
 class TestEvalSBI:
