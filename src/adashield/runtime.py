@@ -32,9 +32,12 @@ from .actions import (
 )
 from .strategy import (
     BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
-    eval_sbi, interpret_strategy, referenced_indices, referenced_observations,
+    eval_sbi, interpret_strategy, observation_reads, referenced_observations,
     template_code,
 )
+# no longer called per step: only indices that carry an observation are
+# surfaced; still importable here for the layer tracer that wraps it by name
+from .strategy import referenced_indices  # noqa: F401
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -195,11 +198,16 @@ class PolicyView:
 class ShieldCode(NamedTuple):
     """What a step evaluates, as generated code: per strategy template its
     ``Evaluators``, the controller's monitor and execution, and the
-    fallback with generated guards and terms."""
+    fallback with generated guards and terms.  Per template also what the
+    step looks up for each of its SBIs: the observations it reads
+    (``observation_reads``), and its target's printed name and whether
+    the target is an upper bound."""
 
     templates: dict
     ctrl: CompiledProgram
     fallback: FallbackDecl
+    reads: dict
+    targets: dict
 
 
 class Shield:
@@ -233,8 +241,12 @@ class Shield:
         templates = {t: template_code(m, t) for t in self.strategy.templates}
         ctrl, cases = controller_code(m, self.spec.ctrl, self.spec.fallback)
         m.compile()
-        return ShieldCode({t: m.link(ev) for t, ev in templates.items()}, m.link(ctrl),
-                          FallbackDecl(m.link(cases)))
+        ts = self.strategy.templates
+        return ShieldCode(
+            {t: m.link(ev) for t, ev in templates.items()}, m.link(ctrl),
+            FallbackDecl(m.link(cases)), observation_reads(ts, self.obs_names),
+            {t: (str(t.assign.target), self.directions.get(t.assign.target) != "lo")
+             for t in ts})
 
     def initial_globals(self, env) -> dict:
         from .dl import eval_term
@@ -390,22 +402,21 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     val = StepValuation(v, history, n)
 
     consumed: list = []
-    obs_idx: dict = {}
-    for ident in referenced_observations(assignments, shield.obs_names):
-        obs_idx.setdefault(ident.index, []).append(ident)
-    for i in sorted(referenced_indices(assignments)):
-        if not 1 <= i < n or i not in obs_idx:
+    surfaced = val.surfaced
+    for i, names in sorted(referenced_observations(assignments, code.reads).items()):
+        if not 1 <= i < n:
             continue
         entry = history[i - 1]
         hv = entry.view
-        if not hv.available:
+        available = hv.available
+        if not available:
             continue
-        for ident in sorted(obs_idx[i]):
-            if ident.name in hv.available:
-                val.surfaced[ident] = entry.cache[ident.name]
-                consumed.append((i, ident.name))
+        for name in sorted(names):
+            if name in available:
+                surfaced[(name, i)] = entry.cache[name]
+                consumed.append((i, name))
         # nothing at this step may be reused later
-        for name in hv.available:
+        for name in available:
             if counts[name] == 1:
                 del counts[name]
             else:
@@ -413,26 +424,32 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         entry.view = views[i - 1] = HistoryView(i, hv.state, frozenset())
 
     ledger = st.ledger
+    remaining = ledger.remaining
     bounds_before = dict(st.global_bounds)
     if history:
         bounds_before.update(history[-1].local_bounds)
+    targets = code.targets
+    templates = code.templates
+    allow_cantelli = shield.allow_cantelli
     arecs: list[AssignmentRecord] = []
-    for sa in assignments:
-        if sa.eps > ledger.remaining:
-            arecs.append(AssignmentRecord(str(sa.param), sa.eps, True, False, False, None))
+    for param, sbi, eps in assignments:
+        name, up = targets[sbi.template]
+        if eps > remaining:
+            arecs.append(AssignmentRecord(name, eps, True, False, False, None))
             continue
-        ledger.add(sa.eps)
-        r, meta = eval_sbi(sa.sbi, interp, val, config=shield, code=code.templates)
-        method = meta["methods"][-1] if meta["methods"] else None
+        ledger.add(eps)
+        remaining = ledger.remaining
+        r, meta = eval_sbi(sbi, interp, val, allow_cantelli, templates)
+        methods = meta["methods"]
+        method = methods[-1] if methods else None
         if r is BOTTOM or not math.isfinite(r):
-            arecs.append(AssignmentRecord(str(sa.param), sa.eps, False, True, False, method))
+            arecs.append(AssignmentRecord(name, eps, False, True, False, method))
             continue
-        cur = v.get(sa.param)
-        up = shield.directions.get(sa.param) != "lo"
+        cur = v.get(param)
         tighter = cur is None or (r < cur if up else r > cur)
         if tighter:
-            v[sa.param] = r
-        arecs.append(AssignmentRecord(str(sa.param), sa.eps, False, False, tighter, method))
+            v[param] = r
+        arecs.append(AssignmentRecord(name, eps, False, False, tighter, method))
 
     b_l = {p: v[p] for p in shield.local_params if p in v}
     if len(b_l) != len(shield.local_params):
@@ -449,7 +466,8 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         counts[name] = counts.get(name, 0) + 1
 
     bounds = {**b_g, **b_l}
-    mval = {**sval, **bounds}
+    # v holds the state and every bound now: what {**sval, **bounds} would
+    mval = v
     overridden = False
     executed = a_ctrl
     # a control action of the wrong shape cannot be run even unshielded; it

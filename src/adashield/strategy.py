@@ -149,8 +149,28 @@ def _check_action(space: tuple[tuple[str, int], ...], action: InferenceAction) -
         else:
             if not isinstance(slot, AggregateAction):
                 raise ActionShapeError("aggregate slot expects (eps, dist)")
-            if not _index_tuples((j for _, j in slot.dist), n):
-                raise ActionShapeError(f"aggregate slot expects {n}-tuples of indices")
+            if not _aggregate_fits(slot, n):
+                raise ActionShapeError(
+                    f"aggregate slot expects eps in [0, 1] and a distribution over "
+                    f"{n}-tuples of indices with finite positive weights summing to 1")
+
+
+def _aggregate_fits(slot: AggregateAction, n: int) -> bool:
+    """What ``AggregateAction`` makes sure of on construction, checked again
+    because a frozen dataclass can still be changed through
+    ``object.__setattr__``: eps in [0, 1], and a non-empty tuple of
+    ``(w, j)`` pairs with finite positive weights that sum to 1 within
+    1e-12, every ``j`` a tuple of ``n`` integers."""
+    dist = slot.dist
+    try:
+        if not 0.0 <= slot.eps <= 1.0 or type(dist) is not tuple or not dist:
+            return False
+        for w, j in dist:
+            if not (w > 0.0 and math.isfinite(w)) or not _index_tuples((j,), n):
+                return False
+        return abs(math.fsum([w for w, _ in dist]) - 1.0) <= 1e-12
+    except (TypeError, ValueError):  # not numbers, or not pairs
+        return False
 
 
 def _index_tuples(js, n: int) -> bool:
@@ -289,26 +309,60 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
     return out
 
 
-def _reads(assignments: list[SymbolicAssignment]):
-    """(name, index) of every variable the SBIs read at a concrete index."""
+def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
+    """Concrete history indices mentioned by any SBI."""
+    out = set()
     for sa in assignments:
         sbi = sa.sbi
         t = sbi.template
-        yield from t.fixed
+        out.update(v.index for v in t.fixed)
         if t.indexed:
             for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
-                for name, pos in t.indexed:
-                    yield name, j[pos]
+                out.update(j[pos] for _, pos in t.indexed)
+    return out
 
 
-def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
-    """Concrete history indices mentioned by any SBI."""
-    return {i for _, i in _reads(assignments)}
+class ObservationReads(NamedTuple):
+    """The observations the SBIs of one template read: ``(name, i)`` at
+    each literal index ``i``, and ``(name, position)`` at the position of
+    each index name."""
+
+    fixed: tuple[tuple[str, int], ...]
+    indexed: tuple[tuple[str, int], ...]
+
+
+def observation_reads(templates, obs_names: frozenset[str]) -> dict[Template, ObservationReads]:
+    """Per template, its reads of the observations ``obs_names``."""
+    return {t: ObservationReads(tuple(v for v in t.fixed if v.name in obs_names),
+                                tuple(r for r in t.indexed if r[0] in obs_names))
+            for t in templates}
 
 
 def referenced_observations(assignments: list[SymbolicAssignment],
-                            obs_names: frozenset[str]) -> set[Ident]:
-    return {Ident(name, i) for name, i in _reads(assignments) if name in obs_names}
+                            reads: dict[Template, ObservationReads]) -> dict[int, set[str]]:
+    """History index -> names of the observations any SBI reads there, in
+    one walk over the SBIs; ``reads`` is ``observation_reads`` of their
+    templates."""
+    out: dict[int, set[str]] = {}
+    for sa in assignments:
+        sbi = sa.sbi
+        fixed, indexed = reads[sbi.template]
+        for name, i in fixed:
+            names = out.get(i)
+            if names is None:
+                out[i] = {name}
+            else:
+                names.add(name)
+        if indexed:
+            for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
+                for name, pos in indexed:
+                    i = j[pos]
+                    names = out.get(i)
+                    if names is None:
+                        out[i] = {name}
+                    else:
+                        names.add(name)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +396,19 @@ class Evaluators(NamedTuple):
     ``f(val, j, interp)`` with the template's index names bound to the
     index tuple ``j``: the guard (a bool or UNDEF), the body (the direct or
     best term, or the aggregate's observable: a value or UNDEF), per noise
-    variable the list of its hyperparameters, and the noise term reduced by
-    ``_lin``, called with the pair's noise keys as a fourth argument (an
-    aggregate's only)."""
+    variable ``(variable, distribution kind, position of its index among
+    the index names or None, the list of its hyperparameters)``, and the
+    noise term reduced by ``_lin``, called with the pair's noise keys as a
+    fourth argument (an aggregate's only)."""
 
     guard: Callable
     body: Callable
-    params: tuple
+    noise: tuple
     lin: Optional[Callable]
+
+
+def _noise(t: Template, params) -> tuple:
+    return tuple((v, dx.kind, p, f) for (v, dx), p, f in zip(t.noise, t.noise_at, params))
 
 
 def interpreted(t: Template) -> Evaluators:
@@ -376,7 +435,7 @@ def interpreted(t: Template) -> Evaluators:
     return Evaluators(
         lambda val, j, interp: eval_formula(a.guard, interp, bound(val, j)),
         lambda val, j, interp: eval_term(term, interp, bound(val, j)),
-        tuple(params(dx) for _, dx in t.noise),
+        _noise(t, [params(dx) for _, dx in t.noise]),
         (lambda val, j, interp, k: _lin(body.noise, interp, bound(val, j), k)) if agg else None)
 
 
@@ -395,26 +454,27 @@ def template_code(m: Module, t: Template) -> Evaluators:
     return Evaluators(
         m.formula(a.guard, t.names),
         m.term(body.observable if agg else body.term, t.names),
-        tuple(m.terms(dx.params, t.names) for _, dx in t.noise),
+        _noise(t, [m.terms(dx.params, t.names) for _, dx in t.noise]),
         lin)
 
 
-def eval_sbi(e: SBI, interp, val, config=None, code=None):
+def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
     """Evaluate to a float or ``BOTTOM``; returns ``(value, meta)`` where
     ``meta['methods']`` lists the tail-bound methods used.  ``val`` is a
     valuation such as ``DictValuation``, or a dict for one.  ``code`` maps
     each template to its generated ``Evaluators`` (a ``Shield``'s
     ``code.templates``); without it the template's trees are walked."""
-    meta: dict = {"methods": []}
-    if not hasattr(val, "binding"):
+    if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
-    if t is not BoundSBI and t is not AggregateSBI:
+    if t is BoundSBI:
+        ev = interpreted(e.template) if code is None else code[e.template]
+        return _eval_bound(e, ev, interp, val), {"methods": []}
+    if t is not AggregateSBI:
         raise TypeError(f"not an SBI: {e!r}")
     ev = interpreted(e.template) if code is None else code[e.template]
-    if t is BoundSBI:
-        return _eval_bound(e, ev, interp, val), meta
-    return _eval_aggregate(e, ev, interp, val, meta, config), meta
+    meta: dict = {"methods": []}
+    return _eval_aggregate(e, ev, interp, val, meta, allow_cantelli), meta
 
 
 def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
@@ -425,52 +485,52 @@ def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
     return BOTTOM if r is UNDEF else r
 
 
-def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, config):
+def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, allow_cantelli):
     """``sum w*observable`` plus the inverse tail bound of ``sum w*noise``,
     with the index names bound to each pair's ``j`` in turn.  Sums
     accumulate left to right, and the checks run in a fixed order: every
     guard, the observable, the noise distributions, linearity, then the
     tail bound."""
-    t = e.template
-    dist = e.dist
+    t, dist, eps = e
+    guard, body, noise, lin = ev
 
     g = None  # the guards conjoined left to right in strong-Kleene logic
     for _, j in dist:
         if g is False:
             break
-        h = ev.guard(val, j, interp)
+        h = guard(val, j, interp)
         g = h if g is None or h is False else UNDEF if UNDEF in (g, h) else True
     if g is UNDEF or not g:
         return BOTTOM
 
     s = None
     for w, j in dist:
-        o = ev.body(val, j, interp)
+        o = body(val, j, interp)
         if o is UNDEF:
             return BOTTOM
         s = w * o if s is None else s + w * o
 
-    # per pair, the noise variable each template noise variable stands for
-    keys: list[dict[Ident, Ident]] = []
-    dists: dict[Ident, Dist] = {}
+    # per pair, the noise variable each template noise variable stands for:
+    # itself, or its name at the pair's index, as a plain (name, index) key
+    keys: list[dict] = []
+    dists: dict = {}
     for _, j in dist:
         k = {}
-        for (v, dx), p, params in zip(t.noise, t.noise_at, ev.params):
-            key = k[v] = v if p is None else Ident(v.name, j[p])
+        for v, kind, p, params in noise:
+            key = k[v] = v if p is None else (v[0], j[p])
             if key not in dists:
                 ps = params(val, j, interp)
                 if UNDEF in ps:
                     return BOTTOM
-                d = dists[key] = Dist(dx.kind, *ps)
                 try:
-                    d.validate()
+                    dists[key] = Dist(kind, *ps)
                 except ValueError:
                     return BOTTOM
         keys.append(k)
 
     c0 = cs = None
     for (w, j), k in zip(dist, keys):
-        r = ev.lin(val, j, interp, k)
+        r = lin(val, j, interp, k)
         if r is None:
             return BOTTOM
         if cs is None:
@@ -480,9 +540,8 @@ def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, config):
             for key, c in r[1].items():
                 cs[key] = cs.get(key, 0.0) + c * w
 
-    pairs = [(c, dists[key]) for key, c in cs.items() if c != 0.0]
-    allow_cantelli = bool(config and getattr(config, "allow_cantelli", False))
-    r = tailbounds.invccdf(pairs, c0, e.eps, tail=t.tail, allow_cantelli=allow_cantelli)
+    r = tailbounds.invccdf([(c, dists[key]) for key, c in cs.items() if c != 0.0], c0, eps,
+                           tail=t.tail, allow_cantelli=allow_cantelli)
     if r is None:
         return BOTTOM
     value, method = r

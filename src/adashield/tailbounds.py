@@ -25,8 +25,6 @@ which does not invert the inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 BERNOULLI_ENUM_MAX = 20
 
@@ -125,49 +123,32 @@ def normal_upper_quantile(eps: float) -> float:
     return _SQRT2 * erfinv(1.0 - 2.0 * eps)
 
 
-@dataclass(frozen=True)
 class Dist:
     """Concrete noise distribution: normal(mean, variance), uniform(lo, hi)
-    or bernoulli(p)."""
+    or bernoulli(p).  Checked on construction, which raises ``ValueError``
+    for an unknown kind or parameters outside its domain; not changed
+    after."""
 
-    kind: str  # 'normal' | 'uniform' | 'bernoulli'
-    a: float
-    b: float = 0.0
+    __slots__ = ("kind", "a", "b")
 
-    def mean(self) -> float:
-        if self.kind == "normal":
-            return self.a
-        if self.kind == "uniform":
-            return 0.5 * (self.a + self.b)
-        return self.a
-
-    def variance(self) -> float:
-        if self.kind == "normal":
-            return self.b
-        if self.kind == "uniform":
-            w = self.b - self.a
-            return w * w / 12.0
-        return self.a * (1.0 - self.a)
-
-    def support(self) -> Optional[tuple[float, float]]:
-        if self.kind == "uniform":
-            return (self.a, self.b)
-        if self.kind == "bernoulli":
-            return (0.0, 1.0)
-        return None
-
-    def validate(self) -> None:
-        if self.kind == "normal":
-            if self.b < 0.0:
+    def __init__(self, kind: str, a: float, b: float = 0.0):
+        if kind == "normal":
+            if b < 0.0:
                 raise ValueError("negative variance")
-        elif self.kind == "uniform":
-            if self.b < self.a:
+        elif kind == "uniform":
+            if b < a:
                 raise ValueError("empty uniform support")
-        elif self.kind == "bernoulli":
-            if not 0.0 <= self.a <= 1.0:
+        elif kind == "bernoulli":
+            if not 0.0 <= a <= 1.0:
                 raise ValueError("bernoulli parameter outside [0, 1]")
         else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        self.kind = kind  # 'normal' | 'uniform' | 'bernoulli'
+        self.a = a
+        self.b = b
+
+    def __repr__(self):
+        return f"Dist({self.kind!r}, {self.a!r}, {self.b!r})"
 
 
 class DomainError(Exception):
@@ -179,67 +160,112 @@ def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float,
     """Tightest available bound for ``c0 + sum c_i X_i``.
 
     Returns ``(value, method_name)`` or ``None`` when no method yields a
-    finite value (e.g. eps = 0 with unbounded noise).
+    finite value (e.g. eps = 0 with unbounded noise).  Of equal values the
+    first method listed in the module docstring wins.  The lower tail is
+    the negated upper tail of ``-c0 - sum c_i X_i``.
     """
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"tolerance must lie in [0, 1], got {eps}")
     if tail == "lo":
-        r = invccdf([(-c, d) for c, d in coeffs], -c0, eps, "up", allow_cantelli)
-        if r is None:
-            return None
-        return (-r[0], r[1])
-    if tail != "up":
+        neg = True
+        c0 = -c0
+    elif tail == "up":
+        neg = False
+    else:
         raise DomainError(f"tail must be 'up' or 'lo', got {tail!r}")
+
+    # one pass, each sum added left to right from 0 as ``sum`` does
+    mean = variance = widths = 0
+    normal = uniform = bounded = 0
+    overflow = None
     for c, d in coeffs:
-        d.validate()
+        if neg:
+            c = -c
+        kind = d.kind
+        if kind == "normal":
+            normal += 1
+            mean += c * d.a
+            variance += c * c * d.b
+            continue
+        bounded += 1
+        if kind == "uniform":
+            uniform += 1
+            lo, hi = d.a, d.b
+            mean += c * (0.5 * (lo + hi))
+            w = hi - lo
+            variance += c * c * (w * w / 12.0)
+        else:
+            lo, hi = 0.0, 1.0
+            mean += c * d.a
+            variance += c * c * (d.a * (1.0 - d.a))
+        try:
+            widths += (c * (hi - lo)) ** 2
+        except OverflowError as e:
+            overflow = e
+    mean = c0 + mean
 
-    mean = c0 + sum(c * d.mean() for c, d in coeffs)
-    variance = sum(c * c * d.variance() for c, d in coeffs)
-    candidates: list[tuple[float, str]] = []
+    best = method = None
+    if not bounded and eps > 0.0:
+        v = (mean + math.sqrt(variance) * normal_upper_quantile(eps) if eps < 1.0
+             else -math.inf)
+        if v == v and v < math.inf:
+            best, method = v, "gaussian"
 
-    kinds = {d.kind for _, d in coeffs}
+    if not normal:
+        if bounded == uniform == 1:
+            c, d = coeffs[0]
+            if neg:
+                c = -c
+            x, y = c * d.a, c * d.b
+            lo, hi = (y, x) if y < x else (x, y)
+            v = hi - eps * (hi - lo) + c0
+            if v == v and v < math.inf and (best is None or v < best):
+                best, method = v, "uniform"
 
-    if kinds <= {"normal"}:
-        if 0.0 < eps < 1.0:
-            candidates.append((mean + math.sqrt(variance) * normal_upper_quantile(eps),
-                               "gaussian"))
-        elif eps == 1.0:
-            candidates.append((-math.inf, "gaussian"))
+        if not uniform and 0 < bounded <= BERNOULLI_ENUM_MAX:
+            v = _bernoulli_exact(coeffs, c0, eps, neg)
+            if v == v and v < math.inf and (best is None or v < best):
+                best, method = v, "bernoulli"
 
-    if kinds == {"uniform"} and len(coeffs) == 1:
-        c, d = coeffs[0]
-        lo, hi = sorted((c * d.a, c * d.b))
-        candidates.append((hi - eps * (hi - lo) + c0, "uniform"))
-
-    if kinds <= {"bernoulli"} and coeffs and len(coeffs) <= BERNOULLI_ENUM_MAX:
-        candidates.append((_bernoulli_exact(coeffs, c0, eps), "bernoulli"))
-
-    if all(d.support() is not None for _, d in coeffs):
-        widths = sum((c * (d.support()[1] - d.support()[0])) ** 2 for c, d in coeffs)
+        if overflow is not None:
+            raise overflow
         if eps > 0.0:
-            candidates.append((mean + math.sqrt(widths) * math.sqrt(math.log(1.0 / eps) / 2.0),
-                               "hoeffding"))
+            v = mean + math.sqrt(widths) * math.sqrt(math.log(1.0 / eps) / 2.0)
+            m = "hoeffding"
         else:
             # eps = 0 over bounded support: the maximum of the support is sound
-            top = c0 + sum(max(c * d.support()[0], c * d.support()[1]) for c, d in coeffs)
-            candidates.append((top, "support"))
+            top = 0
+            for c, d in coeffs:
+                if neg:
+                    c = -c
+                x, y = (c * d.a, c * d.b) if d.kind == "uniform" else (c * 0.0, c * 1.0)
+                top += y if y > x else x
+            v = c0 + top
+            m = "support"
+        if v == v and v < math.inf and (best is None or v < best):
+            best, method = v, m
 
     if eps > 0.0:
-        candidates.append((mean + math.sqrt(variance / eps), "chebyshev"))
+        v = mean + math.sqrt(variance / eps)
+        if v == v and v < math.inf and (best is None or v < best):
+            best, method = v, "chebyshev"
         if allow_cantelli:
-            candidates.append((mean + math.sqrt(variance * (1.0 - eps) / eps),
-                               "cantelli"))
+            v = mean + math.sqrt(variance * (1.0 - eps) / eps)
+            if v == v and v < math.inf and (best is None or v < best):
+                best, method = v, "cantelli"
 
-    finite = [(v, m) for v, m in candidates if not math.isnan(v) and v < math.inf]
-    if not finite:
+    if best is None:
         return None
-    return min(finite, key=lambda vm: vm[0])
+    return (-best if neg else best), method
 
 
-def _bernoulli_exact(coeffs, c0: float, eps: float) -> float:
-    """Exact inverse tail by convolving the finite joint distribution."""
+def _bernoulli_exact(coeffs, c0: float, eps: float, neg: bool = False) -> float:
+    """Exact inverse tail by convolving the finite joint distribution, with
+    every coefficient negated if ``neg``."""
     dist = {c0: 1.0}
     for c, d in coeffs:
+        if neg:
+            c = -c
         p = d.a
         nxt: dict[float, float] = {}
         for value, q in dist.items():

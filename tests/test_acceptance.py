@@ -29,6 +29,7 @@ from adashield.policies import (
 )
 
 import falsify
+from tail_oracle import variance
 
 SEEDS = (0, 1, 2)
 EPISODES = 1000
@@ -252,7 +253,7 @@ def falsify_free_hoeffding(coeffs, eps):
 
 
 def falsify_free_chebyshev(coeffs, eps):
-    var = sum(c * c * d.variance() for c, d in coeffs)
+    var = sum(c * c * variance(d) for c, d in coeffs)
     return math.sqrt(var / eps)
 
 

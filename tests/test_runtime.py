@@ -20,7 +20,7 @@ from adashield.runtime import (
 from adashield.specfile import load_spec
 from adashield.strategy import (
     BOTTOM, ActionShapeError, AggregateAction, eval_sbi, interpret_strategy,
-    referenced_indices, referenced_observations,
+    observation_reads, referenced_indices, referenced_observations,
 )
 from adashield.envs import (
     REGISTRY, make_acas, make_crossing_river, make_sisyphean_train,
@@ -332,6 +332,47 @@ class TestZeroTrust:
         assert any(r.consumed for r in records)
         assert stats.crashes == 0 and stats.reuse_violations == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", -0.5), ("eps", math.nan), ("dist", "negative weight")])
+    def test_mutated_aggregate_action_is_empty(self, specs, field, value):
+        # a frozen AggregateAction changed after construction is checked
+        # again at the boundary: it counts as the empty action and no
+        # tolerance is credited or spent for it
+        mutated = []
+
+        def hostile(shield, env):
+            honest = river_inference(shield, env)
+
+            def policy(view):
+                action = honest(view)
+                if view.step % 2 == 1:
+                    # one slot's action is mutated, the others stay as built
+                    agg = next((a for a in action if isinstance(a, AggregateAction)), None)
+                    if agg is not None:
+                        new = value
+                        if field == "dist":
+                            (w, j), *rest = agg.dist
+                            new = ((-w, j), *rest)
+                        object.__setattr__(agg, field, new)
+                        mutated.append(view.step)
+                return action
+            return policy
+
+        records = []
+        cfg = ExperimentConfig(
+            spec_name="river", env_factory=make_crossing_river,
+            control_policy=river_control, inference_policy=hostile,
+            episodes=10, budget=1e-7, mode="meta", seed=0)
+        shield = Shield(specs["river"], make_crossing_river().consts)
+        stats = run_experiment(shield, cfg, record_sink=records.append)
+        assert mutated and len(stats.episodes) == 10
+        assert stats.ledger_error <= 1e-12
+        assert all(e.eps_spent >= 0.0 for e in stats.episodes)
+        hit = [r for r in records if r.step % 2 == 1 and r.step in mutated]
+        assert hit and all(r.assignments == [] and r.consumed == [] for r in hit)
+        assert any(r.assignments for r in records if r.step % 2 == 0)
+        assert stats.crashes == 0 and stats.reuse_violations == 0
+
 
 def _run_digest(specs, inference_policy, episodes=4):
     """Results digest, overrides and spent tolerance of a seeded train run."""
@@ -455,10 +496,11 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     n = len(history) + 1
     current = {**env.state_map(st.env_state), **st.global_bounds}
     surfaced = {}
-    for ident in referenced_observations(assignments, shield.obs_names):
-        i = ident.index
-        if 1 <= i <= len(history) and ident.name in history[i - 1].view.available:
-            surfaced[ident] = history[i - 1].cache[ident.name]
+    reads = observation_reads({sa.sbi.template for sa in assignments}, shield.obs_names)
+    for i, names in referenced_observations(assignments, reads).items():
+        for name in names:
+            if 1 <= i <= len(history) and name in history[i - 1].view.available:
+                surfaced[Ident(name, i)] = history[i - 1].cache[name]
     full = dict(current)
     for k, x in current.items():
         full[Ident(k.name, n)] = x
@@ -474,8 +516,8 @@ def _check_valuations(shield, env, st, a_inf) -> int:
 
     read = 0
     for sa in assignments:
-        r, meta = eval_sbi(sa.sbi, shield.interp, full, config=shield)
-        r_lazy, meta_lazy = eval_sbi(sa.sbi, shield.interp, lazy, config=shield)
+        r, meta = eval_sbi(sa.sbi, shield.interp, full, shield.allow_cantelli)
+        r_lazy, meta_lazy = eval_sbi(sa.sbi, shield.interp, lazy, shield.allow_cantelli)
         assert _same(r_lazy, r) and meta_lazy == meta
         read += bool(referenced_indices([sa]))
         if r is BOTTOM or not math.isfinite(r):

@@ -15,8 +15,8 @@ from adashield.dl import (
 from adashield.strategy import (
     ActionShapeError, Aggregate, AggregateAction, AggregateSBI, BOTTOM,
     BoundSBI, CompiledStrategy, Direct, DistExpr, InferAssign, _check_action,
-    empty_action, eval_sbi, interpret_strategy, linearize, referenced_indices,
-    referenced_observations, strategy_action_space,
+    empty_action, eval_sbi, interpret_strategy, linearize, observation_reads,
+    referenced_indices, referenced_observations, strategy_action_space,
 )
 from adashield.tailbounds import Dist
 
@@ -115,8 +115,8 @@ class TestInterpret:
         assert agg.sbi.dist == act.dist and agg.sbi.eps == 1e-8
         assert [str(v) for v, _ in agg.sbi.template.noise] == ["eta@i"]
         assert agg.sbi.template.tail == "up"
-        assert referenced_observations(out, frozenset({"w"})) == {
-            Ident("w", 2), Ident("w", 5)}
+        reads = observation_reads([sa.sbi.template for sa in out], frozenset({"w"}))
+        assert referenced_observations(out, reads) == {2: {"w"}, 5: {"w"}}
 
     def test_lower_bound_dual_tail(self, specs):
         spec = specs["river"]
@@ -246,12 +246,10 @@ def _oracle(assign, slot, direction_of, noise_decls, interp, val):
         params = [eval_term(tag_with_index(t, v.index), interp, val) for t in dx.params]
         if UNDEF in params:
             return [(BOTTOM, meta)]
-        d = Dist(dx.kind, *params)
         try:
-            d.validate()
+            dists[v] = Dist(dx.kind, *params)
         except ValueError:
             return [(BOTTOM, meta)]
-        dists[v] = d
     lin = linearize(noise_sum, interp, val, frozenset(dists))
     if lin is None:
         return [(BOTTOM, meta)]

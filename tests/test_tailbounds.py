@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from adashield.tailbounds import (
     Dist, DomainError, erfinv, invccdf, normal_upper_quantile,
 )
+from tail_oracle import mean, reference_invccdf, support, variance
 
 
 def gauss(var=1.0, mean=0.0):
@@ -157,12 +159,101 @@ class TestConcentration:
 
 
 def _method_value(coeffs, eps, method):
-    mean = sum(c * d.mean() for c, d in coeffs)
+    m = sum(c * mean(d) for c, d in coeffs)
     if method == "hoeffding":
-        widths = sum((c * (d.support()[1] - d.support()[0])) ** 2 for c, d in coeffs)
-        return mean + math.sqrt(widths) * math.sqrt(math.log(1.0 / eps) / 2.0)
-    var = sum(c * c * d.variance() for c, d in coeffs)
-    return mean + math.sqrt(var / eps)
+        widths = sum((c * (support(d)[1] - support(d)[0])) ** 2 for c, d in coeffs)
+        return m + math.sqrt(widths) * math.sqrt(math.log(1.0 / eps) / 2.0)
+    var = sum(c * c * variance(d) for c, d in coeffs)
+    return m + math.sqrt(var / eps)
+
+
+class TestDist:
+    @pytest.mark.parametrize("kind, a, b", [
+        ("normal", 0.0, -1e-300), ("uniform", 1.0, 0.5), ("bernoulli", -0.1, 0.0),
+        ("bernoulli", 1.5, 0.0), ("bernoulli", math.nan, 0.0), ("cauchy", 0.0, 1.0)])
+    def test_rejected_on_construction(self, kind, a, b):
+        with pytest.raises(ValueError):
+            Dist(kind, a, b)
+
+    def test_boundaries_accepted(self):
+        d = Dist("normal", 1.0, 0.0)
+        assert (d.kind, d.a, d.b) == ("normal", 1.0, 0.0)
+        d = Dist("uniform", 2.0, 2.0)
+        assert (d.kind, d.a, d.b) == ("uniform", 2.0, 2.0)
+        assert Dist("bernoulli", 0.0).b == 0.0 and Dist("bernoulli", 1.0).a == 1.0
+        assert repr(Dist("uniform", -1.0, 1.0)) == "Dist('uniform', -1.0, 1.0)"
+
+
+def _outcome(coeffs, c0, eps, tail, cantelli, fn):
+    """``fn``'s result with its value as hex, or the raised error."""
+    try:
+        r = fn(coeffs, c0, eps, tail, cantelli)
+    except Exception as e:  # compared by type and message
+        return type(e).__name__, str(e)
+    return None if r is None else (float(r[0]).hex(), r[1])
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+_coeff = _finite | st.sampled_from([1e200, -1e200, 1e155, math.inf, -math.inf])
+
+
+@st.composite
+def _dists(draw):
+    kind = draw(st.sampled_from(["normal", "uniform", "bernoulli"]))
+    if kind == "normal":
+        return Dist(kind, draw(_finite), draw(st.floats(0.0, 1e6) | st.just(0.0)))
+    if kind == "uniform":
+        lo = draw(_finite)
+        return Dist(kind, lo, lo + draw(st.floats(0.0, 1e6)))
+    return Dist(kind, draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-4])))
+
+
+@st.composite
+def _mixes(draw):
+    """A family mix: all normal, all uniform, all Bernoulli or any, of up
+    to 22 terms, so that the enumeration limit is crossed."""
+    family = draw(st.sampled_from(["normal", "uniform", "bernoulli", "any"]))
+    dist = _dists().filter(lambda d: family in ("any", d.kind))
+    n = draw(st.integers(0, 22 if family == "bernoulli" else 6))
+    return [(draw(_coeff), draw(dist)) for _ in range(n)]
+
+
+_eps = (st.sampled_from([0.0, 1.0, 0.5, 1e-17, 5e-324, 1e-300])
+        | st.floats(0.0, 1.0)
+        | st.floats(-300.0, 0.0).map(lambda x: 10.0 ** x)
+        | st.sampled_from([-0.1, 1.5, math.nan]))
+
+
+class TestDifferential:
+    """``invccdf`` against the candidate-list reference in
+    ``tail_oracle``: the same value bit for bit and the same method, or the
+    same raised error."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(coeffs=_mixes(), c0=_finite, eps=_eps,
+           tail=st.sampled_from(["up", "lo"]), cantelli=st.booleans())
+    def test_equals_reference(self, coeffs, c0, eps, tail, cantelli):
+        assert (_outcome(coeffs, c0, eps, tail, cantelli, invccdf)
+                == _outcome(coeffs, c0, eps, tail, cantelli, reference_invccdf))
+
+    @pytest.mark.parametrize("tail", ["up", "lo", "mid"])
+    def test_edge_cases(self, tail):
+        cases = [
+            ([], 0.5), ([(1.0, Dist("uniform", 0.0, 1.0))], -0.0),
+            ([(1e200, Dist("uniform", 0.0, 1.0)), (1.0, Dist("normal", 0.0, 1.0))], 0.0),
+            ([(1e200, Dist("uniform", 0.0, 1.0))], 0.0),
+            ([(1e200, Dist("bernoulli", 0.5))] * 3, 0.0),
+            ([(0.0, Dist("uniform", -math.inf, math.inf))], 1.0),
+            ([(math.inf, Dist("normal", 0.0, 0.0))], 0.0),
+            ([(0.5, Dist("bernoulli", 0.3)), (-0.5, Dist("bernoulli", 0.3))], 0.0),
+            ([(0.1, Dist("bernoulli", 0.5))] * 20, 0.0),
+            ([(0.1, Dist("bernoulli", 0.5))] * 21, 0.0),
+        ]
+        for coeffs, c0 in cases:
+            for eps in (0.0, 1e-20, 0.3, 1.0):
+                for cantelli in (False, True):
+                    assert (_outcome(coeffs, c0, eps, tail, cantelli, invccdf)
+                            == _outcome(coeffs, c0, eps, tail, cantelli, reference_invccdf))
 
 
 class TestMonteCarloSoundness:
