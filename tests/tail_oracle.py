@@ -34,8 +34,8 @@ def support(d):
 
 
 def hoeffding_scale(eps: float) -> float:
-    """``sqrt(ln(1/eps)/2)``, the factor of the width term."""
-    return math.sqrt(math.log(1.0 / eps) / 2.0)
+    """``sqrt(-ln(eps)/2)``, the factor of the width term."""
+    return math.sqrt(-math.log(eps) / 2.0)
 
 
 def reference_invccdf(coeffs, c0, eps, tail="up", allow_cantelli=False):

@@ -327,6 +327,13 @@ class TestIndexBoundDifferential:
                     assert _exact(got[0], want[0]) and got[1] == want[1], (got, want)
 
 
+def _fit_slot(slot, kind, n):
+    """``slot`` with every index tuple ``n`` long."""
+    if slot is None or kind != "aggregate":
+        return None
+    return AggregateAction(slot.eps, tuple((w, j * n) for w, j in slot.dist))
+
+
 class TestEvalSBI:
     def test_guard_false_is_bottom(self):
         strategy = (InferAssign(Ident("p"), Direct(Lit(5.0)), parse_formula("1 > 2")),)
@@ -402,6 +409,32 @@ class TestEvalSBI:
         expected += consts["sigma"] / math.sqrt(n) * _z(eps)
         assert abs(v - expected) <= 1e-9 * abs(expected)
         assert meta["methods"] == ["gaussian"]
+
+    @pytest.mark.parametrize("name", ["train_local", "sisyphean", "river", "acas"])
+    def test_no_tolerance_raises(self, specs, shields, name):
+        # every eps in [0, 1] gives a value or BOTTOM, down to the least
+        # positive float, for Gaussian, uniform and Bernoulli aggregates;
+        # some tail bound is reached on each spec
+        spec = specs[name]
+        shield = shields[name]
+        keys = {v.name for t in shield.strategy.templates for v in t.fixed} | {
+            name for t in shield.strategy.templates for name, _ in t.indexed}
+        val = {Ident(x, i): 0.5 for x in keys | set(spec.obs_names) for i in (None, 1, 2)}
+        interp = {c: 0.5 for c in spec.consts}
+        methods = set()
+        for eps in (0.0, 5e-324, 1e-310, 1e-17, 5.6e-17, 1e-16, 1e-9, 0.5, 1.0):
+            act = AggregateAction(eps, ((0.5, (1,)), (0.5, (2,))))
+            slots = tuple(act if kind == "aggregate" else None
+                          for kind, _ in shield.strategy.space)
+            slots = tuple(_fit_slot(slot, kind, n)
+                          for slot, (kind, n) in zip(slots, shield.strategy.space))
+            for sa in interpret_strategy(spec.infer, slots, spec.directions,
+                                         spec.noise_decls, shield.strategy):
+                for code in (None, shield.code.templates):
+                    v, meta = eval_sbi(sa.sbi, interp, val, code=code)
+                    assert v is BOTTOM or math.isfinite(v)
+                    methods.update(meta["methods"])
+        assert methods
 
     def test_state_dependent_noise_scale(self, specs):
         # the river noise component |x_i| * eta_i picks up the historical

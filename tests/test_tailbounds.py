@@ -1,6 +1,7 @@
 """Inverse tail bounds: exactness, dominance and scaling."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,44 +9,68 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from adashield.tailbounds import (
-    Dist, DomainError, erfinv, invccdf, normal_upper_quantile,
+    Dist, DomainError, invccdf, normal_upper_quantile,
 )
 from tail_oracle import mean, reference_invccdf, support, variance
+
+_STANDARD = NormalDist()
 
 
 def gauss(var=1.0, mean=0.0):
     return Dist("normal", mean, var)
 
 
+def _tail(z):
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 class TestErfinv:
+    """The Gaussian quantile, which replaced an ``erfinv``-based one."""
+
     def test_zero(self):
-        assert erfinv(0.0) == 0.0
+        assert normal_upper_quantile(0.5) == 0.0
 
     def test_against_scipy(self):
-        ys = np.linspace(-0.999999, 0.999999, 20001)
-        ours = np.array([erfinv(y) for y in ys])
-        ref = special.erfinv(ys)
-        assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
+        eps = np.concatenate([np.logspace(-300, -1, 3001), np.linspace(0.1, 1 - 1e-9, 2001)])
+        ours = np.array([normal_upper_quantile(float(e)) for e in eps])
+        ref = -special.ndtri(eps)
+        assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
     def test_roundtrip_residual(self):
+        # the tail at the quantile is within eps, and only just
         rng = np.random.default_rng(1)
-        for y in rng.uniform(-0.9999999, 0.9999999, 5000):
-            assert abs(math.erf(erfinv(y)) - y) <= 1e-12
+        for eps in rng.uniform(1e-7, 1 - 1e-7, 5000):
+            assert 0.0 <= eps - _tail(normal_upper_quantile(eps)) <= 1e-12
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(2)
-        for y in rng.uniform(0, 0.999999, 1000):
-            assert erfinv(-y) == -erfinv(y)
+        for eps in rng.uniform(1e-3, 0.5, 1000):
+            assert abs(normal_upper_quantile(1.0 - eps) + normal_upper_quantile(eps)) <= 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            erfinv(1.0)
-        with pytest.raises(ValueError):
-            erfinv(-1.5)
+        for eps in (0.0, 1.0, -1.5, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                normal_upper_quantile(eps)
 
     def test_normal_quantile(self):
         # the 97.5% quantile of the standard normal
         assert abs(normal_upper_quantile(0.025) - 1.959963984540054) < 1e-12
+
+    @settings(max_examples=2000, deadline=None)
+    @given(log_eps=st.floats(math.log(5e-324), math.log1p(-1e-9)))
+    def test_sound_at_every_tolerance(self, log_eps):
+        eps = max(math.exp(log_eps), 5e-324)
+        z = normal_upper_quantile(eps)
+        assert _tail(z) <= eps
+        # one float less is not sound, unless the start was already above
+        assert _tail(math.nextafter(z, -math.inf)) > eps or z == -_STANDARD.inv_cdf(eps)
+
+    def test_tiny_tolerances(self):
+        # below 5.6e-17, 1 - 2*eps rounds to 1 and an erfinv-based quantile
+        # has no value; at 1e-16 it gave a tail of 1.11*eps
+        for eps in (5e-324, 1e-300, 1e-17, 1e-16, 1e-9):
+            z = normal_upper_quantile(eps)
+            assert math.isfinite(z) and _tail(z) <= eps
 
 
 class TestExactCases:
@@ -76,6 +101,14 @@ class TestExactCases:
         v, _ = invccdf(coeffs, 0.0, crit - 1e-12)
         assert v == pytest.approx(1.0 / n)
 
+    def test_bernoulli_small_masses_are_kept(self):
+        # P(X > 0) = 1e-20 > eps: subtracting the masses from 1.0 loses the
+        # 1e-20 and cut at 0, which is unsound; summing from the top keeps it
+        v, m = invccdf([(1.0, Dist("bernoulli", 1e-20))], 0.0, 5e-21)
+        assert (v, m) == (1.0, "bernoulli")
+        v, _ = invccdf([(1.0, Dist("bernoulli", 1e-20))], 0.0, 1e-20)
+        assert v == 0.0
+
     def test_two_evidence_compliance(self):
         # two supportive boolean observations with false-positive rate 1e-4
         # certify a strictly positive lower bound at tolerance 1e-8
@@ -94,6 +127,12 @@ class TestConcentration:
         v, m = invccdf(coeffs, 0.0, 1e-4)
         assert m == "hoeffding"
         assert abs(v - 0.12875796157736086) < 1e-12
+
+    def test_hoeffding_at_subnormal_tolerance(self):
+        # ln(1/eps) overflows for eps below 5.6e-309; -ln(eps) does not
+        v, m = invccdf([(0.5, Dist("uniform", -0.3, 0.3))] * 2, 0.0, 1e-310)
+        assert m == "hoeffding" and v == pytest.approx(
+            math.sqrt(0.18) * math.sqrt(-math.log(1e-310) / 2.0), rel=1e-12)
 
     def test_hoeffding_beats_chebyshev_small_eps(self):
         rng = np.random.default_rng(3)
