@@ -30,14 +30,12 @@ from .actions import (
     controller_code, ctrl_exec, ctrl_monitor, derive_action_space,
     resolve_fallback,
 )
-from .strategy import (
+# referenced_indices is not called per step; shieldbench's tracer wraps it here
+from .strategy import (  # noqa: F401
     BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
-    eval_sbi, interpret_strategy, observation_reads, referenced_observations,
-    template_code,
+    eval_sbi, interpret_strategy, observation_reads, referenced_indices,
+    referenced_observations, template_code,
 )
-# no longer called per step: only indices that carry an observation are
-# surfaced; still importable here for the layer tracer that wraps it by name
-from .strategy import referenced_indices  # noqa: F401
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -198,10 +196,9 @@ class PolicyView:
 class ShieldCode(NamedTuple):
     """What a step evaluates, as generated code: per strategy template its
     ``Evaluators``, the controller's monitor and execution, and the
-    fallback with generated guards and terms.  Per template also what the
-    step looks up for each of its SBIs: the observations it reads
-    (``observation_reads``), and its target's printed name and whether
-    the target is an upper bound."""
+    fallback with generated guards and terms; per template also the
+    observations it reads (``observation_reads``), and its target's
+    printed name and whether the target is an upper bound."""
 
     templates: dict
     ctrl: CompiledProgram
@@ -402,21 +399,19 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     val = StepValuation(v, history, n)
 
     consumed: list = []
-    surfaced = val.surfaced
     for i, names in sorted(referenced_observations(assignments, code.reads).items()):
         if not 1 <= i < n:
             continue
         entry = history[i - 1]
         hv = entry.view
-        available = hv.available
-        if not available:
+        if not hv.available:
             continue
         for name in sorted(names):
-            if name in available:
-                surfaced[(name, i)] = entry.cache[name]
+            if name in hv.available:
+                val.surfaced[(name, i)] = entry.cache[name]
                 consumed.append((i, name))
         # nothing at this step may be reused later
-        for name in available:
+        for name in hv.available:
             if counts[name] == 1:
                 del counts[name]
             else:

@@ -150,25 +150,25 @@ def _check_action(space: tuple[tuple[str, int], ...], action: InferenceAction) -
             if not isinstance(slot, AggregateAction):
                 raise ActionShapeError("aggregate slot expects (eps, dist)")
             if not _aggregate_fits(slot, n):
-                raise ActionShapeError(
-                    f"aggregate slot expects eps in [0, 1] and a distribution over "
-                    f"{n}-tuples of indices with finite positive weights summing to 1")
+                raise ActionShapeError(f"aggregate slot expects (eps, dist) over {n}-tuples")
 
 
 def _aggregate_fits(slot: AggregateAction, n: int) -> bool:
-    """What ``AggregateAction`` makes sure of on construction, checked again
-    because a frozen dataclass can still be changed through
-    ``object.__setattr__``: eps in [0, 1], and a non-empty tuple of
-    ``(w, j)`` pairs with finite positive weights that sum to 1 within
-    1e-12, every ``j`` a tuple of ``n`` integers."""
+    """``AggregateAction``'s checks, again, as ``object.__setattr__`` can
+    change it: eps in [0, 1], finite positive weights summing to 1 within
+    1e-12 over a non-empty tuple of ``n``-tuples of integers."""
     dist = slot.dist
     try:
         if not 0.0 <= slot.eps <= 1.0 or type(dist) is not tuple or not dist:
             return False
         for w, j in dist:
-            if not (w > 0.0 and math.isfinite(w)) or not _index_tuples((j,), n):
+            if not (w > 0.0 and math.isfinite(w)) or not isinstance(j, tuple) or len(j) != n:
                 return False
-        return abs(math.fsum([w for w, _ in dist]) - 1.0) <= 1e-12
+            for i in j:
+                if not isinstance(i, int):
+                    return False
+        total = dist[0][0] if len(dist) == 1 else math.fsum([w for w, _ in dist])
+        return abs(total - 1.0) <= 1e-12
     except (TypeError, ValueError):  # not numbers, or not pairs
         return False
 
@@ -311,57 +311,34 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
 
 def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
     """Concrete history indices mentioned by any SBI."""
-    out = set()
-    for sa in assignments:
-        sbi = sa.sbi
-        t = sbi.template
-        out.update(v.index for v in t.fixed)
-        if t.indexed:
-            for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
-                out.update(j[pos] for _, pos in t.indexed)
-    return out
+    reads = {sa.sbi.template: (sa.sbi.template.fixed, sa.sbi.template.indexed)
+             for sa in assignments}
+    return set(referenced_observations(assignments, reads))
 
 
-class ObservationReads(NamedTuple):
-    """The observations the SBIs of one template read: ``(name, i)`` at
-    each literal index ``i``, and ``(name, position)`` at the position of
-    each index name."""
-
-    fixed: tuple[tuple[str, int], ...]
-    indexed: tuple[tuple[str, int], ...]
-
-
-def observation_reads(templates, obs_names: frozenset[str]) -> dict[Template, ObservationReads]:
-    """Per template, its reads of the observations ``obs_names``."""
-    return {t: ObservationReads(tuple(v for v in t.fixed if v.name in obs_names),
-                                tuple(r for r in t.indexed if r[0] in obs_names))
+def observation_reads(templates, obs_names: frozenset[str]) -> dict[Template, tuple]:
+    """Per template, the observations ``obs_names`` its SBIs read: the pair
+    of ``(name, i)`` at each literal index ``i`` and ``(name, position)``
+    at the position of each index name."""
+    return {t: (tuple(v for v in t.fixed if v.name in obs_names),
+                tuple(r for r in t.indexed if r[0] in obs_names))
             for t in templates}
 
 
 def referenced_observations(assignments: list[SymbolicAssignment],
-                            reads: dict[Template, ObservationReads]) -> dict[int, set[str]]:
-    """History index -> names of the observations any SBI reads there, in
-    one walk over the SBIs; ``reads`` is ``observation_reads`` of their
-    templates."""
+                            reads: dict[Template, tuple]) -> dict[int, set[str]]:
+    """History index -> names of the observations any SBI reads there;
+    ``reads`` is ``observation_reads`` of the SBIs' templates."""
     out: dict[int, set[str]] = {}
     for sa in assignments:
         sbi = sa.sbi
         fixed, indexed = reads[sbi.template]
         for name, i in fixed:
-            names = out.get(i)
-            if names is None:
-                out[i] = {name}
-            else:
-                names.add(name)
+            out.setdefault(i, set()).add(name)
         if indexed:
             for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
                 for name, pos in indexed:
-                    i = j[pos]
-                    names = out.get(i)
-                    if names is None:
-                        out[i] = {name}
-                    else:
-                        names.add(name)
+                    out.setdefault(j[pos], set()).add(name)
     return out
 
 
@@ -467,12 +444,11 @@ def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
     if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
-    if t is BoundSBI:
-        ev = interpreted(e.template) if code is None else code[e.template]
-        return _eval_bound(e, ev, interp, val), {"methods": []}
-    if t is not AggregateSBI:
+    if t is not BoundSBI and t is not AggregateSBI:
         raise TypeError(f"not an SBI: {e!r}")
     ev = interpreted(e.template) if code is None else code[e.template]
+    if t is BoundSBI:
+        return _eval_bound(e, ev, interp, val), {"methods": []}
     meta: dict = {"methods": []}
     return _eval_aggregate(e, ev, interp, val, meta, allow_cantelli), meta
 

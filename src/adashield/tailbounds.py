@@ -73,9 +73,6 @@ class Dist:
         self.a = a
         self.b = b
 
-    def __repr__(self):
-        return f"Dist({self.kind!r}, {self.a!r}, {self.b!r})"
-
 
 class DomainError(Exception):
     pass
@@ -92,13 +89,10 @@ def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float,
     """
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"tolerance must lie in [0, 1], got {eps}")
-    if tail == "lo":
-        neg = True
-        c0 = -c0
-    elif tail == "up":
-        neg = False
-    else:
+    if tail != "up" and tail != "lo":
         raise DomainError(f"tail must be 'up' or 'lo', got {tail!r}")
+    neg = tail == "lo"
+    c0 = -c0 if neg else c0
 
     # one pass, each sum added left to right from 0 as ``sum`` does
     mean = variance = widths = 0

@@ -220,7 +220,6 @@ class TestDist:
         d = Dist("uniform", 2.0, 2.0)
         assert (d.kind, d.a, d.b) == ("uniform", 2.0, 2.0)
         assert Dist("bernoulli", 0.0).b == 0.0 and Dist("bernoulli", 1.0).a == 1.0
-        assert repr(Dist("uniform", -1.0, 1.0)) == "Dist('uniform', -1.0, 1.0)"
 
 
 def _outcome(coeffs, c0, eps, tail, cantelli, fn):
