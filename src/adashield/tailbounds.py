@@ -120,7 +120,7 @@ def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float,
             variance += c * c * (d.a * (1.0 - d.a))
         try:
             widths += (c * (hi - lo)) ** 2
-        except OverflowError as e:
+        except OverflowError as e:  # raised below, once every variable is bounded
             overflow = e
     mean = c0 + mean
 
