@@ -5,8 +5,9 @@ nondeterministic loop-free controller: each choice contributes a branch side,
 each unconstrained assignment contributes a real value.  Execution replays
 the chosen path ignoring tests; the monitor replays the same path and checks
 every test in its intermediate state (an undefined test is fail-safe false).
-Both walk the controller's tree, the reference, or run the functions that
-``controller_code`` generates for a ``Shield``.
+Both run a controller's ``ControllerEvaluators``: ``interpreted`` walks its
+tree, the reference, and ``controller_code`` generates the functions a
+``Shield`` runs.
 """
 
 from __future__ import annotations
@@ -144,19 +145,41 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
 # ---------------------------------------------------------------------------
 # Execution and monitoring
 
-class CompiledProgram(NamedTuple):
-    """A controller with its generated monitor and execution, both called
-    as ``f(state, action, interp)`` on a state they update: the monitor
-    returns ``_monitor``'s verdict, execution returns nothing.
-    ``ctrl_monitor``, ``ctrl_exec`` and ``resolve_fallback`` take one in
-    place of the controller."""
+class ControllerEvaluators(NamedTuple):
+    """What running a controller calls: its program, whose tree the
+    fallback's directives walk; the monitor and execution, each as
+    ``f(state, action, interp)`` on a state it updates, the monitor
+    returning ``_monitor``'s verdict and execution nothing; and the
+    fallback's cases, each guard (None for the unguarded case) and each
+    term of its directives as ``f(state, interp)``.  ``interpreted`` walks
+    the trees, the reference; ``controller_code`` generates the functions."""
 
     program: HybridProgram
     monitor: Callable
     exec: Callable
+    fallback: tuple
 
 
-def ctrl_exec(ctrl: Union[HybridProgram, CompiledProgram], state: dict, a: ControlAction,
+def interpreted(ctrl: HybridProgram, fb: Optional[FallbackDecl] = None) -> ControllerEvaluators:
+    """The reference evaluators: walk ``ctrl``'s tree and ``fb``'s guards
+    and terms."""
+    return ControllerEvaluators(
+        ctrl,
+        lambda state, a, interp: _monitor(ctrl, state, a, interp, None),
+        lambda state, a, interp: _exec(ctrl, state, a, interp),
+        _cases(fb, lambda f: lambda state, interp: eval_formula(f, interp, state),
+               lambda t: lambda state, interp: eval_term(t, interp, state)))
+
+
+def _cases(fb: Optional[FallbackDecl], formula: Callable, term: Callable) -> tuple:
+    """``fb``'s cases with each guard made ``formula(guard)`` and each term
+    of a directive list ``term(t)``; branch words stay as they are."""
+    return tuple((None if guard is None else formula(guard),
+                  tuple(d if isinstance(d, str) else term(d) for d in tpl))
+                 for guard, tpl in (fb.cases if fb else ()))
+
+
+def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
               interp=None) -> dict:
     """State after running ``ctrl`` along the path selected by ``a``.
 
@@ -164,12 +187,8 @@ def ctrl_exec(ctrl: Union[HybridProgram, CompiledProgram], state: dict, a: Contr
     right-hand side leaves the family of UNDEF in the state so downstream
     monitors fail safe.
     """
-    interp = interp or {}
     out = dict(state)
-    if type(ctrl) is CompiledProgram:
-        ctrl.exec(out, a, interp)
-    else:
-        _exec(ctrl, out, a, interp)
+    ctrl.exec(out, a, interp or {})
     return out
 
 
@@ -207,13 +226,11 @@ def _exec(ctrl, state: dict, a, interp) -> None:
     raise StructureError(f"controller contains {t.__name__}, not executable")
 
 
-def ctrl_monitor(ctrl: Union[HybridProgram, CompiledProgram], state: dict, a: ControlAction,
+def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
                  interp=None) -> bool:
     """True iff every test on the selected path holds in its intermediate
     state; undefined tests are false.  Stops at the first failing test."""
-    if type(ctrl) is CompiledProgram:
-        return ctrl.monitor(dict(state), a, interp or {})
-    return _monitor(ctrl, dict(state), a, interp or {}, None)
+    return ctrl.monitor(dict(state), a, interp or {})
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
@@ -256,20 +273,16 @@ def _monitor(p, st: dict, act, interp, tests: Optional[list]) -> bool:
     return True
 
 
-def resolve_fallback(ctrl: Union[HybridProgram, CompiledProgram], fb: FallbackDecl,
-                     state: dict, interp=None) -> ControlAction:
-    """Action denoted by the first fallback template whose guard holds;
-    verified against the monitor before being returned.  With a compiled
-    controller, ``fb``'s guards and terms are the generated functions of
-    ``controller_code``."""
+def resolve_fallback(ctrl: ControllerEvaluators, state: dict, interp=None) -> ControlAction:
+    """Action denoted by the first fallback case whose guard holds;
+    verified against the monitor before being returned."""
     interp = interp or {}
-    compiled = type(ctrl) is CompiledProgram
     template = None
-    for guard, tpl in fb.cases:
+    for guard, tpl in ctrl.fallback:
         if guard is None:
             template = tpl
             break
-        g = guard(state, interp) if compiled else eval_formula(guard, interp, state)
+        g = guard(state, interp)
         if g is not UNDEF and g:
             template = tpl
             break
@@ -277,13 +290,13 @@ def resolve_fallback(ctrl: Union[HybridProgram, CompiledProgram], fb: FallbackDe
         raise FallbackViolation("no fallback template is applicable")
 
     def term_value(p, term):
-        v = term(state, interp) if compiled else eval_term(term, interp, state)
+        v = term(state, interp)
         if v is UNDEF:
             raise FallbackViolation(
                 f"fallback term for {p.var} is undefined in the current state")
         return v
 
-    action = walk_directives(ctrl.program if compiled else ctrl, template, term_value)
+    action = walk_directives(ctrl.program, template, term_value)
     if not ctrl_monitor(ctrl, state, action, interp):
         raise FallbackViolation(
             "fallback action rejected by the controller monitor "
@@ -291,18 +304,16 @@ def resolve_fallback(ctrl: Union[HybridProgram, CompiledProgram], fb: FallbackDe
     return action
 
 
-def controller_code(m: Module, ctrl: HybridProgram, fb: Optional[FallbackDecl]) -> tuple:
-    """``ctrl``'s monitor and execution, and the cases of ``fb`` with
-    their guards and terms, generated into ``m``, as ``Fn`` names until
-    ``m`` is linked.  The monitor and execution replay the path as
-    ``_monitor`` and ``_exec`` do, with the same checks of the action's
-    shape in the same order."""
+def controller_code(m: Module, ctrl: HybridProgram,
+                    fb: Optional[FallbackDecl]) -> ControllerEvaluators:
+    """``interpreted(ctrl, fb)`` as functions generated into ``m``.  The
+    monitor and execution replay the path as ``_monitor`` and ``_exec`` do,
+    with the same checks of the action's shape in the same order."""
     m.ns.update(APair=APair, ALeft=ALeft, ARight=ARight, AUnit=AUnit, AReal=AReal,
                 StructureError=StructureError)
-    cases = tuple((None if guard is None else m.formula(guard),
-                   tuple(d if isinstance(d, str) else m.term(d) for d in tpl))
-                  for guard, tpl in (fb.cases if fb else ()))
-    return CompiledProgram(ctrl, _path_function(m, ctrl, True), _path_function(m, ctrl, False)), cases
+    return ControllerEvaluators(ctrl, _path_function(m, ctrl, True),
+                                _path_function(m, ctrl, False),
+                                _cases(fb, m.formula, m.term))
 
 
 def _path_function(m: Module, p: HybridProgram, monitor: bool):
@@ -328,7 +339,7 @@ def _path_code(b: Body, p, act: str, monitor: bool) -> None:
             b.emit(f"{a} = {act}.{side}")
             _path_code(b, sub, a, monitor)
     elif t is Choice and b.depth >= MAX_DEPTH:
-        fn = _path_function(b.m, p, monitor).name
+        fn = _path_function(b.m, p, monitor).__name__
         b.emit(f"if not {fn}(cur, {act}, interp): return False" if monitor
                else f"{fn}(cur, {act}, interp)")
     elif t is Choice:

@@ -1,8 +1,7 @@
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
-    Exists, FALSE, Forall, Formula, HybridProgram, Ident, Imp, Lit, Loop,
-    Neg, Not, ODE, Or, Seq, TRUE, Term, Test, Var, conj, conjuncts, lit, seq,
-    var,
+    Exists, Forall, Formula, HybridProgram, Ident, Imp, Lit, Loop, Neg, Not,
+    ODE, Or, Seq, TRUE, Term, Test, Var, conj, conjuncts,
 )
 from .semantics import (
     Interpretation, StructuralError, UNDEF, Undefined, Valuation,

@@ -1,12 +1,12 @@
 """Straight-line Python for terms and quantifier-free formulas.
 
-A :class:`Module` collects generated functions and compiles them once.
-Each function has exactly the semantics of
-:func:`~adashield.dl.semantics.eval_term` or ``eval_formula``, which stay the
-reference: operands evaluate left to right, an undefined term operand makes
-its term undefined at once, and each connective follows strong Kleene logic
-as ``eval_formula`` does, so a decided left operand skips the right one and
-an undefined left operand does not stop it.  Nothing is folded or
+A :class:`Module` compiles each function it generates as soon as the
+function's statements are emitted.  Each function has exactly the semantics
+of :func:`~adashield.dl.semantics.eval_term` or ``eval_formula``, which stay
+the reference: operands evaluate left to right, an undefined term operand
+makes its term undefined at once, and each connective follows strong Kleene
+logic as ``eval_formula`` does, so a decided left operand skips the right
+one and an undefined left operand does not stop it.  Nothing is folded or
 simplified.  Every constant and identifier of the tree is a name in the
 module's namespace, never text in its source.
 
@@ -21,7 +21,7 @@ the names, without building a binding.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .semantics import UNDEF, StructuralError, apply, power
 from .syntax import (
@@ -42,20 +42,13 @@ _KLEENE = {And: ("False", "False", "False", "True"),
            Imp: ("False", "True", "True", "False")}
 
 
-class Fn(NamedTuple):
-    """A generated function, by name, until its module is compiled."""
-
-    name: str
-
-
 class Module:
-    """Generated functions and their namespace, compiled once by ``compile``;
-    ``link`` then swaps every ``Fn`` for the function it names."""
+    """Generated functions and the namespace they share: each function is
+    compiled as soon as its statements are emitted."""
 
     def __init__(self):
         self.ns = {"UNDEF": UNDEF, "StructuralError": StructuralError,
                    "_apply": apply, "_power": power}
-        self.defs: list[str] = []
         self.count = 0
 
     def const(self, value) -> str:
@@ -64,57 +57,42 @@ class Module:
         self.ns[name] = value
         return name
 
-    def function(self, params: str, names: Optional[tuple], emit: Callable) -> Fn:
-        """A function of ``params`` whose statements ``emit(body)`` writes,
-        reading variables under the index ``names`` (None: a plain dict)."""
+    def function(self, params: str, names: Optional[tuple], emit: Callable) -> Callable:
+        """The function of ``params`` whose statements ``emit(body)`` writes,
+        reading variables under the index ``names`` (None: a plain dict).
+        Each function is compiled on its own, because the parser's transient
+        memory grows with the source it is given: the 24 KB of acas's
+        functions at once peak at 2.5 MB, its largest function alone at
+        0.6 MB, and the process's peak memory keeps the larger figure."""
         self.count += 1
         name = f"_f{self.count}"
         body = Body(self, names)
         emit(body)
-        self.defs.append(body.source(name, params))
-        return Fn(name)
+        exec(compile(body.source(name, params), "<shield>", "exec"), self.ns)
+        return self.ns[name]
 
-    def term(self, t, names: Optional[tuple] = None) -> Fn:
+    def term(self, t, names: Optional[tuple] = None) -> Callable:
         """``eval_term(t, ...)``: a value or UNDEF."""
         return self.function(_params(names), names,
                              lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}"))
 
-    def formula(self, f, names: Optional[tuple] = None) -> Fn:
+    def formula(self, f, names: Optional[tuple] = None) -> Callable:
         """``eval_formula(f, ...)``: True, False or UNDEF."""
         return self.function(_params(names), names,
                              lambda b: b.emit(f"return {b.formula(f)}"))
 
-    def terms(self, ts, names: Optional[tuple] = None) -> Fn:
+    def terms(self, ts, names: Optional[tuple] = None) -> Callable:
         """The list of ``eval_term`` of each of ``ts``, every one evaluated."""
         return self.function(_params(names), names, lambda b: b.emit(
             f"return [{', '.join(b.term_into(t) for t in ts)}]"))
 
-    def lin(self, t, noise: tuple, names: tuple) -> Fn:
+    def lin(self, t, noise: tuple, names: tuple) -> Callable:
         """``strategy._lin(t, interp, val, k)`` as ``f(val, j, interp, k)``,
         for noise variables ``noise`` of distinct names, so that each has
         its own key in ``k``.  Every subterm ``_lin`` evaluates with
         ``eval_term`` is evaluated, in its order, and the coefficients are
         combined with the same float operations in the same order."""
         return self.function("val, j, interp, k", names, lambda b: _Lin(b, noise).emit(t))
-
-    def compile(self) -> None:
-        """Compile each function on its own into the shared namespace.  The
-        parser's transient memory grows with the source it is given: the
-        24 KB of acas's functions at once peak at 2.5 MB, its largest
-        function alone at 0.6 MB, and the process's peak memory keeps the
-        larger figure."""
-        for source in self.defs:
-            exec(compile(source, "<shield>", "exec"), self.ns)
-
-    def link(self, x):
-        """``x`` with every ``Fn`` in it, at any depth of tuples, replaced
-        by its compiled function."""
-        if type(x) is Fn:
-            return self.ns[x.name]
-        if isinstance(x, tuple):
-            parts = [self.link(y) for y in x]
-            return x._make(parts) if hasattr(x, "_make") else tuple(parts)
-        return x
 
 
 def _params(names: Optional[tuple]) -> str:
@@ -268,7 +246,7 @@ class Body:
             return self.formula(f)
         fn = self.m.formula(f, self.names)
         r = self.new()
-        self.emit(f"{r} = {fn.name}({_params(self.names)})")
+        self.emit(f"{r} = {fn.__name__}({_params(self.names)})")
         return r
 
 

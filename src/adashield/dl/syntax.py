@@ -52,10 +52,6 @@ class Abs:
     arg: "Term"
 
 
-#: binary operators; '^' requires a natural-number literal exponent
-BINOPS = ("+", "-", "*", "/", "^", "min", "max")
-
-
 @dataclass(frozen=True, slots=True)
 class BinOp:
     op: str
@@ -68,9 +64,6 @@ Term = Union[Lit, Var, App, Neg, Abs, BinOp]
 
 # ---------------------------------------------------------------------------
 # Formulas
-
-CMP_OPS = ("=", "<", "<=", ">=", ">")
-
 
 @dataclass(frozen=True, slots=True)
 class Cmp:
@@ -181,15 +174,6 @@ class Loop:
 HybridProgram = Union[Assign, AssignAny, Test, ODE, Choice, Seq, Loop]
 
 TRUE = BoolLit(True)
-FALSE = BoolLit(False)
-
-
-def lit(x: float) -> Term:
-    return Lit(float(x))
-
-
-def var(name: str, index: Union[int, str, None] = None) -> Term:
-    return Var(Ident(name, index))
 
 
 def conj(parts: list[Formula]) -> Formula:
@@ -208,12 +192,3 @@ def conjuncts(f: Formula) -> list[Formula]:
         return conjuncts(f.left) + conjuncts(f.right)
     return [f]
 
-
-def seq(parts: list[HybridProgram]) -> HybridProgram:
-    """Right-folded sequential composition of one or more programs."""
-    if not parts:
-        raise ValueError("empty program sequence")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Seq(p, out)
-    return out

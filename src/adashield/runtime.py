@@ -24,9 +24,9 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .dl import Ident, Module, UNDEF, eval_formula, is_runtime_evaluable
-from .specfile import FallbackDecl, ShieldSpec
+from .specfile import ShieldSpec
 from .actions import (
-    CompiledProgram, ControlAction, FallbackViolation, action_fits,
+    ControlAction, ControllerEvaluators, FallbackViolation, action_fits,
     controller_code, ctrl_exec, ctrl_monitor, derive_action_space,
     resolve_fallback,
 )
@@ -106,9 +106,6 @@ class ShieldedState:
     ledger: KahanLedger
     #: ``entry.view`` of every history entry, in order
     views: list = field(default_factory=list)
-    #: per observation name, the number of entries at which it is available;
-    #: names with no such entry are left out
-    avail_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -179,8 +176,8 @@ class PolicyView:
     Carries state features, current bound values, step/budget progress and
     per-entry observation availability; never any measurement value.  It is
     a snapshot the policy cannot write through: the history views are the
-    runtime's own, but frozen and read-only, and ``state``, ``bounds`` and
-    ``avail_counts`` are copies.
+    runtime's own, but frozen and read-only, and ``state`` and ``bounds``
+    are copies.
     """
 
     state: dict
@@ -190,19 +187,17 @@ class PolicyView:
     budget_remaining: float
     budget_initial: float
     history: tuple
-    avail_counts: dict
 
 
 class ShieldCode(NamedTuple):
     """What a step evaluates, as generated code: per strategy template its
-    ``Evaluators``, the controller's monitor and execution, and the
-    fallback with generated guards and terms; per template also the
-    observations it reads (``observation_reads``), and its target's
-    printed name and whether the target is an upper bound."""
+    ``Evaluators``, and the controller's ``ControllerEvaluators``, fallback
+    included; per template also the observations it reads
+    (``observation_reads``), and its target's printed name and whether the
+    target is an upper bound."""
 
     templates: dict
-    ctrl: CompiledProgram
-    fallback: FallbackDecl
+    ctrl: ControllerEvaluators
     reads: dict
     targets: dict
 
@@ -235,13 +230,11 @@ class Shield:
         """One generated module for every term and formula a step
         evaluates: the strategy templates, the controller and the fallback."""
         m = Module()
-        templates = {t: template_code(m, t) for t in self.strategy.templates}
-        ctrl, cases = controller_code(m, self.spec.ctrl, self.spec.fallback)
-        m.compile()
         ts = self.strategy.templates
         return ShieldCode(
-            {t: m.link(ev) for t, ev in templates.items()}, m.link(ctrl),
-            FallbackDecl(m.link(cases)), observation_reads(ts, self.obs_names),
+            {t: template_code(m, t) for t in ts},
+            controller_code(m, self.spec.ctrl, self.spec.fallback),
+            observation_reads(ts, self.obs_names),
             {t: (str(t.assign.target), self.directions.get(t.assign.target) != "lo")
              for t in ts})
 
@@ -307,39 +300,25 @@ def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
         budget_remaining=st.ledger.remaining,
         budget_initial=st.ledger.initial,
         history=tuple(st.views),
-        avail_counts=dict(st.avail_counts),
     )
 
 
 class StepValuation:
-    """What the SBIs of step ``n`` read, under an index ``binding``, or at
-    an index passed to ``at`` by generated code (see
-    ``strategy.DictValuation``).  ``x`` and ``x@n`` resolve to ``current``:
-    the state, the global bounds and the bounds assigned so far this step.
-    ``x@i`` for ``1 <= i < n`` resolves from history entry ``i``: an
-    observation surfaced at this step, else its local bounds, else its
-    state.  Any other index resolves to nothing.  Binding the index and
-    reading the entry are one lookup, so nothing is copied per step."""
+    """What the SBIs of step ``n`` read (see ``strategy.DictValuation``).
+    ``x`` and ``x@n`` resolve to ``current``: the state, the global bounds
+    and the bounds assigned so far this step.  ``x@i`` for ``1 <= i < n``
+    resolves from history entry ``i``: an observation surfaced at this
+    step, else its local bounds, else its state.  Any other index resolves
+    to nothing.  Reading the entry is one lookup, so nothing is copied per
+    step."""
 
-    __slots__ = ("binding", "current", "history", "n", "surfaced")
+    __slots__ = ("current", "history", "n", "surfaced")
 
     def __init__(self, current: dict, history: list, n: int):
-        self.binding = {}
         self.current = current
         self.history = history
         self.n = n
         self.surfaced: dict = {}
-
-    def get(self, ident: Ident, default=None):
-        name, i = ident
-        if i is None:
-            return self.current.get(ident, default)
-        if i.__class__ is str:
-            i = self.binding.get(i)
-            if i is None:
-                return default
-        x = self.at((name, None), i)
-        return default if x is UNDEF else x
 
     def at(self, key: Ident, i: int):
         """The unindexed identifier ``key`` at history index ``i``, or
@@ -391,7 +370,6 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
 
     history = st.history
     views = st.views
-    counts = st.avail_counts
     n = len(history) + 1
     sval = env.state_map(st.env_state)
     v: dict = dict(sval)
@@ -411,11 +389,6 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
                 val.surfaced[(name, i)] = entry.cache[name]
                 consumed.append((i, name))
         # nothing at this step may be reused later
-        for name in hv.available:
-            if counts[name] == 1:
-                del counts[name]
-            else:
-                counts[name] -= 1
         entry.view = views[i - 1] = HistoryView(i, hv.state, frozenset())
 
     ledger = st.ledger
@@ -434,9 +407,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             continue
         ledger.add(eps)
         remaining = ledger.remaining
-        r, meta = eval_sbi(sbi, interp, val, allow_cantelli, templates)
-        methods = meta["methods"]
-        method = methods[-1] if methods else None
+        r, method = eval_sbi(sbi, interp, val, allow_cantelli, templates)
         if r is BOTTOM or not math.isfinite(r):
             arecs.append(AssignmentRecord(name, eps, False, True, False, method))
             continue
@@ -457,8 +428,6 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     hv = HistoryView(n, MappingProxyType(sval), frozenset(availability))
     history.append(HistoryEntry(hv, b_l, cache))
     views.append(hv)
-    for name in hv.available:
-        counts[name] = counts.get(name, 0) + 1
 
     bounds = {**b_g, **b_l}
     # v holds the state and every bound now: what {**sval, **bounds} would
@@ -469,7 +438,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     # is overridden like one the monitor rejects
     if not action_fits(shield.ctrl_space, a_ctrl) or not (
             flags.unshielded or ctrl_monitor(code.ctrl, mval, a_ctrl, interp)):
-        executed = resolve_fallback(code.ctrl, code.fallback, mval, interp)
+        executed = resolve_fallback(code.ctrl, mval, interp)
         overridden = True
     exec_vals = ctrl_exec(code.ctrl, mval, executed, interp)
 
@@ -486,7 +455,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         availability={name: True for name in sorted(availability)},
         reward=reward, safe=env.ground_truth_safe(s2), terminal=terminal)
 
-    new_state = ShieldedState(s2, history, b_g, ledger, views, counts)
+    new_state = ShieldedState(s2, history, b_g, ledger, views)
     return new_state, reward, terminal, record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
 
 

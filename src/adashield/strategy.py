@@ -346,26 +346,44 @@ def referenced_observations(assignments: list[SymbolicAssignment],
 # SBI evaluation
 
 class DictValuation:
-    """A dict keyed by (indexed) identifiers, read under an index binding.
+    """A dict keyed by (indexed) identifiers, as a valuation: ``current``
+    holds ``x`` and ``at(x, i)`` reads ``x@i`` at a history index ``i``.
+    An identifier is a tuple, so ``(name, index)`` is the same key as
+    ``Ident(name, index)``."""
 
-    A valuation has a ``binding`` from a template's index names to history
-    indices, and ``get(ident, default)`` reads ``x@i`` at the index ``i`` is
-    bound to; generated code reads ``current`` for ``x`` and ``at(x, i)``
-    for ``x@i`` at a history index ``i``.  An identifier is a tuple, so
-    ``(name, index)`` is the same key as ``Ident(name, index)``."""
-
-    __slots__ = ("current", "binding")
+    __slots__ = ("current",)
 
     def __init__(self, values: dict):
         self.current = values
-        self.binding = {}
-
-    def get(self, ident: Ident, default=None):
-        j = self.binding.get(ident[1]) if ident[1].__class__ is str else None
-        return self.current.get(ident if j is None else (ident[0], j), default)
 
     def at(self, key: Ident, i: int):
         return self.current.get((key[0], i), UNDEF)
+
+
+class Bound:
+    """A valuation read with a template's index names bound to the index
+    tuple ``j``, as ``eval_term`` reads a mapping: ``x@i`` at an index name
+    reads ``val.at(x, j[pos[i]])``, as generated code does, and ``x`` or
+    ``x@i`` at a name that is not bound reads ``val.current``."""
+
+    __slots__ = ("val", "pos", "j")
+
+    def __init__(self, val, pos: dict, j: tuple):
+        self.val = val
+        self.pos = pos
+        self.j = j
+
+    def get(self, ident: Ident, default=None):
+        name, i = ident
+        if i.__class__ is str:
+            k = self.pos.get(i)
+            if k is None:
+                return self.val.current.get(ident, default)
+            i = self.j[k]
+        elif i is None:
+            return self.val.current.get(ident, default)
+        x = self.val.at((name, None), i)
+        return default if x is UNDEF else x
 
 
 class Evaluators(NamedTuple):
@@ -394,32 +412,24 @@ def interpreted(t: Template) -> Evaluators:
     body = a.body
     agg = isinstance(body, Aggregate)
     term = body.observable if agg else body.term
-    bindings: dict = {}  # each stage of an aggregate binds every j again
-
-    def bound(val, j):
-        b = bindings.get(j)
-        if b is None:
-            b = bindings[j] = dict(zip(t.names, j))
-        val.binding = b
-        return val
+    pos = {name: k for k, name in enumerate(t.names)}  # the last one wins
 
     def params(dx):
-        def evaluate(val, j, interp):
-            v = bound(val, j)
-            return [eval_term(p, interp, v) for p in dx.params]
-        return evaluate
+        return lambda val, j, interp: [eval_term(p, interp, Bound(val, pos, j))
+                                       for p in dx.params]
 
     return Evaluators(
-        lambda val, j, interp: eval_formula(a.guard, interp, bound(val, j)),
-        lambda val, j, interp: eval_term(term, interp, bound(val, j)),
+        lambda val, j, interp: eval_formula(a.guard, interp, Bound(val, pos, j)),
+        lambda val, j, interp: eval_term(term, interp, Bound(val, pos, j)),
         _noise(t, [params(dx) for _, dx in t.noise]),
-        (lambda val, j, interp, k: _lin(body.noise, interp, bound(val, j), k)) if agg else None)
+        (lambda val, j, interp, k: _lin(body.noise, interp, Bound(val, pos, j), k))
+        if agg else None)
 
 
 def template_code(m: Module, t: Template) -> Evaluators:
-    """``t``'s evaluators generated into ``m``, as ``Fn`` names until ``m``
-    is linked.  A noise term with two noise variables of one name, whose
-    keys can coincide for some ``j``, keeps the reference ``_lin``."""
+    """``t``'s evaluators generated into ``m``.  A noise term with two
+    noise variables of one name, whose keys can coincide for some ``j``,
+    keeps the reference ``_lin``."""
     a = t.assign
     body = a.body
     agg = isinstance(body, Aggregate)
@@ -436,11 +446,12 @@ def template_code(m: Module, t: Template) -> Evaluators:
 
 
 def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
-    """Evaluate to a float or ``BOTTOM``; returns ``(value, meta)`` where
-    ``meta['methods']`` lists the tail-bound methods used.  ``val`` is a
-    valuation such as ``DictValuation``, or a dict for one.  ``code`` maps
-    each template to its generated ``Evaluators`` (a ``Shield``'s
-    ``code.templates``); without it the template's trees are walked."""
+    """Evaluate to a float or ``BOTTOM``; returns ``(value, method)`` where
+    ``method`` is the tail-bound method used, None if no tail bound ran.
+    ``val`` is a valuation such as ``DictValuation``, or a dict for one.
+    ``code`` maps each template to its generated ``Evaluators`` (a
+    ``Shield``'s ``code.templates``); without it the template's trees are
+    walked."""
     if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
@@ -448,9 +459,8 @@ def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
         raise TypeError(f"not an SBI: {e!r}")
     ev = interpreted(e.template) if code is None else code[e.template]
     if t is BoundSBI:
-        return _eval_bound(e, ev, interp, val), {"methods": []}
-    meta: dict = {"methods": []}
-    return _eval_aggregate(e, ev, interp, val, meta, allow_cantelli), meta
+        return _eval_bound(e, ev, interp, val), None
+    return _eval_aggregate(e, ev, interp, val, allow_cantelli)
 
 
 def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
@@ -461,12 +471,12 @@ def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
     return BOTTOM if r is UNDEF else r
 
 
-def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, allow_cantelli):
-    """``sum w*observable`` plus the inverse tail bound of ``sum w*noise``,
-    with the index names bound to each pair's ``j`` in turn.  Sums
-    accumulate left to right, and the checks run in a fixed order: every
-    guard, the observable, the noise distributions, linearity, then the
-    tail bound."""
+def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, allow_cantelli):
+    """``(value, method)``: ``sum w*observable`` plus the inverse tail bound
+    of ``sum w*noise``, with the index names bound to each pair's ``j`` in
+    turn, and the tail bound's method.  Sums accumulate left to right, and
+    the checks run in a fixed order: every guard, the observable, the noise
+    distributions, linearity, then the tail bound."""
     t, dist, eps = e
     guard, body, noise, lin = ev
 
@@ -477,13 +487,13 @@ def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, allow_ca
         h = guard(val, j, interp)
         g = h if g is None or h is False else UNDEF if UNDEF in (g, h) else True
     if g is UNDEF or not g:
-        return BOTTOM
+        return BOTTOM, None
 
     s = None
     for w, j in dist:
         o = body(val, j, interp)
         if o is UNDEF:
-            return BOTTOM
+            return BOTTOM, None
         s = w * o if s is None else s + w * o
 
     # per pair, the noise variable each template noise variable stands for:
@@ -497,18 +507,18 @@ def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, allow_ca
             if key not in dists:
                 ps = params(val, j, interp)
                 if UNDEF in ps:
-                    return BOTTOM
+                    return BOTTOM, None
                 try:
                     dists[key] = Dist(kind, *ps)
                 except ValueError:
-                    return BOTTOM
+                    return BOTTOM, None
         keys.append(k)
 
     c0 = cs = None
     for (w, j), k in zip(dist, keys):
         r = lin(val, j, interp, k)
         if r is None:
-            return BOTTOM
+            return BOTTOM, None
         if cs is None:
             c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}
         else:
@@ -519,12 +529,9 @@ def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, meta, allow_ca
     r = tailbounds.invccdf([(c, dists[key]) for key, c in cs.items() if c != 0.0], c0, eps,
                            tail=t.tail, allow_cantelli=allow_cantelli)
     if r is None:
-        return BOTTOM
+        return BOTTOM, None
     value, method = r
-    meta["methods"].append(method)
-    if not math.isfinite(value):
-        return BOTTOM
-    return s + value
+    return (s + value if math.isfinite(value) else BOTTOM), method
 
 
 def linearize(term: Term, interp, val, noise_vars: frozenset[Ident]):

@@ -125,7 +125,7 @@ class TestCriterion3Adaptivity:
 class TestCriterion4MonitorCorrectness:
     def test_monitor_biconditional_and_exec_example(self):
         from test_monitor import ControllerGen, path_oracle
-        from adashield.actions import ctrl_monitor
+        from adashield.actions import ctrl_monitor, interpreted
         from adashield.dl import parse_program
 
         gen = ControllerGen(424242)
@@ -135,16 +135,16 @@ class TestCriterion4MonitorCorrectness:
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
             end = path_oracle(ctrl, s, a)
-            assert ctrl_monitor(ctrl, s, a) == (end is not None)
+            assert ctrl_monitor(interpreted(ctrl), s, a) == (end is not None)
             if end is not None:
-                assert ctrl_exec(ctrl, s, a) == end
+                assert ctrl_exec(interpreted(ctrl), s, a) == end
             probes += 1
 
         ctrl = parse_program(
             "{x := *; y := *; ?(x >= y)} ++ "
             "{x := 0; { {y := *; ?(y >= 0)} ++ y := -1 }}")
         a = ARight(APair(UNIT, ALeft(APair(AReal(8.0), UNIT))))
-        out = ctrl_exec(ctrl, {Ident("x"): 3.0, Ident("y"): 7.0}, a)
+        out = ctrl_exec(interpreted(ctrl), {Ident("x"): 3.0, Ident("y"): 7.0}, a)
         assert out == {Ident("x"): 0.0, Ident("y"): 8.0}
         report("criterion 4 (monitor correctness)",
                f"{probes} random controllers agree with the path oracle; "

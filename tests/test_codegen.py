@@ -3,8 +3,9 @@
 ``eval_term``, ``eval_formula`` and ``strategy._lin`` are the reference;
 the code a ``Module`` generates must give the same value, bit for bit, or
 raise the same error, on any input: random trees, valuations with holes,
-UNDEF, NaN, infinities, signed zeros and numpy floats, and every bundled
-spec's controller monitor, controller execution and fallback.
+UNDEF, NaN, infinities, signed zeros and numpy floats, and the controller
+monitor, controller execution and fallback of every bundled spec and of
+random controllers with random fallbacks.
 """
 
 import math
@@ -14,25 +15,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adashield.actions import (
-    ALeft, APair, AReal, ARight, SpaceProd, SpaceReal, SpaceSum, UNIT,
-    ctrl_exec, ctrl_monitor, derive_action_space, resolve_fallback,
+    ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal, SpaceSum, UNIT,
+    controller_code, ctrl_exec, ctrl_monitor, derive_action_space, interpreted,
+    resolve_fallback,
 )
 from adashield.dl import (
     Abs, And, App, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp, Lit,
     Module, Neg, Not, Or, Test, UNDEF, Var, eval_formula, eval_term, parse_term,
 )
 from adashield.dl.codegen import MAX_DEPTH
+from adashield.specfile import FallbackDecl
 from adashield.strategy import (
-    Aggregate, AggregateAction, CompiledStrategy, DictValuation, DistExpr, InferAssign, _lin,
-    eval_sbi, interpret_strategy, template_code,
+    Aggregate, AggregateAction, Bound, CompiledStrategy, DictValuation, DistExpr, InferAssign,
+    _lin, eval_sbi, interpret_strategy, template_code,
 )
 
-from test_monitor import ControllerGen
+from test_monitor import ControllerGen, directives_of
 
 # NaN and infinite numpy operands warn; both sides compute the same values
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 NAMES = ("i", "k")
+POS = {name: k for k, name in enumerate(NAMES)}
 IDENTS = (Ident("x"), Ident("y"), Ident("x", 1), Ident("y", 2), Ident("x", "i"),
           Ident("y", "k"), Ident("x", "m"))
 VALUES = (0.0, -0.0, 1.5, -2.0, 3.0, 0.1, -7.3, 1e200, -1e-300, math.nan, math.inf, -math.inf,
@@ -107,25 +111,18 @@ def _outcome(f):
         return type(e), str(e)
 
 
-def _compiled(build):
-    m = Module()
-    fn = build(m)
-    m.compile()
-    return m.link(fn)
-
-
 class TestTermsAndFormulas:
     @settings(max_examples=400, deadline=None)
     @given(t=_terms(), val=_valuations())
     def test_term_over_a_dict(self, t, val):
-        fn = _compiled(lambda m: m.term(t))
+        fn = Module().term(t)
         assert _same(_outcome(lambda: fn(val, INTERP)),
                      _outcome(lambda: eval_term(t, INTERP, val)))
 
     @settings(max_examples=400, deadline=None)
     @given(f=_formulas(), val=_valuations())
     def test_formula_over_a_dict(self, f, val):
-        fn = _compiled(lambda m: m.formula(f))
+        fn = Module().formula(f)
         assert _same(_outcome(lambda: fn(val, INTERP)),
                      _outcome(lambda: eval_formula(f, INTERP, val)))
 
@@ -134,9 +131,8 @@ class TestTermsAndFormulas:
            j=st.tuples(st.integers(-1, 3), st.integers(-1, 3)))
     def test_under_index_names(self, t, f, val, j):
         # x@i and y@k read at j, x@m (no such name) and x@1 as written
-        ref = DictValuation(val)
-        ref.binding = dict(zip(NAMES, j))
-        fns = _compiled(lambda m: (m.term(t, NAMES), m.formula(f, NAMES)))
+        ref = Bound(DictValuation(val), POS, j)
+        fns = Module().term(t, NAMES), Module().formula(f, NAMES)
         got = DictValuation(val)
         assert _same(_outcome(lambda: fns[0](got, j, INTERP)),
                      _outcome(lambda: eval_term(t, INTERP, ref)))
@@ -153,7 +149,7 @@ class TestTermsAndFormulas:
         (Cmp("<=", Var(Ident("x")), Lit(3.0)), {Ident("x"): np.float64(1.0)}, True),
     ])
     def test_kleene_cases(self, f, val, expected):
-        fn = _compiled(lambda m: m.formula(f))
+        fn = Module().formula(f)
         assert fn(val, INTERP) is expected
         assert eval_formula(f, INTERP, val) is expected
 
@@ -173,13 +169,13 @@ class TestTermsAndFormulas:
         a = UNIT
         for k in range(n):
             a = ARight(a)
-        fns = _compiled(lambda m: (m.formula(f), m.term(s)))
-        code = _shield_code(ctrl, None)
+        fns = Module().formula(f), Module().term(s)
+        code = controller_code(Module(), ctrl, None)
         for x in (-1.0, float(n) / 2, math.nan):
             val = {Ident("x"): x}
             assert _same(fns[0](val, {}), eval_formula(f, {}, val))
             assert _same(fns[1](val, {}), eval_term(s, {}, val))
-            assert ctrl_monitor(code, val, a) is ctrl_monitor(ctrl, val, a)
+            assert ctrl_monitor(code, val, a) is ctrl_monitor(interpreted(ctrl), val, a)
 
 
 NOISE = (Ident("eta", "i"), Ident("nu"))
@@ -206,9 +202,8 @@ class TestLinearization:
     @given(t=_noise_terms(), val=_valuations(), j=st.tuples(st.integers(-1, 3), st.integers(-1, 3)))
     def test_equals_lin(self, t, val, j):
         keys = {NOISE[0]: Ident("eta", j[0]), NOISE[1]: NOISE[1]}
-        ref = DictValuation(val)
-        ref.binding = dict(zip(NAMES, j))
-        fn = _compiled(lambda m: m.lin(t, NOISE, NAMES))
+        ref = Bound(DictValuation(val), POS, j)
+        fn = Module().lin(t, NOISE, NAMES)
         assert _same(_outcome(lambda: fn(DictValuation(val), j, INTERP, keys)),
                      _outcome(lambda: _lin(t, INTERP, ref, keys)))
 
@@ -221,10 +216,7 @@ class TestLinearization:
         noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
         compiled = CompiledStrategy(strategy, {}, noise)
         t, = compiled.templates
-        m = Module()
-        code = {t: template_code(m, t)}
-        m.compile()
-        code = {t: m.link(code[t])}
+        code = {t: template_code(Module(), t)}
         for j in (3, 4):
             sa, = interpret_strategy(strategy, (AggregateAction(0.1, ((1.0, (j,)),)),), {},
                                      noise, compiled)
@@ -234,14 +226,6 @@ class TestLinearization:
 
 # ---------------------------------------------------------------------------
 # Bundled specs: monitor, execution and fallback
-
-def _shield_code(ctrl, fb):
-    from adashield.actions import controller_code
-    m = Module()
-    c, _ = controller_code(m, ctrl, fb)
-    m.compile()
-    return m.link(c)
-
 
 def _actions(space, malformed: bool):
     """Actions of ``space``; with ``malformed``, any node may have the
@@ -278,19 +262,38 @@ class TestBundledControllers:
         keys = sorted({Ident(v.name) for v in spec.state_vars} | set(spec.param_idents))
         state = {k: data.draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(VALUES)))
                  for k in keys if data.draw(st.integers(0, 9))}
+        ref = interpreted(spec.ctrl, spec.fallback)
         for f in (ctrl_monitor, ctrl_exec):
             assert _same(_outcome(lambda: f(code.ctrl, state, a, interp)),
-                         _outcome(lambda: f(spec.ctrl, state, a, interp)))
+                         _outcome(lambda: f(ref, state, a, interp)))
         # repr tells 2.0 from np.float64(2.0) and -0.0 from 0.0
-        assert repr(_outcome(lambda: resolve_fallback(code.ctrl, code.fallback, state, interp))) \
-            == repr(_outcome(lambda: resolve_fallback(spec.ctrl, spec.fallback, state, interp)))
+        assert repr(_outcome(lambda: resolve_fallback(code.ctrl, state, interp))) \
+            == repr(_outcome(lambda: resolve_fallback(ref, state, interp)))
 
     def test_random_controllers(self):
+        # with a random fallback: a guarded case and an unguarded one
         gen = ControllerGen(77)
+        resolved = violations = 0
         for _ in range(300):
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
-            code = _shield_code(ctrl, None)
-            assert ctrl_monitor(code, s, a) is ctrl_monitor(ctrl, s, a)
-            assert _same(ctrl_exec(code, s, a), ctrl_exec(ctrl, s, a))
+            fb = FallbackDecl(((gen.terms.formula(1), _fallback_case(gen, ctrl)),
+                               (None, _fallback_case(gen, ctrl))))
+            code = controller_code(Module(), ctrl, fb)
+            ref = interpreted(ctrl, fb)
+            assert ctrl_monitor(code, s, a) is ctrl_monitor(ref, s, a)
+            assert _same(ctrl_exec(code, s, a), ctrl_exec(ref, s, a))
+            got = _outcome(lambda: resolve_fallback(code, s))
+            assert repr(got) == repr(_outcome(lambda: resolve_fallback(ref, s)))
+            failed = type(got) is tuple and got[0] is FallbackViolation
+            violations += failed
+            resolved += not failed
+        assert resolved and violations
+
+
+def _fallback_case(gen: ControllerGen, ctrl) -> tuple:
+    """The directive list of a random action of ``ctrl``, with a random
+    term for each ``x := *``."""
+    return tuple(d if isinstance(d, str) else gen.terms.term(2)
+                 for d in directives_of(ctrl, gen.action_for(ctrl)))

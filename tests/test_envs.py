@@ -16,7 +16,7 @@ from adashield.envs import (
     make_crossing_river, make_sisyphean_train, make_versatile_train,
 )
 from adashield.envs.train import G, TrainState
-from adashield.actions import make_action, ctrl_exec
+from adashield.actions import ctrl_exec, interpreted, make_action
 from adashield.runtime import Shield
 
 RTOL = 1e-6
@@ -110,7 +110,7 @@ def rollout_transitions(spec, env, policy_directives, episodes, seed, steps=30):
             bounds = policy_directives.bounds(env, s)
             mval = {**env.state_map(s), **bounds}
             a = make_action(spec.ctrl, directives)
-            exec_vals = ctrl_exec(spec.ctrl, mval, a, shield.interp)
+            exec_vals = ctrl_exec(interpreted(spec.ctrl), mval, a, shield.interp)
             s2, _, term = env.step(s, exec_vals, rng)
             out.append((s, exec_vals, s2, env.unknowns()))
             if term:
@@ -169,7 +169,7 @@ class TestPlantConformance:
         s = env.reset(rng)
         mval = {**env.state_map(s), Ident("fbar"): 3.0}
         spec = specs["sisyphean"]
-        exec_vals = ctrl_exec(spec.ctrl, mval, make_action(spec.ctrl, ["right"]),
+        exec_vals = ctrl_exec(interpreted(spec.ctrl), mval, make_action(spec.ctrl, ["right"]),
                               env.consts)
         s2, _, _ = env.step(s, exec_vals, rng)
         assert s2.v == 0.0

@@ -12,7 +12,7 @@ from adashield.dl import (
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal,
     SpaceSum, SpaceUnit, StructureError, UNIT, action_fits, controller_code, ctrl_exec,
-    ctrl_monitor, ctrl_monitor_trace, derive_action_space, make_action,
+    ctrl_monitor, ctrl_monitor_trace, derive_action_space, interpreted, make_action,
     resolve_fallback,
 )
 
@@ -139,18 +139,18 @@ class TestExec:
         ctrl = parse_program(
             "{x := *; y := *; ?(x >= y)} ++ {x := 0; { {y := *; ?(y >= 0)} ++ y := -1 }}")
         a = ARight(APair(UNIT, ALeft(APair(AReal(8.0), UNIT))))
-        out = ctrl_exec(ctrl, {Ident("x"): 3.0, Ident("y"): 7.0}, a)
+        out = ctrl_exec(interpreted(ctrl), {Ident("x"): 3.0, Ident("y"): 7.0}, a)
         assert out == {Ident("x"): 0.0, Ident("y"): 8.0}
 
     def test_brake_action(self):
         ctrl = parse_program("a := -4 ++ { ?(x > 0); a := 4 }")
-        out = ctrl_exec(ctrl, {Ident("x"): -1.0}, ALeft(UNIT))
+        out = ctrl_exec(interpreted(ctrl), {Ident("x"): -1.0}, ALeft(UNIT))
         assert out[Ident("a")] == -4.0
 
     def test_shape_mismatch(self):
         ctrl = parse_program("a := -4 ++ a := 4")
         with pytest.raises(StructureError):
-            ctrl_exec(ctrl, {}, UNIT)
+            ctrl_exec(interpreted(ctrl), {}, UNIT)
 
     def test_exec_deterministic(self):
         gen = ControllerGen(77)
@@ -158,7 +158,8 @@ class TestExec:
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
-            assert ctrl_exec(ctrl, s, a) == ctrl_exec(ctrl, s, a)
+            ev = interpreted(ctrl)
+            assert ctrl_exec(ev, s, a) == ctrl_exec(ev, s, a)
 
 
 class TestMonitor:
@@ -178,11 +179,11 @@ class TestMonitor:
     def test_test_free_path_always_true(self):
         ctrl = parse_program("a := -4 ++ { ?(x > 0); a := 4 }")
         for x in (-10.0, 0.0, 10.0):
-            assert ctrl_monitor(ctrl, {Ident("x"): x}, ALeft(UNIT))
+            assert ctrl_monitor(interpreted(ctrl), {Ident("x"): x}, ALeft(UNIT))
 
     def test_undefined_test_fails_safe(self):
         ctrl = parse_program("?(1/x > 0)")
-        assert ctrl_monitor(ctrl, {Ident("x"): 0.0}, UNIT) is False
+        assert ctrl_monitor(interpreted(ctrl), {Ident("x"): 0.0}, UNIT) is False
 
     def test_monitor_agrees_with_path_oracle(self):
         gen = ControllerGen(2024)
@@ -191,13 +192,14 @@ class TestMonitor:
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
-            got = ctrl_monitor(ctrl, s, a)
+            ev = interpreted(ctrl)
+            got = ctrl_monitor(ev, s, a)
             end = path_oracle(ctrl, s, a)
             expected = end is not None and all(
                 end.get(k, UNDEF) is not UNDEF for k in end)
             if end is not None:
                 # when the path passes, exec must land exactly on the oracle state
-                assert ctrl_exec(ctrl, s, a) == end
+                assert ctrl_exec(ev, s, a) == end
             assert got == expected
             agreements += 1
         assert agreements == 1000
@@ -210,7 +212,7 @@ class TestMonitor:
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
-            assert ctrl_monitor(ctrl, s, a) == (not ctrl_monitor_trace(ctrl, s, a)[1])
+            assert ctrl_monitor(interpreted(ctrl), s, a) == (not ctrl_monitor_trace(ctrl, s, a)[1])
 
     def test_trace_reports_tests_after_a_failure(self):
         ctrl = parse_program("?(x > 0); ?(x > 1)")
@@ -225,7 +227,7 @@ class TestFallback:
         consts = {"A": 4.0, "B": 4.0, "T": 1.0, "sigma": 0.1}
         s = {Ident("x"): 0.0, Ident("v"): 10.0, Ident("e"): 1000.0,
              Ident("theta_lo"): 0.5, Ident("theta_up"): 1.5, Ident("phi_up"): 0.5}
-        a = resolve_fallback(spec.ctrl, spec.fallback, s, consts)
+        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
         assert a == make_action(spec.ctrl, [-4.0])
 
     def test_binary_fallback_is_right_branch(self, specs):
@@ -234,7 +236,7 @@ class TestFallback:
                   "eta_r": 0.3}
         s = {Ident("x"): -1000.0, Ident("v"): 30.0, Ident("y"): 3.0,
              Ident("a"): 0.0, Ident("t"): 0.0, Ident("fbar"): 3.0}
-        a = resolve_fallback(spec.ctrl, spec.fallback, s, consts)
+        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
         assert a == make_action(spec.ctrl, ["right"])
 
     def test_fallback_violation_out_of_contract(self, specs):
@@ -244,25 +246,23 @@ class TestFallback:
         s = {Ident("x"): 999.0, Ident("v"): 100.0, Ident("e"): 0.0,
              Ident("theta_lo"): 0.1, Ident("theta_up"): 9.9, Ident("phi_up"): 0.3}
         with pytest.raises(FallbackViolation):
-            resolve_fallback(spec.ctrl, spec.fallback, s, consts)
+            resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
 
     def test_numpy_action_is_checked(self):
         # action_fits admits any Real, so a numpy float reaches the monitor
         ctrl = parse_program("a := *; ?(a <= A & x <= 0)", frozenset({"A"}))
-        m = Module()
-        code, _ = controller_code(m, ctrl, None)
-        m.compile()
-        code = m.link(code)
+        code = controller_code(Module(), ctrl, None)
         s = {Ident("x"): -1.0}
         for value, expected in ((10.0, False), (1.0, True)):
             for a in (make_action(ctrl, [value]), APair(AReal(np.float64(value)), UNIT)):
                 assert action_fits(derive_action_space(ctrl), a)
-                assert ctrl_monitor(ctrl, s, a, {"A": 3.0}) is expected
+                assert ctrl_monitor(interpreted(ctrl), s, a, {"A": 3.0}) is expected
                 assert ctrl_monitor(code, s, a, {"A": 3.0}) is expected
 
     def test_acas_numpy_actions_match_floats(self, specs, shields):
         spec = specs["acas"]
         code = shields["acas"].code.ctrl
+        ref = interpreted(spec.ctrl)
         consts = dict(tm=40.0, T=1.0, A=3.0, Aint=3.0, R=500.0, V=50.0,
                       H=2000.0, sigv=2.0, sigh=20.0, p=1e-4)
         accepted = 0
@@ -270,12 +270,12 @@ class TestFallback:
             s = {Ident("h"): h, Ident("v"): 0.0, Ident("t"): 0.0,
                  Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
             for value in (-3.0, -1.0, 0.0, 2.0, 3.0, 5.0):
-                verdict = ctrl_monitor(spec.ctrl, s, make_action(spec.ctrl, [value]), consts)
+                verdict = ctrl_monitor(ref, s, make_action(spec.ctrl, [value]), consts)
                 accepted += verdict
                 a = make_action(spec.ctrl, [np.float64(value)])
                 a = APair(AReal(np.float64(value)), a.right)
                 assert type(a.left.value) is np.float64
-                assert ctrl_monitor(spec.ctrl, s, a, consts) is verdict
+                assert ctrl_monitor(ref, s, a, consts) is verdict
                 assert ctrl_monitor(code, s, a, consts) is verdict
         assert 0 < accepted < 18
 
@@ -290,10 +290,10 @@ class TestFallback:
                 Ident("hint_lo"): -2000.0, Ident("hint_up"): 2000.0,
                 Ident("h0int_lo"): -500.0, Ident("h0int_up"): 500.0}
         up = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
-        a = resolve_fallback(spec.ctrl, spec.fallback, up, consts)
+        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), up, consts)
         assert a == make_action(spec.ctrl, [3.0])  # climb case holds
         down = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 4000.0}
-        a = resolve_fallback(spec.ctrl, spec.fallback, down, consts)
+        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), down, consts)
         assert a == make_action(spec.ctrl, [-3.0])
 
 

@@ -20,11 +20,9 @@ def train_view(shield, xs, step=30, budget=(1e-3, 1e-3), x_now=0.0,
     for i, x in enumerate(xs, start=1):
         avail = frozenset() if i in consumed_at else frozenset({"w"})
         history.append(HistoryView(i, {Ident("x"): x}, avail))
-    counts = {"w": sum(1 for h in history if h.available)}
     return PolicyView(state={Ident("x"): x_now}, bounds={Ident("fbar"): 3.0},
                       step=step, max_steps=100, budget_remaining=budget[1],
-                      budget_initial=budget[0], history=tuple(history),
-                      avail_counts=counts)
+                      budget_initial=budget[0], history=tuple(history))
 
 
 class TestFractionRule:
@@ -128,8 +126,7 @@ class TestBudgetDiscipline:
         view = PolicyView(
             state={Ident("x"): -1.0, Ident("y"): 0.0}, bounds={},
             step=5, max_steps=50, budget_remaining=0.0, budget_initial=1e-7,
-            history=(HistoryView(1, {Ident("x"): -1.0}, frozenset({"w"})),),
-            avail_counts={"w": 1})
+            history=(HistoryView(1, {Ident("x"): -1.0}, frozenset({"w"})),))
         action = policy(view)
         # the policy still emits the aggregate; the runtime's budget guard
         # is responsible for skipping it
@@ -143,5 +140,5 @@ class TestSkipPolicy:
         policy = skip_inference(shield, env)
         view = PolicyView(state={}, bounds={}, step=0, max_steps=1,
                           budget_remaining=1.0, budget_initial=1.0,
-                          history=(), avail_counts={})
+                          history=())
         assert policy(view) == tuple(None for _ in specs["acas"].infer)

@@ -10,7 +10,7 @@ import pytest
 
 from adashield import runtime
 from adashield.cli import bundled_spec_path
-from adashield.dl import Ident
+from adashield.dl import UNDEF, Ident
 from adashield.actions import ALeft, APair, AReal, UNIT, make_action
 from adashield.runtime import (
     ExperimentConfig, HistoryView, InitialConditionViolation, KahanLedger,
@@ -406,7 +406,6 @@ class TestPolicyBarrier:
                         object.__setattr__(hv, "available", frozenset({"w"}))
                     except AttributeError:
                         refused.append(hv.index)
-                view.avail_counts["w"] = 10**6
                 view.state[Ident("x")] = -1e9
                 view.bounds.clear()
                 return action
@@ -451,17 +450,12 @@ def _reference_policy_view(env, st, step, max_steps) -> PolicyView:
     bounds = dict(st.global_bounds)
     if st.history:
         bounds.update(st.history[-1].local_bounds)
-    counts: dict = {}
-    views = []
-    for i, e in enumerate(st.history, start=1):
-        views.append(HistoryView(i, e.view.state, frozenset(e.view.available)))
-        for name in e.view.available:
-            counts[name] = counts.get(name, 0) + 1
+    views = [HistoryView(i, e.view.state, frozenset(e.view.available))
+             for i, e in enumerate(st.history, start=1)]
     return PolicyView(
         state=env.state_map(st.env_state), bounds=bounds, step=step,
         max_steps=max_steps, budget_remaining=st.ledger.remaining,
-        budget_initial=st.ledger.initial, history=tuple(views),
-        avail_counts=counts)
+        budget_initial=st.ledger.initial, history=tuple(views))
 
 
 def _reference_history_valuation(history, assignments) -> dict:
@@ -509,16 +503,18 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     lazy = StepValuation(dict(current), history, n)
     lazy.surfaced.update(surfaced)
     for ident, x in full.items():
-        assert _same(lazy.get(ident), x)
+        got = (lazy.current.get(ident) if ident.index is None
+               else lazy.at(Ident(ident.name), ident.index))
+        assert _same(got, x)
     for k in current:
         for i in (-1, 0, n + 1):
-            assert lazy.get(Ident(k.name, i)) is None
+            assert lazy.at(k, i) is UNDEF
 
     read = 0
     for sa in assignments:
-        r, meta = eval_sbi(sa.sbi, shield.interp, full, shield.allow_cantelli)
-        r_lazy, meta_lazy = eval_sbi(sa.sbi, shield.interp, lazy, shield.allow_cantelli)
-        assert _same(r_lazy, r) and meta_lazy == meta
+        r, method = eval_sbi(sa.sbi, shield.interp, full, shield.allow_cantelli)
+        r_lazy, method_lazy = eval_sbi(sa.sbi, shield.interp, lazy, shield.allow_cantelli)
+        assert _same(r_lazy, r) and method_lazy == method
         read += bool(referenced_indices([sa]))
         if r is BOTTOM or not math.isfinite(r):
             continue

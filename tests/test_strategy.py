@@ -91,7 +91,7 @@ class TestInterpret:
         assert str(sa.param) == "fbar" and sa.eps == 0.0
         assert type(sa.sbi) is BoundSBI and sa.sbi.j == ()
         assert sa.sbi.template.assign is strategy[0]
-        assert eval_sbi(sa.sbi, {"F": 3.0}, {}) == (3.0, {"methods": []})
+        assert eval_sbi(sa.sbi, {"F": 3.0}, {}) == (3.0, None)
 
     def test_best_two_instances(self, train_strategy):
         spec, strategy, dirs, noise = train_strategy
@@ -179,10 +179,10 @@ class TestCompiledStrategy:
         assert referenced_indices([sa]) == {3, 4}
         val = {Ident("x"): 100.0, Ident("x", 3): 1.0, Ident("x", 4): 2.0,
                Ident("w", 3): 0.0, Ident("w", 4): 0.0}
-        v, meta = eval_sbi(sa.sbi, {}, val)
+        v, method = eval_sbi(sa.sbi, {}, val)
         # variance 0.25*(1 + 1) + 0.25*(4 + 1) of the weighted noise
         z = math.sqrt(2.0) * float(special.erfinv(0.8))
-        assert abs(v - math.sqrt(1.75) * z) < 1e-9 and meta["methods"] == ["gaussian"]
+        assert abs(v - math.sqrt(1.75) * z) < 1e-9 and method == "gaussian"
 
     def test_sliding_window_reuses_instances(self, train_strategy):
         # the direct assignment is built once; best SBIs bind the shared
@@ -209,7 +209,8 @@ class TestCompiledStrategy:
 def _oracle(assign, slot, direction_of, noise_decls, interp, val):
     """The SBIs of one assignment instantiated as trees and evaluated with
     the term semantics: the reference for index-bound evaluation.  A list
-    of ``(value, meta)``, one per SBI."""
+    of ``(value, method)``, one per SBI, ``method`` the tail bound's or
+    None."""
     body = assign.body
     names = list(getattr(body, "indices", ()))
 
@@ -221,14 +222,12 @@ def _oracle(assign, slot, direction_of, noise_decls, interp, val):
         return BOTTOM if r is UNDEF else r
 
     if not names:
-        return [(guarded(assign.guard, body.term), {"methods": []})]
+        return [(guarded(assign.guard, body.term), None)]
     if not isinstance(body, Aggregate):
         return [(guarded(instantiate_indices(assign.guard, names, list(j)),
-                         instantiate_indices(body.term, names, list(j))),
-                 {"methods": []})
+                         instantiate_indices(body.term, names, list(j))), None)
                 for j in slot]
 
-    meta = {"methods": []}
     guards, obs_sum, noise_sum, dists = [], None, None, {}
     for w, j in slot.dist:
         guards.append(instantiate_indices(assign.guard, names, list(j)))
@@ -241,25 +240,24 @@ def _oracle(assign, slot, direction_of, noise_decls, interp, val):
                 dists[v] = noise_decls[v.name]
     s = guarded(conj(guards), obs_sum)
     if s is BOTTOM:
-        return [(BOTTOM, meta)]
+        return [(BOTTOM, None)]
     for v, dx in dists.items():
         params = [eval_term(tag_with_index(t, v.index), interp, val) for t in dx.params]
         if UNDEF in params:
-            return [(BOTTOM, meta)]
+            return [(BOTTOM, None)]
         try:
             dists[v] = Dist(dx.kind, *params)
         except ValueError:
-            return [(BOTTOM, meta)]
+            return [(BOTTOM, None)]
     lin = linearize(noise_sum, interp, val, frozenset(dists))
     if lin is None:
-        return [(BOTTOM, meta)]
+        return [(BOTTOM, None)]
     c0, coeffs = lin
     r = tailbounds.invccdf([(c, dists[v]) for v, c in coeffs.items()], c0, slot.eps,
                            tail="lo" if direction_of.get(assign.target) == "lo" else "up")
     if r is None:
-        return [(BOTTOM, meta)]
-    meta["methods"].append(r[1])
-    return [(BOTTOM if not math.isfinite(r[0]) else s + r[0], meta)]
+        return [(BOTTOM, None)]
+    return [(BOTTOM if not math.isfinite(r[0]) else s + r[0], r[1])]
 
 
 def _outcome(f):
@@ -359,11 +357,11 @@ class TestEvalSBI:
         consts = {"F": 3.0, "k": 123.0, "sigma": 1.0}
         val = {Ident("x"): 4.0, Ident("x", 2): 4.0, Ident("x", 5): 4.0,
                Ident("w", 2): 1.0, Ident("w", 5): 2.0}
-        v, meta = eval_sbi(out[-1].sbi, consts, val)
+        v, method = eval_sbi(out[-1].sbi, consts, val)
         expected = 1.7 + math.sqrt(0.58) * _z(0.025)
         assert abs(v - expected) < 1e-9
         assert abs(v - 3.1926641) < 1e-6
-        assert meta["methods"] == ["gaussian"]
+        assert method == "gaussian"
 
     def test_gaussian_closed_form_property(self, train_strategy):
         # engine output == sum(li*(wi + k|x-xi|)) + sqrt(sum li^2)*sigma*z_eps
@@ -404,11 +402,11 @@ class TestEvalSBI:
             val[Ident("x", i)] = float(i)
             val[Ident("w", i)] = 0.1 * i
         out = interpret_strategy(strategy, (None, (), act), dirs, noise)
-        v, meta = eval_sbi(out[-1].sbi, consts, val)
+        v, method = eval_sbi(out[-1].sbi, consts, val)
         expected = sum((0.1 * i + consts["k"] * i) / n for i in range(1, n + 1))
         expected += consts["sigma"] / math.sqrt(n) * _z(eps)
         assert abs(v - expected) <= 1e-9 * abs(expected)
-        assert meta["methods"] == ["gaussian"]
+        assert method == "gaussian"
 
     @pytest.mark.parametrize("name", ["train_local", "sisyphean", "river", "acas"])
     def test_no_tolerance_raises(self, specs, shields, name):
@@ -431,10 +429,10 @@ class TestEvalSBI:
             for sa in interpret_strategy(spec.infer, slots, spec.directions,
                                          spec.noise_decls, shield.strategy):
                 for code in (None, shield.code.templates):
-                    v, meta = eval_sbi(sa.sbi, interp, val, code=code)
+                    v, method = eval_sbi(sa.sbi, interp, val, code=code)
                     assert v is BOTTOM or math.isfinite(v)
-                    methods.update(meta["methods"])
-        assert methods
+                    methods.add(method)
+        assert methods - {None}
 
     def test_state_dependent_noise_scale(self, specs):
         # the river noise component |x_i| * eta_i picks up the historical
@@ -456,8 +454,7 @@ class TestEvalSBI:
         noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
         sa, = interpret_strategy(strategy, (AggregateAction(0.1, ((1.0, (1,)),)),),
                                  {}, noise)
-        v, meta = eval_sbi(sa.sbi, {}, {})
-        assert v is BOTTOM and meta["methods"] == []
+        assert eval_sbi(sa.sbi, {}, {}) == (BOTTOM, None)
 
     def test_linearize_distributes(self):
         t = parse_term("(w@2 - w@1)/(u@2 - u@1)")
