@@ -10,7 +10,7 @@ from .dl import (
 )
 from .actions import StructureError, walk_directives
 from .specfile import ShieldSpec
-from .strategy import Aggregate, Best, Direct
+from .strategy import Aggregate, Direct
 
 # diagnostic codes, one per statically checkable clause
 LOCAL_IN_INVARIANT = "local-param-in-invariant"
@@ -51,12 +51,8 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
     params = set(spec.param_idents)
     param_names = {p.name for p in params}
     state_names = {v.name for v in spec.state_vars}
-    declared_arity = {n: a for n, a in spec.unknowns}
-    declared_arity.update({c: 0 for c in spec.consts})
+    declared_arity = spec.symbol_arities
     unknown_names = {n for n, _ in spec.unknowns}
-
-    def names_of(idents):
-        return {v.name for v in idents}
 
     # bound formulas mention no parameter other than their own
     for b in spec.bounds:
@@ -124,7 +120,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                 f"indexed variable {v} has no declared base name"))
 
     # arity consistency of every application
-    for node in _spec_nodes(spec):
+    for node in spec.nodes():
         for name, arity in symbols(node):
             want = declared_arity.get(name)
             if want is not None and want != arity:
@@ -144,29 +140,6 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                     f"initial value given for non-global parameter {p}"))
 
     return out
-
-
-def _spec_nodes(spec: ShieldSpec):
-    yield spec.ctrl
-    yield spec.plant
-    yield spec.safe
-    yield spec.invariant
-    for f in spec.assumptions:
-        yield f
-    for b in spec.bounds:
-        yield b.formula
-    for o in spec.obs:
-        yield o.definition
-    for n in spec.noise:
-        for t in n.dist.params:
-            yield t
-    for a in spec.infer:
-        yield a.guard
-        if isinstance(a.body, Direct) or isinstance(a.body, Best):
-            yield a.body.term
-        else:
-            yield a.body.observable
-            yield a.body.noise
 
 
 def _check_ctrl_structure(prog) -> list[Diagnostic]:
@@ -222,9 +195,8 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
 
     for a in spec.infer:
         body = a.body
-        terms = ([body.term] if isinstance(body, (Direct, Best))
-                 else [body.observable, body.noise])
-        for t in terms + [a.guard]:
+        nodes = (*a.terms, a.guard)
+        for t in nodes:
             for name, _arity in symbols(t):
                 if name in unknown_names:
                     out.append(Diagnostic(
@@ -236,7 +208,7 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
                 f"guard of assignment to {a.target} is not runtime-evaluable"))
 
         declared_idx = set(getattr(body, "indices", ()))
-        for t in terms + [a.guard]:
+        for t in nodes:
             for v in free_vars(t):
                 if isinstance(v.index, str) and v.index not in declared_idx:
                     out.append(Diagnostic(

@@ -8,7 +8,7 @@ from .semantics import (
     eval_formula, eval_term, is_runtime_evaluable,
 )
 from .transform import (
-    SubstitutionError, free_vars, instantiate_indices, resolve_symbols,
+    SubstitutionError, free_vars, instantiate_indices, ordered_free_vars,
     substitute, symbols, tag_with_index,
 )
 from .codegen import Module

@@ -9,8 +9,10 @@ Grammar summary (see README for the full table):
 * programs:  ``x := e``, ``x := *``, ``?(P)``, ``{x' = e, ... & Q}``,
   ``++`` (choice), ``;`` (sequence), ``{ ... }*`` (loop)
 
-``^`` exponents must be natural-number literals.  A declared symbol set turns
-bare names into arity-0 symbol applications.
+``^`` exponents must be natural-number literals.  Given a set of declared
+symbols, the parser reads a bare name among them as an arity-0 symbol
+application, unless an enclosing quantifier binds that name; a declared
+symbol cannot be assigned or evolve.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
     Exists, Forall, Ident, Imp, Lit, Loop, Neg, Not, ODE, Or, Seq, Test, Var,
 )
-from .transform import resolve_symbols
 
 
 class ParseError(Exception):
@@ -94,10 +95,14 @@ def tokenize(text: str) -> list[Token]:
 class Parser:
     reserved = _RESERVED
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], symbols: set[str] | frozenset[str] = frozenset()):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        #: names of the declared symbols
+        self.symbols = symbols
+        #: the variables of the quantifiers open at this token, innermost last
+        self.bound: list[Ident] = []
 
     # -- token plumbing ------------------------------------------------
 
@@ -172,6 +177,20 @@ class Parser:
             raise ParseError("expected index after '@'", it.line, it.col)
         return Ident(t.text)
 
+    def is_symbol(self, v: Ident) -> bool:
+        """Whether ``v``, read here, names a declared symbol: it is bare,
+        declared, and no open quantifier binds it."""
+        return v.index is None and v.name in self.symbols and v not in self.bound
+
+    def variable(self, verb: str) -> Ident:
+        """The identifier a program ``verb``s; a ``ParseError`` at it if it
+        names a declared symbol."""
+        t = self.peek()
+        v = self.ident()
+        if self.is_symbol(v):
+            raise ParseError(f"cannot {verb} declared symbol {v.name!r}", t.line, t.col)
+        return v
+
     # -- terms -----------------------------------------------------------
 
     def term(self):
@@ -245,7 +264,8 @@ class Parser:
                         args.append(self.nested(self.term))
                 self.expect(")")
                 return App(name, tuple(args))
-            return Var(self.ident())
+            v = self.ident()
+            return App(v.name, ()) if self.is_symbol(v) else Var(v)
         if self.accept("("):
             inner = self.nested(self.term)
             self.expect(")")
@@ -282,7 +302,12 @@ class Parser:
         if t.kind == "quant":
             self.next()
             v = self.ident()
-            return (Forall if t.text == "\\forall" else Exists)(v, self.nested(self._f_unary))
+            self.bound.append(v)
+            try:
+                body = self.nested(self._f_unary)
+            finally:
+                self.bound.pop()
+            return (Forall if t.text == "\\forall" else Exists)(v, body)
         if t.text == "[":
             self.next()
             prog = self.nested(self.program)
@@ -300,16 +325,23 @@ class Parser:
             self.next()
             return BoolLit(False)
         if t.text == "(":
-            # could be a parenthesised formula or a parenthesised term
+            # could be a parenthesised formula or a parenthesised term; if
+            # neither reading parses, the one that got further reports
             saved = self.pos
             try:
                 self.next()
                 inner = self.nested(self.formula)
                 self.expect(")")
                 return inner
-            except ParseError:
-                self.pos = saved
+            except ParseError as e:
+                failed = e
+            self.pos = saved
+            try:
                 return self._comparison()
+            except ParseError as e:
+                if (failed.line, failed.col) > (e.line, e.col):
+                    raise failed from None
+                raise
         return self._comparison()
 
     def _comparison(self):
@@ -355,7 +387,7 @@ class Parser:
                 return Loop(inner)
             return inner
         if t.kind == "ident" and t.text not in self.reserved:
-            v = self.ident()
+            v = self.variable("assign to")
             self.expect(":=")
             if self.accept("*"):
                 return AssignAny(v)
@@ -377,7 +409,7 @@ class Parser:
         self.expect("{")
         eqs = []
         while True:
-            x = self.ident()
+            x = self.variable("evolve")
             self.expect("'")
             self.expect("=")
             eqs.append((x, self.term()))
@@ -416,12 +448,12 @@ def _deeper_than(node, limit: int) -> bool:
 
 
 def _run(text: str, method: str, symbols: frozenset[str]):
-    p = Parser(tokenize(text))
+    p = Parser(tokenize(text), symbols)
     node = p.bounded(getattr(p, method))
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return resolve_symbols(node, symbols) if symbols else node
+    return node
 
 
 def parse_term(text: str, symbols: frozenset[str] = frozenset()):

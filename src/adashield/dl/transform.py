@@ -93,37 +93,13 @@ def _subst(e: Node, m: dict) -> Node:
     raise SubstitutionError(f"cannot substitute in {e!r}")
 
 
-def tag_with_index(e, index: Union[int, str]):
-    """Tag every free variable with ``index``; also works on valuations (dicts)."""
-    if isinstance(e, dict):
-        return {Ident(k.name, index): v for k, v in e.items()}
-    return _tag(e, index)
-
-
-def _tag(e: Node, index) -> Node:
-    t = type(e)
-    if t is Var:
-        if e.ident.index is not None and e.ident.index != index:
-            raise SubstitutionError(
-                f"variable {e.ident} already carries a conflicting index")
-        return Var(Ident(e.ident.name, index))
-    if t is Lit or t is BoolLit:
-        return e
-    if t is App:
-        return App(e.func, tuple(_tag(a, index) for a in e.args)) if e.args else e
-    if t is Neg:
-        return Neg(_tag(e.arg, index))
-    if t is Abs:
-        return Abs(_tag(e.arg, index))
-    if t is BinOp:
-        return BinOp(e.op, _tag(e.left, index), _tag(e.right, index))
-    if t is Cmp:
-        return Cmp(e.op, _tag(e.left, index), _tag(e.right, index))
-    if t is Not:
-        return Not(_tag(e.arg, index))
-    if t in (And, Or, Imp):
-        return t(_tag(e.left, index), _tag(e.right, index))
-    raise SubstitutionError(f"index tagging not supported for {type(e).__name__}")
+def tag_with_index(e: Node, index: Union[int, str]) -> Node:
+    """Tag every free variable with ``index``."""
+    def tag(v: Ident) -> Ident:
+        if v.index is not None and v.index != index:
+            raise SubstitutionError(f"variable {v} already carries a conflicting index")
+        return Ident(v.name, index)
+    return _rename(e, tag)
 
 
 def instantiate_indices(e: Node, names: list[str], values: list[int]) -> Node:
@@ -131,48 +107,57 @@ def instantiate_indices(e: Node, names: list[str], values: list[int]) -> Node:
     if len(names) != len(values):
         raise SubstitutionError("index name/value length mismatch")
     m = dict(zip(names, values))
-    return _reindex(e, m)
+    return _rename(e, lambda v: Ident(v.name, m[v.index])
+                   if isinstance(v.index, str) and v.index in m else v)
 
 
-def _reindex(e: Node, m: dict) -> Node:
+def _rename(e: Node, rename) -> Node:
+    """``e`` with every variable ``v`` of its terms and quantifier-free
+    formulas replaced by ``rename(v)``."""
     t = type(e)
     if t is Var:
-        idx = e.ident.index
-        if isinstance(idx, str) and idx in m:
-            return Var(Ident(e.ident.name, m[idx]))
-        return e
+        return Var(rename(e.ident))
     if t is Lit or t is BoolLit:
         return e
     if t is App:
-        return App(e.func, tuple(_reindex(a, m) for a in e.args)) if e.args else e
+        return App(e.func, tuple(_rename(a, rename) for a in e.args)) if e.args else e
     if t is Neg:
-        return Neg(_reindex(e.arg, m))
+        return Neg(_rename(e.arg, rename))
     if t is Abs:
-        return Abs(_reindex(e.arg, m))
+        return Abs(_rename(e.arg, rename))
     if t is BinOp:
-        return BinOp(e.op, _reindex(e.left, m), _reindex(e.right, m))
+        return BinOp(e.op, _rename(e.left, rename), _rename(e.right, rename))
     if t is Cmp:
-        return Cmp(e.op, _reindex(e.left, m), _reindex(e.right, m))
+        return Cmp(e.op, _rename(e.left, rename), _rename(e.right, rename))
     if t is Not:
-        return Not(_reindex(e.arg, m))
+        return Not(_rename(e.arg, rename))
     if t in (And, Or, Imp):
-        return t(_reindex(e.left, m), _reindex(e.right, m))
-    raise SubstitutionError(f"index instantiation not supported for {type(e).__name__}")
+        return t(_rename(e.left, rename), _rename(e.right, rename))
+    raise SubstitutionError(f"re-indexing not supported for {type(e).__name__}")
 
 
 def free_vars(e: Node) -> set[Ident]:
     """Free variables; assignment targets are free (variables are global),
     quantifiers bind."""
-    out: set[Ident] = set()
+    out: dict[Ident, None] = {}
     _fv(e, out, frozenset())
-    return out
+    return set(out)
 
 
-def _fv(e: Node, out: set, bound: frozenset) -> None:
+def ordered_free_vars(*nodes: Node) -> list[Ident]:
+    """The free variables of ``nodes``, in left-to-right order of first
+    occurrence."""
+    out: dict[Ident, None] = {}
+    for e in nodes:
+        _fv(e, out, frozenset())
+    return list(out)
+
+
+def _fv(e: Node, out: dict, bound: frozenset) -> None:
     t = type(e)
     if t is Var:
         if e.ident not in bound:
-            out.add(e.ident)
+            out[e.ident] = None
         return
     if t is Lit or t is BoolLit:
         return
@@ -196,12 +181,12 @@ def _fv(e: Node, out: set, bound: frozenset) -> None:
         return
     if t is Assign:
         if e.var not in bound:
-            out.add(e.var)
+            out[e.var] = None
         _fv(e.term, out, bound)
         return
     if t is AssignAny:
         if e.var not in bound:
-            out.add(e.var)
+            out[e.var] = None
         return
     if t is Test:
         _fv(e.cond, out, bound)
@@ -209,7 +194,7 @@ def _fv(e: Node, out: set, bound: frozenset) -> None:
     if t is ODE:
         for x, rhs in e.eqs:
             if x not in bound:
-                out.add(x)
+                out[x] = None
             _fv(rhs, out, bound)
         _fv(e.domain, out, bound)
         return
@@ -268,13 +253,3 @@ def _syms(e: Node, out: set) -> None:
         _syms(e.body, out)
         return
     raise SubstitutionError(f"symbols not supported for {e!r}")
-
-
-def resolve_symbols(e: Node, names: frozenset[str]) -> Node:
-    """Rewrite every free variable whose name is a declared arity-0 symbol
-    into a symbol application (parser helper)."""
-    m = {}
-    for ident in free_vars(e):
-        if ident.index is None and ident.name in names:
-            m[ident] = App(ident.name, ())
-    return substitute(e, m) if m else e

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .dl import (
     And, BinOp, BoolLit, Box, Cmp, Dia, Formula, Ident, Imp, Seq, Term, Var,
-    free_vars, pretty_print, substitute, symbols, tag_with_index,
+    free_vars, ordered_free_vars, pretty_print, substitute, symbols,
+    tag_with_index,
 )
 from .dl.syntax import conj
 from .specfile import ShieldSpec
@@ -126,16 +127,8 @@ def _definition_hypotheses(spec: ShieldSpec, body: Term, guard: Formula,
     noise_names = spec.noise_names
     state_names = {v.name for v in spec.state_vars}
 
-    ordered: list[Ident] = []
-    seen = set()
-    for node in (guard, body):
-        for v in _vars_in_order(node):
-            if v not in seen:
-                seen.add(v)
-                ordered.append(v)
-
     hyps: list[Formula] = []
-    for v in ordered:
+    for v in ordered_free_vars(guard, body):
         if v.name == target.name and v.index is None:
             continue  # the assigned parameter itself is defined by p = body
         if v.name in obs_defs:
@@ -157,33 +150,6 @@ def _definition_hypotheses(spec: ShieldSpec, body: Term, guard: Formula,
             raise ObligationError(
                 f"free variable {v} of an inference assignment has no definition")
     return hyps
-
-
-def _vars_in_order(node) -> list[Ident]:
-    """Free variables in left-to-right order of first occurrence."""
-    out: list[Ident] = []
-    seen = set()
-
-    def walk(e):
-        from .dl.syntax import (
-            Abs, And, App, BinOp, BoolLit, Cmp, Imp, Lit, Neg, Not, Or, Var,
-        )
-        t = type(e)
-        if t is Var:
-            if e.ident not in seen:
-                seen.add(e.ident)
-                out.append(e.ident)
-        elif t is App:
-            for a in e.args:
-                walk(a)
-        elif t in (Neg, Abs, Not):
-            walk(e.arg)
-        elif t in (BinOp, Cmp, And, Or, Imp):
-            walk(e.left)
-            walk(e.right)
-
-    walk(node)
-    return out
 
 
 def gen_obligations(spec: ShieldSpec,
@@ -225,8 +191,7 @@ def render_obligation(ob: Obligation, spec: ShieldSpec, digest: str) -> str:
         f'ArchiveEntry "{spec.name}/{ob.name}"',
         "Definitions",
     ]
-    arities = dict(spec.unknowns)
-    arities.update({c: 0 for c in spec.consts})
+    arities = spec.symbol_arities
     used = {n: a for n, a in symbols(ob.formula) if n in arities}
     for name in sorted(used):
         args = ", ".join(["Real"] * used[name])

@@ -20,7 +20,6 @@ from .dl import (
     BoolLit, Formula, HybridProgram, Ident, Term, Var, free_vars,
 )
 from .dl.parser import ParseError, Parser, tokenize, _RESERVED
-from .dl.transform import resolve_symbols
 from .strategy import (
     Aggregate, Best, Direct, DistExpr, InferAssign, InferenceStrategy,
 )
@@ -132,44 +131,34 @@ class ShieldSpec:
         return {o.var.name: o.definition for o in self.obs}
 
     @property
-    def symbol_names(self) -> frozenset[str]:
-        return frozenset(self.consts) | frozenset(n for n, _ in self.unknowns)
+    def symbol_arities(self) -> dict[str, int]:
+        """Arity of every declared symbol: an unknown's, 0 for a constant."""
+        return {**dict(self.unknowns), **{c: 0 for c in self.consts}}
+
+    def nodes(self):
+        """Every term, formula and program of the spec."""
+        yield self.ctrl
+        yield self.plant
+        yield self.safe
+        yield self.invariant
+        yield from self.assumptions
+        for b in self.bounds:
+            yield b.formula
+        for o in self.obs:
+            yield o.definition
+        for n in self.noise:
+            yield from n.dist.params
+        for a in self.infer:
+            yield a.guard
+            yield from a.terms
+        for guard, template in self.fallback.cases if self.fallback else ():
+            if guard is not None:
+                yield guard
+            yield from (d for d in template if not isinstance(d, str))
+        yield from (self.initial_global_bounds or {}).values()
 
     def all_free_vars(self) -> set[Ident]:
-        out: set[Ident] = set()
-        for f in self.assumptions:
-            out |= free_vars(f)
-        for b in self.bounds:
-            out |= free_vars(b.formula)
-        out |= free_vars(self.ctrl)
-        out |= free_vars(self.plant)
-        out |= free_vars(self.safe)
-        out |= free_vars(self.invariant)
-        for n in self.noise:
-            for t in n.dist.params:
-                out |= free_vars(t)
-        for o in self.obs:
-            out |= free_vars(o.definition)
-        for a in self.infer:
-            out |= free_vars(a.guard)
-            body = a.body
-            if isinstance(body, Direct):
-                out |= free_vars(body.term)
-            elif isinstance(body, Best):
-                out |= free_vars(body.term)
-            else:
-                out |= free_vars(body.observable) | free_vars(body.noise)
-        if self.fallback:
-            for guard, template in self.fallback.cases:
-                if guard is not None:
-                    out |= free_vars(guard)
-                for d in template:
-                    if not isinstance(d, str):
-                        out |= free_vars(d)
-        if self.initial_global_bounds:
-            for t in self.initial_global_bounds.values():
-                out |= free_vars(t)
-        return out
+        return set().union(*map(free_vars, self.nodes()))
 
     def _infer_state_vars(self) -> frozenset[Ident]:
         special = (frozenset(str(p) for p in (b.param for b in self.bounds))
@@ -192,19 +181,6 @@ class ShieldSpec:
 
 class _SpecParser(Parser):
     reserved = _RESERVED | _SPEC_KEYWORDS
-
-    def __init__(self, tokens, symbols: set[str]):
-        super().__init__(tokens)
-        self.symbols = symbols
-
-    def resolved_term(self):
-        return resolve_symbols(self.bounded(self.term), frozenset(self.symbols))
-
-    def resolved_formula(self):
-        return resolve_symbols(self.bounded(self.formula), frozenset(self.symbols))
-
-    def resolved_program(self):
-        return resolve_symbols(self.bounded(self.program), frozenset(self.symbols))
 
     def at_section(self) -> bool:
         t = self.peek()
@@ -309,9 +285,9 @@ def _parse_unknowns(p: _SpecParser):
 
 
 def _parse_assume(p: _SpecParser):
-    out = [p.resolved_formula()]
+    out = [p.bounded(p.formula)]
     while p.accept(","):
-        out.append(p.resolved_formula())
+        out.append(p.bounded(p.formula))
     return tuple(out)
 
 
@@ -323,7 +299,7 @@ def _parse_bounds(p: _SpecParser):
         if p.at("up") or p.at("lo"):
             direction = p.next().text
         p.expect(":")
-        formula = p.resolved_formula()
+        formula = p.bounded(p.formula)
         if direction is None:
             direction = _infer_direction(param, formula)
             if direction is None:
@@ -359,9 +335,9 @@ def _parse_noise(p: _SpecParser):
             raise ParseError("expected a distribution N(..), U(..) or B(..)",
                              kind_tok.line, kind_tok.col)
         p.expect("(")
-        params = [p.resolved_term()]
+        params = [p.bounded(p.term)]
         while p.accept(","):
-            params.append(p.resolved_term())
+            params.append(p.bounded(p.term))
         p.expect(")")
         kind = kinds[kind_tok.text]
         want = 1 if kind == "bernoulli" else 2
@@ -379,7 +355,7 @@ def _parse_observe(p: _SpecParser):
     while True:
         v = p.ident()
         p.expect("=")
-        out.append(ObsDecl(v, p.resolved_term()))
+        out.append(ObsDecl(v, p.bounded(p.term)))
         if not p.accept(","):
             break
     return tuple(out)
@@ -389,7 +365,7 @@ def _parse_fallback(p: _SpecParser):
     cases = []
     if p.at("when"):
         while p.accept("when"):
-            guard = p.resolved_formula()
+            guard = p.bounded(p.formula)
             p.expect(":")
             cases.append((guard, _parse_template(p)))
         p.expect("else")
@@ -406,7 +382,7 @@ def _parse_template(p: _SpecParser) -> FallbackTemplate:
         if p.at("left") or p.at("right"):
             out.append(p.next().text)
         else:
-            out.append(p.resolved_term())
+            out.append(p.bounded(p.term))
         if not p.accept(","):
             break
     return tuple(out)
@@ -417,7 +393,7 @@ def _parse_initial(p: _SpecParser):
     while True:
         v = p.ident()
         p.expect("=")
-        out[v] = p.resolved_term()
+        out[v] = p.bounded(p.term)
         if not p.accept(","):
             break
     return out
@@ -433,7 +409,7 @@ def _parse_infer(p: _SpecParser) -> InferenceStrategy:
         body = _parse_infer_body(p)
         guard: Formula = BoolLit(True)
         if p.accept("when"):
-            guard = p.resolved_formula()
+            guard = p.bounded(p.formula)
         # merged-assignment sugar expands into one assignment per target
         for tgt in targets:
             out.append(InferAssign(tgt, body, guard))
@@ -448,15 +424,15 @@ def _parse_infer_body(p: _SpecParser):
     if p.accept("best"):
         idx = _parse_index_names(p)
         p.expect(":")
-        return Best(idx, p.resolved_term())
+        return Best(idx, p.bounded(p.term))
     if p.accept("aggregate"):
         idx = _parse_index_names(p)
         p.expect(":")
-        observable = p.resolved_term()
+        observable = p.bounded(p.term)
         p.expect("and")
-        noise = p.resolved_term()
+        noise = p.bounded(p.term)
         return Aggregate(idx, observable, noise)
-    return Direct(p.resolved_term())
+    return Direct(p.bounded(p.term))
 
 
 def _parse_index_names(p: _SpecParser) -> tuple[str, ...]:
@@ -474,10 +450,10 @@ _SECTION_PARSERS = {
     "unknown": _parse_unknowns,
     "assume": _parse_assume,
     "bound": _parse_bounds,
-    "controller": lambda p: p.resolved_program(),
-    "plant": lambda p: p.resolved_program(),
-    "safe": lambda p: p.resolved_formula(),
-    "invariant": lambda p: p.resolved_formula(),
+    "controller": lambda p: p.bounded(p.program),
+    "plant": lambda p: p.bounded(p.program),
+    "safe": lambda p: p.bounded(p.formula),
+    "invariant": lambda p: p.bounded(p.formula),
     "noise": _parse_noise,
     "observe": _parse_observe,
     "fallback": _parse_fallback,

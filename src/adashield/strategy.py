@@ -81,6 +81,13 @@ class InferAssign:
     body: Union[Direct, Best, Aggregate]
     guard: Formula = BoolLit(True)
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The body's terms: an aggregate's observable and noise, or the
+        term of a direct or best assignment."""
+        b = self.body
+        return (b.observable, b.noise) if isinstance(b, Aggregate) else (b.term,)
+
 
 InferenceStrategy = tuple[InferAssign, ...]
 
@@ -216,10 +223,9 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
     body = a.body
     names = getattr(body, "indices", ())
     pos = {name: k for k, name in enumerate(names)}  # the last one wins, as in a binding
-    reads = free_vars(a.guard)
+    reads = set().union(*map(free_vars, (a.guard, *a.terms)))
     noise = []
     if isinstance(body, Aggregate):
-        reads |= free_vars(body.observable) | free_vars(body.noise)
         for v in sorted(free_vars(body.noise), key=str):
             if v.name in noise_decls:
                 dx = noise_decls[v.name]
@@ -227,8 +233,6 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
                     dx = DistExpr(dx.kind, tuple(tag_with_index(t, v.index) for t in dx.params))
                     reads |= set().union(*map(free_vars, dx.params))
                 noise.append((v, dx))
-    else:
-        reads |= free_vars(body.term)
     return Template(
         a, names,
         indexed=tuple(sorted({(v.name, pos[v.index]) for v in reads if v.index in pos})),

@@ -32,6 +32,32 @@ class TestCheck:
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 1 and "local-param-in-invariant" in out
 
+    @pytest.mark.parametrize("old, new, verb, where", [
+        ("controller\n  vx := *;", "controller\n  V := *; vx := *;", "assign to", (16, 3)),
+        ("t' = 1 & t <= T}", "t' = 1, V' = 1 & t <= T}", "evolve", (23, 38)),
+    ])
+    def test_assigning_to_a_symbol_is_a_parse_error(self, tmp_path, capsys,
+                                                    old, new, verb, where):
+        src = open(bundled_spec_path("river")).read()
+        path = tmp_path / "assigns_symbol.shield"
+        path.write_text(src.replace(old, new, 1))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"parse error: cannot {verb} declared symbol 'V' "
+                       f"at line {where[0]}, column {where[1]}\n")
+
+    def test_arity_in_fallback_and_initial_is_checked(self, tmp_path, capsys):
+        src = open(bundled_spec_path("river")).read()
+        path = tmp_path / "arity.shield"
+        path.write_text(src.replace("fallback 0, 0, 0", "fallback V(1), 0, 0")
+                        .replace("initial yb_lo = -10", "initial yb_lo = -W(2)"))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1 and out.count("symbol-arity-mismatch") == 2
+        code, _, err = run_cli(["simulate", "--env", "river", "--spec", str(path),
+                                "--policy-control", "river-naive", "--episodes", "2",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1 and err.count("symbol-arity-mismatch") == 2
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["check", "/nope/missing.shield"], capsys)
         assert code == 2 and "no such spec" in err

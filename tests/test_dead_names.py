@@ -1,10 +1,14 @@
-"""Every top-level name in ``src/adashield`` has a reader.
+"""Every top-level name and every method in ``src/adashield`` has a reader.
 
 An ``ast`` scan lists each module's top-level functions, classes and
 constants, and every name the package loads outside import statements,
 with an imported name resolved to the module that defines it.  A name that
 nothing in the package loads is dead code, unless the allowlist says why it
-stays.  Dunder names are read by Python and its tools, and are left out.
+stays.  The scan also lists the methods and properties of each top-level
+class, as ``Class.name``.  The type of an attribute's receiver is not known
+statically, so a method counts as read when the package loads any
+attribute of its name.  Dunder names are read by Python and its tools, and
+are left out.
 """
 
 import ast
@@ -35,16 +39,23 @@ def _module_name(path: Path) -> str:
 
 
 def _scan():
-    """``(defined, aliases, loads)``: per module its top-level names, its
-    imported names as ``alias -> (module, name)`` (name None for a module),
-    and the names it loads, plain or as ``(alias, attribute)``."""
-    defined, aliases, loads = {}, {}, {}
+    """``(defined, aliases, loads, methods, attributes)``: per module its
+    top-level names, its imported names as ``alias -> (module, name)`` (name
+    None for a module), the names it loads, plain or as ``(alias,
+    attribute)``, and its classes' methods as ``(class, method)``; and the
+    attribute names the package loads."""
+    defined, aliases, loads, methods, attributes = {}, {}, {}, {}, set()
     for path in sorted(PACKAGE.rglob("*.py")):
         mod = _module_name(path)
         package = mod if path.name == "__init__.py" else mod.rpartition(".")[0]
         tree = ast.parse(path.read_text())
         names = defined[mod] = set()
+        methods[mod] = set()
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods[mod].update(
+                    (node.name, m.name) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -60,10 +71,11 @@ def _scan():
                     alias[a.asname or a.name] = (source, a.name)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                  and isinstance(node.value, ast.Name)):
-                loaded.add((node.value.id, node.attr))
-    return defined, aliases, loads
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    loaded.add((node.value.id, node.attr))
+    return defined, aliases, loads, methods, attributes
 
 
 def _resolve(defined, aliases, mod: str, name: str):
@@ -79,7 +91,7 @@ def _resolve(defined, aliases, mod: str, name: str):
 
 
 def _dead_names() -> set:
-    defined, aliases, loads = _scan()
+    defined, aliases, loads, methods, attributes = _scan()
     used = set()
     for mod, loaded in loads.items():
         for x in loaded:
@@ -89,8 +101,11 @@ def _dead_names() -> set:
             target = _resolve(defined, aliases, mod, x[0])
             if target is not None and target[1] is None:
                 used.add(_resolve(defined, aliases, target[0], x[1]))
-    return {(mod, name) for mod, names in defined.items() for name in names
+    dead = {(mod, name) for mod, names in defined.items() for name in names
             if (mod, name) not in used and not name.startswith("__")}
+    return dead | {(mod, f"{cls}.{name}") for mod, pairs in methods.items()
+                   for cls, name in pairs
+                   if name not in attributes and not name.startswith("__")}
 
 
 def test_every_top_level_name_has_a_reader():

@@ -1,21 +1,24 @@
-"""Evaluation, substitution, index tagging and print/parse round-trips."""
+"""Evaluation, substitution, index tagging, symbol resolution and print/parse
+round-trips."""
 
 import math
 import random
+from typing import get_args
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adashield.dl import (
-    And, BoolLit, Choice, Forall, Imp, Seq, Ident, Lit, Module, ParseError, StructuralError, UNDEF,
-    Var, eval_formula, eval_term, free_vars, instantiate_indices,
-    parse_formula, parse_program, parse_term, pretty_print, substitute,
-    symbols, tag_with_index,
+    And, App, BoolLit, Box, Choice, Exists, Forall, Formula, Imp, Seq, Ident, Lit, Module, ODE,
+    ParseError, StructuralError, Term, UNDEF, Var, eval_formula, eval_term, free_vars,
+    instantiate_indices, ordered_free_vars, parse_formula, parse_program, parse_term,
+    pretty_print, substitute, symbols, tag_with_index,
 )
 from adashield.dl.transform import SubstitutionError
 
 from conftest import TermGen
+from test_monitor import ControllerGen
 
 
 class TestEvalTerm:
@@ -142,16 +145,9 @@ class TestSubstitute:
 
 
 class TestIndexing:
-    def test_tag_valuation(self):
-        v = {Ident("x"): 0.0, Ident("y"): 1.0}
-        assert tag_with_index(v, 2) == {Ident("x", 2): 0.0, Ident("y", 2): 1.0}
-
     def test_tag_formula_symbolic(self):
         f = parse_formula("x > 0")
         assert pretty_print(tag_with_index(f, "i")) == "x@i > 0"
-
-    def test_tag_empty(self):
-        assert tag_with_index({}, 3) == {}
 
     def test_instantiate(self):
         f = parse_formula("x@i + x@j > 0")
@@ -192,6 +188,85 @@ class TestFreeVarsSymbols:
         t = parse_term("theta*u + phi", symbols=frozenset({"theta", "phi"}))
         assert symbols(t) == {("theta", 0), ("phi", 0)}
 
+    def test_ordered_free_vars(self):
+        # first occurrences, left to right, across the nodes in turn
+        f = parse_formula("y@i > x & \\forall z z < y")
+        assert ordered_free_vars(f, parse_term("w + x@i + y@i")) == [
+            Ident("y", "i"), Ident("x"), Ident("y"), Ident("w"), Ident("x", "i")]
+        assert ordered_free_vars() == []
+
+
+NAMES = ("x", "y", "z", "v")
+
+
+def _resolved_both_ways(parse, text: str, syms) -> tuple:
+    """``text`` parsed with ``syms`` resolved as it is read, and parsed
+    plainly with ``syms`` substituted after; "rejected" for a
+    ``ParseError`` or a ``SubstitutionError``."""
+    def outcome(run):
+        try:
+            return run()
+        except (ParseError, SubstitutionError):
+            return "rejected"
+    return (outcome(lambda: parse(text, frozenset(syms))),
+            outcome(lambda: substitute(parse(text), {Ident(n): App(n, ()) for n in syms})))
+
+
+_binders = st.lists(st.tuples(st.sampled_from((Forall, Exists)), st.sampled_from(NAMES),
+                              st.sampled_from((And, Imp))), max_size=3)
+
+
+class TestSymbolResolution:
+    """Resolving symbols while parsing equals substituting an arity-0
+    application for each symbol after a plain parse: a quantified variable
+    shadows a symbol of its name, and assigning to or evolving a symbol is
+    rejected."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), syms=st.sets(st.sampled_from(NAMES)),
+           binders=_binders)
+    def test_formulas(self, seed, syms, binders):
+        gen = TermGen(seed, partial_ops=True)
+        f = gen.formula(2)
+        for quantifier, name, conn in binders:
+            f = conn(gen.formula(1), quantifier(Ident(name), f))
+        resolved, after = _resolved_both_ways(parse_formula, pretty_print(f), syms)
+        assert resolved == after
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), syms=st.sets(st.sampled_from(NAMES)),
+           binders=_binders, ode=st.booleans())
+    def test_controllers(self, seed, syms, binders, ode):
+        gen = ControllerGen(seed)
+        prog = gen.controller()
+        if ode:
+            x = Ident(gen.rng.choice("xyz"))
+            prog = Seq(prog, ODE(((x, gen.terms.term(2)),), gen.terms.formula(1)))
+        resolved, after = _resolved_both_ways(parse_program, pretty_print(prog), syms)
+        assert resolved == after
+        f = Box(prog, gen.terms.formula(1))
+        for quantifier, name, conn in binders:
+            f = conn(gen.terms.formula(1), quantifier(Ident(name), f))
+        resolved, after = _resolved_both_ways(parse_formula, pretty_print(f), syms)
+        assert resolved == after
+
+    def test_rejections_point_at_the_symbol(self):
+        for parse, text, col in ((parse_program, "x := 1; V := *", 9),
+                                 (parse_program, "{x' = 1, V' = x}", 10),
+                                 (parse_formula, "\\forall x [V := x] x > 0", 12),
+                                 # inside brackets, which read as a formula or a term
+                                 (parse_formula, "x > 0 & ([V := x] x > 0)", 11)):
+            with pytest.raises(ParseError) as info:
+                parse(text, frozenset({"V"}))
+            assert (info.value.line, info.value.col) == (1, col)
+            assert "declared symbol 'V'" in str(info.value)
+
+    def test_quantifier_shadows_and_assigns(self):
+        # under \\forall V, V is a variable again: it may be assigned
+        f = parse_formula("V > 0 & \\forall V [V := V + 1] V > 0", frozenset({"V"}))
+        assert f.left.left == App("V", ())
+        assert free_vars(f) == set()
+
 
 class TestPrinter:
     def test_choice_program(self):
@@ -203,23 +278,14 @@ class TestPrinter:
         assert pretty_print(p) == "{x' = v, v' = a & t <= T}"
 
     def test_bundled_specs_roundtrip(self, specs):
+        # every term, formula and program of every section
         for spec in specs.values():
-            syms = frozenset(spec.symbol_names)
-            for node, parse in ((spec.ctrl, parse_program),
-                                (spec.plant, parse_program),
-                                (spec.safe, parse_formula),
-                                (spec.invariant, parse_formula),
-                                *(((a, parse_formula)) for a in
-                                  [(f, parse_formula) for f in spec.assumptions])):
-                pass  # structured below for clarity
-            assert parse_program(pretty_print(spec.ctrl), syms) == spec.ctrl
-            assert parse_program(pretty_print(spec.plant), syms) == spec.plant
-            assert parse_formula(pretty_print(spec.safe), syms) == spec.safe
-            assert parse_formula(pretty_print(spec.invariant), syms) == spec.invariant
-            for f in spec.assumptions:
-                assert parse_formula(pretty_print(f), syms) == f
-            for b in spec.bounds:
-                assert parse_formula(pretty_print(b.formula), syms) == b.formula
+            syms = frozenset(spec.symbol_arities)
+            for node in spec.nodes():
+                parse = (parse_term if type(node) in get_args(Term) else
+                         parse_formula if type(node) in get_args(Formula) else
+                         parse_program)
+                assert parse(pretty_print(node), syms) == node
 
     def test_random_term_roundtrip(self):
         gen = TermGen(seed=1234, partial_ops=True)

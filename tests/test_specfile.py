@@ -63,6 +63,11 @@ class TestParseBundled:
             {Ident("x"), Ident("v"), Ident("y"), Ident("a"), Ident("t")})
 
 
+def _bundled(name: str) -> str:
+    with open(bundled_spec_path(name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 class TestParseErrors:
     def test_section_out_of_order(self):
         text = """
@@ -98,6 +103,21 @@ class TestParseErrors:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("old, new, verb", [
+        ("controller\n  vx := *;", "controller\n  V := *; vx := *;", "assign to"),
+        ("plant\n  t := 0;", "plant\n  V := 0; t := 0;", "assign to"),
+        ("t' = 1 & t <= T}", "t' = 1, V' = 1 & t <= T}", "evolve"),
+    ])
+    def test_assigning_to_a_symbol_is_a_parse_error(self, old, new, verb):
+        # V is a declared constant of river.shield
+        text = _mutated(_bundled("river"), old, new)
+        at = text.index(new) + new.index("V")
+        with pytest.raises(ParseError) as e:
+            parse_spec(text)
+        assert f"cannot {verb} declared symbol 'V'" in str(e.value)
+        assert (e.value.line, e.value.col) == (text.count("\n", 0, at) + 1,
+                                               at - text.rfind("\n", 0, at))
+
     def test_direction_not_inferrable(self):
         text = ("unknown q bound p: p*p <= q controller x := 1 plant {x' = 1} "
                 "safe x <= 1 invariant x <= 1")
@@ -106,7 +126,6 @@ class TestParseErrors:
         assert "not inferrable" in str(e.value)
 
 
-BASE = None
 
 
 def _mutated(source: str, old: str, new: str) -> str:
@@ -199,6 +218,26 @@ class TestCheckMutations:
     def test_arity_mismatch(self, source):
         text = _mutated(source, "observe w = f(x) - eta", "observe w = f(x, v) - eta")
         assert ARITY_MISMATCH in self._diag_codes(text)
+
+    @pytest.mark.parametrize("old, new, n", [
+        ("assume V > 0", "assume V(1) > 0", 1),
+        ("yb_lo: yb_lo <= yb,", "yb_lo: yb_lo <= yb(1),", 1),
+        ("abs(vx) <= V &", "abs(vx) <= V(1) &", 1),
+        ("t' = 1 & t <= T}", "t' = 1 & t <= T(1)}", 1),
+        ("safe x = 0 -> y >= yb - W", "safe x = 0 -> y >= yb - W(1)", 1),
+        ("invariant x = 0 -> y >= yb_up - W", "invariant x = 0 -> y >= yb_up - W(1)", 1),
+        ("N(0, sigma^2)", "N(0, sigma(1)^2)", 1),
+        ("observe w = yb -", "observe w = yb(1) -", 1),
+        ("fallback 0, 0, 0", "fallback V(1), 0, 0", 1),
+        ("fallback 0, 0, 0", "fallback\n  when V(1) > 0: 0, 0, 0\n  else: 0, 0, 0", 1),
+        ("initial yb_lo = -10", "initial yb_lo = -W(2)", 1),
+        # the merged assignment is one per target, yb_lo and yb_up
+        ("and abs(x@i)*eta@i", "and abs(x@i)*eta@i*T(1)", 2),
+        ("and abs(x@i)*eta@i", "and abs(x@i)*eta@i when T(1) > 0", 2),
+    ])
+    def test_arity_mismatch_in_every_section(self, old, new, n):
+        text = _mutated(_bundled("river"), old, new)
+        assert self._diag_codes(text) == [ARITY_MISMATCH] * n
 
     def test_unknown_in_strategy(self, source):
         text = _mutated(source, "fbar := best i: fbar@i + k*abs(x - x@i)",
