@@ -13,8 +13,9 @@ tree, the reference, and ``controller_code`` generates the functions a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .dl import (
     Assign, AssignAny, Choice, HybridProgram, Module, Seq, Test, UNDEF,
@@ -127,12 +128,21 @@ def derive_action_space(ctrl: HybridProgram) -> ActionSpace:
     raise StructureError(f"controller contains {t.__name__}, not monitorable")
 
 
+#: the exact types a control value may have.  None runs agent code; a
+#: subclass, a bool, a registered ``numbers.Real`` or a numpy type whose
+#: arithmetic rounds or wraps around where Python's does not is none of
+#: them.  A value enters the state as a float, so the env answers in builtins
+REALS = (float, int, np.float64)
+
+
 def action_fits(space: ActionSpace, a: ControlAction) -> bool:
+    """Whether ``a`` fits ``space``, in exact action classes and ``REALS``
+    values: the one read of a control action."""
     st, at = type(space), type(a)
     if st is SpaceUnit:
         return at is AUnit
     if st is SpaceReal:
-        return at is AReal and isinstance(a.value, Real)
+        return at is AReal and type(a.value) in REALS
     if st is SpaceProd:
         return at is APair and action_fits(space.left, a.left) and action_fits(space.right, a.right)
     if at is ALeft:
@@ -217,7 +227,7 @@ def _exec(ctrl, state: dict, a, interp) -> None:
     if t is AssignAny:
         if type(a) is not AReal:
             raise StructureError("unconstrained assignment expects a real action")
-        state[ctrl.var] = a.value
+        state[ctrl.var] = float(a.value)
         return
     if t is Test:
         if type(a) is not AUnit:
@@ -229,8 +239,12 @@ def _exec(ctrl, state: dict, a, interp) -> None:
 def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
                  interp=None) -> bool:
     """True iff every test on the selected path holds in its intermediate
-    state; undefined tests are false.  Stops at the first failing test."""
-    return ctrl.monitor(dict(state), a, interp or {})
+    state; undefined tests are false.  Stops at the first failing test.  An
+    int past the float range, which ``float`` rejects, is undefined."""
+    try:
+        return ctrl.monitor(dict(state), a, interp or {})
+    except OverflowError:
+        return False
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
@@ -359,7 +373,7 @@ def _path_code(b: Body, p, act: str, monitor: bool) -> None:
         b.emit(f"cur[{b.const(p.var)}] = {b.term_into(p.term)}")
     elif t is AssignAny:
         expect("AReal", "unconstrained assignment expects a real action")
-        b.emit(f"cur[{b.const(p.var)}] = {act}.value")
+        b.emit(f"cur[{b.const(p.var)}] = float({act}.value)")
     elif t is Test:
         expect("AUnit", "test expects the unit action")
     else:

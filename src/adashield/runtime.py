@@ -32,8 +32,8 @@ from .actions import (
 )
 # referenced_indices is not called per step; shieldbench's tracer wraps it here
 from .strategy import (  # noqa: F401
-    BOTTOM, ActionShapeError, CompiledStrategy, InferenceAction, empty_action,
-    eval_sbi, interpret_strategy, observation_reads, referenced_indices,
+    BOTTOM, CompiledStrategy, InferenceAction, empty_action, eval_sbi,
+    interpret_strategy, observation_reads, referenced_indices,
     referenced_observations, template_code,
 )
 
@@ -122,6 +122,7 @@ class AssignmentRecord:
 class StepRecord:
     episode: int
     step: int
+    #: the control action as checked, None if it did not fit
     proposed: object
     overridden: bool
     executed: object
@@ -358,15 +359,9 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
 
     if flags.non_adaptive:
         a_inf = shield.empty_action
-    try:
-        assignments = interpret_strategy(spec.infer, a_inf, shield.directions,
-                                         shield.noise_decls, shield.strategy)
-    except ActionShapeError:
-        # a malformed inference action is the empty one: nothing is
-        # surfaced and no tolerance is spent
-        assignments = interpret_strategy(spec.infer, shield.empty_action,
-                                         shield.directions, shield.noise_decls,
-                                         shield.strategy)
+    # a malformed inference action reads as the empty one
+    assignments = interpret_strategy(spec.infer, a_inf, shield.directions,
+                                     shield.noise_decls, shield.strategy)
 
     history = st.history
     views = st.views
@@ -433,11 +428,12 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     # v holds the state and every bound now: what {**sval, **bounds} would
     mval = v
     overridden = False
-    executed = a_ctrl
-    # a control action of the wrong shape cannot be run even unshielded; it
-    # is overridden like one the monitor rejects
-    if not action_fits(shield.ctrl_space, a_ctrl) or not (
-            flags.unshielded or ctrl_monitor(code.ctrl, mval, a_ctrl, interp)):
+    # the one read of the control action; one that does not fit, of the
+    # wrong shape or with a value not of an exact real type, cannot be run
+    # even unshielded, and is overridden like one the monitor rejects
+    proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
+    if proposed is None or not (
+            flags.unshielded or ctrl_monitor(code.ctrl, mval, proposed, interp)):
         executed = resolve_fallback(code.ctrl, mval, interp)
         overridden = True
     exec_vals = ctrl_exec(code.ctrl, mval, executed, interp)
@@ -449,7 +445,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         reward += env.shaping(bounds, ledger.remaining)
 
     record = StepRecord(
-        episode=episode, step=step, proposed=a_ctrl, overridden=overridden,
+        episode=episode, step=step, proposed=proposed, overridden=overridden,
         executed=executed, bounds_before=bounds_before, bounds_after=bounds,
         assignments=arecs, consumed=consumed,
         availability={name: True for name in sorted(availability)},
@@ -479,10 +475,13 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
                 ledger: Optional[KahanLedger] = None,
                 record_sink: Optional[Callable] = None) -> EpisodeStats:
     """Run one episode; audits the tolerance ledger and observation reuse on
-    the fly.  A policy that raises is treated as one that sent a malformed
-    action: the control action is overridden, the inference action counts
-    as empty.  A contract failure is raised again naming the episode and,
-    past the initial state, the step."""
+    the fly.  ``ledger_error`` is the largest of: the ledger's spending
+    against the records' spent eps, any spent eps's distance from [0, 1],
+    and how far the ledger passes its budget beyond rounding.  A policy
+    that raises is treated as one that sent a malformed action: the
+    control action is overridden, the inference action counts as empty.  A
+    contract failure is raised again naming the episode and, past the
+    initial state, the step."""
     reset_ss, env_ss, meas_ss = seed_seq.spawn(3)
     reset_rng = np.random.default_rng(reset_ss)
     env_rng = np.random.default_rng(env_ss)
@@ -541,7 +540,10 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
         if terminal:
             break
 
-    ledger_error = abs((led.spent - spent_before) - math.fsum(spent_records))
+    # max(-e, e - 1) is e's distance from [0, 1] outside it, negative inside
+    ledger_error = max(abs((led.spent - spent_before) - math.fsum(spent_records)),
+                       max((max(-e, e - 1.0) for e in spent_records), default=0.0),
+                       led.spent - led.initial - 4 * math.ulp(led.initial))
     return EpisodeStats(
         episode=episode, steps=steps, ret=total, crash=crash,
         overrides=overrides, eps_spent=led.spent - spent_before,

@@ -122,10 +122,6 @@ SlotAction = Union[None, tuple[tuple[int, ...], ...], AggregateAction]
 InferenceAction = tuple[SlotAction, ...]
 
 
-class ActionShapeError(Exception):
-    pass
-
-
 def strategy_action_space(strategy: InferenceStrategy) -> tuple[tuple[str, int], ...]:
     """Slot descriptors ('direct', 0) / ('best', n) / ('aggregate', n)."""
     out = []
@@ -137,57 +133,6 @@ def strategy_action_space(strategy: InferenceStrategy) -> tuple[tuple[str, int],
         else:
             out.append(("aggregate", len(a.body.indices)))
     return tuple(out)
-
-
-def _check_action(space: tuple[tuple[str, int], ...], action: InferenceAction) -> None:
-    """Raise ``ActionShapeError`` unless ``action`` fits the action space:
-    one slot per assignment, and every index tuple ``n`` integers long."""
-    if not isinstance(action, tuple) or len(action) != len(space):
-        raise ActionShapeError(
-            f"expected a tuple of {len(space)} slots, got {action!r}")
-    for slot, (kind, n) in zip(action, space):
-        if slot is None:
-            continue
-        if kind == "direct":
-            raise ActionShapeError("direct slots take no action input")
-        if kind == "best":
-            if not isinstance(slot, tuple) or not _index_tuples(slot, n):
-                raise ActionShapeError(f"best slot expects {n}-tuples of indices")
-        else:
-            if not isinstance(slot, AggregateAction):
-                raise ActionShapeError("aggregate slot expects (eps, dist)")
-            if not _aggregate_fits(slot, n):
-                raise ActionShapeError(f"aggregate slot expects (eps, dist) over {n}-tuples")
-
-
-def _aggregate_fits(slot: AggregateAction, n: int) -> bool:
-    """``AggregateAction``'s checks, again, as ``object.__setattr__`` can
-    change it: eps in [0, 1], finite positive weights summing to 1 within
-    1e-12 over a non-empty tuple of ``n``-tuples of integers."""
-    dist = slot.dist
-    try:
-        if not 0.0 <= slot.eps <= 1.0 or type(dist) is not tuple or not dist:
-            return False
-        for w, j in dist:
-            if not (w > 0.0 and math.isfinite(w)) or not isinstance(j, tuple) or len(j) != n:
-                return False
-            for i in j:
-                if not isinstance(i, int):
-                    return False
-        total = dist[0][0] if len(dist) == 1 else math.fsum([w for w, _ in dist])
-        return abs(total - 1.0) <= 1e-12
-    except (TypeError, ValueError):  # not numbers, or not pairs
-        return False
-
-
-def _index_tuples(js, n: int) -> bool:
-    for j in js:
-        if not isinstance(j, tuple) or len(j) != n:
-            return False
-        for i in j:
-            if not isinstance(i, int):
-                return False
-    return True
 
 
 def empty_action(strategy: InferenceStrategy) -> InferenceAction:
@@ -270,8 +215,9 @@ class SymbolicAssignment(NamedTuple):
 
 class CompiledStrategy:
     """What a ``Shield`` works out once for its strategy: the action space,
-    one template per assignment, and the symbolic assignment of every
-    direct assignment, which takes no index binding."""
+    one template per assignment, the symbolic assignment of every direct
+    assignment, which takes no index binding, and the interpretation of
+    the empty action: those direct assignments alone."""
 
     def __init__(self, strategy: InferenceStrategy, direction_of: dict[Ident, str],
                  noise_decls: dict[str, DistExpr]):
@@ -283,6 +229,7 @@ class CompiledStrategy:
             SymbolicAssignment(t.assign.target, BoundSBI(t, ()), 0.0)
             if isinstance(t.assign.body, Direct) else None
             for t in self.templates)
+        self.empty = tuple(d for d in self.directs if d is not None)
 
 
 def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
@@ -293,23 +240,57 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
 
     ``compiled`` is the strategy's ``CompiledStrategy``, built once with the
     same directions and noise declarations; without it one is built here.
-    Raises ``ActionShapeError`` for an action that does not fit the strategy.
+
+    The one read of the agent's action, in one pass.  Only exact types
+    pass: tuples for the action, a best slot and an index tuple, ints for
+    indices, an ``AggregateAction`` whose ``eps`` and ``dist`` are read
+    once, and floats for eps and weights; nothing the SBIs keep can change
+    or run code.  An action that does not fit, or feeds a direct slot, is
+    the empty action: the direct assignments alone.
     """
     if compiled is None:
         compiled = CompiledStrategy(strategy, direction_of, noise_decls)
     elif compiled.strategy is not strategy:
         raise ValueError("compiled for a different strategy")
-    _check_action(compiled.space, action)
+    if type(action) is not tuple or len(action) != len(compiled.space):
+        return list(compiled.empty)
     out: list[SymbolicAssignment] = []
-    for direct, t, slot in zip(compiled.directs, compiled.templates, action):
-        if direct is not None:
-            out.append(direct)
-        elif isinstance(slot, AggregateAction):
-            out.append(SymbolicAssignment(t.assign.target,
-                                          AggregateSBI(t, slot.dist, slot.eps), slot.eps))
-        elif slot is not None:
-            out.extend(SymbolicAssignment(t.assign.target, BoundSBI(t, j), 0.0)
-                       for j in slot)
+    for direct, t, (kind, n), slot in zip(compiled.directs, compiled.templates,
+                                          compiled.space, action):
+        if slot is None:
+            if direct is not None:
+                out.append(direct)
+        elif kind == "best" and type(slot) is tuple:
+            for j in slot:
+                if type(j) is not tuple or len(j) != n:
+                    return list(compiled.empty)
+                for i in j:
+                    if type(i) is not int:
+                        return list(compiled.empty)
+                out.append(SymbolicAssignment(t.assign.target, BoundSBI(t, j), 0.0))
+        elif kind == "aggregate" and type(slot) is AggregateAction:
+            # the constructor's checks, again, as object.__setattr__ can
+            # change a frozen AggregateAction after it was built; a weight of
+            # 2 or more cannot sum to 1, and would let the sum overflow
+            eps, dist = slot.eps, slot.dist
+            if type(eps) is not float or not 0.0 <= eps <= 1.0 or type(dist) is not tuple or not dist:
+                return list(compiled.empty)
+            ws = []
+            for p in dist:
+                if type(p) is not tuple or len(p) != 2:
+                    return list(compiled.empty)
+                w, j = p
+                if type(w) is not float or not 0.0 < w < 2.0 or type(j) is not tuple or len(j) != n:
+                    return list(compiled.empty)
+                for i in j:
+                    if type(i) is not int:
+                        return list(compiled.empty)
+                ws.append(w)
+            if abs((ws[0] if len(ws) == 1 else math.fsum(ws)) - 1.0) > 1e-12:
+                return list(compiled.empty)
+            out.append(SymbolicAssignment(t.assign.target, AggregateSBI(t, dist, eps), eps))
+        else:  # input to a direct slot, or not of the slot's exact type
+            return list(compiled.empty)
     return out
 
 

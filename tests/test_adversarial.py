@@ -1,0 +1,498 @@
+"""Hostile agents: actions that change between reads, lie in comparisons,
+raise when printed, or are random trees of anything.
+
+The shield reads each agent action once, at the boundary, and passes only
+exact builtin types on.  Whatever the agent sends, an episode finishes, the
+ledger stays exact and within its budget, no observation is reused and no
+ground-truth violation happens.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from adashield.actions import (
+    UNIT, ALeft, APair, AReal, ARight, SpaceProd, SpaceReal, SpaceUnit,
+)
+from adashield.dl import Ident
+from adashield.envs import (
+    Environment, make_acas, make_crossing_river, make_sisyphean_train,
+    make_versatile_train,
+)
+from adashield.policies import (
+    acas_control, acas_inference, greedy_train_control, river_control,
+    river_inference, river_naive_control, sisyphean_inference,
+)
+from adashield import runtime
+from adashield.runtime import (
+    ExperimentConfig, KahanLedger, Shield, run_episode, run_experiment,
+)
+from adashield.strategy import AggregateAction
+
+
+def _map_values(a, f):
+    """The control action ``a`` with every real value ``v`` replaced by
+    ``f(v)``."""
+    t = type(a)
+    if t is AReal:
+        return AReal(f(a.value))
+    if t is APair:
+        return APair(_map_values(a.left, f), _map_values(a.right, f))
+    if t is ALeft or t is ARight:
+        return t(_map_values(a.action, f))
+    return a
+
+
+class ShiftingEps(AggregateAction):
+    """An aggregate action whose ``eps`` reads 1e-9 on its first two reads
+    after ``reset``, then -0.5."""
+
+    @property
+    def eps(self):
+        n = self.__dict__["reads"] = self.__dict__.get("reads", 0) + 1
+        return 1e-9 if n <= 2 else -0.5
+
+    @eps.setter
+    def eps(self, value):
+        pass
+
+    def reset(self):
+        self.__dict__["reads"] = 0
+        return self
+
+
+class ShiftingIndices(tuple):
+    """Index tuples that iterate as built once, then as ``("a",)``."""
+
+    def __iter__(self):
+        n = self.__dict__["iterations"] = self.__dict__.get("iterations", 0) + 1
+        return super().__iter__() if n == 1 else iter([("a",)])
+
+
+class Agreeable(float):
+    """A float whose comparisons all hold and whose arithmetic stays
+    agreeable."""
+
+    def __lt__(self, other):
+        return True
+
+    __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __lt__
+    __hash__ = float.__hash__
+
+
+def _agreeing(op):
+    return lambda self, *args: Agreeable(getattr(float, op)(self, *args))
+
+
+for _op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
+    setattr(Agreeable, _op, _agreeing(_op))
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("no printing")
+
+    __repr__ = __str__
+
+
+def _river(specs, control, inference, episodes, records=None):
+    cfg = ExperimentConfig(
+        spec_name="river", env_factory=make_crossing_river,
+        control_policy=control, inference_policy=inference,
+        episodes=episodes, budget=1e-7, mode="meta", seed=0)
+    shield = Shield(specs["river"], make_crossing_river().consts)
+    return run_experiment(shield, cfg, record_sink=records)
+
+
+class TestProbes:
+    def test_eps_that_changes_between_reads(self, specs):
+        # an aggregate whose eps reads differently on a later read cannot
+        # credit the agent's budget: it is not an AggregateAction, so the
+        # action counts as empty
+        sent = []
+
+        def hostile(shield, env):
+            honest = river_inference(shield, env)
+
+            def policy(view):
+                action = honest(view)
+                if action[0] is None:
+                    return action
+                sent.append(view.step)
+                return tuple(ShiftingEps(1e-9, a.dist).reset() for a in action)
+            return policy
+
+        records = []
+        stats = _river(specs, river_control, hostile, 5, records.append)
+        assert sent and len(stats.episodes) == 5
+        assert all(e.eps_spent >= 0.0 for e in stats.episodes)
+        assert stats.ledger_error <= 1e-12
+        assert all(r.assignments == [] and r.consumed == [] for r in records)
+        assert stats.crashes == 0 and stats.reuse_violations == 0
+
+    def test_negative_eps_on_a_future_index(self, specs):
+        # eps set to -0.5 after construction, over an index not yet in the
+        # history, so that evaluation reads nothing and the tail bound never
+        # runs: only the boundary's eps check and the audit stand between
+        # the agent and a credited budget
+        def hostile(shield, env):
+            def policy(view):
+                agg = AggregateAction(1e-9, ((1.0, (view.step + 5,)),))
+                object.__setattr__(agg, "eps", -0.5)
+                return (agg, agg)
+            return policy
+
+        records = []
+        stats = _river(specs, river_control, hostile, 3, records.append)
+        assert stats.ledger_error <= 1e-12
+        assert all(e.eps_spent == 0.0 for e in stats.episodes)
+        assert all(r.assignments == [] for r in records)
+
+    def test_index_tuples_that_change_between_reads(self, specs):
+        sent = []
+
+        def hostile(shield, env):
+            honest = sisyphean_inference(shield, env)
+
+            def policy(view):
+                action = honest(view)
+                kinds = [kind for kind, _ in shield.strategy.space]
+                k = kinds.index("best")
+                if not action[k]:
+                    return action
+                sent.append(view.step)
+                return action[:k] + (ShiftingIndices(action[k]),) + action[k + 1:]
+            return policy
+
+        records = []
+        cfg = ExperimentConfig(
+            spec_name="sisyphean", env_factory=make_sisyphean_train,
+            control_policy=greedy_train_control, inference_policy=hostile,
+            episodes=2, max_steps=30, budget=1e-3, mode="fixed", seed=0)
+        shield = Shield(specs["sisyphean"], make_sisyphean_train().consts)
+        stats = run_experiment(shield, cfg, record_sink=records.append)
+        assert sent and len(stats.episodes) == 2
+        directs = sum(kind == "direct" for kind, _ in shield.strategy.space)
+        hit = [r for r in records if r.step in sent]
+        assert all(len(r.assignments) == directs and r.consumed == [] for r in hit)
+        assert stats.ledger_error <= 1e-12 and stats.eps_spent == 0.0
+        assert stats.crashes == 0 and stats.reuse_violations == 0
+
+    def test_control_values_that_agree_with_every_test(self, specs):
+        # the naive river agent, with values that pass any comparison, is
+        # overridden on every step and never crashes
+        def hostile(shield, env):
+            naive = river_naive_control(shield, env)
+            return lambda view: _map_values(naive(view), Agreeable)
+
+        records = []
+        stats = _river(specs, hostile, river_inference, 20, records.append)
+        assert stats.crashes == 0
+        assert stats.overrides == stats.steps > 0
+        assert all(r.proposed is None for r in records)
+
+    def test_control_action_that_raises_when_printed(self, specs):
+        lines = []
+
+        def hostile(shield, env):
+            honest = river_control(shield, env)
+            return lambda view: Unprintable() if view.step % 2 else honest(view)
+
+        stats = _river(specs, hostile, river_inference, 4,
+                       lambda rec: lines.append(json.dumps(rec.to_json())))
+        assert len(lines) == stats.steps and stats.crashes == 0
+        odd = [json.loads(line) for line in lines if json.loads(line)["step"] % 2]
+        assert odd and all(d["overridden"] and d["proposed"] == "None" for d in odd)
+
+    def test_numpy_control_values_are_checked(self, specs):
+        # numpy's float64 passes the boundary and enters the state as a
+        # float, so the env answers, and the trace records, in builtins
+        def numpy_valued(shield, env):
+            honest = river_control(shield, env)
+            return lambda view: _map_values(honest(view), np.float64)
+
+        records = []
+        stats = _river(specs, numpy_valued, river_inference, 4, records.append)
+        honest = _river(specs, river_control, river_inference, 4)
+        assert stats.crashes == 0
+        assert [e.ret for e in stats.episodes] == [e.ret for e in honest.episodes]
+        assert any(not r.overridden for r in records)
+        assert all(type(r.safe) is bool and type(r.terminal) is bool for r in records)
+        for r in records:
+            json.dumps(r.to_json())
+
+    def test_int_past_the_float_range(self, specs):
+        # acas computes with the value before its first test; an int whose
+        # arithmetic would raise makes the path undefined, so overridden
+        env = make_acas()
+        shield = Shield(specs["acas"], env.consts)
+        level = acas_control(shield, env)
+        huge = lambda view: _map_values(level(view), lambda v: 10 ** 400)  # noqa: E731
+        stats = run_episode(shield, env, huge, acas_inference(shield, env), 1e-7, 5,
+                            np.random.SeedSequence(0))
+        assert stats.steps == stats.overrides == 5 and not stats.crash
+
+
+class TestLedgerAudit:
+    """``ledger_error`` does not trust the boundary: it also reports a spent
+    eps outside [0, 1] and spending past the budget."""
+
+    def _episode(self, specs, ledger=None):
+        env = make_crossing_river()
+        shield = Shield(specs["river"], env.consts)
+        return run_episode(shield, env, river_control(shield, env),
+                           river_inference(shield, env), 1e-7, env.max_steps,
+                           np.random.SeedSequence(0), ledger=ledger)
+
+    def test_honest_run_has_no_error(self, specs):
+        stats = self._episode(specs)
+        assert stats.eps_spent > 0.0 and stats.ledger_error == 0.0
+
+    def test_negative_eps_past_the_boundary(self, specs, monkeypatch):
+        # stand in for a boundary that let a negative eps through
+        real = runtime.interpret_strategy
+
+        def credit(*args):
+            return [sa._replace(eps=-0.5) if sa.eps else sa for sa in real(*args)]
+
+        monkeypatch.setattr(runtime, "interpret_strategy", credit)
+        stats = self._episode(specs)
+        assert stats.eps_spent < 0.0 and stats.ledger_error == 0.5
+
+    def test_spending_past_the_budget(self, specs):
+        ledger = KahanLedger(1e-7)
+        ledger.add(3e-7)  # spent before this episode, as a shared ledger may be
+        stats = self._episode(specs, ledger)
+        assert stats.ledger_error == pytest.approx(2e-7)
+
+
+# ---------------------------------------------------------------------------
+# Random hostile agents over every bundled spec
+
+_X, _V, _U, _E, _T = (Ident(n) for n in ("x", "v", "u", "e", "t"))
+
+
+class LinearTrain(Environment):
+    """The train of train_global.shield: the commanded acceleration ``u``
+    acts as ``theta*u + phi`` for unknown ``theta`` and ``phi``, and the
+    train must stop before ``e = 0``.  The state is ``(x, v, u)``."""
+
+    consts = {"A": 2.0, "B": 4.0, "T": 1.0, "sigma": 0.1}
+    theta, phi = 1.0, -0.5
+    max_steps = 15
+
+    def reset(self, rng):
+        return (-150.0, 15.0, 0.0)
+
+    def step(self, state, exec_vals, rng):
+        x, v, _ = state
+        u = exec_vals[_U]
+        a = self.theta * u + self.phi
+        tau = -v / a if a < 0.0 and v + a * self.consts["T"] < 0.0 else self.consts["T"]
+        x2, v2 = x + v * tau + a * tau * tau / 2, max(0.0, v + a * tau)
+        crash = x2 > 0.0
+        return (x2, v2, u), -10.0 if crash else -0.01, crash or v2 == 0.0
+
+    def state_map(self, state):
+        x, v, u = state
+        return {_X: x, _V: v, _U: u, _E: 0.0, _T: 0.0}
+
+    def obs_available(self, state):
+        return frozenset({"w"})
+
+    def measure(self, state, rng):
+        eta = rng.normal(0.0, self.consts["sigma"])
+        return {"w": self.theta * state[2] + self.phi - eta}
+
+    def ground_truth_safe(self, state):
+        return state[0] <= 0.0
+
+    def unknowns(self):
+        return {"theta": self.theta, "phi": self.phi}
+
+    def initial_global_bounds(self):
+        return {Ident("theta_lo"): 0.5, Ident("theta_up"): 1.5,
+                Ident("phi_up"): 0.0}
+
+
+ENVS = {
+    "sisyphean": make_sisyphean_train,
+    "train_local": make_versatile_train,
+    "train_global": LinearTrain,
+    "river": make_crossing_river,
+    "acas": make_acas,
+}
+
+
+class Raise:
+    """Drawn instead of an action: the policy raises."""
+
+
+class Index(int):
+    pass
+
+
+class Tuple(tuple):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Subclassed(AggregateAction):
+    pass
+
+
+class Action(AReal):
+    pass
+
+
+_JUNK = st.sampled_from([
+    None, True, 0, 1.0, "a", (), ((),), [(1,)], Raise(), Unprintable(),
+    UNIT, AReal(1.0), Tuple(((1,),)), np.int64(1), Fraction(1, 2),
+])
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+_VALUES = st.one_of(
+    _FLOATS, st.integers(), st.booleans(),
+    st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63, 5e-324, -0.0]),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-9, 9).map(np.int64),
+    _FLOATS.map(Agreeable), _FLOATS.map(Real), st.integers(-9, 9).map(Index),
+    st.just(Fraction(1, 3)), st.just(Unprintable()))
+
+
+def _fitting(space):
+    """Control actions of ``space``'s shape with hostile values."""
+    t = type(space)
+    if t is SpaceUnit:
+        return st.just(UNIT)
+    if t is SpaceReal:
+        return st.one_of(st.builds(AReal, _VALUES), st.builds(Action, _VALUES))
+    if t is SpaceProd:
+        return st.builds(APair, _fitting(space.left), _fitting(space.right))
+    return st.one_of(st.builds(ALeft, _fitting(space.left)),
+                     st.builds(ARight, _fitting(space.right)))
+
+
+#: a well-formed index: an int, often past the history or out of range
+_INDEX = st.integers(-2, 20)
+
+_HOSTILE_INDEX = st.one_of(
+    st.sampled_from([10 ** 30, -(10 ** 30), True, 1.0]),
+    st.integers(0, 20).map(Index), st.integers(0, 20).map(np.int64))
+
+#: tolerances at the edges; the episode's budget is 1e-6
+_EPS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-17, 1e-16, 1e-9, 1e-7, 5e-7, -0.0]),
+    st.floats(0.0, 1e-6))
+
+_HOSTILE_EPS = st.sampled_from(
+    [-0.5, -5e-324, 1.0000000000000002, math.nan, math.inf, -math.inf, 1, 0, True,
+     Real(1e-9)])
+
+
+def _tuples(n):
+    return st.tuples(*[_INDEX] * n)
+
+
+@st.composite
+def _aggregate(draw, n):
+    """A well-formed aggregate action: a few pairs, or far more pairs than
+    any history has entries, with duplicate indices allowed."""
+    pairs = draw(st.lists(st.tuples(st.floats(1e-3, 1e3), _tuples(n)), min_size=1,
+                          max_size=draw(st.sampled_from([4, 4, 300]))))
+    return AggregateAction(draw(_EPS), tuple(pairs))
+
+
+@st.composite
+def _hostile_slot(draw, kind, n):
+    """A slot no well-formed action has: a changed, subclassed or shifting
+    aggregate, index tuples of the wrong type, length or content, or junk."""
+    j = draw(_tuples(n))
+    bad_j = draw(st.sampled_from(
+        [j[:-1], j + (1,), list(j), Tuple(j), j[:-1] + (draw(_HOSTILE_INDEX),)] if n else
+        [(1,), [], Tuple()]))
+    if kind == "best":
+        return draw(st.sampled_from([
+            (j, bad_j), Tuple((j,)), [j], ShiftingIndices((j,)), draw(_JUNK)]))
+    if kind == "direct":
+        return draw(st.one_of(_JUNK.filter(lambda x: x is not None), _aggregate(n)))
+    agg = draw(_aggregate(n))
+    w, j0 = agg.dist[0]
+    how = draw(st.sampled_from(["eps", "dist", "weight", "index", "subclass", "shifting",
+                                "junk"]))
+    if how == "eps":
+        object.__setattr__(agg, "eps", draw(_HOSTILE_EPS))
+    elif how == "dist":
+        object.__setattr__(agg, "dist", draw(st.sampled_from(
+            [(), list(agg.dist), Tuple(agg.dist), ((0.5, j0),), ((1, j0),),
+             ((Real(1.0), j0),), ((1.0,),), (Tuple((1.0, j0)),), ((1.0, j0, 0),),
+             ((1e308, j0), (1e308, j0))])))
+    elif how == "weight":
+        object.__setattr__(agg, "dist", ((draw(st.floats()), j0),) + agg.dist[1:])
+    elif how == "index":
+        object.__setattr__(agg, "dist", ((w, bad_j),) + agg.dist[1:])
+    elif how == "subclass":
+        agg = Subclassed(agg.eps, agg.dist)
+    elif how == "shifting":
+        agg = ShiftingEps(1e-9, agg.dist).reset()
+    else:
+        agg = draw(_JUNK)
+    return agg
+
+
+def _inference(space):
+    """Inference actions for ``space``: well formed, with one hostile slot,
+    of the wrong container type or length, or junk."""
+    valid = st.tuples(*[
+        st.none() if kind == "direct" else
+        st.one_of(st.none(), st.lists(_tuples(n), max_size=6).map(tuple)) if kind == "best" else
+        st.one_of(st.none(), _aggregate(n))
+        for kind, n in space])
+
+    @st.composite
+    def one_hostile(draw):
+        a = list(draw(valid))
+        k = draw(st.integers(0, len(a) - 1))
+        a[k] = draw(_hostile_slot(*space[k]))
+        return tuple(a)
+
+    return st.one_of(valid, valid, one_hostile(), one_hostile(), valid.map(list),
+                     valid.map(Tuple), valid.map(lambda a: a + (None,)),
+                     valid.map(lambda a: a[:-1]), _JUNK)
+
+
+def _policy(data, actions):
+    def policy(view):
+        a = data.draw(actions)
+        if type(a) is Raise:
+            raise RuntimeError("hostile policy")
+        return a
+    return policy
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_random_hostile_agents(specs, name, data):
+    env = ENVS[name]()
+    shield = Shield(specs[name], env.consts)
+    control = _policy(data, st.one_of(_fitting(shield.ctrl_space), _fitting(shield.ctrl_space),
+                                      _JUNK))
+    inference = _policy(data, _inference(shield.strategy.space))
+    stats = run_episode(shield, env, control, inference, 1e-6, 12,
+                        np.random.SeedSequence(data.draw(st.integers(0, 3))),
+                        record_sink=lambda rec: json.dumps(rec.to_json()))
+    assert stats.ledger_error <= 1e-12
+    assert 0.0 <= stats.eps_spent <= 1e-6
+    assert stats.reuse_violations == 0
+    assert not stats.crash

@@ -1,0 +1,48 @@
+"""Golden digests of seeded ``simulate`` outputs.
+
+For each bundled environment the test runs ``simulate --seed 0 --episodes 4
+--trace`` with one worker and with two, and pins the sha256 of the summary
+CSV and of the JSONL trace.  The trace holds every step's bounds, spent
+tolerances and actions at full precision, so a change of one ulp in any
+bound value changes its digest.  In fixed mode ``--workers 2`` runs
+sequentially; both worker counts must give the same bytes either way.
+
+A change that moves seeded outputs on purpose updates the digests here and
+says why.
+"""
+
+import hashlib
+
+import pytest
+
+from adashield.cli import main
+
+#: recorded at the commit before the inference boundary read each agent
+#: action once
+GOLDEN = {
+    "sisyphean": (
+        "6f44daf7178f2df08aea6bb6b5a675e50046f51b9fe1cd0b01153178d37850d1",
+        "d4c8a4bf2f08d0ab4abe7b1bb02906723845cb361972e300f949791310caeb47"),
+    "versatile": (
+        "1592d6e7381596e844943593a5dc15209f95a214578dd54dc7c89fa001f28c79",
+        "1776b4eec7058f46eba4134dad12bb929f80c17bfe6eaa9cdc823e41c63c22a9"),
+    "river": (
+        "d7b6411428de194d9ccdf226135b4b279b4fe20f6caa387c424ac1ee81d9083d",
+        "80d26b452c738c476f0031ee23a18e5f75c7de7aae57faf2de6ad0e4dd3d3a41"),
+    "acas": (
+        "54a0a202277fe0e39b0b907f1f84a5e4771fbfeffd40e3efc26bddde2518b96b",
+        "f95c1a47d0e4fce08131e815cbbdc2d247e5f61bce6341d61afdfcd788c7aafd"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("env", sorted(GOLDEN))
+def test_seeded_outputs(tmp_path, capsys, env, workers):
+    code = main(["simulate", "--env", env, "--seed", "0", "--episodes", "4",
+                 "--trace", "--workers", workers, "--out", str(tmp_path), "--json"])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"{env}_seed0{suffix}").read_bytes()).hexdigest()
+        for suffix in ("_summary.csv", ".jsonl"))
+    assert digests == GOLDEN[env]

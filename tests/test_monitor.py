@@ -249,7 +249,7 @@ class TestFallback:
             resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
 
     def test_numpy_action_is_checked(self):
-        # action_fits admits any Real, so a numpy float reaches the monitor
+        # action_fits admits numpy's float64, so a numpy float reaches the monitor
         ctrl = parse_program("a := *; ?(a <= A & x <= 0)", frozenset({"A"}))
         code = controller_code(Module(), ctrl, None)
         s = {Ident("x"): -1.0}

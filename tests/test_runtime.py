@@ -19,7 +19,7 @@ from adashield.runtime import (
 )
 from adashield.specfile import load_spec
 from adashield.strategy import (
-    BOTTOM, ActionShapeError, AggregateAction, eval_sbi, interpret_strategy,
+    BOTTOM, AggregateAction, eval_sbi, interpret_strategy,
     observation_reads, referenced_indices, referenced_observations,
 )
 from adashield.envs import (
@@ -259,7 +259,7 @@ class TestZeroTrust:
         st = init_shielded_state(shield, env, 1e-3, rngs[0])
         st, _, _, rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
                                  flags=StepFlags(unshielded=unshielded))
-        assert rec.overridden and rec.proposed is bad
+        assert rec.overridden and rec.proposed is None
         assert rec.executed == make_action(shield.spec.ctrl, ["right"])
         json.dumps(rec.to_json())
 
@@ -481,11 +481,8 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     """Evaluate the step's assignments in order under the lazy valuation and
     under a dict of every referenced entry's values, tightening both alike;
     the number of assignments that read history."""
-    try:
-        assignments = interpret_strategy(shield.spec.infer, a_inf, shield.directions,
-                                         shield.noise_decls)
-    except ActionShapeError:
-        return 0
+    assignments = interpret_strategy(shield.spec.infer, a_inf, shield.directions,
+                                     shield.noise_decls)
     history = st.history
     n = len(history) + 1
     current = {**env.state_map(st.env_state), **st.global_bounds}

@@ -13,9 +13,9 @@ from adashield.dl import (
     instantiate_indices, parse_formula, parse_term, tag_with_index,
 )
 from adashield.strategy import (
-    ActionShapeError, Aggregate, AggregateAction, AggregateSBI, BOTTOM,
-    BoundSBI, CompiledStrategy, Direct, DistExpr, InferAssign, _check_action,
-    empty_action, eval_sbi, interpret_strategy, linearize, observation_reads,
+    Aggregate, AggregateAction, AggregateSBI, BOTTOM, BoundSBI,
+    CompiledStrategy, Direct, DistExpr, InferAssign, empty_action, eval_sbi,
+    interpret_strategy, linearize, observation_reads,
     referenced_indices, referenced_observations, strategy_action_space,
 )
 from adashield.tailbounds import Dist
@@ -23,6 +23,20 @@ from adashield.tailbounds import Dist
 
 def _z(eps):
     return math.sqrt(2.0) * float(special.erfinv(1 - 2 * eps))
+
+
+def _read(strategy, action, dirs, noise, compiled=None):
+    """What ``interpret_strategy`` makes of ``action``: per assignment its
+    target, the SBI's kind and index binding, and its tolerance."""
+    return [(str(sa.param), type(sa.sbi), sa.sbi[1:], sa.eps)
+            for sa in interpret_strategy(strategy, action, dirs, noise, compiled)]
+
+
+def _changed(agg: AggregateAction, **fields) -> AggregateAction:
+    """``agg`` with ``fields`` set after construction, past its checks."""
+    for name, value in fields.items():
+        object.__setattr__(agg, name, value)
+    return agg
 
 
 @pytest.fixture
@@ -47,25 +61,28 @@ class TestActionSpace:
         assert empty_action(()) == ()
 
     def test_shape_validation(self, train_strategy):
-        _, strategy, _, _ = train_strategy
-        space = strategy_action_space(strategy)
-        with pytest.raises(ActionShapeError):
-            _check_action(space, (None, None))
-        with pytest.raises(ActionShapeError):
-            _check_action(space, (None, ((1, 2),), None))
-        _check_action(space, (None, ((1,), (2,)), None))
+        _, strategy, dirs, noise = train_strategy
+        empty = _read(strategy, empty_action(strategy), dirs, noise)
+        assert empty == [("fbar", BoundSBI, ((),), 0.0)]
+        assert _read(strategy, (None, None), dirs, noise) == empty
+        assert _read(strategy, (None, ((1, 2),), None), dirs, noise) == empty
+        fits = _read(strategy, (None, ((1,), (2,)), None), dirs, noise)
+        assert [j for _, _, (j,), _ in fits] == [(), (1,), (2,)]
 
     @pytest.mark.parametrize("action", [
         None, [None, (), None], (None, ((1.0,),), None), (None, (("i",),), None),
         (None, (([1],),), None), (None, [(1,)], None),
         (None, (), AggregateAction(0.1, ((1.0, ("j",)),))),
+        (None, (), _changed(AggregateAction(0.1, ((0.5, (1,)), (0.5, (2,)))),
+                            dist=((1e308, (1,)), (1e308, (2,))))),
     ])
     def test_malformed_actions_rejected(self, train_strategy, action):
+        # a malformed action reads as the empty one: the direct assignment
         _, strategy, dirs, noise = train_strategy
-        with pytest.raises(ActionShapeError):
-            _check_action(strategy_action_space(strategy), action)
-        with pytest.raises(ActionShapeError):
-            interpret_strategy(strategy, action, dirs, noise)
+        empty = [("fbar", BoundSBI, ((),), 0.0)]
+        assert _read(strategy, action, dirs, noise) == empty
+        compiled = CompiledStrategy(strategy, dirs, noise)
+        assert _read(strategy, action, dirs, noise, compiled) == empty
 
 
 class TestAggregateAction:
