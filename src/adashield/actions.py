@@ -137,12 +137,19 @@ REALS = (float, int, np.float64)
 
 def action_fits(space: ActionSpace, a: ControlAction) -> bool:
     """Whether ``a`` fits ``space``, in exact action classes and ``REALS``
-    values: the one read of a control action."""
+    values that ``float`` accepts (an int past the float range it does not):
+    the one read of a control action."""
     st, at = type(space), type(a)
     if st is SpaceUnit:
         return at is AUnit
     if st is SpaceReal:
-        return at is AReal and type(a.value) in REALS
+        if at is not AReal or type(a.value) not in REALS:
+            return False
+        try:
+            float(a.value)
+        except OverflowError:
+            return False
+        return True
     if st is SpaceProd:
         return at is APair and action_fits(space.left, a.left) and action_fits(space.right, a.right)
     if at is ALeft:
@@ -239,12 +246,8 @@ def _exec(ctrl, state: dict, a, interp) -> None:
 def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
                  interp=None) -> bool:
     """True iff every test on the selected path holds in its intermediate
-    state; undefined tests are false.  Stops at the first failing test.  An
-    int past the float range, which ``float`` rejects, is undefined."""
-    try:
-        return ctrl.monitor(dict(state), a, interp or {})
-    except OverflowError:
-        return False
+    state; undefined tests are false.  Stops at the first failing test."""
+    return ctrl.monitor(dict(state), a, interp or {})
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dl import (
-    Assign, AssignAny, Choice, Ident, Loop, ODE, Seq, Test, free_vars,
+    Assign, AssignAny, BoolLit, Choice, Ident, Loop, ODE, Seq, Test,
     is_runtime_evaluable, symbols,
 )
 from .actions import StructureError, walk_directives
@@ -56,7 +56,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
 
     # bound formulas mention no parameter other than their own
     for b in spec.bounds:
-        foreign = {v for v in free_vars(b.formula)
+        foreign = {v for v in spec.free_vars(b.formula)
                    if v.name in param_names and v.name != b.param.name}
         if foreign:
             out.append(Diagnostic(
@@ -65,22 +65,21 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                 f"{sorted(map(str, foreign))}"))
 
     # invariant: global parameters only
-    for v in free_vars(spec.invariant):
+    for v in spec.free_vars(spec.invariant):
         if v.name in param_names and Ident(v.name) in set(spec.local_params):
             out.append(Diagnostic(
                 LOCAL_IN_INVARIANT, f"local parameter {v.name} in invariant"))
 
     # plant: no parameters; safe: no parameters
-    for v in free_vars(spec.plant):
-        if v.name in param_names:
-            out.append(Diagnostic(PARAM_IN_PLANT, f"parameter {v.name} in plant"))
-    for v in free_vars(spec.safe):
-        if v.name in param_names:
-            out.append(Diagnostic(PARAM_IN_SAFE, f"parameter {v.name} in safety condition"))
+    for code, tree, what in ((PARAM_IN_PLANT, spec.plant, "plant"),
+                             (PARAM_IN_SAFE, spec.safe, "safety condition")):
+        for v in spec.free_vars(tree):
+            if v.name in param_names:
+                out.append(Diagnostic(code, f"parameter {v.name} in {what}"))
 
     # observations: no bound parameters
     for o in spec.obs:
-        for v in free_vars(o.definition):
+        for v in spec.free_vars(o.definition):
             if v.name in param_names:
                 out.append(Diagnostic(
                     PARAM_IN_OBS, f"observation {o.var} mentions parameter {v.name}"))
@@ -95,7 +94,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
 
     # assumptions: symbols only, no free variables
     for f in spec.assumptions:
-        fv = free_vars(f)
+        fv = spec.free_vars(f)
         if fv:
             out.append(Diagnostic(
                 ASSUMPTION_FREE_VARS,
@@ -105,7 +104,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
     # an aggregate reads them at its noise variable's index
     for n in spec.noise:
         for t in n.dist.params:
-            bad = {v for v in free_vars(t) if v.name not in state_names or v.index is not None}
+            bad = {v for v in spec.free_vars(t) if v.name not in state_names or v.index is not None}
             if bad:
                 out.append(Diagnostic(
                     NOISE_HYPERPARAMS,
@@ -113,7 +112,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
 
     # base names must not collide with indexed uses (x vs x@i)
     declared = state_names | param_names | set(spec.obs_names) | set(spec.noise_names)
-    for v in spec.all_free_vars():
+    for v in spec.free_vars(*spec.nodes()):
         if v.index is not None and v.name not in declared:
             out.append(Diagnostic(
                 INDEX_COLLISION,
@@ -209,7 +208,7 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
 
         declared_idx = set(getattr(body, "indices", ()))
         for t in nodes:
-            for v in free_vars(t):
+            for v in spec.free_vars(t):
                 if isinstance(v.index, str) and v.index not in declared_idx:
                     out.append(Diagnostic(
                         UNDECLARED_INDEX,
@@ -217,12 +216,12 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
                         "is not declared by the assignment"))
 
         if isinstance(body, Aggregate):
-            for v in free_vars(body.observable):
+            for v in spec.free_vars(body.observable):
                 if v.name in spec.noise_names:
                     out.append(Diagnostic(
                         NOISE_IN_AGG_OBSERVABLE,
                         f"noise variable {v} in observable component of {a.target}"))
-            for v in free_vars(body.noise):
+            for v in spec.free_vars(body.noise):
                 if v.name in spec.obs_names:
                     out.append(Diagnostic(
                         OBS_IN_AGG_NOISE,
@@ -243,12 +242,11 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
 def _is_valid_default(a, spec: ShieldSpec, local_names: set[str]) -> bool:
     """First assignment to a local parameter must be an unguarded direct
     assignment free of observations, indexed variables and other locals."""
-    from .dl.syntax import BoolLit
     if not isinstance(a.body, Direct):
         return False
     if a.guard != BoolLit(True):
         return False
-    for v in free_vars(a.body.term):
+    for v in spec.free_vars(a.body.term):
         if v.index is not None:
             return False
         if v.name in spec.obs_names:

@@ -18,11 +18,11 @@ symbol cannot be assigned or evolve.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple, get_args
 
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
-    Exists, Forall, Ident, Imp, Lit, Loop, Neg, Not, ODE, Or, Seq, Test, Var,
+    Exists, Forall, Ident, Imp, Lit, Loop, Neg, Not, ODE, Or, Seq, Term, Test, Var,
 )
 
 
@@ -37,24 +37,29 @@ class ParseError(Exception):
         super().__init__(f"{message}{where}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
+#: the most frequent kinds first; no two alternatives match the same text
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<quant>\\forall|\\exists)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ws>[ \t\r]+)
   | (?P<op>:=|\+\+|->|<=|>=|~|[-+*/^(){}\[\];,?!&|'@:<>=])
+  | (?P<nl>\n[ \t\r\n]*)
+  | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<comment>\#[^\n]*)
+  | (?P<quant>\\forall|\\exists)
+  | (?P<error>.)
 """, re.VERBOSE)
 
 _RESERVED = frozenset({"true", "false", "min", "max", "abs"})
+
+_COMPARISONS = frozenset({"=", "<", "<=", ">=", ">"})
+_TERMS = frozenset(get_args(Term))
 
 #: deepest nesting of brackets, unary operators, quantifiers and modalities
 #: the parser accepts.  Every cycle of the recursive descent passes through
@@ -70,25 +75,26 @@ MAX_HEIGHT = 500
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` in one pass, then an ``eof`` token."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = tokens.append
+    new = tuple.__new__  # a Token, without the Python-level Token.__new__
+    line, line_start = 1, 0  # the offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, raw, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
+        if kind == "ws" or kind == "comment":
+            continue
+        start = m.start()
+        if kind == "nl":
+            raw = m[0]
+            line += raw.count("\n")
+            line_start = start + raw.rfind("\n") + 1
+        elif kind == "error":
+            raise ParseError(f"unexpected character {text[start]!r}",
+                             line, start - line_start + 1)
         else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            append(new(Token, (kind, m[0], line, start - line_start + 1)))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -96,6 +102,8 @@ class Parser:
     reserved = _RESERVED
 
     def __init__(self, tokens: list[Token], symbols: set[str] | frozenset[str] = frozenset()):
+        #: ends with the ``eof`` token, whose text alone is empty and which
+        #: ``next`` never moves past
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -103,11 +111,16 @@ class Parser:
         self.symbols = symbols
         #: the variables of the quantifiers open at this token, innermost last
         self.bound: list[Ident] = []
+        #: where the content of the innermost bracket in formula position
+        #: starts: a term there, followed by ")", may stand for a formula
+        self.content_at = None
+        #: brackets ``_f_bracket`` read as terms, by position, for ``_atom``
+        self.read: dict = {}
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -116,21 +129,28 @@ class Parser:
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tokens[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
+        t = self.tokens[self.pos]
+        if t.text != text:
             raise ParseError(f"unexpected {t.text!r}" if t.kind != "eof" else
                              "unexpected end of input", t.line, t.col, (text,))
         self.pos += 1
         return t
+
+    def listed(self, item) -> tuple:
+        """``item()`` once, then again after each ","."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return tuple(out)
 
     def fail(self, message: str, *expected: str):
         t = self.peek()
@@ -142,10 +162,9 @@ class Parser:
         if self.depth >= MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        try:
-            return parse()
-        finally:
-            self.depth -= 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def bounded(self, parse):
         """``parse()`` a whole term, formula or program; a ``ParseError`` at
@@ -198,23 +217,23 @@ class Parser:
 
     def _additive(self):
         left = self._multiplicative()
+        toks = self.tokens
         while True:
-            if self.accept("+"):
-                left = BinOp("+", left, self._multiplicative())
-            elif self.accept("-"):
-                left = BinOp("-", left, self._multiplicative())
-            else:
+            op = toks[self.pos].text
+            if op != "+" and op != "-":
                 return left
+            self.pos += 1
+            left = BinOp(op, left, self._multiplicative())
 
     def _multiplicative(self):
         left = self._unary()
+        toks = self.tokens
         while True:
-            if self.accept("*"):
-                left = BinOp("*", left, self._unary())
-            elif self.accept("/"):
-                left = BinOp("/", left, self._unary())
-            else:
+            op = toks[self.pos].text
+            if op != "*" and op != "/":
                 return left
+            self.pos += 1
+            left = BinOp(op, left, self._unary())
 
     def _unary(self):
         if self.accept("-"):
@@ -227,10 +246,10 @@ class Parser:
     def _power(self):
         base = self._atom()
         if self.accept("^"):
-            t = self.peek()
+            t = self.tokens[self.pos]
             if t.kind != "number" or "." in t.text or "e" in t.text.lower():
                 self.fail("exponent must be a natural-number literal", "natural number")
-            self.next()
+            self.pos += 1
             return BinOp("^", base, Lit(float(int(t.text))))
         return base
 
@@ -254,7 +273,7 @@ class Parser:
             self.expect(")")
             return Abs(a)
         if t.kind == "ident":
-            if self.peek(1).text == "(" and self.peek(1).kind == "op":
+            if self.tokens[self.pos + 1].text == "(":
                 name = self.next().text
                 self.expect("(")
                 args = []
@@ -266,7 +285,12 @@ class Parser:
                 return App(name, tuple(args))
             v = self.ident()
             return App(v.name, ()) if self.is_symbol(v) else Var(v)
-        if self.accept("("):
+        if t.text == "(":
+            seen = self.read.pop(self.pos, None)
+            if seen is not None:
+                self.pos = seen[1]
+                return seen[0]
+            self.pos += 1
             inner = self.nested(self.term)
             self.expect(")")
             return inner
@@ -303,10 +327,8 @@ class Parser:
             self.next()
             v = self.ident()
             self.bound.append(v)
-            try:
-                body = self.nested(self._f_unary)
-            finally:
-                self.bound.pop()
+            body = self.nested(self._f_unary)
+            self.bound.pop()
             return (Forall if t.text == "\\forall" else Exists)(v, body)
         if t.text == "[":
             self.next()
@@ -318,39 +340,48 @@ class Parser:
             prog = self.nested(self.program)
             self.expect(">")
             return Dia(prog, self.nested(self._f_unary))
-        if t.text == "true":
-            self.next()
-            return BoolLit(True)
-        if t.text == "false":
-            self.next()
-            return BoolLit(False)
-        if t.text == "(":
-            # could be a parenthesised formula or a parenthesised term; if
-            # neither reading parses, the one that got further reports
-            saved = self.pos
-            try:
-                self.next()
-                inner = self.nested(self.formula)
-                self.expect(")")
-                return inner
-            except ParseError as e:
-                failed = e
-            self.pos = saved
-            try:
-                return self._comparison()
-            except ParseError as e:
-                if (failed.line, failed.col) > (e.line, e.col):
-                    raise failed from None
-                raise
+        if t.text == "true" or t.text == "false":
+            # first in a bracket, "true(" starts a term: only terms apply names
+            if self.pos != self.content_at or self.tokens[self.pos + 1].text != "(":
+                self.pos += 1
+                return BoolLit(t.text == "true")
+        elif t.text == "(":
+            return self._f_bracket()
+        return self._comparison()
+
+    def _f_bracket(self):
+        """A bracket in formula position, read once, without backtracking.
+        Its content is read as a formula in which a term followed by ")" may
+        stand first and alone.  Such a term starts the comparison that is
+        then read on from the bracket; ``_atom`` takes it from ``read``.  If
+        neither reading parses, the error is the one of the reading that
+        got further, as reading the bracket as a formula, then as a term,
+        would report."""
+        p, outer = self.pos, self.content_at
+        self.pos = self.content_at = p + 1
+        inner = self.nested(self.formula)
+        self.content_at = outer
+        self.expect(")")
+        if type(inner) not in _TERMS:
+            return inner
+        self.read[p] = (inner, self.pos)
+        self.pos = p
         return self._comparison()
 
     def _comparison(self):
+        start = self.pos
         left = self.term()
-        t = self.peek()
-        if t.text in ("=", "<", "<=", ">=", ">"):
-            self.next()
-            right = self.term()
-            return Cmp(t.text, left, right)
+        t = self.tokens[self.pos]
+        if start == self.content_at and (
+                t.text not in _COMPARISONS or self.tokens[start].text in ("true", "false")):
+            # a term a bracket holds; any token but ")" after it is where both
+            # readings fail, and the term reading reports
+            self.expect(")")
+            self.pos -= 1
+            return left
+        if t.text in _COMPARISONS:
+            self.pos += 1
+            return Cmp(t.text, left, self.term())
         self.fail("expected comparison operator", "=", "<", "<=", ">=", ">")
 
     # -- hybrid programs ---------------------------------------------------
@@ -401,7 +432,7 @@ class Parser:
         if toks[i].kind != "ident":
             return False
         i += 1
-        if toks[i].text == "@":
+        if toks[i].text == "@" and toks[i + 1].kind != "eof":
             i += 2
         return toks[i].text == "'"
 

@@ -139,9 +139,7 @@ def _rename(e: Node, rename) -> Node:
 def free_vars(e: Node) -> set[Ident]:
     """Free variables; assignment targets are free (variables are global),
     quantifiers bind."""
-    out: dict[Ident, None] = {}
-    _fv(e, out, frozenset())
-    return set(out)
+    return set(ordered_free_vars(e))
 
 
 def ordered_free_vars(*nodes: Node) -> list[Ident]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .dl import (
     And, BinOp, BoolLit, Box, Cmp, Dia, Formula, Ident, Imp, Seq, Term, Var,
-    free_vars, ordered_free_vars, pretty_print, substitute, symbols,
+    free_vars, pretty_print, substitute, symbols,
     tag_with_index,
 )
 from .dl.syntax import conj
@@ -74,7 +74,7 @@ def gen_model_obligations(spec: ShieldSpec,
 
     if include_invariant_monotone:
         idx = 0
-        inv_params = {v.name for v in free_vars(inv)}
+        inv_params = {v.name for v in spec.free_vars(inv)}
         for b in spec.bounds:
             if b.locality != "global" or b.param.name not in inv_params:
                 continue
@@ -111,14 +111,14 @@ def _inference_formula(spec: ShieldSpec, assign: InferAssign) -> Formula:
     hyps.append(spec.invariant)
     hyps.append(Cmp("=", Var(p), body_term))
     hyps.extend(_definition_hypotheses(
-        spec, body_term, assign.guard, p,
+        spec, assign.terms, assign.guard, p,
         noise_ok=not isinstance(body, (Direct, Best))))
     if assign.guard != BoolLit(True):
         hyps.append(assign.guard)
     return Imp(conj(hyps), spec.bound_formulas[p])
 
 
-def _definition_hypotheses(spec: ShieldSpec, body: Term, guard: Formula,
+def _definition_hypotheses(spec: ShieldSpec, terms: tuple[Term, ...], guard: Formula,
                            target: Ident, noise_ok: bool = True) -> list[Formula]:
     """Defs for free observation variables and bound parameters, guard
     variables first, in order of appearance, deduplicated."""
@@ -128,7 +128,7 @@ def _definition_hypotheses(spec: ShieldSpec, body: Term, guard: Formula,
     state_names = {v.name for v in spec.state_vars}
 
     hyps: list[Formula] = []
-    for v in ordered_free_vars(guard, body):
+    for v in spec.free_vars(guard, *terms):
         if v.name == target.name and v.index is None:
             continue  # the assigned parameter itself is defined by p = body
         if v.name in obs_defs:

@@ -23,9 +23,10 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dl import Ident, Module, UNDEF, eval_formula, is_runtime_evaluable
+from .dl import Ident, Module, UNDEF, eval_formula, eval_term, is_runtime_evaluable
 from .specfile import ShieldSpec
 from .actions import (
+    ALeft, APair, AReal, ARight, AUnit,
     ControlAction, ControllerEvaluators, FallbackViolation, action_fits,
     controller_code, ctrl_exec, ctrl_monitor, derive_action_space,
     resolve_fallback,
@@ -136,8 +137,6 @@ class StepRecord:
     terminal: bool
 
     def to_json(self) -> dict:
-        from .actions import AUnit, AReal, APair, ALeft, ARight
-
         def enc(a):
             t = type(a)
             if t is AUnit:
@@ -223,7 +222,8 @@ class Shield:
         self.obs_names = spec.obs_names
         self.noise_decls = spec.noise_decls
         self.ctrl_space = derive_action_space(spec.ctrl)
-        self.strategy = CompiledStrategy(spec.infer, self.directions, self.noise_decls)
+        self.strategy = CompiledStrategy(spec.infer, self.directions, self.noise_decls,
+                                         spec.free_vars)
         self.empty_action = empty_action(spec.infer)
 
     @cached_property
@@ -240,7 +240,6 @@ class Shield:
              for t in ts})
 
     def initial_globals(self, env) -> dict:
-        from .dl import eval_term
         if self.spec.initial_global_bounds:
             out = {}
             for p, t in self.spec.initial_global_bounds.items():
@@ -429,8 +428,9 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     mval = v
     overridden = False
     # the one read of the control action; one that does not fit, of the
-    # wrong shape or with a value not of an exact real type, cannot be run
-    # even unshielded, and is overridden like one the monitor rejects
+    # wrong shape or with a value not of an exact real type or past the
+    # float range, cannot be run even unshielded, and is overridden like
+    # one the monitor rejects
     proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
     if proposed is None or not (
             flags.unshielded or ctrl_monitor(code.ctrl, mval, proposed, interp)):

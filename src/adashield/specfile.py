@@ -13,11 +13,11 @@ their declaration; all other names are variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .dl import (
-    BoolLit, Formula, HybridProgram, Ident, Term, Var, free_vars,
+    BoolLit, Cmp, Formula, HybridProgram, Ident, Term, Var, ordered_free_vars,
 )
 from .dl.parser import ParseError, Parser, tokenize, _RESERVED
 from .strategy import (
@@ -83,6 +83,8 @@ class ShieldSpec:
     infer: InferenceStrategy
     source_text: str = ""
     state_vars: frozenset[Ident] = frozenset()
+    #: by identity, each tree with its free variables in first-occurrence order
+    free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.state_vars = self._infer_state_vars()
@@ -157,14 +159,21 @@ class ShieldSpec:
             yield from (d for d in template if not isinstance(d, str))
         yield from (self.initial_global_bounds or {}).values()
 
-    def all_free_vars(self) -> set[Ident]:
-        return set().union(*map(free_vars, self.nodes()))
+    def free_vars(self, *nodes) -> list[Ident]:
+        """``dl.ordered_free_vars(*nodes)``, walking each tree once per spec."""
+        out: dict[Ident, None] = {}
+        for node in nodes:
+            seen = self.free.get(id(node))
+            if seen is None or seen[0] is not node:
+                seen = self.free[id(node)] = (node, ordered_free_vars(node))
+            out.update(dict.fromkeys(seen[1]))
+        return list(out)
 
     def _infer_state_vars(self) -> frozenset[Ident]:
         special = (frozenset(str(p) for p in (b.param for b in self.bounds))
                    | self.obs_names | self.noise_names)
         out = set()
-        for ident in self.all_free_vars():
+        for ident in self.free_vars(*self.nodes()):
             if ident.name in special:
                 continue
             out.add(Ident(ident.name))
@@ -174,7 +183,7 @@ class ShieldSpec:
         state_names = {v.name for v in self.state_vars}
         out = {}
         for b in self.bounds:
-            fv = free_vars(b.formula)
+            fv = self.free_vars(b.formula)
             out[b.param] = any(v.name in state_names and v != b.param for v in fv)
         return out
 
@@ -256,48 +265,33 @@ def load_spec(path) -> ShieldSpec:
 # -- section payload parsers -------------------------------------------------
 
 def _parse_constants(p: _SpecParser):
-    names = []
-    while True:
-        names.append(p.ident().name)
-        if not p.accept(","):
-            break
+    names = p.listed(lambda: p.ident().name)
     p.symbols.update(names)
-    return tuple(names)
+    return names
 
 
 def _parse_unknowns(p: _SpecParser):
-    out = []
-    while True:
+    def unknown():
         name = p.ident().name
-        arity = 0
-        if p.accept("("):
-            arity = 1
-            p.expect("*")
-            while p.accept(","):
-                p.expect("*")
-                arity += 1
-            p.expect(")")
-        out.append((name, arity))
-        if not p.accept(","):
-            break
+        if not p.accept("("):
+            return name, 0
+        arity = len(p.listed(lambda: p.expect("*")))
+        p.expect(")")
+        return name, arity
+
+    out = p.listed(unknown)
     p.symbols.update(n for n, _ in out)
-    return tuple(out)
+    return out
 
 
 def _parse_assume(p: _SpecParser):
-    out = [p.bounded(p.formula)]
-    while p.accept(","):
-        out.append(p.bounded(p.formula))
-    return tuple(out)
+    return p.listed(lambda: p.bounded(p.formula))
 
 
 def _parse_bounds(p: _SpecParser):
-    out = []
-    while True:
+    def bound():
         param = p.ident()
-        direction = None
-        if p.at("up") or p.at("lo"):
-            direction = p.next().text
+        direction = p.next().text if p.at("up") or p.at("lo") else None
         p.expect(":")
         formula = p.bounded(p.formula)
         if direction is None:
@@ -306,14 +300,12 @@ def _parse_bounds(p: _SpecParser):
                 raise ParseError(
                     f"bound direction for {param} is not inferrable; "
                     "annotate it with 'up' or 'lo'")
-        out.append(BoundDecl(param, direction, formula))
-        if not p.accept(","):
-            break
-    return tuple(out)
+        return BoundDecl(param, direction, formula)
+
+    return p.listed(bound)
 
 
 def _infer_direction(param: Ident, formula) -> Optional[str]:
-    from .dl.syntax import Cmp
     if not isinstance(formula, Cmp) or formula.op not in ("<=", ">=", "<", ">"):
         return None
     le = formula.op in ("<=", "<")
@@ -325,8 +317,7 @@ def _infer_direction(param: Ident, formula) -> Optional[str]:
 
 
 def _parse_noise(p: _SpecParser):
-    out = []
-    while True:
+    def noise():
         v = p.ident()
         p.expect("~")
         kind_tok = p.next()
@@ -335,76 +326,50 @@ def _parse_noise(p: _SpecParser):
             raise ParseError("expected a distribution N(..), U(..) or B(..)",
                              kind_tok.line, kind_tok.col)
         p.expect("(")
-        params = [p.bounded(p.term)]
-        while p.accept(","):
-            params.append(p.bounded(p.term))
+        params = p.listed(lambda: p.bounded(p.term))
         p.expect(")")
         kind = kinds[kind_tok.text]
         want = 1 if kind == "bernoulli" else 2
         if len(params) != want:
             raise ParseError(f"{kind_tok.text}(..) takes {want} parameter(s)",
                              kind_tok.line, kind_tok.col)
-        out.append(NoiseDecl(v, DistExpr(kind, tuple(params))))
-        if not p.accept(","):
-            break
-    return tuple(out)
+        return NoiseDecl(v, DistExpr(kind, params))
+
+    return p.listed(noise)
 
 
-def _parse_observe(p: _SpecParser):
-    out = []
-    while True:
+def _parse_defined(p: _SpecParser):
+    """``v = term`` pairs, for ``observe`` and ``initial``."""
+    def defined():
         v = p.ident()
         p.expect("=")
-        out.append(ObsDecl(v, p.bounded(p.term)))
-        if not p.accept(","):
-            break
-    return tuple(out)
+        return v, p.bounded(p.term)
+
+    return p.listed(defined)
 
 
 def _parse_fallback(p: _SpecParser):
     cases = []
-    if p.at("when"):
-        while p.accept("when"):
-            guard = p.bounded(p.formula)
-            p.expect(":")
-            cases.append((guard, _parse_template(p)))
+    while p.accept("when"):
+        guard = p.bounded(p.formula)
+        p.expect(":")
+        cases.append((guard, _parse_template(p)))
+    if cases:
         p.expect("else")
         p.expect(":")
-        cases.append((None, _parse_template(p)))
-    else:
-        cases.append((None, _parse_template(p)))
+    cases.append((None, _parse_template(p)))
     return FallbackDecl(tuple(cases))
 
 
 def _parse_template(p: _SpecParser) -> FallbackTemplate:
-    out = []
-    while True:
-        if p.at("left") or p.at("right"):
-            out.append(p.next().text)
-        else:
-            out.append(p.bounded(p.term))
-        if not p.accept(","):
-            break
-    return tuple(out)
-
-
-def _parse_initial(p: _SpecParser):
-    out = {}
-    while True:
-        v = p.ident()
-        p.expect("=")
-        out[v] = p.bounded(p.term)
-        if not p.accept(","):
-            break
-    return out
+    return p.listed(lambda: p.next().text if p.at("left") or p.at("right")
+                    else p.bounded(p.term))
 
 
 def _parse_infer(p: _SpecParser) -> InferenceStrategy:
     out: list[InferAssign] = []
     while True:
-        targets = [p.ident()]
-        while p.accept(","):
-            targets.append(p.ident())
+        targets = p.listed(p.ident)
         p.expect(":=")
         body = _parse_infer_body(p)
         guard: Formula = BoolLit(True)
@@ -436,9 +401,7 @@ def _parse_infer_body(p: _SpecParser):
 
 
 def _parse_index_names(p: _SpecParser) -> tuple[str, ...]:
-    names = [p.ident()]
-    while p.accept(","):
-        names.append(p.ident())
+    names = p.listed(p.ident)
     for n in names:
         if n.index is not None:
             raise ParseError(f"index name {n} must be unindexed")
@@ -455,8 +418,8 @@ _SECTION_PARSERS = {
     "safe": lambda p: p.bounded(p.formula),
     "invariant": lambda p: p.bounded(p.formula),
     "noise": _parse_noise,
-    "observe": _parse_observe,
+    "observe": lambda p: tuple(ObsDecl(v, t) for v, t in _parse_defined(p)),
     "fallback": _parse_fallback,
-    "initial": _parse_initial,
+    "initial": lambda p: dict(_parse_defined(p)),
     "infer": _parse_infer,
 }

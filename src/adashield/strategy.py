@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .dl import (
     Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Module, Neg, Term, UNDEF,
-    Var, eval_formula, eval_term, free_vars, tag_with_index,
+    Var, eval_formula, eval_term, ordered_free_vars, tag_with_index,
 )
 from . import tailbounds
 from .tailbounds import Dist
@@ -164,19 +164,23 @@ class Template:
 
 
 def compile_template(a: InferAssign, direction_of: dict[Ident, str],
-                     noise_decls: dict[str, DistExpr]) -> Template:
+                     noise_decls: dict[str, DistExpr],
+                     free: Callable[..., list[Ident]]) -> Template:
+    """``a``'s template.  ``free`` gives the free variables of trees:
+    ``dl.ordered_free_vars``, or ``ShieldSpec.free_vars``, which walks each
+    tree once."""
     body = a.body
     names = getattr(body, "indices", ())
     pos = {name: k for k, name in enumerate(names)}  # the last one wins, as in a binding
-    reads = set().union(*map(free_vars, (a.guard, *a.terms)))
+    reads = set(free(a.guard, *a.terms))
     noise = []
     if isinstance(body, Aggregate):
-        for v in sorted(free_vars(body.noise), key=str):
+        for v in sorted(free(body.noise), key=str):
             if v.name in noise_decls:
                 dx = noise_decls[v.name]
                 if v.index is not None:
                     dx = DistExpr(dx.kind, tuple(tag_with_index(t, v.index) for t in dx.params))
-                    reads |= set().union(*map(free_vars, dx.params))
+                    reads.update(free(*dx.params))
                 noise.append((v, dx))
     return Template(
         a, names,
@@ -217,13 +221,14 @@ class CompiledStrategy:
     """What a ``Shield`` works out once for its strategy: the action space,
     one template per assignment, the symbolic assignment of every direct
     assignment, which takes no index binding, and the interpretation of
-    the empty action: those direct assignments alone."""
+    the empty action: those direct assignments alone.  ``free`` is as for
+    ``compile_template``."""
 
     def __init__(self, strategy: InferenceStrategy, direction_of: dict[Ident, str],
-                 noise_decls: dict[str, DistExpr]):
+                 noise_decls: dict[str, DistExpr], free: Callable[..., list[Ident]]):
         self.strategy = strategy
         self.space = strategy_action_space(strategy)
-        self.templates = tuple(compile_template(a, direction_of, noise_decls)
+        self.templates = tuple(compile_template(a, direction_of, noise_decls, free)
                                for a in strategy)
         self.directs = tuple(
             SymbolicAssignment(t.assign.target, BoundSBI(t, ()), 0.0)
@@ -249,7 +254,7 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
     the empty action: the direct assignments alone.
     """
     if compiled is None:
-        compiled = CompiledStrategy(strategy, direction_of, noise_decls)
+        compiled = CompiledStrategy(strategy, direction_of, noise_decls, ordered_free_vars)
     elif compiled.strategy is not strategy:
         raise ValueError("compiled for a different strategy")
     if type(action) is not tuple or len(action) != len(compiled.space):

@@ -2,12 +2,14 @@
 
 Each criterion prints one PASS line when its assertions hold (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them).  The shielded runs
-behind criteria 1-3 and 9-10 are executed once per environment/seed and
-shared across criteria through module-scoped fixtures.
+behind criteria 1-3 and 9-10 are executed once per environment/seed, in two
+worker processes, and shared across criteria through module-scoped fixtures.
 """
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from scipy import special
 from adashield.dl import Ident, pretty_print
 from adashield.dl.syntax import conjuncts
 from adashield.actions import ARight, APair, AReal, UNIT, ALeft, ctrl_exec
+from adashield.cli import bundled_spec_path
 from adashield.obligations import gen_model_obligations, gen_obligations
 from adashield.runtime import ExperimentConfig, Shield, run_experiment
+from adashield.specfile import load_spec
 from adashield.strategy import AggregateAction, BOTTOM, eval_sbi, interpret_strategy
 from adashield.tailbounds import Dist, invccdf
 from adashield.envs import (
@@ -67,11 +71,26 @@ def _run(specs, name, seed, episodes=EPISODES, **overrides):
     return run_experiment(shield, cfg)
 
 
+def _shielded_run(key):
+    """One (env, seed) run of ``shielded_runs``, in a worker process."""
+    name, seed = key
+    stem = ENVS[name]["spec"]
+    return _run({stem: load_spec(bundled_spec_path(stem))}, name, seed)
+
+
 @pytest.fixture(scope="module")
-def shielded_runs(specs):
+def shielded_runs():
+    # the runs are independent and seeded, so two worker processes give the
+    # results one process does; spawned, as simulate --workers spawns, so
+    # that no thread of this process is forked.  _elapsed is wall time
     t0 = time.time()
-    out = {name: {seed: _run(specs, name, seed) for seed in SEEDS}
-           for name in ENVS}
+    keys = [(name, seed) for name in ENVS for seed in SEEDS]
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(_shielded_run, keys))
+    out = {name: {} for name in ENVS}
+    for (name, seed), stats in zip(keys, runs):
+        out[name][seed] = stats
     out["_elapsed"] = time.time() - t0
     return out
 

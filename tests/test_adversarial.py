@@ -29,7 +29,8 @@ from adashield.policies import (
 )
 from adashield import runtime
 from adashield.runtime import (
-    ExperimentConfig, KahanLedger, Shield, run_episode, run_experiment,
+    ExperimentConfig, KahanLedger, Shield, StepFlags, run_episode,
+    run_experiment,
 )
 from adashield.strategy import AggregateAction
 
@@ -236,6 +237,20 @@ class TestProbes:
         stats = run_episode(shield, env, huge, acas_inference(shield, env), 1e-7, 5,
                             np.random.SeedSequence(0))
         assert stats.steps == stats.overrides == 5 and not stats.crash
+
+    def test_int_past_the_float_range_unshielded(self, specs):
+        # unshielded, no monitor runs; the value does not fit at the
+        # boundary, so the action is overridden as when shielded
+        env = make_acas()
+        shield = Shield(specs["acas"], env.consts)
+        level = acas_control(shield, env)
+        huge = lambda view: _map_values(level(view), lambda v: 10 ** 400)  # noqa: E731
+        records = []
+        stats = run_episode(shield, env, huge, acas_inference(shield, env), 1e-7, 3,
+                            np.random.SeedSequence(0), flags=StepFlags(unshielded=True),
+                            record_sink=records.append)
+        assert stats.steps == stats.overrides == 3 and len(records) == 3
+        assert all(rec.proposed is None and rec.overridden for rec in records)
 
 
 class TestLedgerAudit:

@@ -21,7 +21,8 @@ from adashield.actions import (
 )
 from adashield.dl import (
     Abs, And, App, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp, Lit,
-    Module, Neg, Not, Or, Test, UNDEF, Var, eval_formula, eval_term, parse_term,
+    Module, Neg, Not, Or, Test, UNDEF, Var, eval_formula, eval_term,
+    ordered_free_vars, parse_term,
 )
 from adashield.dl.codegen import MAX_DEPTH
 from adashield.specfile import FallbackDecl
@@ -214,7 +215,7 @@ class TestLinearization:
         strategy = (InferAssign(Ident("p"), Aggregate(("i",), parse_term("w@i"),
                                                       parse_term("eta@i + eta@3"))),)
         noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
-        compiled = CompiledStrategy(strategy, {}, noise)
+        compiled = CompiledStrategy(strategy, {}, noise, ordered_free_vars)
         t, = compiled.templates
         code = {t: template_code(Module(), t)}
         for j in (3, 4):

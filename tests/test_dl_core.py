@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adashield.dl import (
-    And, App, BoolLit, Box, Choice, Exists, Forall, Formula, Imp, Seq, Ident, Lit, Module, ODE,
+    And, App, BoolLit, Box, Choice, Cmp, Exists, Forall, Formula, Imp, Seq, Ident, Lit, Module, ODE,
     ParseError, StructuralError, Term, UNDEF, Var, eval_formula, eval_term, free_vars,
     instantiate_indices, ordered_free_vars, parse_formula, parse_program, parse_term,
     pretty_print, substitute, symbols, tag_with_index,
 )
+from adashield.dl.parser import Parser
 from adashield.dl.transform import SubstitutionError
 
 from conftest import TermGen
@@ -314,6 +315,43 @@ class TestPrinter:
             r2 = eval_term(t, {}, val)
             if r1 is not UNDEF:  # only ^ overflow can yield UNDEF here
                 assert math.isfinite(r1) and r1 == r2
+
+
+class TestParserLookahead:
+    @pytest.fixture
+    def atoms(self, monkeypatch):
+        """The number of ``Parser._atom`` calls so far."""
+        calls = [0]
+        real = Parser._atom
+
+        def counted(parser):
+            calls[0] += 1
+            return real(parser)
+
+        monkeypatch.setattr(Parser, "_atom", counted)
+        return calls
+
+    def test_brackets_in_formula_position_are_read_once(self, atoms):
+        # a bracket in formula position that is not a formula was read
+        # again as a term, once per level: 2081 calls here, against 64
+        brackets = "(" * 63 + "x" + ")" * 63
+        assert parse_term(brackets) == Var(Ident("x"))
+        term_calls, atoms[0] = atoms[0], 0
+        assert parse_formula(brackets + " > 0") == Cmp(">", Var(Ident("x")), Lit(0.0))
+        assert atoms[0] <= 2 * term_calls
+
+    def test_unparsable_brackets_are_read_linearly(self, atoms):
+        # neither reading parses; the term reading got further and reports
+        with pytest.raises(ParseError) as info:
+            parse_formula("(" * 63 + "x +" + ")" * 63 + " > 0")
+        assert "expected term" in str(info.value) and info.value.col == 67
+        assert atoms[0] <= 64
+
+    @pytest.mark.parametrize("text", ["{x@", "x := 1; {x@"])
+    def test_index_cut_short_in_braces(self, text):
+        # the lookahead for an ODE read past the end of the tokens
+        with pytest.raises(ParseError, match="expected index after '@'"):
+            parse_program(text)
 
 
 class TestParserNesting:

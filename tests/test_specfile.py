@@ -1,9 +1,13 @@
 """Spec-file parsing and static well-formedness checking."""
 
+from collections import Counter
+
 import pytest
 
-from adashield.dl import Ident, ParseError
-from adashield.specfile import parse_spec
+from adashield.dl import Ident, ParseError, transform
+from adashield.obligations import gen_obligations
+from adashield.runtime import Shield
+from adashield.specfile import load_spec, parse_spec
 from adashield.checks import (
     ARITY_MISMATCH, ASSUMPTION_FREE_VARS, CTRL_STRUCTURE, FALLBACK_MISSING,
     FALLBACK_SHAPE, LOCAL_IN_INVARIANT, LOCAL_WITHOUT_DEFAULT,
@@ -13,6 +17,8 @@ from adashield.checks import (
     check_spec,
 )
 from adashield.cli import bundled_spec_path
+
+from conftest import BUNDLED
 
 
 class TestParseBundled:
@@ -295,3 +301,29 @@ class TestClassification:
                 has_state = any(v.name in state_names and v.name != b.param.name
                                 for v in free_vars(b.formula))
                 assert (b.locality == "local") == has_state
+
+
+class TestFreeVariableWalks:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_each_tree_is_walked_once_per_load(self, name, monkeypatch):
+        # loading, checking, obligations and the shield's templates share
+        # one free-variable walk per tree of the spec
+        walks, depth = Counter(), [0]
+        real = transform._fv
+
+        def walk(e, out, bound):
+            if not depth[0]:
+                walks[id(e)] += 1
+            depth[0] += 1
+            try:
+                real(e, out, bound)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(transform, "_fv", walk)
+        spec = load_spec(bundled_spec_path(name))
+        assert check_spec(spec) == []
+        gen_obligations(spec)
+        Shield(spec, {})
+        trees = {id(node) for node in spec.nodes()}
+        assert all(walks[t] == 1 for t in trees)

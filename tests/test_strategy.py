@@ -10,7 +10,8 @@ from scipy import special
 from adashield import tailbounds
 from adashield.dl import (
     BinOp, Ident, Lit, UNDEF, conj, eval_formula, eval_term, free_vars,
-    instantiate_indices, parse_formula, parse_term, tag_with_index,
+    instantiate_indices, ordered_free_vars, parse_formula, parse_term,
+    tag_with_index,
 )
 from adashield.strategy import (
     Aggregate, AggregateAction, AggregateSBI, BOTTOM, BoundSBI,
@@ -81,7 +82,7 @@ class TestActionSpace:
         _, strategy, dirs, noise = train_strategy
         empty = [("fbar", BoundSBI, ((),), 0.0)]
         assert _read(strategy, action, dirs, noise) == empty
-        compiled = CompiledStrategy(strategy, dirs, noise)
+        compiled = CompiledStrategy(strategy, dirs, noise, ordered_free_vars)
         assert _read(strategy, action, dirs, noise, compiled) == empty
 
 
@@ -175,7 +176,8 @@ class TestCompiledStrategy:
         # a sequence of actions, the first one repeated at the end, through one
         # compiled strategy gives the SBIs a fresh interpretation gives
         spec = specs[name]
-        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls)
+        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
+                                    spec.free_vars)
         actions = data.draw(st.lists(_actions(compiled.space), min_size=1, max_size=3))
         for action in actions + actions[:1]:
             warm = interpret_strategy(spec.infer, action, spec.directions,
@@ -205,7 +207,7 @@ class TestCompiledStrategy:
         # the direct assignment is built once; best SBIs bind the shared
         # template to each index tuple
         _, strategy, dirs, noise = train_strategy
-        compiled = CompiledStrategy(strategy, dirs, noise)
+        compiled = CompiledStrategy(strategy, dirs, noise, ordered_free_vars)
         first = interpret_strategy(strategy, (None, ((1,), (2,), (3,)), None),
                                    dirs, noise, compiled)
         second = interpret_strategy(strategy, (None, ((2,), (3,), (4,)), None),
@@ -216,7 +218,8 @@ class TestCompiledStrategy:
 
     def test_rejects_another_strategy(self, specs):
         spec = specs["train_local"]
-        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls)
+        compiled = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
+                                    spec.free_vars)
         spec = specs["river"]
         with pytest.raises(ValueError):
             interpret_strategy(spec.infer, (None, None), spec.directions,
