@@ -338,7 +338,7 @@ def _path_function(m: Module, p: HybridProgram, monitor: bool):
         _path_code(b, p, "a", monitor)
         if monitor:
             b.emit("return True")
-    return m.function("cur, a, interp", None, emit)
+    return m.function("cur, a, interp", None, None, emit)
 
 
 def _path_code(b: Body, p, act: str, monitor: bool) -> None:

@@ -15,7 +15,13 @@ plain dict, ``cur``, as ``eval_term`` reads a valuation: its signature is
 ``(cur, interp)``.  With a template's index names its signature is
 ``(val, j, interp)``: ``x`` reads ``val.current``, and ``x@i`` at an index
 name reads ``val.at(x, j[k])``, where ``k`` is the position of ``i`` among
-the names, without building a binding.
+the names, without building a binding.  An observation name reads through
+``val.obs`` instead, which also sees the observations surfaced this step;
+``val.at`` reads only state variables and bounds.
+
+A function that evaluates a template for many index tuples may keep the
+largest subterms that read no index name in slots: each is evaluated where
+it is first reached, at most once per call, and read from its slot after.
 """
 
 from __future__ import annotations
@@ -57,42 +63,43 @@ class Module:
         self.ns[name] = value
         return name
 
-    def function(self, params: str, names: Optional[tuple], emit: Callable) -> Callable:
+    def function(self, params: str, names: Optional[tuple], obs: Optional[frozenset],
+                 emit: Callable) -> Callable:
         """The function of ``params`` whose statements ``emit(body)`` writes,
-        reading variables under the index ``names`` (None: a plain dict).
-        Each function is compiled on its own, because the parser's transient
-        memory grows with the source it is given: the 24 KB of acas's
-        functions at once peak at 2.5 MB, its largest function alone at
-        0.6 MB, and the process's peak memory keeps the larger figure."""
+        reading variables under the index ``names`` (None: a plain dict),
+        the names ``obs`` as observations (None: every name read at an
+        index).  Each function is compiled on its own, because the parser's
+        transient memory grows with the source it is given: the 24 KB of
+        acas's functions at once peak at 2.5 MB, its largest function alone
+        at 0.6 MB, and the process's peak memory keeps the larger figure."""
         self.count += 1
         name = f"_f{self.count}"
-        body = Body(self, names)
+        body = Body(self, names, obs)
         emit(body)
         exec(compile(body.source(name, params), "<shield>", "exec"), self.ns)
         return self.ns[name]
 
     def term(self, t, names: Optional[tuple] = None) -> Callable:
         """``eval_term(t, ...)``: a value or UNDEF."""
-        return self.function(_params(names), names,
+        return self.function(_params(names), names, None,
                              lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}"))
 
     def formula(self, f, names: Optional[tuple] = None) -> Callable:
         """``eval_formula(f, ...)``: True, False or UNDEF."""
-        return self.function(_params(names), names,
+        return self.function(_params(names), names, None,
                              lambda b: b.emit(f"return {b.formula(f)}"))
 
-    def terms(self, ts, names: Optional[tuple] = None) -> Callable:
-        """The list of ``eval_term`` of each of ``ts``, every one evaluated."""
-        return self.function(_params(names), names, lambda b: b.emit(
-            f"return [{', '.join(b.term_into(t) for t in ts)}]"))
-
     def lin(self, t, noise: tuple, names: tuple) -> Callable:
-        """``strategy._lin(t, interp, val, k)`` as ``f(val, j, interp, k)``,
-        for noise variables ``noise`` of distinct names, so that each has
-        its own key in ``k``.  Every subterm ``_lin`` evaluates with
-        ``eval_term`` is evaluated, in its order, and the coefficients are
-        combined with the same float operations in the same order."""
-        return self.function("val, j, interp, k", names, lambda b: _Lin(b, noise).emit(t))
+        """``strategy._lin(t, interp, val, k)`` as ``f(val, j, interp, k)``:
+        ``Body.lin`` as a function of its own, which an aggregate's
+        generated code inlines and which tests check against ``_lin``."""
+        def emit(b: Body) -> None:
+            r = b.lin(t, noise, "return None")
+            if r is not None:
+                c0, cs = r
+                b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
+
+        return self.function("val, j, interp, k", names, None, emit)
 
 
 def _params(names: Optional[tuple]) -> str:
@@ -104,13 +111,22 @@ class Body:
     emit the statements that compute a tree and return the name that holds
     its value."""
 
-    def __init__(self, module: Module, names: Optional[tuple]):
+    def __init__(self, module: Module, names: Optional[tuple], obs: Optional[frozenset]):
         self.m = module
         self.names = names
+        self.obs = obs
         self.pos = {name: k for k, name in enumerate(names or ())}  # the last one wins
         self.lines: list[str] = []
         self.depth = 1
         self.uses: set[str] = set()
+        #: the slot of each largest subterm that reads no index name, once
+        #: set to a dict; a slot holds None until its subterm is evaluated
+        self.slots: Optional[dict] = None
+        #: slots known to hold a defined value where the next lines run
+        self.known: set[str] = set()
+        #: slots read by the lines emitted since it was last reset
+        self.reached: set[str] = set()
+        self._invariant: dict[int, bool] = {}
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -130,8 +146,11 @@ class Body:
         self.depth -= 1
 
     def source(self, name: str, params: str) -> str:
-        prologue = [f"    {v} = val.{attr}" for v, attr in (("cur", "current"), ("at", "at"))
+        prologue = [f"    {v} = val.{attr}"
+                    for v, attr in (("cur", "current"), ("at", "at"), ("obs", "obs"))
                     if v in self.uses and self.names is not None]
+        if self.slots:
+            prologue.append(f"    {' = '.join(self.slots.values())} = None")
         return "\n".join([f"def {name}({params}):", *prologue, *self.lines])
 
     def read(self, ident: Ident) -> str:
@@ -140,9 +159,47 @@ class Body:
         if self.names is None or i is None or (i.__class__ is str and i not in self.pos):
             self.uses.add("cur")
             return f"cur.get({self.const(ident)}, UNDEF)"
-        self.uses.add("at")
+        how = "obs" if self.obs is None or name in self.obs else "at"
+        self.uses.add(how)
         at = f"j[{self.pos[i]}]" if i.__class__ is str else self.const(i)
-        return f"at({self.const(Ident(name))}, {at})"
+        return f"{how}({self.const(Ident(name))}, {at})"
+
+    def invariant(self, t) -> bool:
+        """Whether the term ``t`` reads no index name."""
+        k = id(t)
+        r = self._invariant.get(k)
+        if r is None:
+            tt = type(t)
+            if tt is Var:
+                i = t.ident.index
+                r = not (i.__class__ is str and i in self.pos)
+            elif tt is Lit:
+                r = True
+            elif tt is BinOp:
+                r = self.invariant(t.left) and self.invariant(t.right)
+            elif tt is Neg or tt is Abs:
+                r = self.invariant(t.arg)
+            elif tt is App:
+                r = all(self.invariant(a) for a in t.args)
+            else:
+                r = False
+            self._invariant[k] = r
+        return r
+
+    def slot(self, t) -> str:
+        """The slot of ``t``, evaluated into it here unless known: a value
+        or UNDEF."""
+        s = self.slots.get(t)
+        if s is None:
+            self.m.count += 1
+            s = self.slots[t] = f"_s{self.m.count}"
+        self.reached.add(s)
+        if s not in self.known:
+            slots, self.slots = self.slots, None
+            with self.block(f"if {s} is None:"):
+                self.emit(f"{s} = {self.term_into(t)}")
+            self.slots = slots
+        return s
 
     # -- terms -----------------------------------------------------------------
 
@@ -152,6 +209,11 @@ class Body:
         tt = type(t)
         if tt is Lit:
             return self.const(t.value)
+        if self.slots is not None and self.invariant(t):
+            s = self.slot(t)
+            if s not in self.known:
+                self.emit(f"if {s} is UNDEF: {fail}")
+            return s
         r = self.new()
         if tt is Var:
             self.emit(f"{r} = {self.read(t.ident)}")
@@ -195,6 +257,8 @@ class Body:
         returned name and the function goes on."""
         if type(t) is Lit:
             return self.const(t.value)
+        if self.slots is not None and self.invariant(t):
+            return self.slot(t)
         r = self.new()
         if type(t) is Var:
             self.emit(f"{r} = {self.read(t.ident)}")
@@ -244,35 +308,43 @@ class Body:
         function of its own."""
         if self.depth < MAX_DEPTH:
             return self.formula(f)
-        fn = self.m.formula(f, self.names)
+        params = _params(self.names)
+        fn = self.m.function(params, self.names, self.obs,
+                             lambda b: b.emit(f"return {b.formula(f)}"))
         r = self.new()
-        self.emit(f"{r} = {fn.__name__}({_params(self.names)})")
+        self.emit(f"{r} = {fn.__name__}({params})")
+        return r
+
+    # -- linearization -----------------------------------------------------------
+
+    def lin(self, t, noise: tuple, fail: str) -> Optional[tuple]:
+        """Emit ``strategy._lin`` of ``t`` for noise variables ``noise`` of
+        distinct names: every subterm it evaluates with ``eval_term``, in
+        its order, then, if all are defined, its float operations, in its
+        order; ``fail`` runs where it is None.  Returns the names ``(c0,
+        [(variable, c)])``, in ``_lin``'s key order, or None where ``_lin``
+        is None whatever the values."""
+        lin = _Lin(self, noise, fail)
+        r = lin.lin(t)
+        if r is None:
+            self.emit(fail)
+            return None
+        if lin.leaves:
+            self.emit(f"if {' or '.join(f'{v} is UNDEF' for v in lin.leaves)}: {fail}")
+        for op in lin.ops:
+            self.emit(op)
         return r
 
 
 class _Lin:
-    """Emits ``_lin``: every subterm it evaluates with ``eval_term``, in its
-    order, then, if all are defined, the float operations that combine
-    them, each a statement of its own."""
+    """The leaves and float operations of ``Body.lin``."""
 
-    def __init__(self, body: Body, noise: tuple):
+    def __init__(self, body: Body, noise: tuple, fail: str):
         self.b = body
         self.noise = noise
+        self.fail = fail
         self.leaves: list[str] = []
         self.ops: list[str] = []
-
-    def emit(self, t) -> None:
-        b = self.b
-        r = self.lin(t)
-        if r is None:
-            b.emit("return None")
-            return
-        if self.leaves:
-            b.emit(f"if {' or '.join(f'{v} is UNDEF' for v in self.leaves)}: return None")
-        for op in self.ops:
-            b.emit(op)
-        c0, cs = r
-        b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
 
     def op(self, expr: str) -> str:
         r = self.b.new()
@@ -287,7 +359,7 @@ class _Lin:
             return self.op("0.0"), [(t.ident, self.op("1.0"))]
         if tt in (Lit, Var, App, Abs) or (tt is BinOp and t.op not in ("+", "-", "*", "/")):
             v = self.b.term_into(t)
-            if tt is not Lit:
+            if tt is not Lit and v not in self.b.known:
                 self.leaves.append(v)
             return v, []
         if tt is Neg:
@@ -316,6 +388,6 @@ class _Lin:
             return self.op(f"{a[0]} * {b[0]}"), [(v, self.op(f"{c} * {b[0]}")) for v, c in a[1]]
         if b[1]:
             return None
-        self.ops.append(f"if {b[0]} == 0.0: return None")
+        self.ops.append(f"if {b[0]} == 0.0: {self.fail}")
         inv = self.op(f"1.0 / {b[0]}")
         return self.op(f"{a[0]} * {inv}"), [(v, self.op(f"{c} * {inv}")) for v, c in a[1]]

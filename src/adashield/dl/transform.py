@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import KeysView, Mapping, Union
 
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
@@ -206,17 +206,19 @@ def _fv(e: Node, out: dict, bound: frozenset) -> None:
     raise SubstitutionError(f"free_vars not supported for {e!r}")
 
 
-def symbols(e: Node) -> set[tuple[str, int]]:
-    """All (symbol name, arity) pairs applied anywhere in ``e``."""
-    out: set[tuple[str, int]] = set()
+def symbols(e: Node) -> KeysView[tuple[str, int]]:
+    """All (symbol name, arity) pairs applied anywhere in ``e``, as a set
+    that iterates in left-to-right order of first occurrence, so that what
+    is reported from it does not depend on string hashing."""
+    out: dict[tuple[str, int], None] = {}
     _syms(e, out)
-    return out
+    return out.keys()
 
 
-def _syms(e: Node, out: set) -> None:
+def _syms(e: Node, out: dict) -> None:
     t = type(e)
     if t is App:
-        out.add((e.func, len(e.args)))
+        out[(e.func, len(e.args))] = None
         for a in e.args:
             _syms(a, out)
         return

@@ -42,6 +42,9 @@ TRACE_SCHEMA_VERSION = 1
 
 _MISSING = object()
 
+#: what is still available at a history entry that surfacing burnt
+_BURNT = frozenset()
+
 
 class InitialConditionViolation(Exception):
     pass
@@ -62,11 +65,13 @@ class KahanLedger:
         self._sum = 0.0
         self._comp = 0.0
 
-    def add(self, x: float) -> None:
+    def add(self, x: float) -> float:
+        """Spend ``x``; the budget that remains."""
         y = x - self._comp
         t = self._sum + y
         self._comp = (t - self._sum) - y
         self._sum = t
+        return self.initial - t
 
     @property
     def spent(self) -> float:
@@ -191,10 +196,11 @@ class PolicyView:
 
 class ShieldCode(NamedTuple):
     """What a step evaluates, as generated code: per strategy template its
-    ``Evaluators``, and the controller's ``ControllerEvaluators``, fallback
-    included; per template also the observations it reads
-    (``observation_reads``), and its target's printed name and whether the
-    target is an upper bound."""
+    evaluator (``template_code``), and the controller's
+    ``ControllerEvaluators``, fallback included; per template that reads an
+    observation, the observations it reads (``observation_reads``); and per
+    template its target's printed name and whether the target is an upper
+    bound."""
 
     templates: dict
     ctrl: ControllerEvaluators
@@ -233,7 +239,7 @@ class Shield:
         m = Module()
         ts = self.strategy.templates
         return ShieldCode(
-            {t: template_code(m, t) for t in ts},
+            {t: template_code(m, t, self.obs_names) for t in ts},
             controller_code(m, self.spec.ctrl, self.spec.fallback),
             observation_reads(ts, self.obs_names),
             {t: (str(t.assign.target), self.directions.get(t.assign.target) != "lo")
@@ -307,10 +313,10 @@ class StepValuation:
     """What the SBIs of step ``n`` read (see ``strategy.DictValuation``).
     ``x`` and ``x@n`` resolve to ``current``: the state, the global bounds
     and the bounds assigned so far this step.  ``x@i`` for ``1 <= i < n``
-    resolves from history entry ``i``: an observation surfaced at this
-    step, else its local bounds, else its state.  Any other index resolves
-    to nothing.  Reading the entry is one lookup, so nothing is copied per
-    step."""
+    resolves from history entry ``i``: through ``obs``, an observation
+    surfaced at this step, else, as through ``at``, its local bounds, else
+    its state.  Any other index resolves to nothing.  Reading the entry is
+    one lookup, so nothing is copied per step."""
 
     __slots__ = ("current", "history", "n", "surfaced")
 
@@ -318,22 +324,26 @@ class StepValuation:
         self.current = current
         self.history = history
         self.n = n
+        #: ``(name, i)`` -> value of each observation surfaced this step,
+        #: all at history indices ``1 <= i < n``
         self.surfaced: dict = {}
 
     def at(self, key: Ident, i: int):
-        """The unindexed identifier ``key`` at history index ``i``, or
-        UNDEF."""
+        """The unindexed state variable or bound ``key`` at history index
+        ``i``, or UNDEF."""
         if i == self.n:
             return self.current.get(key, UNDEF)
         if not 0 < i < self.n:
             return UNDEF
-        if self.surfaced:
-            x = self.surfaced.get((key[0], i), _MISSING)
-            if x is not _MISSING:
-                return x
         entry = self.history[i - 1]
         x = entry.local_bounds.get(key, _MISSING)
         return entry.view.state.get(key, UNDEF) if x is _MISSING else x
+
+    def obs(self, key: Ident, i: int):
+        """``at(key, i)``, where an observation surfaced at ``i`` comes
+        first."""
+        x = self.surfaced.get((key[0], i), _MISSING)
+        return self.at(key, i) if x is _MISSING else x
 
 
 @dataclass
@@ -378,12 +388,13 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         hv = entry.view
         if not hv.available:
             continue
-        for name in sorted(names):
+        for name in sorted(names) if len(names) > 1 else names:
             if name in hv.available:
                 val.surfaced[(name, i)] = entry.cache[name]
                 consumed.append((i, name))
-        # nothing at this step may be reused later
-        entry.view = views[i - 1] = HistoryView(i, hv.state, frozenset())
+        # nothing at this step may be reused later; the view is built past
+        # HistoryView's Python-level constructor
+        entry.view = views[i - 1] = tuple.__new__(HistoryView, (i, hv.state, _BURNT))
 
     ledger = st.ledger
     remaining = ledger.remaining
@@ -399,8 +410,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         if eps > remaining:
             arecs.append(AssignmentRecord(name, eps, True, False, False, None))
             continue
-        ledger.add(eps)
-        remaining = ledger.remaining
+        remaining = ledger.add(eps)
         r, method = eval_sbi(sbi, interp, val, allow_cantelli, templates)
         if r is BOTTOM or not math.isfinite(r):
             arecs.append(AssignmentRecord(name, eps, False, True, False, method))

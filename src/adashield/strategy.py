@@ -17,6 +17,7 @@ aggregate.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -307,12 +308,16 @@ def referenced_indices(assignments: list[SymbolicAssignment]) -> set[int]:
 
 
 def observation_reads(templates, obs_names: frozenset[str]) -> dict[Template, tuple]:
-    """Per template, the observations ``obs_names`` its SBIs read: the pair
-    of ``(name, i)`` at each literal index ``i`` and ``(name, position)``
-    at the position of each index name."""
-    return {t: (tuple(v for v in t.fixed if v.name in obs_names),
-                tuple(r for r in t.indexed if r[0] in obs_names))
-            for t in templates}
+    """Per template whose SBIs read any of the observations ``obs_names``,
+    the ones they read: the pair of ``(name, i)`` at each literal index
+    ``i`` and ``(name, position)`` at the position of each index name."""
+    out = {}
+    for t in templates:
+        fixed = tuple(v for v in t.fixed if v.name in obs_names)
+        indexed = tuple(r for r in t.indexed if r[0] in obs_names)
+        if fixed or indexed:
+            out[t] = (fixed, indexed)
+    return out
 
 
 def referenced_observations(assignments: list[SymbolicAssignment],
@@ -322,7 +327,10 @@ def referenced_observations(assignments: list[SymbolicAssignment],
     out: dict[int, set[str]] = {}
     for sa in assignments:
         sbi = sa.sbi
-        fixed, indexed = reads[sbi.template]
+        r = reads.get(sbi.template)
+        if r is None:
+            continue
+        fixed, indexed = r
         for name, i in fixed:
             out.setdefault(i, set()).add(name)
         if indexed:
@@ -337,9 +345,9 @@ def referenced_observations(assignments: list[SymbolicAssignment],
 
 class DictValuation:
     """A dict keyed by (indexed) identifiers, as a valuation: ``current``
-    holds ``x`` and ``at(x, i)`` reads ``x@i`` at a history index ``i``.
-    An identifier is a tuple, so ``(name, index)`` is the same key as
-    ``Ident(name, index)``."""
+    holds ``x``, and ``at(x, i)`` and ``obs(x, i)`` read ``x@i`` at a
+    history index ``i``.  An identifier is a tuple, so ``(name, index)`` is
+    the same key as ``Ident(name, index)``."""
 
     __slots__ = ("current",)
 
@@ -349,12 +357,14 @@ class DictValuation:
     def at(self, key: Ident, i: int):
         return self.current.get((key[0], i), UNDEF)
 
+    obs = at
+
 
 class Bound:
     """A valuation read with a template's index names bound to the index
     tuple ``j``, as ``eval_term`` reads a mapping: ``x@i`` at an index name
-    reads ``val.at(x, j[pos[i]])``, as generated code does, and ``x`` or
-    ``x@i`` at a name that is not bound reads ``val.current``."""
+    reads ``val.obs(x, j[pos[i]])``, and ``x`` or ``x@i`` at a name that is
+    not bound reads ``val.current``."""
 
     __slots__ = ("val", "pos", "j")
 
@@ -372,116 +382,206 @@ class Bound:
             i = self.j[k]
         elif i is None:
             return self.val.current.get(ident, default)
-        x = self.val.at((name, None), i)
+        x = self.val.obs((name, None), i)
         return default if x is UNDEF else x
 
 
-class Evaluators(NamedTuple):
-    """What evaluating a template's SBIs calls, each function as
-    ``f(val, j, interp)`` with the template's index names bound to the
-    index tuple ``j``: the guard (a bool or UNDEF), the body (the direct or
-    best term, or the aggregate's observable: a value or UNDEF), per noise
-    variable ``(variable, distribution kind, position of its index among
-    the index names or None, the list of its hyperparameters)``, and the
-    noise term reduced by ``_lin``, called with the pair's noise keys as a
-    fourth argument (an aggregate's only)."""
-
-    guard: Callable
-    body: Callable
-    noise: tuple
-    lin: Optional[Callable]
-
-
-def _noise(t: Template, params) -> tuple:
-    return tuple((v, dx.kind, p, f) for (v, dx), p, f in zip(t.noise, t.noise_at, params))
-
-
-def interpreted(t: Template) -> Evaluators:
-    """The reference evaluators: bind the index names and walk the trees."""
+def interpreted(t: Template) -> Callable:
+    """The reference evaluator of ``t``'s SBIs, which binds the index names
+    and walks the trees.  For a direct or best template it is ``f(val, j,
+    interp)``: the value, or BOTTOM, with the index names bound to ``j``.
+    For an aggregate it is ``f(val, dist, interp, eps, allow_cantelli)``:
+    ``(value, method)`` as ``_eval_aggregate`` gives them."""
     a = t.assign
     body = a.body
-    agg = isinstance(body, Aggregate)
-    term = body.observable if agg else body.term
     pos = {name: k for k, name in enumerate(t.names)}  # the last one wins
-
-    def params(dx):
-        return lambda val, j, interp: [eval_term(p, interp, Bound(val, pos, j))
-                                       for p in dx.params]
-
-    return Evaluators(
-        lambda val, j, interp: eval_formula(a.guard, interp, Bound(val, pos, j)),
-        lambda val, j, interp: eval_term(term, interp, Bound(val, pos, j)),
-        _noise(t, [params(dx) for _, dx in t.noise]),
-        (lambda val, j, interp, k: _lin(body.noise, interp, Bound(val, pos, j), k))
-        if agg else None)
+    if isinstance(body, Aggregate):
+        return lambda val, dist, interp, eps, allow_cantelli: _eval_aggregate(
+            t, pos, val, dist, interp, eps, allow_cantelli)
+    return lambda val, j, interp: _eval_bound(a.guard, body.term, interp, Bound(val, pos, j))
 
 
-def template_code(m: Module, t: Template) -> Evaluators:
-    """``t``'s evaluators generated into ``m``.  A noise term with two
-    noise variables of one name, whose keys can coincide for some ``j``,
-    keeps the reference ``_lin``."""
+def template_code(m: Module, t: Template, obs: frozenset) -> Callable:
+    """``t``'s evaluator, of the shape ``interpreted(t)`` gives, as one
+    function generated into ``m`` that reads the names ``obs`` as
+    observations.  An aggregate's function runs ``_eval_aggregate``'s stages
+    in its order with the same float operations, and evaluates each largest
+    subterm that reads no index name at most once per call."""
     a = t.assign
     body = a.body
-    agg = isinstance(body, Aggregate)
+    if not isinstance(body, Aggregate):
+        return m.function("val, j, interp", t.names, obs, lambda b: _emit_bound(b, a))
+    return m.function("val, dist, interp, eps, allow_cantelli", t.names, obs,
+                      lambda b: _emit_aggregate(b, t))
+
+
+def _emit_bound(b, a: InferAssign) -> None:
+    bottom = b.const(BOTTOM)
+    if a.guard != BoolLit(True):
+        b.emit(f"if {b.formula(a.guard)} is not True: return {bottom}")
+    b.emit(f"return {b.term(a.body.term, f'return {bottom}')}")
+
+
+def _emit_aggregate(b, t: Template) -> None:
+    """``_eval_aggregate`` on ``t``.  Every stage but the guards peels its
+    first pair: the slots that pair reads hold defined values after it, or
+    the call has returned, so the other pairs read them bare."""
+    a = t.assign
+    body = a.body
+    bottom = b.const(BOTTOM)
+    fail = f"return {bottom}, None"
+    b.slots = {}
+
+    def first_pair() -> None:
+        b.emit("it = iter(dist)")
+        b.emit("w, j = next(it)")
+        b.reached = set()
+
+    if a.guard == BoolLit(True):
+        b.emit(f"if not dist: {fail}")
+    else:
+        b.emit("g = None")
+        with b.block("for _, j in dist:"):
+            h = b.formula(a.guard)
+            b.emit(f"if {h} is False: {fail}")
+            b.emit(f"if g is not UNDEF: g = {h}")
+        b.emit(f"if g is not True: {fail}")
+
+    first_pair()
+    b.emit(f"s = w * {b.term(body.observable, fail)}")
+    b.known |= b.reached
+    with b.block("for w, j in it:"):
+        b.emit(f"s = s + w * {b.term(body.observable, fail)}")
+
+    # a noise variable's Dist is kept under its name where its
+    # hyperparameters read no index name, for every key of the name shares
+    # it, and under its key otherwise
+    def dist(dx, key: str) -> None:
+        ps = [b.term_into(q) for q in dx.params]
+        undef = [x for x, q in zip(ps, dx.params) if type(q) is not Lit and x not in b.known]
+        if undef:
+            b.emit(f"if {' or '.join(f'{x} is UNDEF' for x in undef)}: {fail}")
+        with b.block("try:"):
+            b.emit(f"dists[{key}] = {b.const(Dist)}({', '.join([b.const(dx.kind), *ps])})")
+        with b.block("except ValueError:"):
+            b.emit(fail)
+
     noise = tuple(v for v, _ in t.noise)
-    lin = None
-    if agg:
-        lin = (m.lin(body.noise, noise, t.names) if len({v.name for v in noise}) == len(noise)
-               else interpreted(t).lin)
-    return Evaluators(
-        m.formula(a.guard, t.names),
-        m.term(body.observable if agg else body.term, t.names),
-        _noise(t, [m.terms(dx.params, t.names) for _, dx in t.noise]),
-        lin)
+    keys = {v: b.const(v) if p is None else f"({b.const(v.name)}, j[{p}])"
+            for v, p in zip(noise, t.noise_at)}
+    moves = [(v, dx, p, not all(b.invariant(q) for q in dx.params))
+             for (v, dx), p in zip(t.noise, t.noise_at)]
+    if any(m[3] for m in moves):
+        first_pair()
+    b.emit("dists = {}")
+    for v, dx, p, variant in moves:
+        dist(dx, keys[v] if variant else b.const(v.name))
+    b.known |= b.reached
+    keyed = [(v, dx) for v, dx, p, variant in moves if variant and p is not None]
+    if keyed:
+        with b.block("for _, j in it:"):
+            for v, dx in keyed:
+                b.emit(f"key = {keys[v]}")
+                with b.block("if key not in dists:"):
+                    dist(dx, "key")
+
+    # two noise variables of one name whose keys meet at a pair have their
+    # coefficients merged by _lin, so that pair runs the reference
+    shared = len({v.name for v in noise}) < len(noise)
+
+    def lin_pair(first: bool) -> bool:
+        if shared:
+            b.emit(f"k = {{{', '.join(f'{b.const(v)}: {keys[v]}' for v in noise)}}}")
+            with b.block(f"if len(set(k.values())) < {len(noise)}:"):
+                bound = f"{b.const(Bound)}(val, {b.const(dict(b.pos))}, j)"
+                b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, interp, {bound}, k)")
+                b.emit(f"if r is None: {fail}")
+                if first:
+                    b.emit("c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}")
+                else:
+                    b.emit("c0 = c0 + r[0] * w")
+                    with b.block("for key, c in r[1].items():"):
+                        b.emit("cs[key] = cs.get(key, 0.0) + c * w")
+        with b.block("else:") if shared else nullcontext():
+            r = b.lin(body.noise, noise, fail)
+            if r is not None:
+                c0, cs = r
+                if first:
+                    b.emit(f"c0 = {c0} * w")
+                    b.emit(f"cs = {{{', '.join(f'{keys[v]}: {c} * w' for v, c in cs)}}}")
+                else:
+                    b.emit(f"c0 = c0 + {c0} * w")
+                    for v, c in cs:
+                        b.emit(f"key = {keys[v]}")
+                        b.emit(f"cs[key] = cs.get(key, 0.0) + {c} * w")
+        return r is not None
+
+    first_pair()
+    if not lin_pair(True):
+        return
+    if not shared:
+        b.known |= b.reached
+    with b.block("for w, j in it:"):
+        lin_pair(False)
+
+    if len(moves) == 1 and not moves[0][3]:
+        b.emit(f"d = dists[{b.const(noise[0].name)}]")
+        coeffs = "[(c, d) for c in cs.values() if c != 0.0]"
+    else:
+        coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
+    b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, tail={b.const(t.tail)}, "
+           "allow_cantelli=allow_cantelli)")
+    b.emit(f"if r is None: {fail}")
+    b.emit("value, method = r")
+    b.emit(f"return (s + value if {b.const(math.isfinite)}(value) else {bottom}), method")
 
 
 def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
     """Evaluate to a float or ``BOTTOM``; returns ``(value, method)`` where
     ``method`` is the tail-bound method used, None if no tail bound ran.
     ``val`` is a valuation such as ``DictValuation``, or a dict for one.
-    ``code`` maps each template to its generated ``Evaluators`` (a
-    ``Shield``'s ``code.templates``); without it the template's trees are
-    walked."""
+    ``code`` maps each template to its generated evaluator (a ``Shield``'s
+    ``code.templates``); without it the template's trees are walked."""
     if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
     if t is not BoundSBI and t is not AggregateSBI:
         raise TypeError(f"not an SBI: {e!r}")
-    ev = interpreted(e.template) if code is None else code[e.template]
+    f = interpreted(e.template) if code is None else code[e.template]
     if t is BoundSBI:
-        return _eval_bound(e, ev, interp, val), None
-    return _eval_aggregate(e, ev, interp, val, allow_cantelli)
+        return f(val, e.j, interp), None
+    return f(val, e.dist, interp, e.eps, allow_cantelli)
 
 
-def _eval_bound(e: BoundSBI, ev: Evaluators, interp, val):
-    g = ev.guard(val, e.j, interp)
+def _eval_bound(guard: Formula, term: Term, interp, val):
+    g = eval_formula(guard, interp, val)
     if g is UNDEF or not g:
         return BOTTOM
-    r = ev.body(val, e.j, interp)
+    r = eval_term(term, interp, val)
     return BOTTOM if r is UNDEF else r
 
 
-def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, allow_cantelli):
+def _eval_aggregate(t: Template, pos: dict, val, dist, interp, eps, allow_cantelli):
     """``(value, method)``: ``sum w*observable`` plus the inverse tail bound
     of ``sum w*noise``, with the index names bound to each pair's ``j`` in
     turn, and the tail bound's method.  Sums accumulate left to right, and
     the checks run in a fixed order: every guard, the observable, the noise
     distributions, linearity, then the tail bound."""
-    t, dist, eps = e
-    guard, body, noise, lin = ev
+    a = t.assign
+    body = a.body
 
     g = None  # the guards conjoined left to right in strong-Kleene logic
     for _, j in dist:
         if g is False:
             break
-        h = guard(val, j, interp)
+        h = eval_formula(a.guard, interp, Bound(val, pos, j))
         g = h if g is None or h is False else UNDEF if UNDEF in (g, h) else True
     if g is UNDEF or not g:
         return BOTTOM, None
 
     s = None
     for w, j in dist:
-        o = body(val, j, interp)
+        o = eval_term(body.observable, interp, Bound(val, pos, j))
         if o is UNDEF:
             return BOTTOM, None
         s = w * o if s is None else s + w * o
@@ -492,21 +592,21 @@ def _eval_aggregate(e: AggregateSBI, ev: Evaluators, interp, val, allow_cantelli
     dists: dict = {}
     for _, j in dist:
         k = {}
-        for v, kind, p, params in noise:
+        for (v, dx), p in zip(t.noise, t.noise_at):
             key = k[v] = v if p is None else (v[0], j[p])
             if key not in dists:
-                ps = params(val, j, interp)
+                ps = [eval_term(q, interp, Bound(val, pos, j)) for q in dx.params]
                 if UNDEF in ps:
                     return BOTTOM, None
                 try:
-                    dists[key] = Dist(kind, *ps)
+                    dists[key] = Dist(dx.kind, *ps)
                 except ValueError:
                     return BOTTOM, None
         keys.append(k)
 
     c0 = cs = None
     for (w, j), k in zip(dist, keys):
-        r = lin(val, j, interp, k)
+        r = _lin(body.noise, interp, Bound(val, pos, j), k)
         if r is None:
             return BOTTOM, None
         if cs is None:

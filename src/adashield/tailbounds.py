@@ -24,6 +24,7 @@ which does not invert the inequality.
 
 from __future__ import annotations
 
+import functools
 import math
 from statistics import NormalDist
 
@@ -33,13 +34,16 @@ _SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def normal_upper_quantile(eps: float) -> float:
     """z with ``P(N(0,1) > z) <= eps``, evaluated as ``0.5*erfc(z/sqrt(2))``.
 
     Starts at ``-NormalDist().inv_cdf(eps)`` (Wichura's AS 241, accurate to
     a few parts in 1e13 relative down to the least positive float) and
     steps up one float at a time, a few steps at most, while the tail at z
-    is still above eps, so that rounding lands on the sound side.
+    is still above eps, so that rounding lands on the sound side.  An agent
+    picks eps, so the cache of results is bounded; a Gaussian aggregate
+    asks again for the same eps on every step.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")

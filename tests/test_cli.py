@@ -58,6 +58,22 @@ class TestCheck:
                                 "--out", str(tmp_path)], capsys)
         assert code == 1 and err.count("symbol-arity-mismatch") == 2
 
+    def test_diagnostic_order_does_not_depend_on_string_hashing(self, tmp_path):
+        # a controller that applies four unary unknowns, and a constant to
+        # two arguments: five diagnostics, in one order under every hash seed
+        src = open(bundled_spec_path("train_local")).read()
+        path = tmp_path / "unknowns.shield"
+        path.write_text(src.replace("unknown f(*)", "unknown f(*), g(*), h(*), q(*)").replace(
+            "  y := min(y, fbar);", "  y := min(y, fbar + f(x) + g(x) + h(x) + q(x) + A(x, v));"))
+        outs = set()
+        for seed in range(1, 6):
+            proc = subprocess.run([sys.executable, "-m", "adashield.cli", "check", str(path)],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": str(seed)})
+            assert proc.returncode == 1 and proc.stdout.count("\n") == 5
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["check", "/nope/missing.shield"], capsys)
         assert code == 2 and "no such spec" in err

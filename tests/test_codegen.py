@@ -22,14 +22,16 @@ from adashield.actions import (
 from adashield.dl import (
     Abs, And, App, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp, Lit,
     Module, Neg, Not, Or, Test, UNDEF, Var, eval_formula, eval_term,
-    ordered_free_vars, parse_term,
+    ordered_free_vars, parse_formula, parse_term,
 )
 from adashield.dl.codegen import MAX_DEPTH
 from adashield.specfile import FallbackDecl
+from adashield.runtime import Shield
 from adashield.strategy import (
-    Aggregate, AggregateAction, Bound, CompiledStrategy, DictValuation, DistExpr, InferAssign,
-    _lin, eval_sbi, interpret_strategy, template_code,
+    BOTTOM, Aggregate, AggregateAction, Bound, CompiledStrategy, DictValuation, DistExpr,
+    InferAssign, _lin, eval_sbi, interpret_strategy, template_code,
 )
+from adashield.strategy import interpreted as reference_evaluator
 
 from test_monitor import ControllerGen, directives_of
 
@@ -182,9 +184,9 @@ class TestTermsAndFormulas:
 NOISE = (Ident("eta", "i"), Ident("nu"))
 
 
-def _noise_terms():
+def _noise_terms(noise=NOISE):
     """Terms linear in the noise variables most of the time."""
-    idents = IDENTS + NOISE
+    idents = IDENTS + noise
     leaves = st.one_of(st.sampled_from(VALUES).map(Lit), st.sampled_from(idents).map(Var),
                        st.just(App("c")))
 
@@ -217,12 +219,196 @@ class TestLinearization:
         noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
         compiled = CompiledStrategy(strategy, {}, noise, ordered_free_vars)
         t, = compiled.templates
-        code = {t: template_code(Module(), t)}
+        code = {t: template_code(Module(), t, frozenset({"w"}))}
         for j in (3, 4):
             sa, = interpret_strategy(strategy, (AggregateAction(0.1, ((1.0, (j,)),)),), {},
                                      noise, compiled)
             val = {Ident("w", j): 1.0}
             assert eval_sbi(sa.sbi, {}, val, code=code) == eval_sbi(sa.sbi, {}, val)
+
+
+# ---------------------------------------------------------------------------
+# One evaluator per template: generated against the reference
+
+_MISSING = object()
+
+
+class _Surfaced(DictValuation):
+    """Observations kept apart, as ``runtime.StepValuation`` keeps those it
+    surfaced: ``obs`` sees them, ``at`` does not."""
+
+    __slots__ = ("surfaced",)
+
+    def __init__(self, values: dict, surfaced: dict):
+        super().__init__(values)
+        self.surfaced = surfaced
+
+    def obs(self, key, i):
+        x = self.surfaced.get((key[0], i), _MISSING)
+        return self.at(key, i) if x is _MISSING else x
+
+
+#: the observation name of the templates below: ``y``, read only through ``obs``
+OBS = frozenset({"y"})
+#: hyperparameters per distribution kind, mostly in its domain: constants, a
+#: callable constant and state variables, which an indexed noise variable
+#: reads at its index
+_P = frozenset(INTERP)
+DISTS = st.one_of(
+    st.tuples(st.sampled_from(("0", "-0.0", "x", "k0")),
+              st.sampled_from(("1", "0", "x^2 + 1", "k0", "c", "abs(y)", "x"))
+              ).map(lambda p: DistExpr("normal", tuple(parse_term(q, _P) for q in p))),
+    st.tuples(st.sampled_from(("-1", "0", "-c", "x")),
+              st.sampled_from(("1", "c", "x^2 + 1", "abs(y)"))
+              ).map(lambda p: DistExpr("uniform", tuple(parse_term(q, _P) for q in p))),
+    st.sampled_from(("0.3", "0", "1", "k0", "min(abs(x), 1)", "g")
+                    ).map(lambda q: DistExpr("bernoulli", (parse_term(q, _P),))))
+
+
+def _observables():
+    """Terms with no operator that raises, over the index names and not."""
+    leaves = st.one_of(st.sampled_from(VALUES[:8]).map(Lit), st.sampled_from(IDENTS).map(Var),
+                       st.sampled_from(("k0", "c")).map(App))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(("+", "-", "*", "min")), sub, sub).map(lambda a: BinOp(*a)),
+            sub.map(Neg), sub.map(Abs), sub.map(lambda a: App("f", (a,))))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _template(observable, noise, guard, decls, tail):
+    strategy = (InferAssign(Ident("p"), Aggregate(NAMES, observable, noise), guard),)
+    compiled = CompiledStrategy(strategy, {Ident("p"): tail}, decls, ordered_free_vars)
+    return compiled.templates[0]
+
+
+def _both(t, val, dist, eps, allow_cantelli=False, interp=INTERP):
+    """The generated evaluator's outcome and the reference's."""
+    gen = template_code(Module(), t, OBS)
+    ref = reference_evaluator(t)
+    return (_outcome(lambda: gen(val, dist, interp, eps, allow_cantelli)),
+            _outcome(lambda: ref(val, dist, interp, eps, allow_cantelli)))
+
+
+class TestTemplateEvaluators:
+    @settings(max_examples=500, deadline=None)
+    @given(obs_term=_observables(), noise=_noise_terms(NOISE + (Ident("eta", "k"), Ident("eta", 1))),
+           guard=st.one_of(
+               st.just(BoolLit(True)), _formulas(),
+               st.tuples(st.sampled_from(("<", ">=")), _observables(), _observables())
+               .map(lambda a: Cmp(*a))),
+           eta=DISTS, nu=DISTS, val=_valuations(), surfaced=st.dictionaries(
+               st.tuples(st.just("y"), st.integers(-1, 3)), st.sampled_from(VALUES + (UNDEF,))),
+           dist=st.lists(st.tuples(st.sampled_from((1.0, 0.5, 0.25, 1e-3, 3.0, 0.0, -0.0)),
+                                   st.tuples(st.integers(-1, 3), st.integers(-1, 3))),
+                         min_size=1, max_size=6),
+           eps=st.sampled_from((0.0, 5e-324, 1e-9, 0.05, 0.5, 1.0)),
+           tail=st.sampled_from(("up", "lo")), allow_cantelli=st.booleans())
+    def test_aggregate_equals_reference(self, obs_term, noise, guard, eta, nu, val,
+                                        surfaced, dist, eps, tail, allow_cantelli):
+        # random guards, observables and noise terms over eta@i, eta@k,
+        # eta@1 and nu, of any two kinds, with hyperparameters that read an
+        # index name (eta@i's, from a state variable) or not, pairs that
+        # repeat and eta keys that meet; the observation y surfaced apart
+        t = _template(obs_term, noise, guard, {"eta": eta, "nu": nu}, tail)
+        got, want = _both(t, _Surfaced(val, surfaced), tuple(dist), eps, allow_cantelli)
+        assert _same(got, want), (got, want)
+
+    @pytest.mark.parametrize("noise, eta, nu, dist, val", [
+        # a pair repeated, with eta@i's variance read at its index
+        ("eta@i", ("normal", "0", "x^2 + 1"), None, ((0.5, (1, 0)), (0.25, (1, 0)), (0.25, (2, 0))),
+         {Ident("x", 1): 2.0, Ident("x", 2): 3.0}),
+        # zero and signed-zero coefficients, which invccdf does not see
+        ("0*eta@i + -0.0*nu + 0.5*eta@i", ("uniform", "-1", "1"), ("bernoulli", "0.3"),
+         ((0.5, (1, 0)), (0.5, (2, 0))), {}),
+        ("-0.0*eta@i - nu", ("bernoulli", "0.2"), ("normal", "0", "c"),
+         ((1.0, (1, 0)),), {}),
+        # uniform, Bernoulli and Gaussian mixes
+        ("eta@i + nu", ("uniform", "0", "x"), ("bernoulli", "0.5"),
+         ((0.5, (1, 0)), (0.5, (2, 0))), {Ident("x", 1): 1.0, Ident("x", 2): 2.0}),
+        ("eta@i - 2*nu", ("normal", "1", "k0"), ("uniform", "-c", "c"),
+         ((0.25, (1, 0)), (0.75, (3, 0))), {}),
+        ("eta@i*abs(x@i) + nu", ("bernoulli", "0.9"), ("normal", "0", "1"),
+         ((0.5, (1, 0)), (0.5, (1, 0))), {Ident("x", 1): -3.0}),
+        # nu's variance reads the index name i, though nu has no index
+        ("2*nu", None, ("normal", "0", "x@i^2 + 1"),
+         ((0.5, (1, 0)), (0.5, (2, 0))), {Ident("x", 1): 1.0, Ident("x", 2): 2.0}),
+        # eta@i and eta@k meet at the first pair, which runs the reference,
+        # and part at the second, whose slot for c is not filled yet
+        ("c*eta@i + eta@k", ("normal", "0", "1"), None, ((0.5, (0, 0)), (0.5, (1, 0))), {}),
+    ])
+    @pytest.mark.parametrize("eps", [1e-9, 0.05])
+    def test_aggregate_cases(self, noise, eta, nu, dist, val, eps):
+        decls = {name: DistExpr(d[0], tuple(parse_term(p, _P) for p in d[1:]))
+                 for name, d in (("eta", eta), ("nu", nu)) if d is not None}
+        t = _template(parse_term("y@i + x"), parse_term(noise, _P), BoolLit(True), decls, "up")
+        val = {Ident("x"): 0.5, **{Ident("y", j[0]): 0.1 * j[0] for _, j in dist}, **val}
+        got, want = _both(t, DictValuation(val), dist, eps)
+        assert _same(got, want) and got[0] is not BOTTOM, (got, want)
+
+    def test_guard_undefined_then_false(self):
+        # the guards are conjoined left to right: UNDEF on the first pair,
+        # False on the second, and the third never evaluated
+        calls = []
+        interp = {"f": lambda x: calls.append(x) or x}
+        t = _template(parse_term("y@i"), parse_term("eta@i"), parse_formula("f(x@i) > 0"),
+                      {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}, "up")
+        val = DictValuation({Ident("x", 2): -1.0, Ident("x", 3): 1.0, Ident("y", 3): 1.0})
+        dist = ((0.25, (1, 0)), (0.5, (2, 0)), (0.25, (3, 0)))
+        for f in (template_code(Module(), t, OBS), reference_evaluator(t)):
+            calls.clear()
+            assert f(val, dist, interp, 0.1, False) == (BOTTOM, None)
+            assert calls == [-1.0]
+
+    def test_bound_equals_reference(self, specs):
+        # the fused guard and body of every direct and best template
+        for spec in specs.values():
+            shield_templates = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
+                                                spec.free_vars).templates
+            for t in shield_templates:
+                if isinstance(t.assign.body, Aggregate):
+                    continue
+                gen, ref = template_code(Module(), t, spec.obs_names), reference_evaluator(t)
+                for x in VALUES + (UNDEF,):
+                    val = DictValuation({(v.name, i): x for v in spec.state_vars
+                                         for i in (None, 1, 2)})
+                    for j in ((1,) * len(t.names), (2,) * len(t.names)):
+                        interp = {c: 2.0 for c in spec.consts}
+                        assert _same(_outcome(lambda: gen(val, j, interp)),
+                                     _outcome(lambda: ref(val, j, interp)))
+
+    def test_ten_thousand_pairs_through_the_shield(self, specs):
+        spec = specs["train_local"]
+        consts = {"F": 3.0, "k": 0.0025, "sigma": 0.5}
+        shield = Shield(spec, consts)
+        n = 10_000
+        act = AggregateAction(1e-6, tuple((1.0 / n, (i,)) for i in range(1, n + 1)))
+        val = {Ident("x"): 0.0}
+        for i in range(1, n + 1):
+            val[Ident("x", i)] = float(i)
+            val[Ident("w", i)] = 0.1 * i
+        sa = interpret_strategy(spec.infer, (None, (), act), spec.directions, spec.noise_decls,
+                                shield.strategy)[-1]
+        got = eval_sbi(sa.sbi, consts, val, code=shield.code.templates)
+        assert _same(got, eval_sbi(sa.sbi, consts, val)) and got[1] == "gaussian"
+
+    def test_constant_evaluated_once_per_call(self, specs):
+        # k, a callable constant, is read at every pair of the observable
+        # w@i + k*abs(x - x@i): the generated aggregate calls it once
+        spec = specs["train_local"]
+        calls = []
+        consts = {"F": 3.0, "k": lambda: calls.append(1) or 0.0025, "sigma": 0.5}
+        shield = Shield(spec, consts)
+        act = AggregateAction(1e-3, tuple((0.2, (i,)) for i in range(1, 6)))
+        val = {Ident("x"): 0.0, **{Ident(x, i): 0.1 * i for x in "xw" for i in range(1, 6)}}
+        sa = interpret_strategy(spec.infer, (None, (), act), spec.directions, spec.noise_decls,
+                                shield.strategy)[-1]
+        for _ in range(2):
+            calls.clear()
+            v, method = eval_sbi(sa.sbi, shield.interp, val, code=shield.code.templates)
+            assert v is not BOTTOM and method == "gaussian" and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

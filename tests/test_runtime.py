@@ -500,12 +500,17 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     lazy = StepValuation(dict(current), history, n)
     lazy.surfaced.update(surfaced)
     for ident, x in full.items():
-        got = (lazy.current.get(ident) if ident.index is None
-               else lazy.at(Ident(ident.name), ident.index))
+        if ident.index is None:
+            got = lazy.current.get(ident)
+        else:
+            got = lazy.obs(Ident(ident.name), ident.index)
+            if ident.name not in shield.obs_names:
+                # a state variable or bound reads the same past the surfaced
+                assert _same(lazy.at(Ident(ident.name), ident.index), got)
         assert _same(got, x)
     for k in current:
         for i in (-1, 0, n + 1):
-            assert lazy.at(k, i) is UNDEF
+            assert lazy.at(k, i) is UNDEF and lazy.obs(k, i) is UNDEF
 
     read = 0
     for sa in assignments:

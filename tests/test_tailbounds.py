@@ -52,6 +52,16 @@ class TestErfinv:
             with pytest.raises(ValueError):
                 normal_upper_quantile(eps)
 
+    def test_cache_is_bit_exact_and_bounded(self):
+        # a hit returns what the quantile computes, bit for bit
+        uncached = normal_upper_quantile.__wrapped__
+        for eps in (5e-324, 1e-300, 1e-17, 0.5, math.nextafter(1.0, 0.0)):
+            want = uncached(eps)
+            for _ in range(2):
+                got = normal_upper_quantile(eps)
+                assert type(got) is type(want) and got.hex() == want.hex()
+        assert normal_upper_quantile.cache_info().maxsize is not None
+
     def test_normal_quantile(self):
         # the 97.5% quantile of the standard normal
         assert abs(normal_upper_quantile(0.025) - 1.959963984540054) < 1e-12
