@@ -89,18 +89,6 @@ class Module:
         return self.function(_params(names), names, None,
                              lambda b: b.emit(f"return {b.formula(f)}"))
 
-    def lin(self, t, noise: tuple, names: tuple) -> Callable:
-        """``strategy._lin(t, interp, val, k)`` as ``f(val, j, interp, k)``:
-        ``Body.lin`` as a function of its own, which an aggregate's
-        generated code inlines and which tests check against ``_lin``."""
-        def emit(b: Body) -> None:
-            r = b.lin(t, noise, "return None")
-            if r is not None:
-                c0, cs = r
-                b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
-
-        return self.function("val, j, interp, k", names, None, emit)
-
 
 def _params(names: Optional[tuple]) -> str:
     return "cur, interp" if names is None else "val, j, interp"
@@ -189,10 +177,13 @@ class Body:
     def slot(self, t) -> str:
         """The slot of ``t``, evaluated into it here unless known: a value
         or UNDEF."""
-        s = self.slots.get(t)
+        # trees that compare equal may differ in a literal's sign of zero
+        # or type, as Lit(0.0) == Lit(-0.0) == Lit(0); their reprs do not
+        key = t, repr(t)
+        s = self.slots.get(key)
         if s is None:
             self.m.count += 1
-            s = self.slots[t] = f"_s{self.m.count}"
+            s = self.slots[key] = f"_s{self.m.count}"
         self.reached.add(s)
         if s not in self.known:
             slots, self.slots = self.slots, None

@@ -17,7 +17,6 @@ aggregate.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -485,50 +484,45 @@ def _emit_aggregate(b, t: Template) -> None:
                 with b.block("if key not in dists:"):
                     dist(dx, "key")
 
-    # two noise variables of one name whose keys meet at a pair have their
-    # coefficients merged by _lin, so that pair runs the reference
+    # two noise variables of one name may meet at a pair, whose
+    # coefficients _lin merges, so such a template runs _lin on every pair
     shared = len({v.name for v in noise}) < len(noise)
 
     def lin_pair(first: bool) -> bool:
         if shared:
-            b.emit(f"k = {{{', '.join(f'{b.const(v)}: {keys[v]}' for v in noise)}}}")
-            with b.block(f"if len(set(k.values())) < {len(noise)}:"):
-                bound = f"{b.const(Bound)}(val, {b.const(dict(b.pos))}, j)"
-                b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, interp, {bound}, k)")
-                b.emit(f"if r is None: {fail}")
-                if first:
-                    b.emit("c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}")
-                else:
-                    b.emit("c0 = c0 + r[0] * w")
-                    with b.block("for key, c in r[1].items():"):
-                        b.emit("cs[key] = cs.get(key, 0.0) + c * w")
-        with b.block("else:") if shared else nullcontext():
-            r = b.lin(body.noise, noise, fail)
-            if r is not None:
-                c0, cs = r
-                if first:
-                    b.emit(f"c0 = {c0} * w")
-                    b.emit(f"cs = {{{', '.join(f'{keys[v]}: {c} * w' for v, c in cs)}}}")
-                else:
-                    b.emit(f"c0 = c0 + {c0} * w")
-                    for v, c in cs:
-                        b.emit(f"key = {keys[v]}")
-                        b.emit(f"cs[key] = cs.get(key, 0.0) + {c} * w")
-        return r is not None
+            k = ", ".join(f"{b.const(v)}: {keys[v]}" for v in noise)
+            bound = f"{b.const(Bound)}(val, {b.const(dict(b.pos))}, j)"
+            b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, interp, {bound}, {{{k}}})")
+            b.emit(f"if r is None: {fail}")
+            if first:
+                b.emit("c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}")
+            else:
+                b.emit("c0 = c0 + r[0] * w")
+                with b.block("for key, c in r[1].items():"):
+                    b.emit("cs[key] = cs.get(key, 0.0) + c * w")
+            return True
+        r = b.lin(body.noise, noise, fail)
+        if r is None:
+            return False
+        c0, cs = r
+        if first:
+            b.emit(f"c0 = {c0} * w")
+            b.emit(f"cs = {{{', '.join(f'{keys[v]}: {c} * w' for v, c in cs)}}}")
+        else:
+            b.emit(f"c0 = c0 + {c0} * w")
+            for v, c in cs:
+                b.emit(f"key = {keys[v]}")
+                b.emit(f"cs[key] = cs.get(key, 0.0) + {c} * w")
+        return True
 
     first_pair()
     if not lin_pair(True):
         return
-    if not shared:
-        b.known |= b.reached
+    b.known |= b.reached
     with b.block("for w, j in it:"):
         lin_pair(False)
 
-    if len(moves) == 1 and not moves[0][3]:
-        b.emit(f"d = dists[{b.const(noise[0].name)}]")
-        coeffs = "[(c, d) for c in cs.values() if c != 0.0]"
-    else:
-        coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
+    coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
     b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, tail={b.const(t.tail)}, "
            "allow_cantelli=allow_cantelli)")
     b.emit(f"if r is None: {fail}")

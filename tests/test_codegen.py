@@ -200,13 +200,25 @@ def _noise_terms(noise=NOISE):
     return st.recursive(leaves, extend, max_leaves=10)
 
 
+def _lin_code(t, noise: tuple, names: tuple):
+    """``_lin(t, interp, val, k)`` as ``f(val, j, interp, k)``: the code
+    ``Body.lin`` emits inline in an aggregate, as a function of its own."""
+    def emit(b):
+        r = b.lin(t, noise, "return None")
+        if r is not None:
+            c0, cs = r
+            b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
+
+    return Module().function("val, j, interp, k", names, None, emit)
+
+
 class TestLinearization:
     @settings(max_examples=400, deadline=None)
     @given(t=_noise_terms(), val=_valuations(), j=st.tuples(st.integers(-1, 3), st.integers(-1, 3)))
     def test_equals_lin(self, t, val, j):
         keys = {NOISE[0]: Ident("eta", j[0]), NOISE[1]: NOISE[1]}
         ref = Bound(DictValuation(val), POS, j)
-        fn = Module().lin(t, NOISE, NAMES)
+        fn = _lin_code(t, NOISE, NAMES)
         assert _same(_outcome(lambda: fn(DictValuation(val), j, INTERP, keys)),
                      _outcome(lambda: _lin(t, INTERP, ref, keys)))
 
@@ -335,15 +347,20 @@ class TestTemplateEvaluators:
         # nu's variance reads the index name i, though nu has no index
         ("2*nu", None, ("normal", "0", "x@i^2 + 1"),
          ((0.5, (1, 0)), (0.5, (2, 0))), {Ident("x", 1): 1.0, Ident("x", 2): 2.0}),
-        # eta@i and eta@k meet at the first pair, which runs the reference,
-        # and part at the second, whose slot for c is not filled yet
+        # eta@i and eta@k meet at the first pair and part at the second
         ("c*eta@i + eta@k", ("normal", "0", "1"), None, ((0.5, (0, 0)), (0.5, (1, 0))), {}),
+        # x*0 in the guard and x*-0 in the observable are equal as trees,
+        # but x*-0 is -0.0: on the lower tail the bound of a zero noise sum
+        # is -0.0, so the value keeps the observable's sign of zero
+        ("0*eta@i", ("normal", "0", "1"), None, ((1.0, (1, 0)),), {Ident("y", 1): -0.0}),
     ])
     @pytest.mark.parametrize("eps", [1e-9, 0.05])
-    def test_aggregate_cases(self, noise, eta, nu, dist, val, eps):
+    @pytest.mark.parametrize("tail", ["up", "lo"])
+    def test_aggregate_cases(self, noise, eta, nu, dist, val, eps, tail):
         decls = {name: DistExpr(d[0], tuple(parse_term(p, _P) for p in d[1:]))
                  for name, d in (("eta", eta), ("nu", nu)) if d is not None}
-        t = _template(parse_term("y@i + x"), parse_term(noise, _P), BoolLit(True), decls, "up")
+        t = _template(parse_term("y@i + x*-0"), parse_term(noise, _P), parse_formula("x*0 >= 0"),
+                      decls, tail)
         val = {Ident("x"): 0.5, **{Ident("y", j[0]): 0.1 * j[0] for _, j in dist}, **val}
         got, want = _both(t, DictValuation(val), dist, eps)
         assert _same(got, want) and got[0] is not BOTTOM, (got, want)
