@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .dl import (
     Assign, AssignAny, BoolLit, Choice, Ident, Loop, ODE, Seq, Test,
-    is_runtime_evaluable, symbols,
+    is_runtime_evaluable,
 )
 from .actions import StructureError, walk_directives
 from .specfile import ShieldSpec
@@ -85,7 +85,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                     PARAM_IN_OBS, f"observation {o.var} mentions parameter {v.name}"))
 
     # controller: no unknowns, monitorable structure, assigns state vars only
-    for name, arity in symbols(spec.ctrl):
+    for name, arity in spec.symbols(spec.ctrl):
         if name in unknown_names:
             out.append(Diagnostic(UNKNOWN_IN_CTRL, f"unknown {name} in controller"))
     out.extend(_check_ctrl_structure(spec.ctrl))
@@ -120,7 +120,7 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
 
     # arity consistency of every application
     for node in spec.nodes():
-        for name, arity in symbols(node):
+        for name, arity in spec.symbols(node):
             want = declared_arity.get(name)
             if want is not None and want != arity:
                 out.append(Diagnostic(
@@ -196,7 +196,7 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
         body = a.body
         nodes = (*a.terms, a.guard)
         for t in nodes:
-            for name, _arity in symbols(t):
+            for name, _arity in spec.symbols(t):
                 if name in unknown_names:
                     out.append(Diagnostic(
                         UNKNOWN_IN_STRATEGY,

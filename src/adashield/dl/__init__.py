@@ -8,8 +8,8 @@ from .semantics import (
     eval_formula, eval_term, is_runtime_evaluable,
 )
 from .transform import (
-    SubstitutionError, free_vars, instantiate_indices, ordered_free_vars,
-    substitute, symbols, tag_with_index,
+    SubstitutionError, free_vars, free_vars_and_symbols, index_tags,
+    instantiate_indices, ordered_free_vars, substitute, symbols, tag_with_index,
 )
 from .codegen import Module
 from .printer import pretty_print, print_formula, print_program, print_term

@@ -1,8 +1,9 @@
-"""Syntactic transformations: substitution, index tagging and free-variable scans."""
+"""Syntactic transformations: substitution, re-indexing through it, and one
+walk for a tree's free variables and applied symbols."""
 
 from __future__ import annotations
 
-from typing import KeysView, Mapping, Union
+from typing import Iterable, KeysView, Mapping, Union
 
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
@@ -95,11 +96,18 @@ def _subst(e: Node, m: dict) -> Node:
 
 def tag_with_index(e: Node, index: Union[int, str]) -> Node:
     """Tag every free variable with ``index``."""
-    def tag(v: Ident) -> Ident:
+    return substitute(e, index_tags(ordered_free_vars(e), index))
+
+
+def index_tags(free: Iterable[Ident], index: Union[int, str]) -> dict[Ident, Term]:
+    """The substitution that tags each of the variables ``free`` with
+    ``index``; the first that carries another index is an error."""
+    m = {}
+    for v in free:
         if v.index is not None and v.index != index:
             raise SubstitutionError(f"variable {v} already carries a conflicting index")
-        return Ident(v.name, index)
-    return _rename(e, tag)
+        m[v] = Var(Ident(v.name, index))
+    return m
 
 
 def instantiate_indices(e: Node, names: list[str], values: list[int]) -> Node:
@@ -107,39 +115,14 @@ def instantiate_indices(e: Node, names: list[str], values: list[int]) -> Node:
     if len(names) != len(values):
         raise SubstitutionError("index name/value length mismatch")
     m = dict(zip(names, values))
-    return _rename(e, lambda v: Ident(v.name, m[v.index])
-                   if isinstance(v.index, str) and v.index in m else v)
-
-
-def _rename(e: Node, rename) -> Node:
-    """``e`` with every variable ``v`` of its terms and quantifier-free
-    formulas replaced by ``rename(v)``."""
-    t = type(e)
-    if t is Var:
-        return Var(rename(e.ident))
-    if t is Lit or t is BoolLit:
-        return e
-    if t is App:
-        return App(e.func, tuple(_rename(a, rename) for a in e.args)) if e.args else e
-    if t is Neg:
-        return Neg(_rename(e.arg, rename))
-    if t is Abs:
-        return Abs(_rename(e.arg, rename))
-    if t is BinOp:
-        return BinOp(e.op, _rename(e.left, rename), _rename(e.right, rename))
-    if t is Cmp:
-        return Cmp(e.op, _rename(e.left, rename), _rename(e.right, rename))
-    if t is Not:
-        return Not(_rename(e.arg, rename))
-    if t in (And, Or, Imp):
-        return t(_rename(e.left, rename), _rename(e.right, rename))
-    raise SubstitutionError(f"re-indexing not supported for {type(e).__name__}")
+    return substitute(e, {v: Var(Ident(v.name, m[v.index])) for v in ordered_free_vars(e)
+                          if isinstance(v.index, str) and v.index in m})
 
 
 def free_vars(e: Node) -> set[Ident]:
     """Free variables; assignment targets are free (variables are global),
     quantifiers bind."""
-    return set(ordered_free_vars(e))
+    return set(free_vars_and_symbols(e)[0])
 
 
 def ordered_free_vars(*nodes: Node) -> list[Ident]:
@@ -147,109 +130,74 @@ def ordered_free_vars(*nodes: Node) -> list[Ident]:
     occurrence."""
     out: dict[Ident, None] = {}
     for e in nodes:
-        _fv(e, out, frozenset())
+        out.update(dict.fromkeys(free_vars_and_symbols(e)[0]))
     return list(out)
-
-
-def _fv(e: Node, out: dict, bound: frozenset) -> None:
-    t = type(e)
-    if t is Var:
-        if e.ident not in bound:
-            out[e.ident] = None
-        return
-    if t is Lit or t is BoolLit:
-        return
-    if t is App:
-        for a in e.args:
-            _fv(a, out, bound)
-        return
-    if t in (Neg, Abs, Not):
-        _fv(e.arg, out, bound)
-        return
-    if t in (BinOp, Cmp, And, Or, Imp):
-        _fv(e.left, out, bound)
-        _fv(e.right, out, bound)
-        return
-    if t in (Forall, Exists):
-        _fv(e.body, out, bound | {e.var})
-        return
-    if t in (Box, Dia):
-        _fv(e.prog, out, bound)
-        _fv(e.post, out, bound)
-        return
-    if t is Assign:
-        if e.var not in bound:
-            out[e.var] = None
-        _fv(e.term, out, bound)
-        return
-    if t is AssignAny:
-        if e.var not in bound:
-            out[e.var] = None
-        return
-    if t is Test:
-        _fv(e.cond, out, bound)
-        return
-    if t is ODE:
-        for x, rhs in e.eqs:
-            if x not in bound:
-                out[x] = None
-            _fv(rhs, out, bound)
-        _fv(e.domain, out, bound)
-        return
-    if t in (Choice, Seq):
-        _fv(e.left, out, bound)
-        _fv(e.right, out, bound)
-        return
-    if t is Loop:
-        _fv(e.body, out, bound)
-        return
-    raise SubstitutionError(f"free_vars not supported for {e!r}")
 
 
 def symbols(e: Node) -> KeysView[tuple[str, int]]:
     """All (symbol name, arity) pairs applied anywhere in ``e``, as a set
     that iterates in left-to-right order of first occurrence, so that what
     is reported from it does not depend on string hashing."""
-    out: dict[tuple[str, int], None] = {}
-    _syms(e, out)
-    return out.keys()
+    return dict.fromkeys(free_vars_and_symbols(e)[1]).keys()
 
 
-def _syms(e: Node, out: dict) -> None:
+def free_vars_and_symbols(e: Node) -> tuple[list[Ident], list[tuple[str, int]]]:
+    """One pre-order walk of ``e``: its free variables (as ``free_vars``)
+    and the (symbol name, arity) pairs applied in it (as ``symbols``), each
+    in left-to-right order of first occurrence."""
+    fv: dict[Ident, None] = {}
+    syms: dict[tuple[str, int], None] = {}
+    _walk(e, fv, syms, frozenset())
+    return list(fv), list(syms)
+
+
+def _walk(e: Node, fv: dict, syms: dict, bound: frozenset) -> None:
     t = type(e)
-    if t is App:
-        out[(e.func, len(e.args))] = None
-        for a in e.args:
-            _syms(a, out)
+    if t is Var:
+        if e.ident not in bound:
+            fv[e.ident] = None
         return
-    if t in (Lit, Var, BoolLit, AssignAny):
+    if t is Lit or t is BoolLit:
+        return
+    if t is App:
+        syms[(e.func, len(e.args))] = None
+        for a in e.args:
+            _walk(a, fv, syms, bound)
         return
     if t in (Neg, Abs, Not):
-        _syms(e.arg, out)
+        _walk(e.arg, fv, syms, bound)
         return
     if t in (BinOp, Cmp, And, Or, Imp, Choice, Seq):
-        _syms(e.left, out)
-        _syms(e.right, out)
+        _walk(e.left, fv, syms, bound)
+        _walk(e.right, fv, syms, bound)
         return
     if t in (Forall, Exists):
-        _syms(e.body, out)
+        _walk(e.body, fv, syms, bound | {e.var})
         return
     if t in (Box, Dia):
-        _syms(e.prog, out)
-        _syms(e.post, out)
+        _walk(e.prog, fv, syms, bound)
+        _walk(e.post, fv, syms, bound)
         return
     if t is Assign:
-        _syms(e.term, out)
+        if e.var not in bound:
+            fv[e.var] = None
+        _walk(e.term, fv, syms, bound)
+        return
+    if t is AssignAny:
+        if e.var not in bound:
+            fv[e.var] = None
         return
     if t is Test:
-        _syms(e.cond, out)
+        _walk(e.cond, fv, syms, bound)
         return
     if t is ODE:
-        for _, rhs in e.eqs:
-            _syms(rhs, out)
-        _syms(e.domain, out)
+        for x, rhs in e.eqs:
+            if x not in bound:
+                fv[x] = None
+            _walk(rhs, fv, syms, bound)
+        _walk(e.domain, fv, syms, bound)
         return
     if t is Loop:
-        _syms(e.body, out)
+        _walk(e.body, fv, syms, bound)
         return
-    raise SubstitutionError(f"symbols not supported for {e!r}")
+    raise SubstitutionError(f"free_vars not supported for {e!r}")

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .dl import (
     And, BinOp, BoolLit, Box, Cmp, Dia, Formula, Ident, Imp, Seq, Term, Var,
-    free_vars, pretty_print, substitute, symbols,
-    tag_with_index,
+    free_vars, index_tags, pretty_print, substitute, symbols, tag_with_index,
 )
 from .dl.syntax import conj
 from .specfile import ShieldSpec
@@ -135,8 +134,10 @@ def _definition_hypotheses(spec: ShieldSpec, terms: tuple[Term, ...], guard: For
             eq = Cmp("=", Var(Ident(v.name)), obs_defs[v.name])
             hyps.append(tag_with_index(eq, v.index) if v.index is not None else eq)
         elif v.name in param_names:
+            # a tree of the spec, tagged from the free variables it has
             f = spec.bound_formulas[param_names[v.name]]
-            hyps.append(tag_with_index(f, v.index) if v.index is not None else f)
+            hyps.append(substitute(f, index_tags(spec.free_vars(f), v.index))
+                        if v.index is not None else f)
         elif v.name in noise_names:
             # noise stays universally quantified, but only an aggregate's
             # tail handling can discharge it at runtime

@@ -222,13 +222,8 @@ class Shield:
         self.spec = spec
         self.interp = dict(consts)
         self.allow_cantelli = allow_cantelli
-        self.directions = spec.directions
-        self.local_params = tuple(spec.local_params)
-        self.global_params = tuple(spec.global_params)
-        self.obs_names = spec.obs_names
-        self.noise_decls = spec.noise_decls
         self.ctrl_space = derive_action_space(spec.ctrl)
-        self.strategy = CompiledStrategy(spec.infer, self.directions, self.noise_decls,
+        self.strategy = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
                                          spec.free_vars)
         self.empty_action = empty_action(spec.infer)
 
@@ -237,12 +232,13 @@ class Shield:
         """One generated module for every term and formula a step
         evaluates: the strategy templates, the controller and the fallback."""
         m = Module()
+        spec = self.spec
         ts = self.strategy.templates
         return ShieldCode(
-            {t: template_code(m, t, self.obs_names) for t in ts},
-            controller_code(m, self.spec.ctrl, self.spec.fallback),
-            observation_reads(ts, self.obs_names),
-            {t: (str(t.assign.target), self.directions.get(t.assign.target) != "lo")
+            {t: template_code(m, t, spec.obs_names) for t in ts},
+            controller_code(m, spec.ctrl, spec.fallback),
+            observation_reads(ts, spec.obs_names),
+            {t: (str(t.assign.target), spec.directions.get(t.assign.target) != "lo")
              for t in ts})
 
     def initial_globals(self, env) -> dict:
@@ -256,7 +252,7 @@ class Shield:
                 out[p] = v
             return out
         env_defaults = env.initial_global_bounds()
-        if env_defaults is None and self.global_params:
+        if env_defaults is None and self.spec.global_params:
             raise InitialConditionViolation(
                 "no initial global bound instantiation available")
         return dict(env_defaults or {})
@@ -269,7 +265,7 @@ def init_shielded_state(shield: Shield, env, budget: float, rng,
     spec = shield.spec
     s0 = env.reset(rng)
     b_g = shield.initial_globals(env)
-    missing = [p for p in shield.global_params if p not in b_g]
+    missing = [p for p in spec.global_params if p not in b_g]
     if missing:
         raise InitialConditionViolation(
             f"initial global bounds missing for {sorted(map(str, missing))}")
@@ -369,8 +365,8 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     if flags.non_adaptive:
         a_inf = shield.empty_action
     # a malformed inference action reads as the empty one
-    assignments = interpret_strategy(spec.infer, a_inf, shield.directions,
-                                     shield.noise_decls, shield.strategy)
+    assignments = interpret_strategy(spec.infer, a_inf, spec.directions,
+                                     spec.noise_decls, shield.strategy)
 
     history = st.history
     views = st.views
@@ -407,7 +403,9 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     arecs: list[AssignmentRecord] = []
     for param, sbi, eps in assignments:
         name, up = targets[sbi.template]
-        if eps > remaining:
+        # a direct or best SBI spends nothing, so it runs even when rounding
+        # has left the remaining budget a hair below zero
+        if eps and eps > remaining:
             arecs.append(AssignmentRecord(name, eps, True, False, False, None))
             continue
         remaining = ledger.add(eps)
@@ -421,11 +419,12 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             v[param] = r
         arecs.append(AssignmentRecord(name, eps, False, False, tighter, method))
 
-    b_l = {p: v[p] for p in shield.local_params if p in v}
-    if len(b_l) != len(shield.local_params):
-        unset = [str(p) for p in shield.local_params if p not in b_l]
+    local_params = spec.local_params
+    b_l = {p: v[p] for p in local_params if p in v}
+    if len(b_l) != len(local_params):
+        unset = [str(p) for p in local_params if p not in b_l]
         raise LocalParamUnset(f"local parameter(s) {unset} not assigned this cycle")
-    b_g = {p: v[p] for p in shield.global_params}
+    b_g = {p: v[p] for p in spec.global_params}
 
     availability = env.obs_available(st.env_state)
     cache = env.measure(st.env_state, measure_rng)
@@ -538,7 +537,8 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
         overrides += 1 if rec.overridden else 0
         crash = crash or not rec.safe
         for a in rec.assignments:
-            if not a.skipped:
+            # a zero adds nothing to the sum and lies in [0, 1]
+            if a.eps and not a.skipped:
                 spent_records.append(a.eps)
         for pair in rec.consumed:
             key = tuple(pair)

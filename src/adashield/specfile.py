@@ -14,10 +14,11 @@ their declaration; all other names are variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .dl import (
-    BoolLit, Cmp, Formula, HybridProgram, Ident, Term, Var, ordered_free_vars,
+    BoolLit, Cmp, Formula, HybridProgram, Ident, Term, Var, free_vars_and_symbols,
 )
 from .dl.parser import ParseError, Parser, tokenize, _RESERVED
 from .strategy import (
@@ -83,8 +84,9 @@ class ShieldSpec:
     infer: InferenceStrategy
     source_text: str = ""
     state_vars: frozenset[Ident] = frozenset()
-    #: by identity, each tree with its free variables in first-occurrence order
-    free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: by identity, each tree with its free variables and its applied
+    #: ``(symbol, arity)`` pairs, both in first-occurrence order
+    walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.state_vars = self._infer_state_vars()
@@ -94,45 +96,46 @@ class ShieldSpec:
                       "local" if by_state[b.param] else "global")
             for b in self.bounds)
 
-    # -- derived views -------------------------------------------------
+    # -- derived views, each computed once: the ones that read a bound's
+    # locality must not be read before ``__post_init__`` classifies it ------
 
-    @property
+    @cached_property
     def param_idents(self) -> tuple[Ident, ...]:
         return tuple(b.param for b in self.bounds)
 
-    @property
+    @cached_property
     def directions(self) -> dict[Ident, str]:
         return {b.param: b.direction for b in self.bounds}
 
-    @property
+    @cached_property
     def bound_formulas(self) -> dict[Ident, Formula]:
         return {b.param: b.formula for b in self.bounds}
 
-    @property
+    @cached_property
     def local_params(self) -> tuple[Ident, ...]:
         return tuple(b.param for b in self.bounds if b.locality == "local")
 
-    @property
+    @cached_property
     def global_params(self) -> tuple[Ident, ...]:
         return tuple(b.param for b in self.bounds if b.locality == "global")
 
-    @property
+    @cached_property
     def obs_names(self) -> frozenset[str]:
         return frozenset(o.var.name for o in self.obs)
 
-    @property
+    @cached_property
     def noise_names(self) -> frozenset[str]:
         return frozenset(n.var.name for n in self.noise)
 
-    @property
+    @cached_property
     def noise_decls(self) -> dict[str, DistExpr]:
         return {n.var.name: n.dist for n in self.noise}
 
-    @property
+    @cached_property
     def obs_defs(self) -> dict[str, Term]:
         return {o.var.name: o.definition for o in self.obs}
 
-    @property
+    @cached_property
     def symbol_arities(self) -> dict[str, int]:
         """Arity of every declared symbol: an unknown's, 0 for a constant."""
         return {**dict(self.unknowns), **{c: 0 for c in self.consts}}
@@ -161,12 +164,22 @@ class ShieldSpec:
 
     def free_vars(self, *nodes) -> list[Ident]:
         """``dl.ordered_free_vars(*nodes)``, walking each tree once per spec."""
-        out: dict[Ident, None] = {}
+        return self._walked(nodes, 1)
+
+    def symbols(self, *nodes) -> list[tuple[str, int]]:
+        """The ``dl.symbols`` of ``nodes`` in turn, from the walk that gives
+        their free variables."""
+        return self._walked(nodes, 2)
+
+    def _walked(self, nodes, k: int) -> list:
+        """Part ``k`` of each node's walk (1: free variables, 2: symbols),
+        merged in order; a node is walked on its first request only."""
+        out: dict = {}
         for node in nodes:
-            seen = self.free.get(id(node))
+            seen = self.walks.get(id(node))
             if seen is None or seen[0] is not node:
-                seen = self.free[id(node)] = (node, ordered_free_vars(node))
-            out.update(dict.fromkeys(seen[1]))
+                seen = self.walks[id(node)] = (node, *free_vars_and_symbols(node))
+            out.update(dict.fromkeys(seen[k]))
         return list(out)
 
     def _infer_state_vars(self) -> frozenset[Ident]:

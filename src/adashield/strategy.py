@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .dl import (
     Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Module, Neg, Term, UNDEF,
-    Var, eval_formula, eval_term, ordered_free_vars, tag_with_index,
+    Var, eval_formula, eval_term, index_tags, ordered_free_vars, substitute,
 )
 from . import tailbounds
 from .tailbounds import Dist
@@ -179,8 +179,10 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
             if v.name in noise_decls:
                 dx = noise_decls[v.name]
                 if v.index is not None:
-                    dx = DistExpr(dx.kind, tuple(tag_with_index(t, v.index) for t in dx.params))
-                    reads.update(free(*dx.params))
+                    tags = [index_tags(free(t), v.index) for t in dx.params]
+                    dx = DistExpr(dx.kind, tuple(map(substitute, dx.params, tags)))
+                    # a term binds nothing: the tagged tree reads the tags
+                    reads.update(x.ident for m in tags for x in m.values())
                 noise.append((v, dx))
     return Template(
         a, names,

@@ -184,6 +184,39 @@ class TestProbes:
         assert stats.ledger_error <= 1e-12 and stats.eps_spent == 0.0
         assert stats.crashes == 0 and stats.reuse_violations == 0
 
+    def test_zero_tolerance_sbis_run_past_a_rounded_out_budget(self, specs):
+        # four aggregates spend the whole 1e-7 at step 0, the last two the
+        # 6.5031674675321824e-09 a fresh ledger reports as left after the
+        # first two; compensated summation then leaves the remaining budget
+        # at -1.3e-23, and the direct defaults of step 1, which spend
+        # nothing, must still run
+        eps = (2.556406168757196e-08, 6.793277084489586e-08,
+               6.5031674675321824e-09, 6.5031674675321824e-09)
+        env = make_acas()
+        env.meta_mode = True
+        shield = Shield(specs["acas"], env.consts)
+        tracking = [k for k, (kind, _) in enumerate(shield.strategy.space)
+                    if kind == "aggregate"][:4]
+
+        def inference(view):
+            if view.step:
+                return shield.empty_action
+            slots = list(shield.empty_action)
+            for k, e in zip(tracking, eps):
+                slots[k] = AggregateAction(e, ((1.0, (1,)),))
+            return tuple(slots)
+
+        ledger = KahanLedger(1e-7)
+        records = []
+        stats = run_episode(shield, env, acas_control(shield, env), inference, 1e-7, 5,
+                            np.random.SeedSequence(0), ledger=ledger,
+                            record_sink=records.append)
+        assert ledger.remaining < 0.0
+        assert stats.steps == 5 and stats.ledger_error <= 1e-12
+        step1 = records[1]
+        assert not any(a.skipped for a in step1.assignments)
+        assert set(shield.spec.local_params) <= set(step1.bounds_after)
+
     def test_control_values_that_agree_with_every_test(self, specs):
         # the naive river agent, with values that pass any comparison, is
         # overridden on every step and never crashes

@@ -11,6 +11,13 @@ not hashed: ``state_vars`` is a frozenset, whose order changes with
 A digest changes only when a parsed tree or an emitted file changes; a
 refactor of the parser, the checks or the obligation generator must leave
 all of them as they are.
+
+Two more digests pin the tree walks the front end is built on: per bundled
+spec, the free variables and the applied symbols, each in order of first
+occurrence, of every tree of ``spec.nodes()`` and of every obligation
+formula; and the results of re-indexing (``tag_with_index`` and
+``instantiate_indices``) on seeded ``TermGen`` trees that apply symbols and
+carry indexed variables, errors included.
 """
 
 import hashlib
@@ -18,10 +25,13 @@ import os
 
 import pytest
 
-from adashield.dl import pretty_print
+from adashield.dl import (
+    App, Ident, SubstitutionError, Var, instantiate_indices, ordered_free_vars,
+    parse_term, pretty_print, substitute, symbols, tag_with_index,
+)
 from adashield.obligations import emit_obligation_files, gen_obligations
 
-from conftest import BUNDLED
+from conftest import BUNDLED, TermGen
 
 #: recorded at the commit before symbols were resolved while parsing
 GOLDEN = {
@@ -133,3 +143,68 @@ def _digests(spec, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", BUNDLED)
 def test_front_end_digests(specs, tmp_path, name):
     assert _digests(specs[name], tmp_path) == GOLDEN[name]
+
+
+#: ``_tree_facts`` per bundled spec, recorded before the symbol walk was
+#: folded into the free-variable walk
+GOLDEN_TREE_FACTS = {
+    "sisyphean": "e5a30c92db947438e025fd1230f52a7b72f313b07a2ab0337a34a24a7e91e4fd",
+    "train_local": "bfc1d101e99052a1d623fd2ca2bf61be9d4a5e14af183b69c171ca5d279556b1",
+    "train_global": "ee2f05fa91cd2f70cc00346fca7bd2029cd90fc3f2159d0474df3e1e1b400d9f",
+    "river": "f37c9a930885e0393eb345493441b8f80164720d95cdd1abb0e08f0b9bd45368",
+    "acas": "f7a974a6c9ebc0ac5b80edbe9d5df678f0451fc977247d0f69fcfa6735687d9d",
+}
+
+#: ``_reindexed``, recorded before re-indexing went through ``substitute``
+GOLDEN_REINDEXED = "d55883cd97e7b904419e979dad63904b4520777df5b337e15437ccf80437da4c"
+
+
+def _tree_facts(spec) -> str:
+    """The free variables and applied symbols of every tree of the spec and
+    of every obligation formula, in order."""
+    trees = list(spec.nodes()) + [ob.formula for ob in gen_obligations(spec, True)]
+    return _sha("\n".join(f"{ordered_free_vars(t)!r} {list(symbols(t))!r}" for t in trees))
+
+
+def _reindex_cases():
+    """Seeded terms and formulas in x, y, z, v, with ``y`` read at ``i``, ``z``
+    replaced by ``f(x@j, w)`` and ``v`` by the constant ``c``; every third
+    tree keeps its variables unindexed."""
+    gen = TermGen(seed=23)
+    indexed = {Ident("y"): Var(Ident("y", "i")),
+               Ident("z"): App("f", (Var(Ident("x", "j")), Var(Ident("w")))),
+               Ident("v"): App("c", ())}
+    plain = {Ident("z"): App("f", (Var(Ident("x")), Var(Ident("w")))),
+             Ident("v"): App("c", ())}
+    for k in range(120):
+        tree = gen.term(3) if k % 2 else gen.formula(2)
+        yield substitute(tree, plain if k % 3 == 0 else indexed)
+
+
+def _reindexed() -> str:
+    lines = []
+    for tree in _reindex_cases():
+        for label, f in (("tag i", lambda t: tag_with_index(t, "i")),
+                         ("tag 3", lambda t: tag_with_index(t, 3)),
+                         ("inst i,j", lambda t: instantiate_indices(t, ["i", "j"], [2, 5])),
+                         ("inst j", lambda t: instantiate_indices(t, ["j"], [4]))):
+            try:
+                lines.append(f"{label}: {f(tree)!r}")
+            except SubstitutionError as e:
+                lines.append(f"{label}: SubstitutionError: {e}")
+    return _sha("\n".join(lines))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_tree_fact_digests(specs, name):
+    assert _tree_facts(specs[name]) == GOLDEN_TREE_FACTS[name]
+
+
+def test_reindexing_digest():
+    assert _reindexed() == GOLDEN_REINDEXED
+
+
+def test_conflicting_index_names_the_first_conflicting_variable():
+    with pytest.raises(SubstitutionError) as err:
+        tag_with_index(parse_term("w + x@i + f(y@j) + x@i", frozenset({"f"})), "j")
+    assert str(err.value) == "variable x@i already carries a conflicting index"

@@ -481,13 +481,13 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     """Evaluate the step's assignments in order under the lazy valuation and
     under a dict of every referenced entry's values, tightening both alike;
     the number of assignments that read history."""
-    assignments = interpret_strategy(shield.spec.infer, a_inf, shield.directions,
-                                     shield.noise_decls)
+    assignments = interpret_strategy(shield.spec.infer, a_inf, shield.spec.directions,
+                                     shield.spec.noise_decls)
     history = st.history
     n = len(history) + 1
     current = {**env.state_map(st.env_state), **st.global_bounds}
     surfaced = {}
-    reads = observation_reads({sa.sbi.template for sa in assignments}, shield.obs_names)
+    reads = observation_reads({sa.sbi.template for sa in assignments}, shield.spec.obs_names)
     for i, names in referenced_observations(assignments, reads).items():
         for name in names:
             if 1 <= i <= len(history) and name in history[i - 1].view.available:
@@ -504,7 +504,7 @@ def _check_valuations(shield, env, st, a_inf) -> int:
             got = lazy.current.get(ident)
         else:
             got = lazy.obs(Ident(ident.name), ident.index)
-            if ident.name not in shield.obs_names:
+            if ident.name not in shield.spec.obs_names:
                 # a state variable or bound reads the same past the surfaced
                 assert _same(lazy.at(Ident(ident.name), ident.index), got)
         assert _same(got, x)
@@ -520,7 +520,7 @@ def _check_valuations(shield, env, st, a_inf) -> int:
         read += bool(referenced_indices([sa]))
         if r is BOTTOM or not math.isfinite(r):
             continue
-        up = shield.directions.get(sa.param) != "lo"
+        up = shield.spec.directions.get(sa.param) != "lo"
         cur = full.get(sa.param)
         if cur is None or (r < cur if up else r > cur):
             full[sa.param] = full[Ident(sa.param.name, n)] = r

@@ -304,26 +304,57 @@ class TestClassification:
 
 
 class TestFreeVariableWalks:
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_each_tree_is_walked_once_per_load(self, name, monkeypatch):
-        # loading, checking, obligations and the shield's templates share
-        # one free-variable walk per tree of the spec
+    @staticmethod
+    def _counting(monkeypatch) -> Counter:
+        """Count the walks of ``transform._walk``, which gives every tree's
+        free variables and applied symbols, by the identity of the tree."""
         walks, depth = Counter(), [0]
-        real = transform._fv
+        real = transform._walk
 
-        def walk(e, out, bound):
+        def walk(e, fv, syms, bound):
             if not depth[0]:
                 walks[id(e)] += 1
             depth[0] += 1
             try:
-                real(e, out, bound)
+                real(e, fv, syms, bound)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(transform, "_fv", walk)
+        monkeypatch.setattr(transform, "_walk", walk)
+        return walks
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_each_tree_is_walked_once_per_load(self, name, monkeypatch):
+        # loading, checking, obligations and the shield's templates share
+        # one free-variable walk per tree of the spec
+        walks = self._counting(monkeypatch)
         spec = load_spec(bundled_spec_path(name))
         assert check_spec(spec) == []
         gen_obligations(spec)
         Shield(spec, {})
         trees = {id(node) for node in spec.nodes()}
         assert all(walks[t] == 1 for t in trees)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_load_walks_each_tree_once_and_checks_walk_none(self, name, monkeypatch):
+        # loading walks every tree of spec.nodes() once and nothing else;
+        # check_spec reads free variables and symbols from those walks
+        walks = self._counting(monkeypatch)
+        spec = load_spec(bundled_spec_path(name))
+        assert walks == Counter({id(node): 1 for node in spec.nodes()})
+        walks.clear()
+        assert check_spec(spec) == []
+        assert sum(walks.values()) == 0
+
+    def test_shields_walk_no_tree(self, monkeypatch):
+        # a noise hyperparameter that reads a state variable is tagged with
+        # the noise variable's index for every shield; what the tagged tree
+        # reads comes from the spec's walk, so the spec keeps no new tree
+        with open(bundled_spec_path("train_local"), encoding="utf-8") as fh:
+            text = fh.read()
+        spec = parse_spec(text.replace("N(0, sigma^2)", "N(0, sigma^2 + 0*x)"))
+        walks = self._counting(monkeypatch)
+        kept = dict(spec.walks)
+        template = [Shield(spec, {}) for _ in range(3)][-1].strategy.templates[-1]
+        assert sum(walks.values()) == 0 and spec.walks == kept
+        assert ("x", 0) in template.indexed
