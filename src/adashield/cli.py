@@ -18,7 +18,7 @@ from .actions import (
     ctrl_monitor_trace, make_action,
 )
 from .runtime import (
-    ExperimentConfig, ExperimentStats, InitialConditionViolation,
+    ExperimentConfig, ExperimentStats, InitialConditionViolation, KahanLedger,
     LocalParamUnset, Shield, aggregate_stats, run_episodes, run_experiment,
 )
 from .envs import REGISTRY, load_env_config
@@ -101,6 +101,19 @@ def _resolve_policies(args, env_name: str):
     return ctrl_name, infer_name
 
 
+def _bad_argument(args):
+    """``simulate``'s first number out of its range, as ``--flag: why``."""
+    if args.budget is not None:
+        try:
+            KahanLedger(args.budget)
+        except ValueError as e:
+            return f"--budget: {e}"
+    for flag, n, least in (("--episodes", args.episodes, 0),
+                           ("--max-steps", args.max_steps, 0), ("--workers", args.workers, 1)):
+        if n is not None and n < least:
+            return f"{flag}: must be at least {least}, got {n}"
+
+
 def _experiment(args, spec):
     """The shield, experiment config and policy names ``simulate`` runs;
     the main process and every ``--workers`` process build them here.  A
@@ -163,6 +176,10 @@ def cmd_simulate(args) -> int:
     if args.env not in REGISTRY:
         print(f"error: unknown environment {args.env!r}; "
               f"choose from {sorted(REGISTRY)}", file=sys.stderr)
+        return EXIT_USAGE
+    bad = _bad_argument(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
     spec_path = args.spec or bundled_spec_path(REGISTRY[args.env][1])
     spec = _load(spec_path)
@@ -254,16 +271,40 @@ def _parse_action_json(doc):
     raise ValueError(f"cannot parse action document: {doc!r}")
 
 
+def _input(flag: str, path: str, parse=lambda doc: doc):
+    """``parse`` of the JSON document in the file ``path``, given as
+    ``flag``; a file that cannot be read or parsed is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as e:
+        print(f"error: {flag}: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _reals(doc, key=str) -> dict:
+    """A JSON object of numbers as ``{key(name): value}``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    for k, v in doc.items():
+        if type(v) is not int and type(v) is not float:
+            raise ValueError(f"{k}: not a number: {v!r}")
+    return {key(k): float(v) for k, v in doc.items()}
+
+
+def _state_var(k: str) -> Ident:
+    """``x`` or ``x@3`` as its variable."""
+    name, _, idx = k.partition("@")
+    try:
+        return Ident(name, int(idx) if idx else None)
+    except ValueError:
+        raise ValueError(f"{k}: the index must be an integer") from None
+
+
 def cmd_monitor_eval(args) -> int:
     spec = _load(args.spec)
-    with open(args.state, "r", encoding="utf-8") as fh:
-        state_doc = json.load(fh)
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action_doc = json.load(fh)
-    val = {}
-    for k, v in state_doc.items():
-        name, _, idx = k.partition("@")
-        val[Ident(name, int(idx) if idx else None)] = float(v)
+    val = _input("--state", args.state, lambda doc: _reals(doc, _state_var))
+    action_doc = _input("--action", args.action)
     try:
         action = _parse_action_json(action_doc)
         if action is None:
@@ -271,10 +312,7 @@ def cmd_monitor_eval(args) -> int:
     except (TypeError, ValueError, StructureError) as e:
         print(f"error: malformed action: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    consts = {}
-    if args.consts:
-        with open(args.consts, "r", encoding="utf-8") as fh:
-            consts = {k: float(v) for k, v in json.load(fh).items()}
+    consts = _input("--consts", args.consts, _reals) if args.consts else {}
     try:
         results, failures = ctrl_monitor_trace(spec.ctrl, val, action, consts)
     except Exception as e:

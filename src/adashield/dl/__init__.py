@@ -1,7 +1,7 @@
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
     Exists, Forall, Formula, HybridProgram, Ident, Imp, Lit, Loop, Neg, Not,
-    ODE, Or, Seq, TRUE, Term, Test, Var, conj, conjuncts,
+    ODE, Or, Seq, TRUE, Term, Test, Var, conj,
 )
 from .semantics import (
     Interpretation, StructuralError, UNDEF, Undefined, Valuation,
@@ -9,7 +9,7 @@ from .semantics import (
 )
 from .transform import (
     SubstitutionError, free_vars, free_vars_and_symbols, index_tags,
-    instantiate_indices, ordered_free_vars, substitute, symbols, tag_with_index,
+    ordered_free_vars, substitute, tag_with_index,
 )
 from .codegen import Module
 from .printer import pretty_print, print_formula, print_program, print_term

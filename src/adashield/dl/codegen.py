@@ -79,14 +79,14 @@ class Module:
         exec(compile(body.source(name, params), "<shield>", "exec"), self.ns)
         return self.ns[name]
 
-    def term(self, t, names: Optional[tuple] = None) -> Callable:
-        """``eval_term(t, ...)``: a value or UNDEF."""
-        return self.function(_params(names), names, None,
+    def term(self, t) -> Callable:
+        """``eval_term(t, ...)`` over a plain dict: a value or UNDEF."""
+        return self.function(_params(None), None, None,
                              lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}"))
 
-    def formula(self, f, names: Optional[tuple] = None) -> Callable:
-        """``eval_formula(f, ...)``: True, False or UNDEF."""
-        return self.function(_params(names), names, None,
+    def formula(self, f) -> Callable:
+        """``eval_formula(f, ...)`` over a plain dict: True, False or UNDEF."""
+        return self.function(_params(None), None, None,
                              lambda b: b.emit(f"return {b.formula(f)}"))
 
 

@@ -184,11 +184,3 @@ def conj(parts: list[Formula]) -> Formula:
     for p in parts[1:]:
         out = And(out, p)
     return out
-
-
-def conjuncts(f: Formula) -> list[Formula]:
-    """Flatten nested conjunctions into a list (associativity-insensitive)."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
-

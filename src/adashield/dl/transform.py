@@ -3,7 +3,7 @@ walk for a tree's free variables and applied symbols."""
 
 from __future__ import annotations
 
-from typing import Iterable, KeysView, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .syntax import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Box, Choice, Cmp, Dia,
@@ -110,15 +110,6 @@ def index_tags(free: Iterable[Ident], index: Union[int, str]) -> dict[Ident, Ter
     return m
 
 
-def instantiate_indices(e: Node, names: list[str], values: list[int]) -> Node:
-    """Re-index every variable whose symbolic index appears in ``names``."""
-    if len(names) != len(values):
-        raise SubstitutionError("index name/value length mismatch")
-    m = dict(zip(names, values))
-    return substitute(e, {v: Var(Ident(v.name, m[v.index])) for v in ordered_free_vars(e)
-                          if isinstance(v.index, str) and v.index in m})
-
-
 def free_vars(e: Node) -> set[Ident]:
     """Free variables; assignment targets are free (variables are global),
     quantifiers bind."""
@@ -134,17 +125,11 @@ def ordered_free_vars(*nodes: Node) -> list[Ident]:
     return list(out)
 
 
-def symbols(e: Node) -> KeysView[tuple[str, int]]:
-    """All (symbol name, arity) pairs applied anywhere in ``e``, as a set
-    that iterates in left-to-right order of first occurrence, so that what
-    is reported from it does not depend on string hashing."""
-    return dict.fromkeys(free_vars_and_symbols(e)[1]).keys()
-
-
 def free_vars_and_symbols(e: Node) -> tuple[list[Ident], list[tuple[str, int]]]:
     """One pre-order walk of ``e``: its free variables (as ``free_vars``)
-    and the (symbol name, arity) pairs applied in it (as ``symbols``), each
-    in left-to-right order of first occurrence."""
+    and the (symbol name, arity) pairs applied anywhere in it, each in
+    left-to-right order of first occurrence, so that what is reported from
+    them does not depend on string hashing."""
     fv: dict[Ident, None] = {}
     syms: dict[tuple[str, int], None] = {}
     _walk(e, fv, syms, frozenset())

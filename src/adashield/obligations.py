@@ -18,8 +18,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .dl import (
-    And, BinOp, BoolLit, Box, Cmp, Dia, Formula, Ident, Imp, Seq, Term, Var,
-    free_vars, index_tags, pretty_print, substitute, symbols, tag_with_index,
+    BinOp, BoolLit, Box, Cmp, Dia, Formula, Ident, Imp, Seq, Term, Var,
+    free_vars_and_symbols, index_tags, pretty_print, substitute, tag_with_index,
 )
 from .dl.syntax import conj
 from .specfile import ShieldSpec
@@ -193,13 +193,14 @@ def render_obligation(ob: Obligation, spec: ShieldSpec, digest: str) -> str:
         "Definitions",
     ]
     arities = spec.symbol_arities
-    used = {n: a for n, a in symbols(ob.formula) if n in arities}
+    fv, syms = free_vars_and_symbols(ob.formula)
+    used = {n: a for n, a in syms if n in arities}
     for name in sorted(used):
         args = ", ".join(["Real"] * used[name])
         lines.append(f"  Real {name}({args});" if used[name] else f"  Real {name};")
     lines.append("End.")
     lines.append("ProgramVariables")
-    fv = sorted(free_vars(ob.formula), key=str)
+    fv.sort(key=str)
     for v in fv:
         lines.append(f"  Real {v};")
     lines.append("End.")

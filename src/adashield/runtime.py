@@ -56,12 +56,15 @@ class LocalParamUnset(Exception):
 
 
 class KahanLedger:
-    """Compensated accumulator for spent tolerance."""
+    """Compensated accumulator for spent tolerance, against a budget in
+    [0, 1]: under a NaN budget no spending would ever be refused."""
 
     __slots__ = ("initial", "_sum", "_comp")
 
     def __init__(self, initial: float):
         self.initial = float(initial)
+        if not 0.0 <= self.initial <= 1.0:
+            raise ValueError(f"budget must lie in [0, 1], got {self.initial}")
         self._sum = 0.0
         self._comp = 0.0
 
@@ -218,10 +221,9 @@ class Shield:
     transition, so that a shield that never steps does not pay for it.
     """
 
-    def __init__(self, spec: ShieldSpec, consts: dict, allow_cantelli: bool = False):
+    def __init__(self, spec: ShieldSpec, consts: dict):
         self.spec = spec
         self.interp = dict(consts)
-        self.allow_cantelli = allow_cantelli
         self.ctrl_space = derive_action_space(spec.ctrl)
         self.strategy = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
                                          spec.free_vars)
@@ -272,7 +274,7 @@ def init_shielded_state(shield: Shield, env, budget: float, rng,
 
     audit_interp = {**shield.interp, **env.unknowns()}
     val = {**env.state_map(s0), **b_g}
-    for name, f in _initial_conjuncts(spec, b_g):
+    for name, f in _initial_conjuncts(spec):
         r = eval_formula(f, audit_interp, val)
         if r is UNDEF or not r:
             raise InitialConditionViolation(f"initial state violates {name}")
@@ -280,7 +282,7 @@ def init_shielded_state(shield: Shield, env, budget: float, rng,
     return ShieldedState(s0, [], b_g, ledger or KahanLedger(budget))
 
 
-def _initial_conjuncts(spec: ShieldSpec, b_g: dict):
+def _initial_conjuncts(spec: ShieldSpec):
     for f in spec.assumptions:
         if is_runtime_evaluable(f):
             yield "an assumption", f
@@ -399,7 +401,6 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         bounds_before.update(history[-1].local_bounds)
     targets = code.targets
     templates = code.templates
-    allow_cantelli = shield.allow_cantelli
     arecs: list[AssignmentRecord] = []
     for param, sbi, eps in assignments:
         name, up = targets[sbi.template]
@@ -409,7 +410,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             arecs.append(AssignmentRecord(name, eps, True, False, False, None))
             continue
         remaining = ledger.add(eps)
-        r, method = eval_sbi(sbi, interp, val, allow_cantelli, templates)
+        r, method = eval_sbi(sbi, interp, val, templates)
         if r is BOTTOM or not math.isfinite(r):
             arecs.append(AssignmentRecord(name, eps, False, True, False, method))
             continue
@@ -599,7 +600,7 @@ def run_episodes(shield: Shield, cfg: ExperimentConfig, episodes: range,
     disjoint ranges can run in separate processes."""
     env = cfg.env_factory()
     env.meta_mode = cfg.mode == "meta"
-    max_steps = cfg.max_steps or env.max_steps
+    max_steps = env.max_steps if cfg.max_steps is None else cfg.max_steps
     control = cfg.control_policy(shield, env)
     inference = cfg.inference_policy(shield, env)
     flags = StepFlags(unshielded=cfg.unshielded, non_adaptive=cfg.non_adaptive)

@@ -167,8 +167,8 @@ class ShieldSpec:
         return self._walked(nodes, 1)
 
     def symbols(self, *nodes) -> list[tuple[str, int]]:
-        """The ``dl.symbols`` of ``nodes`` in turn, from the walk that gives
-        their free variables."""
+        """The applied ``(symbol, arity)`` pairs of ``nodes`` in turn, from
+        the walk that gives their free variables."""
         return self._walked(nodes, 2)
 
     def _walked(self, nodes, k: int) -> list:

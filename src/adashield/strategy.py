@@ -391,14 +391,13 @@ def interpreted(t: Template) -> Callable:
     """The reference evaluator of ``t``'s SBIs, which binds the index names
     and walks the trees.  For a direct or best template it is ``f(val, j,
     interp)``: the value, or BOTTOM, with the index names bound to ``j``.
-    For an aggregate it is ``f(val, dist, interp, eps, allow_cantelli)``:
-    ``(value, method)`` as ``_eval_aggregate`` gives them."""
+    For an aggregate it is ``f(val, dist, interp, eps)``: ``(value,
+    method)`` as ``_eval_aggregate`` gives them."""
     a = t.assign
     body = a.body
     pos = {name: k for k, name in enumerate(t.names)}  # the last one wins
     if isinstance(body, Aggregate):
-        return lambda val, dist, interp, eps, allow_cantelli: _eval_aggregate(
-            t, pos, val, dist, interp, eps, allow_cantelli)
+        return lambda val, dist, interp, eps: _eval_aggregate(t, pos, val, dist, interp, eps)
     return lambda val, j, interp: _eval_bound(a.guard, body.term, interp, Bound(val, pos, j))
 
 
@@ -412,7 +411,7 @@ def template_code(m: Module, t: Template, obs: frozenset) -> Callable:
     body = a.body
     if not isinstance(body, Aggregate):
         return m.function("val, j, interp", t.names, obs, lambda b: _emit_bound(b, a))
-    return m.function("val, dist, interp, eps, allow_cantelli", t.names, obs,
+    return m.function("val, dist, interp, eps", t.names, obs,
                       lambda b: _emit_aggregate(b, t))
 
 
@@ -525,14 +524,13 @@ def _emit_aggregate(b, t: Template) -> None:
         lin_pair(False)
 
     coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
-    b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, tail={b.const(t.tail)}, "
-           "allow_cantelli=allow_cantelli)")
+    b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, tail={b.const(t.tail)})")
     b.emit(f"if r is None: {fail}")
     b.emit("value, method = r")
     b.emit(f"return (s + value if {b.const(math.isfinite)}(value) else {bottom}), method")
 
 
-def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
+def eval_sbi(e: SBI, interp, val, code=None):
     """Evaluate to a float or ``BOTTOM``; returns ``(value, method)`` where
     ``method`` is the tail-bound method used, None if no tail bound ran.
     ``val`` is a valuation such as ``DictValuation``, or a dict for one.
@@ -546,7 +544,7 @@ def eval_sbi(e: SBI, interp, val, allow_cantelli: bool = False, code=None):
     f = interpreted(e.template) if code is None else code[e.template]
     if t is BoundSBI:
         return f(val, e.j, interp), None
-    return f(val, e.dist, interp, e.eps, allow_cantelli)
+    return f(val, e.dist, interp, e.eps)
 
 
 def _eval_bound(guard: Formula, term: Term, interp, val):
@@ -557,7 +555,7 @@ def _eval_bound(guard: Formula, term: Term, interp, val):
     return BOTTOM if r is UNDEF else r
 
 
-def _eval_aggregate(t: Template, pos: dict, val, dist, interp, eps, allow_cantelli):
+def _eval_aggregate(t: Template, pos: dict, val, dist, interp, eps):
     """``(value, method)``: ``sum w*observable`` plus the inverse tail bound
     of ``sum w*noise``, with the index names bound to each pair's ``j`` in
     turn, and the tail bound's method.  Sums accumulate left to right, and
@@ -612,27 +610,18 @@ def _eval_aggregate(t: Template, pos: dict, val, dist, interp, eps, allow_cantel
             for key, c in r[1].items():
                 cs[key] = cs.get(key, 0.0) + c * w
 
-    r = tailbounds.invccdf([(c, dists[key]) for key, c in cs.items() if c != 0.0], c0, eps,
-                           tail=t.tail, allow_cantelli=allow_cantelli)
+    r = tailbounds.invccdf([(c, dists[key]) for key, c in cs.items() if c != 0.0], c0, eps, t.tail)
     if r is None:
         return BOTTOM, None
     value, method = r
     return (s + value if math.isfinite(value) else BOTTOM), method
 
 
-def linearize(term: Term, interp, val, noise_vars: frozenset[Ident]):
-    """Reduce ``term`` to ``c0 + sum c_i * eta_i`` after substituting every
-    non-noise variable with its value; ``None`` if not syntactically linear."""
-    r = _lin(term, interp, val, {v: v for v in noise_vars})
-    if r is None:
-        return None
-    c0, coeffs = r
-    return c0, {k: v for k, v in coeffs.items() if v != 0.0}
-
-
 def _lin(t: Term, interp, val, noise: dict[Ident, Ident]):
-    """``linearize`` without dropping zero coefficients; ``noise`` maps each
-    noise variable of ``t`` to the key of its coefficient."""
+    """Reduce ``t`` to ``(c0, {key: c_i})``, ``c0 + sum c_i * eta_i``, after
+    substituting every non-noise variable with its value; ``None`` if not
+    syntactically linear.  ``noise`` maps each noise variable of ``t`` to the
+    key of its coefficient, and zero coefficients are kept."""
     tt = type(t)
     if tt is Var and t.ident in noise:
         return 0.0, {noise[t.ident]: 1.0}

@@ -13,8 +13,6 @@ the smallest (tightest) finite value wins:
 * ``hoeffding``: all variables of bounded support,
   ``mu + sqrt(sum c_i^2 (b_i - a_i)^2) * sqrt(-ln(eps)/2)``
 * ``chebyshev``: any finite-variance mix, ``mu + sigma/sqrt(eps)``
-* ``cantelli`` (optional, off by default): one-sided
-  ``mu + sigma*sqrt((1-eps)/eps)``
 
 Note the Hoeffding expression is the analytic inversion of the one-sided
 Hoeffding inequality ``P(S - mu > t) <= exp(-2 t^2 / sum w_i^2)``; a factor
@@ -82,8 +80,7 @@ class DomainError(Exception):
     pass
 
 
-def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float,
-            tail: str = "up", allow_cantelli: bool = False):
+def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float, tail: str = "up"):
     """Tightest available bound for ``c0 + sum c_i X_i``.
 
     Returns ``(value, method_name)`` or ``None`` when no method yields a
@@ -173,10 +170,6 @@ def invccdf(coeffs: list[tuple[float, Dist]], c0: float, eps: float,
         v = mean + math.sqrt(variance / eps)
         if v == v and v < math.inf and (best is None or v < best):
             best, method = v, "chebyshev"
-        if allow_cantelli:
-            v = mean + math.sqrt(variance * (1.0 - eps) / eps)
-            if v == v and v < math.inf and (best is None or v < best):
-                best, method = v, "cantelli"
 
     if best is None:
         return None

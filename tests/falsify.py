@@ -20,8 +20,10 @@ from adashield.dl import (
     And, Cmp, Ident, Imp, Not, Or, UNDEF, Var, eval_formula, eval_term,
 )
 from adashield.dl.semantics import StructuralError
-from adashield.dl.syntax import BoolLit, conjuncts
+from adashield.dl.syntax import BoolLit
 from adashield.specfile import ShieldSpec
+
+from dl_oracle import conjuncts
 
 CONCL_RTOL = 1e-9
 

@@ -38,11 +38,11 @@ def hoeffding_scale(eps: float) -> float:
     return math.sqrt(-math.log(eps) / 2.0)
 
 
-def reference_invccdf(coeffs, c0, eps, tail="up", allow_cantelli=False):
+def reference_invccdf(coeffs, c0, eps, tail="up"):
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"tolerance must lie in [0, 1], got {eps}")
     if tail == "lo":
-        r = reference_invccdf([(-c, d) for c, d in coeffs], -c0, eps, "up", allow_cantelli)
+        r = reference_invccdf([(-c, d) for c, d in coeffs], -c0, eps, "up")
         if r is None:
             return None
         return (-r[0], r[1])
@@ -79,8 +79,6 @@ def reference_invccdf(coeffs, c0, eps, tail="up", allow_cantelli=False):
 
     if eps > 0.0:
         candidates.append((m + math.sqrt(var / eps), "chebyshev"))
-        if allow_cantelli:
-            candidates.append((m + math.sqrt(var * (1.0 - eps) / eps), "cantelli"))
 
     finite = [(v, meth) for v, meth in candidates if not math.isnan(v) and v < math.inf]
     if not finite:

@@ -16,7 +16,6 @@ import pytest
 from scipy import special
 
 from adashield.dl import Ident, pretty_print
-from adashield.dl.syntax import conjuncts
 from adashield.actions import ARight, APair, AReal, UNIT, ALeft, ctrl_exec
 from adashield.cli import bundled_spec_path
 from adashield.obligations import gen_model_obligations, gen_obligations
@@ -33,6 +32,7 @@ from adashield.policies import (
 )
 
 import falsify
+from dl_oracle import conjuncts
 from tail_oracle import variance
 
 SEEDS = (0, 1, 2)

@@ -186,6 +186,30 @@ class TestSimulate:
         assert code == 2 and err.startswith("error: --env-config: ")
 
 
+    @pytest.mark.parametrize("flag, value, needle", [
+        ("--budget", "nan", "budget must lie in [0, 1], got nan"),
+        ("--budget", "1.5", "budget must lie in [0, 1], got 1.5"),
+        ("--budget", "-0.5", "budget must lie in [0, 1], got -0.5"),
+        ("--episodes", "-3", "must be at least 0, got -3"),
+        ("--max-steps", "-1", "must be at least 0, got -1"),
+        ("--workers", "0", "must be at least 1, got 0"),
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, tmp_path, capsys, flag,
+                                                  value, needle):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", "--env", "river", "--episodes", "2", flag, value,
+             "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag}: {needle}\n"
+        assert not out_dir.exists()
+
+    def test_zero_max_steps_runs_no_step(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--env", "river", "--episodes", "2", "--max-steps", "0",
+             "--out", str(tmp_path), "--json"], capsys)
+        assert code == 0 and json.loads(out)["steps"] == 0
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_contract_failure_is_a_diagnostic(self, tmp_path, capsys, workers):
         # a valid noise kind that the train_local spec has no constant for
@@ -285,6 +309,35 @@ class TestMonitorEval:
             ["monitor-eval", "--spec", "sisyphean", "--state", str(spath),
              "--action", str(apath)], capsys)
         assert code == 1 and err.startswith("error: malformed action: ")
+
+
+    @pytest.mark.parametrize("flag, text, needle", [
+        ("--state", '{"x@i": 1.0}', "x@i: the index must be an integer"),
+        ("--state", '{"x": "fast"}', "x: not a number: 'fast'"),
+        ("--state", '{"x": null}', "x: not a number: None"),
+        ("--state", '{"x": ', "Expecting value"),
+        ("--state", None, "No such file or directory"),
+        ("--state", "[1.0, 2.0]", "expected a JSON object, got list"),
+        ("--consts", '{"A": [4.0]}', "A: not a number: [4.0]"),
+        ("--consts", "[4.0]", "expected a JSON object, got list"),
+        ("--consts", None, "No such file or directory"),
+        ("--action", '{"directives": ', "Expecting value"),
+        ("--action", None, "No such file or directory"),
+    ])
+    def test_bad_input_file_is_a_usage_error(self, docs, capsys, flag, text, needle):
+        tmp, spath, cpath = docs
+        apath = tmp / "action.json"
+        apath.write_text(json.dumps({"directives": ["left"]}))
+        paths = {"--state": spath, "--consts": cpath, "--action": apath}
+        bad = paths[flag] = tmp / "bad.json"
+        if text is not None:
+            bad.write_text(text)
+        code, out, err = run_cli(
+            ["monitor-eval", "--spec", "sisyphean",
+             *(x for f, p in paths.items() for x in (f, str(p)))], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+        assert needle in err
 
 
 class TestConsoleEntry:

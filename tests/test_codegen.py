@@ -135,7 +135,11 @@ class TestTermsAndFormulas:
     def test_under_index_names(self, t, f, val, j):
         # x@i and y@k read at j, x@m (no such name) and x@1 as written
         ref = Bound(DictValuation(val), POS, j)
-        fns = Module().term(t, NAMES), Module().formula(f, NAMES)
+        m = Module()
+        fns = (m.function("val, j, interp", NAMES, None,
+                          lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}")),
+               m.function("val, j, interp", NAMES, None,
+                          lambda b: b.emit(f"return {b.formula(f)}")))
         got = DictValuation(val)
         assert _same(_outcome(lambda: fns[0](got, j, INTERP)),
                      _outcome(lambda: eval_term(t, INTERP, ref)))
@@ -296,12 +300,12 @@ def _template(observable, noise, guard, decls, tail):
     return compiled.templates[0]
 
 
-def _both(t, val, dist, eps, allow_cantelli=False, interp=INTERP):
+def _both(t, val, dist, eps, interp=INTERP):
     """The generated evaluator's outcome and the reference's."""
     gen = template_code(Module(), t, OBS)
     ref = reference_evaluator(t)
-    return (_outcome(lambda: gen(val, dist, interp, eps, allow_cantelli)),
-            _outcome(lambda: ref(val, dist, interp, eps, allow_cantelli)))
+    return (_outcome(lambda: gen(val, dist, interp, eps)),
+            _outcome(lambda: ref(val, dist, interp, eps)))
 
 
 class TestTemplateEvaluators:
@@ -317,15 +321,15 @@ class TestTemplateEvaluators:
                                    st.tuples(st.integers(-1, 3), st.integers(-1, 3))),
                          min_size=1, max_size=6),
            eps=st.sampled_from((0.0, 5e-324, 1e-9, 0.05, 0.5, 1.0)),
-           tail=st.sampled_from(("up", "lo")), allow_cantelli=st.booleans())
+           tail=st.sampled_from(("up", "lo")))
     def test_aggregate_equals_reference(self, obs_term, noise, guard, eta, nu, val,
-                                        surfaced, dist, eps, tail, allow_cantelli):
+                                        surfaced, dist, eps, tail):
         # random guards, observables and noise terms over eta@i, eta@k,
         # eta@1 and nu, of any two kinds, with hyperparameters that read an
         # index name (eta@i's, from a state variable) or not, pairs that
         # repeat and eta keys that meet; the observation y surfaced apart
         t = _template(obs_term, noise, guard, {"eta": eta, "nu": nu}, tail)
-        got, want = _both(t, _Surfaced(val, surfaced), tuple(dist), eps, allow_cantelli)
+        got, want = _both(t, _Surfaced(val, surfaced), tuple(dist), eps)
         assert _same(got, want), (got, want)
 
     @pytest.mark.parametrize("noise, eta, nu, dist, val", [
@@ -376,7 +380,7 @@ class TestTemplateEvaluators:
         dist = ((0.25, (1, 0)), (0.5, (2, 0)), (0.25, (3, 0)))
         for f in (template_code(Module(), t, OBS), reference_evaluator(t)):
             calls.clear()
-            assert f(val, dist, interp, 0.1, False) == (BOTTOM, None)
+            assert f(val, dist, interp, 0.1) == (BOTTOM, None)
             assert calls == [-1.0]
 
     def test_bound_equals_reference(self, specs):

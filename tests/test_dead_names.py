@@ -2,13 +2,14 @@
 
 An ``ast`` scan lists each module's top-level functions, classes and
 constants, and every name the package loads outside import statements,
-with an imported name resolved to the module that defines it.  A name that
-nothing in the package loads is dead code, unless the allowlist says why it
-stays.  The scan also lists the methods and properties of each top-level
-class, as ``Class.name``.  The type of an attribute's receiver is not known
-statically, so a method counts as read when the package loads any
-attribute of its name.  Dunder names are read by Python and its tools, and
-are left out.
+with an imported name resolved to the module that defines it.  A top-level
+function's load of its own name inside its own body is recursion and does
+not count.  A name that nothing in the package loads is dead code, unless
+the allowlist says why it stays.  The scan also lists the methods and
+properties of each top-level class, as ``Class.name``.  The type of an
+attribute's receiver is not known statically, so a method counts as read
+when the package loads any attribute of its name.  Dunder names are read by
+Python and its tools, and are left out.
 """
 
 import ast
@@ -23,9 +24,6 @@ ALLOWED = {
     ("adashield.dl.parser", "parse_term"): "the public parser API",
     ("adashield.dl.parser", "parse_formula"): "the public parser API",
     ("adashield.dl.parser", "parse_program"): "the public parser API",
-    ("adashield.dl.transform", "instantiate_indices"):
-        "the test oracle of index-bound evaluation",
-    ("adashield.strategy", "linearize"): "the reference wrapper of _lin",
     ("adashield.strategy", "referenced_indices"):
         "shieldbench's tracer rebinds runtime.referenced_indices",
     ("adashield.actions", "interpreted"):
@@ -36,6 +34,16 @@ ALLOWED = {
 def _module_name(path: Path) -> str:
     parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _walk_with_owner(tree: ast.Module):
+    """Every node of ``tree`` with the name of the top-level function it
+    lies in, or None: a function's load of its own name is recursion, not
+    a reader."""
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(stmt):
+            yield node, own
 
 
 def _scan():
@@ -63,13 +71,14 @@ def _scan():
                 names.update(t.id for t in targets if isinstance(t, ast.Name))
         alias = aliases[mod] = {}
         loaded = loads[mod] = set()
-        for node in ast.walk(tree):
+        for node, own in _walk_with_owner(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 base = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
                 source = f"{base}.{node.module}" if node.module else base
                 for a in node.names:
                     alias[a.asname or a.name] = (source, a.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and node.id != own):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)

@@ -4,12 +4,14 @@ import os
 
 import pytest
 
-from adashield.dl import Imp, conj, conjuncts, pretty_print
+from adashield.dl import Imp, conj, pretty_print
 from adashield.obligations import (
     ObligationError, emit_obligation_files, gen_inference_obligations,
     gen_model_obligations, gen_obligations,
 )
 from adashield.specfile import parse_spec
+
+from dl_oracle import conjuncts
 
 EXPECTED_COUNTS = {"sisyphean": 7, "train_local": 7, "river": 6, "acas": 19,
                    "train_global": 7}

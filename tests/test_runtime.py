@@ -136,6 +136,13 @@ class TestBudget:
             ledger.add(e)
         assert abs(ledger.spent - math.fsum(spends)) < 1e-12
 
+    @pytest.mark.parametrize("budget", [math.nan, -1e-9, 1.5, math.inf])
+    def test_budget_outside_the_unit_interval_is_refused(self, budget):
+        # under a NaN budget ``eps > remaining`` never holds, so nothing
+        # would ever be skipped for lack of budget
+        with pytest.raises(ValueError, match=r"budget must lie in \[0, 1\]"):
+            KahanLedger(budget)
+
 
 class TestNonReuse:
     def test_observation_consumed_once(self, train_setup):
@@ -514,8 +521,8 @@ def _check_valuations(shield, env, st, a_inf) -> int:
 
     read = 0
     for sa in assignments:
-        r, method = eval_sbi(sa.sbi, shield.interp, full, shield.allow_cantelli)
-        r_lazy, method_lazy = eval_sbi(sa.sbi, shield.interp, lazy, shield.allow_cantelli)
+        r, method = eval_sbi(sa.sbi, shield.interp, full)
+        r_lazy, method_lazy = eval_sbi(sa.sbi, shield.interp, lazy)
         assert _same(r_lazy, r) and method_lazy == method
         read += bool(referenced_indices([sa]))
         if r is BOTTOM or not math.isfinite(r):

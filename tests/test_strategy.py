@@ -10,16 +10,17 @@ from scipy import special
 from adashield import tailbounds
 from adashield.dl import (
     BinOp, Ident, Lit, UNDEF, conj, eval_formula, eval_term, free_vars,
-    instantiate_indices, ordered_free_vars, parse_formula, parse_term,
-    tag_with_index,
+    ordered_free_vars, parse_formula, parse_term, tag_with_index,
 )
 from adashield.strategy import (
     Aggregate, AggregateAction, AggregateSBI, BOTTOM, BoundSBI,
     CompiledStrategy, Direct, DistExpr, InferAssign, empty_action, eval_sbi,
-    interpret_strategy, linearize, observation_reads,
+    _lin, interpret_strategy, observation_reads,
     referenced_indices, referenced_observations, strategy_action_space,
 )
 from adashield.tailbounds import Dist
+
+from dl_oracle import instantiate_indices
 
 
 def _z(eps):
@@ -269,11 +270,11 @@ def _oracle(assign, slot, direction_of, noise_decls, interp, val):
             dists[v] = Dist(dx.kind, *params)
         except ValueError:
             return [(BOTTOM, None)]
-    lin = linearize(noise_sum, interp, val, frozenset(dists))
+    lin = _lin(noise_sum, interp, val, {v: v for v in dists})
     if lin is None:
         return [(BOTTOM, None)]
     c0, coeffs = lin
-    r = tailbounds.invccdf([(c, dists[v]) for v, c in coeffs.items()], c0, slot.eps,
+    r = tailbounds.invccdf([(c, dists[v]) for v, c in coeffs.items() if c != 0.0], c0, slot.eps,
                            tail="lo" if direction_of.get(assign.target) == "lo" else "up")
     if r is None:
         return [(BOTTOM, None)]
@@ -479,7 +480,7 @@ class TestEvalSBI:
     def test_linearize_distributes(self):
         t = parse_term("(w@2 - w@1)/(u@2 - u@1)")
         val = {Ident("u", 1): 1.0, Ident("u", 2): 3.0}
-        out = linearize(t, {}, val, frozenset({Ident("w", 1), Ident("w", 2)}))
+        out = _lin(t, {}, val, {Ident("w", 1): Ident("w", 1), Ident("w", 2): Ident("w", 2)})
         c0, coeffs = out
         assert c0 == 0.0
         assert coeffs == {Ident("w", 2): 0.5, Ident("w", 1): -0.5}

@@ -175,13 +175,6 @@ class TestConcentration:
         v, m = invccdf(coeffs, 0.0, 0.01)
         assert m == "hoeffding"
 
-    def test_cantelli_switch(self):
-        coeffs = [(1.0, gauss()), (1.0, Dist("uniform", -1, 1))]
-        v_plain, m_plain = invccdf(coeffs, 0.0, 0.01)
-        v_cant, m_cant = invccdf(coeffs, 0.0, 0.01, allow_cantelli=True)
-        assert m_plain == "chebyshev" and m_cant == "cantelli"
-        assert v_cant < v_plain
-
     def test_eps_zero_bounded_support(self):
         v, m = invccdf([(0.5, Dist("uniform", -0.3, 0.3))] * 2, 0.0, 0.0)
         assert v == pytest.approx(0.3)
@@ -232,10 +225,10 @@ class TestDist:
         assert Dist("bernoulli", 0.0).b == 0.0 and Dist("bernoulli", 1.0).a == 1.0
 
 
-def _outcome(coeffs, c0, eps, tail, cantelli, fn):
+def _outcome(coeffs, c0, eps, tail, fn):
     """``fn``'s result with its value as hex, or the raised error."""
     try:
-        r = fn(coeffs, c0, eps, tail, cantelli)
+        r = fn(coeffs, c0, eps, tail)
     except Exception as e:  # compared by type and message
         return type(e).__name__, str(e)
     return None if r is None else (float(r[0]).hex(), r[1])
@@ -279,10 +272,10 @@ class TestDifferential:
 
     @settings(max_examples=600, deadline=None)
     @given(coeffs=_mixes(), c0=_finite, eps=_eps,
-           tail=st.sampled_from(["up", "lo"]), cantelli=st.booleans())
-    def test_equals_reference(self, coeffs, c0, eps, tail, cantelli):
-        assert (_outcome(coeffs, c0, eps, tail, cantelli, invccdf)
-                == _outcome(coeffs, c0, eps, tail, cantelli, reference_invccdf))
+           tail=st.sampled_from(["up", "lo"]))
+    def test_equals_reference(self, coeffs, c0, eps, tail):
+        assert (_outcome(coeffs, c0, eps, tail, invccdf)
+                == _outcome(coeffs, c0, eps, tail, reference_invccdf))
 
     @pytest.mark.parametrize("tail", ["up", "lo", "mid"])
     def test_edge_cases(self, tail):
@@ -299,9 +292,8 @@ class TestDifferential:
         ]
         for coeffs, c0 in cases:
             for eps in (0.0, 1e-20, 0.3, 1.0):
-                for cantelli in (False, True):
-                    assert (_outcome(coeffs, c0, eps, tail, cantelli, invccdf)
-                            == _outcome(coeffs, c0, eps, tail, cantelli, reference_invccdf))
+                assert (_outcome(coeffs, c0, eps, tail, invccdf)
+                        == _outcome(coeffs, c0, eps, tail, reference_invccdf))
 
 
 class TestMonteCarloSoundness:
