@@ -92,17 +92,16 @@ def _resolve_policies(args, env_name: str):
     infer_name = args.policy_infer or defaults[1]
     if args.unshielded and not args.policy_control:
         ctrl_name = UNSHIELDED_CONTROL.get(env_name, ctrl_name)
-    if ctrl_name not in CONTROL_POLICIES:
-        raise SystemExit(f"unknown control policy {ctrl_name!r}; "
-                         f"choose from {sorted(CONTROL_POLICIES)}")
-    if infer_name not in INFERENCE_POLICIES:
-        raise SystemExit(f"unknown inference policy {infer_name!r}; "
-                         f"choose from {sorted(INFERENCE_POLICIES)}")
     return ctrl_name, infer_name
 
 
 def _bad_argument(args):
-    """``simulate``'s first number out of its range, as ``--flag: why``."""
+    """``simulate``'s first unknown policy name or number out of its range,
+    as ``--flag: why``."""
+    for flag, name, known in (("--policy-control", args.policy_control, CONTROL_POLICIES),
+                              ("--policy-infer", args.policy_infer, INFERENCE_POLICIES)):
+        if name and name not in known:
+            return f"{flag}: unknown policy {name!r}; choose from {sorted(known)}"
     if args.budget is not None:
         try:
             KahanLedger(args.budget)

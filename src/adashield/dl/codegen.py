@@ -12,16 +12,18 @@ module's namespace, never text in its source.
 
 A function reads variables one of two ways.  Without index names it reads a
 plain dict, ``cur``, as ``eval_term`` reads a valuation: its signature is
-``(cur, interp)``.  With a template's index names its signature is
-``(val, j, interp)``: ``x`` reads ``val.current``, and ``x@i`` at an index
-name reads ``val.at(x, j[k])``, where ``k`` is the position of ``i`` among
-the names, without building a binding.  An observation name reads through
+``(cur, interp)``.  With a template's index names it reads ``val``, ``j``
+and ``interp``: ``x`` reads ``val.current``, and ``x@i`` at an index name
+reads ``val.at(x, j[k])``, where ``k`` is the position of ``i`` among the
+names, without building a binding.  An observation name reads through
 ``val.obs`` instead, which also sees the observations surfaced this step;
 ``val.at`` reads only state variables and bounds.
 
-A function that evaluates a template for many index tuples may keep the
-largest subterms that read no index name in slots: each is evaluated where
-it is first reached, at most once per call, and read from its slot after.
+A function that evaluates a template for many index tuples, in a loop
+that binds ``j`` to each in turn, may keep the largest subterms that read no
+index name in slots: each is evaluated where it is first reached, at most
+once per call, and read from its slot after.  A subterm that reads a name
+the function itself writes is never kept in a slot.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class Body:
         self.known: set[str] = set()
         #: slots read by the lines emitted since it was last reset
         self.reached: set[str] = set()
+        #: names the function writes to ``val.current``, at any index
+        self.written: frozenset = frozenset()
         self._invariant: dict[int, bool] = {}
 
     def emit(self, line: str) -> None:
@@ -153,14 +157,15 @@ class Body:
         return f"{how}({self.const(Ident(name))}, {at})"
 
     def invariant(self, t) -> bool:
-        """Whether the term ``t`` reads no index name."""
+        """Whether the term ``t`` reads no index name and no name the
+        function writes."""
         k = id(t)
         r = self._invariant.get(k)
         if r is None:
             tt = type(t)
             if tt is Var:
-                i = t.ident.index
-                r = not (i.__class__ is str and i in self.pos)
+                name, i = t.ident
+                r = name not in self.written and not (i.__class__ is str and i in self.pos)
             elif tt is Lit:
                 r = True
             elif tt is BinOp:

@@ -33,9 +33,9 @@ from .actions import (
 )
 # referenced_indices is not called per step; shieldbench's tracer wraps it here
 from .strategy import (  # noqa: F401
-    BOTTOM, CompiledStrategy, InferenceAction, empty_action, eval_sbi,
-    interpret_strategy, observation_reads, referenced_indices,
-    referenced_observations, template_code,
+    FAILED, KEPT, TIGHTENED, Aggregate, CompiledStrategy, InferenceAction, WindowSBI,
+    empty_action, eval_sbi, interpret_strategy, observation_reads, referenced_indices,
+    referenced_observations, template_code, tighten,
 )
 
 TRACE_SCHEMA_VERSION = 1
@@ -117,14 +117,24 @@ class ShieldedState:
     views: list = field(default_factory=list)
 
 
-@dataclass
-class AssignmentRecord:
+class AssignmentRecord(NamedTuple):
+    """What one evaluation did: per aggregate SBI, or per entry of a
+    direct or best SBI's window.  Immutable, so that a template's records of
+    its entries' outcomes are built once and shared."""
+
     param: str
     eps: float
     skipped: bool
     bottom: bool
     updated: bool
     method: Optional[str]
+
+
+def entry_records(param: str) -> tuple:
+    """The record of a window entry, for the target printed ``param``, of
+    each outcome, indexed by ``KEPT``, ``TIGHTENED`` and ``FAILED``."""
+    return tuple(AssignmentRecord(param, 0.0, False, k == FAILED, k == TIGHTENED, None)
+                 for k in (KEPT, TIGHTENED, FAILED))
 
 
 @dataclass
@@ -168,7 +178,7 @@ class StepRecord:
             "executed": enc(self.executed),
             "bounds_before": {str(k): v for k, v in self.bounds_before.items()},
             "bounds_after": {str(k): v for k, v in self.bounds_after.items()},
-            "assignments": [vars(a) for a in self.assignments],
+            "assignments": [a._asdict() for a in self.assignments],
             "consumed": self.consumed,
             "availability": self.availability,
             "reward": self.reward,
@@ -201,14 +211,16 @@ class ShieldCode(NamedTuple):
     """What a step evaluates, as generated code: per strategy template its
     evaluator (``template_code``), and the controller's
     ``ControllerEvaluators``, fallback included; per template that reads an
-    observation, the observations it reads (``observation_reads``); and per
+    observation, the observations it reads (``observation_reads``); per
     template its target's printed name and whether the target is an upper
-    bound."""
+    bound; and per direct or best template the record of an entry of each
+    outcome, indexed by ``KEPT``, ``TIGHTENED`` and ``FAILED``."""
 
     templates: dict
     ctrl: ControllerEvaluators
     reads: dict
     targets: dict
+    records: dict
 
 
 class Shield:
@@ -241,7 +253,9 @@ class Shield:
             controller_code(m, spec.ctrl, spec.fallback),
             observation_reads(ts, spec.obs_names),
             {t: (str(t.assign.target), spec.directions.get(t.assign.target) != "lo")
-             for t in ts})
+             for t in ts},
+            {t: entry_records(str(t.assign.target))
+             for t in ts if not isinstance(t.assign.body, Aggregate)})
 
     def initial_globals(self, env) -> dict:
         if self.spec.initial_global_bounds:
@@ -401,24 +415,28 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         bounds_before.update(history[-1].local_bounds)
     targets = code.targets
     templates = code.templates
+    records = code.records
     arecs: list[AssignmentRecord] = []
     for param, sbi, eps in assignments:
-        name, up = targets[sbi.template]
         # a direct or best SBI spends nothing, so it runs even when rounding
         # has left the remaining budget a hair below zero
         if eps and eps > remaining:
-            arecs.append(AssignmentRecord(name, eps, True, False, False, None))
+            arecs.append(AssignmentRecord(targets[sbi.template][0], eps, True, False, False,
+                                          None))
             continue
+        # one add per SBI: after one add of 0.0, the next leaves the ledger
+        # as it is, so a window's entries need no add of their own
         remaining = ledger.add(eps)
         r, method = eval_sbi(sbi, interp, val, templates)
-        if r is BOTTOM or not math.isfinite(r):
-            arecs.append(AssignmentRecord(name, eps, False, True, False, method))
+        if sbi.__class__ is WindowSBI:
+            # the window tightened its target; r holds its entries' outcomes
+            rec = records[sbi.template]
+            for k in r:
+                arecs.append(rec[k])
             continue
-        cur = v.get(param)
-        tighter = cur is None or (r < cur if up else r > cur)
-        if tighter:
-            v[param] = r
-        arecs.append(AssignmentRecord(name, eps, False, False, tighter, method))
+        name, up = targets[sbi.template]
+        k = tighten(v, param, r, up)
+        arecs.append(AssignmentRecord(name, eps, False, k == FAILED, k == TIGHTENED, method))
 
     local_params = spec.local_params
     b_l = {p: v[p] for p in local_params if p in v}

@@ -3,12 +3,13 @@ assignments, and staged evaluation of symbolic bound instantiations.
 
 A strategy is an ordered list of assignments (direct / best / aggregate, each
 with an optional guard).  Interpreting a strategy under an inference action
-yields symbolic bound instantiations (SBIs): an assignment's template with
-the index tuples the action binds its index names to.  Nothing is
-instantiated; evaluation reads ``x@i`` at the index ``i`` is bound to, from
-a valuation of the current state, bound values and history.  A ``Shield``
-evaluates its templates with code generated once (``template_code``);
-walking their trees (``interpreted``) is the reference.  Evaluation is
+yields symbolic bound instantiations (SBIs), at most one per slot: an
+assignment's template with the index tuples the action binds its index names
+to.  Nothing is instantiated; evaluation reads ``x@i`` at the index ``i`` is
+bound to, from a valuation of the current state, bound values and history.
+A ``Shield`` evaluates its templates with code generated once
+(``template_code``); walking their trees (``interpreted``) is the
+reference.  Evaluation is
 staged deliberately: SBIs are built without access to measurement values, so
 the weights and tolerances feeding them cannot depend on the data they will
 aggregate.
@@ -193,12 +194,13 @@ def compile_template(a: InferAssign, direction_of: dict[Ident, str],
         tail="lo" if direction_of.get(a.target) == "lo" else "up")
 
 
-class BoundSBI(NamedTuple):
-    """A direct or best template with its index names bound to ``j``
-    (empty for a direct assignment)."""
+class WindowSBI(NamedTuple):
+    """A direct or best template with its index names bound to each ``j``
+    of ``js`` in turn: a best slot's index tuples, in the action's order,
+    or ``((),)`` for a direct assignment."""
 
     template: Template
-    j: tuple[int, ...]
+    js: tuple[tuple[int, ...], ...]
 
 
 class AggregateSBI(NamedTuple):
@@ -210,7 +212,7 @@ class AggregateSBI(NamedTuple):
     eps: float
 
 
-SBI = Union[BoundSBI, AggregateSBI]
+SBI = Union[WindowSBI, AggregateSBI]
 
 
 class SymbolicAssignment(NamedTuple):
@@ -233,7 +235,7 @@ class CompiledStrategy:
         self.templates = tuple(compile_template(a, direction_of, noise_decls, free)
                                for a in strategy)
         self.directs = tuple(
-            SymbolicAssignment(t.assign.target, BoundSBI(t, ()), 0.0)
+            SymbolicAssignment(t.assign.target, WindowSBI(t, ((),)), 0.0)
             if isinstance(t.assign.body, Direct) else None
             for t in self.templates)
         self.empty = tuple(d for d in self.directs if d is not None)
@@ -248,7 +250,9 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
     ``compiled`` is the strategy's ``CompiledStrategy``, built once with the
     same directions and noise declarations; without it one is built here.
 
-    The one read of the agent's action, in one pass.  Only exact types
+    A direct assignment and a non-empty best slot give one SBI each (an
+    empty best slot none), and an aggregate slot gives one.  The one read of
+    the agent's action, in one pass.  Only exact types
     pass: tuples for the action, a best slot and an index tuple, ints for
     indices, an ``AggregateAction`` whose ``eps`` and ``dist`` are read
     once, and floats for eps and weights; nothing the SBIs keep can change
@@ -274,7 +278,8 @@ def interpret_strategy(strategy: InferenceStrategy, action: InferenceAction,
                 for i in j:
                     if type(i) is not int:
                         return list(compiled.empty)
-                out.append(SymbolicAssignment(t.assign.target, BoundSBI(t, j), 0.0))
+            if slot:
+                out.append(SymbolicAssignment(t.assign.target, WindowSBI(t, slot), 0.0))
         elif kind == "aggregate" and type(slot) is AggregateAction:
             # the constructor's checks, again, as object.__setattr__ can
             # change a frozen AggregateAction after it was built; a weight of
@@ -335,7 +340,7 @@ def referenced_observations(assignments: list[SymbolicAssignment],
         for name, i in fixed:
             out.setdefault(i, set()).add(name)
         if indexed:
-            for j in ((sbi.j,) if type(sbi) is BoundSBI else (j for _, j in sbi.dist)):
+            for j in (sbi.js if type(sbi) is WindowSBI else (j for _, j in sbi.dist)):
                 for name, pos in indexed:
                     out.setdefault(j[pos], set()).add(name)
     return out
@@ -387,39 +392,76 @@ class Bound:
         return default if x is UNDEF else x
 
 
+#: what one entry of a window did to its target: its value was no tighter
+#: than the target's, it tightened the target, or it was BOTTOM or not
+#: finite.  Each is an index into a template's per-entry records.
+KEPT, TIGHTENED, FAILED = range(3)
+
+
 def interpreted(t: Template) -> Callable:
     """The reference evaluator of ``t``'s SBIs, which binds the index names
-    and walks the trees.  For a direct or best template it is ``f(val, j,
-    interp)``: the value, or BOTTOM, with the index names bound to ``j``.
-    For an aggregate it is ``f(val, dist, interp, eps)``: ``(value,
-    method)`` as ``_eval_aggregate`` gives them."""
+    and walks the trees.  For a direct or best template it is ``f(val, js,
+    interp)``, which runs ``_eval_window``: it tightens the target in
+    ``val.current`` and returns one outcome per ``j`` of ``js``.  For an
+    aggregate it is ``f(val, dist, interp, eps)``: ``(value, method)`` as
+    ``_eval_aggregate`` gives them."""
     a = t.assign
     body = a.body
     pos = {name: k for k, name in enumerate(t.names)}  # the last one wins
     if isinstance(body, Aggregate):
         return lambda val, dist, interp, eps: _eval_aggregate(t, pos, val, dist, interp, eps)
-    return lambda val, j, interp: _eval_bound(a.guard, body.term, interp, Bound(val, pos, j))
+    return lambda val, js, interp: _eval_window(t, pos, val, js, interp)
 
 
 def template_code(m: Module, t: Template, obs: frozenset) -> Callable:
     """``t``'s evaluator, of the shape ``interpreted(t)`` gives, as one
     function generated into ``m`` that reads the names ``obs`` as
-    observations.  An aggregate's function runs ``_eval_aggregate``'s stages
-    in its order with the same float operations, and evaluates each largest
-    subterm that reads no index name at most once per call."""
+    observations.  A best template's function runs its whole window in one
+    loop, and a direct template's has no loop.  An aggregate's function
+    runs ``_eval_aggregate``'s stages in its order with the same float
+    operations.  A best or aggregate function evaluates each largest
+    subterm that reads neither an index name nor a best template's target
+    at most once per call."""
+    body = t.assign.body
+    if isinstance(body, Aggregate):
+        return m.function("val, dist, interp, eps", t.names, obs,
+                          lambda b: _emit_aggregate(b, t))
+    # a direct template's function has no loop to bind j, the name a
+    # function under index names passes on, so its window is named j
+    params = "val, j, interp" if isinstance(body, Direct) else "val, js, interp"
+    return m.function(params, t.names, obs, lambda b: _emit_window(b, t))
+
+
+def _emit_window(b, t: Template) -> None:
+    """``_eval_window`` on ``t``: per entry the guard and term fused, then
+    ``tighten`` inline.  A direct template returns its one outcome; a best
+    template's loop collects one per entry."""
     a = t.assign
-    body = a.body
-    if not isinstance(body, Aggregate):
-        return m.function("val, j, interp", t.names, obs, lambda b: _emit_bound(b, a))
-    return m.function("val, dist, interp, eps", t.names, obs,
-                      lambda b: _emit_aggregate(b, t))
+    target = b.const(a.target)
+    b.uses.add("cur")
 
+    def entry(done) -> None:
+        fail = done(FAILED)
+        if a.guard != BoolLit(True):
+            b.emit(f"if {b.formula(a.guard)} is not True: {fail}")
+        r = b.term(a.body.term, fail)
+        b.emit(f"if not {b.const(math.isfinite)}({r}): {fail}")
+        b.emit(f"c = cur.get({target})")
+        with b.block(f"if c is None or {r} {'<' if t.tail == 'up' else '>'} c:"):
+            b.emit(f"cur[{target}] = {r}")
+            b.emit(done(TIGHTENED))
+        b.emit(done(KEPT))
 
-def _emit_bound(b, a: InferAssign) -> None:
-    bottom = b.const(BOTTOM)
-    if a.guard != BoolLit(True):
-        b.emit(f"if {b.formula(a.guard)} is not True: return {bottom}")
-    b.emit(f"return {b.term(a.body.term, f'return {bottom}')}")
+    if isinstance(a.body, Direct):
+        entry(lambda k: f"return ({k},)")
+        return
+    # the window writes its target, so no slot may hold a read of it
+    b.written = frozenset({a.target.name})
+    b.slots = {}
+    b.emit("out = []")
+    with b.block("for j in js:"):
+        entry(lambda k: f"out.append({k}); continue")
+    b.emit("return out")
 
 
 def _emit_aggregate(b, t: Template) -> None:
@@ -531,19 +573,22 @@ def _emit_aggregate(b, t: Template) -> None:
 
 
 def eval_sbi(e: SBI, interp, val, code=None):
-    """Evaluate to a float or ``BOTTOM``; returns ``(value, method)`` where
-    ``method`` is the tail-bound method used, None if no tail bound ran.
-    ``val`` is a valuation such as ``DictValuation``, or a dict for one.
-    ``code`` maps each template to its generated evaluator (a ``Shield``'s
-    ``code.templates``); without it the template's trees are walked."""
+    """Evaluate ``e``.  A ``WindowSBI`` tightens its target in
+    ``val.current`` and gives ``(outcomes, None)``, one of ``KEPT``,
+    ``TIGHTENED`` and ``FAILED`` per entry.  An ``AggregateSBI`` gives
+    ``(value, method)``: a float or ``BOTTOM``, and the tail-bound method
+    used, None if no tail bound ran.  ``val`` is a valuation such as
+    ``DictValuation``, or a dict for one.  ``code`` maps each template to
+    its generated evaluator (a ``Shield``'s ``code.templates``); without it
+    the template's trees are walked."""
     if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
-    if t is not BoundSBI and t is not AggregateSBI:
+    if t is not WindowSBI and t is not AggregateSBI:
         raise TypeError(f"not an SBI: {e!r}")
     f = interpreted(e.template) if code is None else code[e.template]
-    if t is BoundSBI:
-        return f(val, e.j, interp), None
+    if t is WindowSBI:
+        return f(val, e.js, interp), None
     return f(val, e.dist, interp, e.eps)
 
 
@@ -553,6 +598,31 @@ def _eval_bound(guard: Formula, term: Term, interp, val):
         return BOTTOM
     r = eval_term(term, interp, val)
     return BOTTOM if r is UNDEF else r
+
+
+def _eval_window(t: Template, pos: dict, val, js, interp) -> list:
+    """Per ``j`` of ``js`` in turn, with the index names bound to ``j``, the
+    value of the guarded term put into ``val.current`` by ``tighten``; so a
+    later entry reads the target as the earlier ones left it.  The list of
+    outcomes, one per entry."""
+    a = t.assign
+    guard, term, target, up = a.guard, a.body.term, a.target, t.tail == "up"
+    return [tighten(val.current, target, _eval_bound(guard, term, interp, Bound(val, pos, j)), up)
+            for j in js]
+
+
+def tighten(current: dict, target: Ident, r, up: bool) -> int:
+    """Put the value ``r`` of an SBI of ``target`` into ``current`` where it
+    is tighter than the target's value there: lower for an upper bound
+    (``up``), higher for a lower one, or any value where there is none.
+    The outcome: ``FAILED`` where ``r`` is BOTTOM or not finite."""
+    if r is BOTTOM or not math.isfinite(r):
+        return FAILED
+    c = current.get(target)
+    if c is None or (r < c if up else r > c):
+        current[target] = r
+        return TIGHTENED
+    return KEPT
 
 
 def _eval_aggregate(t: Template, pos: dict, val, dist, interp, eps):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adashield.actions import (
-    UNIT, ALeft, APair, AReal, ARight, SpaceProd, SpaceReal, SpaceUnit,
+    UNIT, ALeft, APair, AReal, ARight, SpaceProd, SpaceReal, SpaceUnit, make_action,
 )
 from adashield.dl import Ident
 from adashield.envs import (
@@ -29,10 +29,14 @@ from adashield.policies import (
 )
 from adashield import runtime
 from adashield.runtime import (
-    ExperimentConfig, KahanLedger, Shield, StepFlags, run_episode,
-    run_experiment,
+    ExperimentConfig, KahanLedger, Shield, StepFlags, StepValuation, init_shielded_state,
+    run_episode, run_experiment, shielded_transition,
 )
 from adashield.strategy import AggregateAction
+
+from dl_oracle import per_entry_window
+
+_FBAR = Ident("fbar")
 
 
 def _map_values(a, f):
@@ -544,3 +548,71 @@ def test_random_hostile_agents(specs, name, data):
     assert 0.0 <= stats.eps_spent <= 1e-6
     assert stats.reuse_violations == 0
     assert not stats.crash
+
+
+class TestHostileWindows:
+    """A best window of any length and any int entries is one SBI: it
+    raises nothing, gives one record per entry, and leaves the bounds and
+    the ledger as one SBI per entry does.  A malformed entry anywhere makes
+    the action the empty one."""
+
+    def _state(self, specs, steps: int = 12):
+        """A sisyphean shield after ``steps`` steps that aggregate three
+        observations at a time, so that some past bounds lie below the
+        default, with its environment and the next step."""
+        env = make_sisyphean_train()
+        shield = Shield(specs["sisyphean"], env.consts)
+        reset, env_rng, measure = (np.random.default_rng(s) for s in (0, 1, 2))
+        st = init_shielded_state(shield, env, 1e-3, reset)
+        infer = sisyphean_inference(shield, env, n_obs=3)
+        brake = make_action(shield.spec.ctrl, ["right"])
+        for step in range(steps):
+            view = runtime.make_policy_view(shield, env, st, step, env.max_steps)
+            st = shielded_transition(shield, st, env, brake, infer(view), env_rng,
+                                     measure, 0, step)[0]
+        return shield, env, st, lambda a_inf: shielded_transition(
+            shield, st, env, brake, a_inf, env_rng, measure, 0, steps)
+
+    def _per_entry(self, shield, env, st, window):
+        """The records, bounds and ledger state of the direct default and
+        the window run one SBI per entry, on copies of the step's values."""
+        val = StepValuation({**env.state_map(st.env_state), **st.global_bounds},
+                            st.history, len(st.history) + 1)
+        led = KahanLedger(st.ledger.initial)
+        led._sum, led._comp = st.ledger._sum, st.ledger._comp
+        direct, best, _ = shield.strategy.templates
+        recs = per_entry_window(direct, ((),), val, shield.interp, led)
+        recs += per_entry_window(best, window, val, shield.interp, led)
+        return recs, val.current[_FBAR], (led._sum, led._comp)
+
+    @pytest.mark.parametrize("entries", [
+        "all", (0,), (-1,), ("n",), ("n+1",), (2 ** 70,), (1, 1, 1), (3, 1, 3, "n", 3)])
+    def test_odd_and_repeated_entries(self, specs, entries):
+        shield, env, st, step = self._state(specs)
+        n = len(st.history) + 1
+        named = {"n": n, "n+1": n + 1}
+        if entries == "all":
+            # 100,000 entries cycling through every odd index and the history
+            cycle = [0, -1, n, n + 1, 2 ** 70, *range(1, n)]
+            entries = [cycle[k % len(cycle)] for k in range(100_000)]
+        window = tuple((named.get(i, i),) for i in entries)
+        recs, fbar, ledger = self._per_entry(shield, env, st, window)
+        _, _, _, rec, _ = step((None, window, None))
+        assert len(rec.assignments) == 1 + len(window)
+        assert rec.assignments == recs
+        if len(window) > 5:
+            assert any(r.updated for r in recs[1:]) and any(r.bottom for r in recs)
+        assert repr(rec.bounds_after[_FBAR]) == repr(fbar)
+        assert (repr(st.ledger._sum), repr(st.ledger._comp)) == tuple(map(repr, ledger))
+
+    @pytest.mark.parametrize("bad", [(1.0,), (True,), (np.int64(1),), [1], (1, 2), (),
+                                     (Index(1),), Tuple((1,))])
+    @pytest.mark.parametrize("where", [0, 50_000, 99_999])
+    def test_one_malformed_entry_empties_the_action(self, specs, bad, where):
+        shield, env, st, step = self._state(specs)
+        window = [(1 + k % 5,) for k in range(100_000)]
+        window[where] = bad
+        recs, fbar, _ = self._per_entry(shield, env, st, ())
+        _, _, _, rec, _ = step((None, tuple(window), None))
+        assert rec.assignments == recs and len(recs) == 1
+        assert rec.bounds_after[_FBAR] == fbar == shield.interp["F"]

@@ -204,6 +204,17 @@ class TestSimulate:
         assert err == f"error: {flag}: {needle}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--policy-control", "--policy-infer"])
+    def test_unknown_policy_is_a_usage_error(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", "--env", "river", "--episodes", "2", flag, "bogus",
+             "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: unknown policy 'bogus'; choose from [")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_zero_max_steps_runs_no_step(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--env", "river", "--episodes", "2", "--max-steps", "0",

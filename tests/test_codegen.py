@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal, SpaceSum, UNIT,
@@ -26,13 +26,15 @@ from adashield.dl import (
 )
 from adashield.dl.codegen import MAX_DEPTH
 from adashield.specfile import FallbackDecl
-from adashield.runtime import Shield
+from adashield.runtime import KahanLedger, Shield, entry_records
 from adashield.strategy import (
-    BOTTOM, Aggregate, AggregateAction, Bound, CompiledStrategy, DictValuation, DistExpr,
-    InferAssign, _lin, eval_sbi, interpret_strategy, template_code,
+    BOTTOM, Aggregate, AggregateAction, Best, Bound, CompiledStrategy, DictValuation, Direct,
+    DistExpr, InferAssign, WindowSBI, _lin, eval_sbi, interpret_strategy, template_code,
 )
 from adashield.strategy import interpreted as reference_evaluator
 
+from dl_oracle import AtStep, per_entry_window
+from test_adversarial import _hostile_slot
 from test_monitor import ControllerGen, directives_of
 
 # NaN and infinite numpy operands warn; both sides compute the same values
@@ -384,7 +386,8 @@ class TestTemplateEvaluators:
             assert calls == [-1.0]
 
     def test_bound_equals_reference(self, specs):
-        # the fused guard and body of every direct and best template
+        # the fused guard and body of every direct and best template, over a
+        # window of two entries, or the one entry of a direct template
         for spec in specs.values():
             shield_templates = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
                                                 spec.free_vars).templates
@@ -392,13 +395,14 @@ class TestTemplateEvaluators:
                 if isinstance(t.assign.body, Aggregate):
                     continue
                 gen, ref = template_code(Module(), t, spec.obs_names), reference_evaluator(t)
+                js = ((1,) * len(t.names), (2,) * len(t.names)) if t.names else ((),)
+                interp = {c: 2.0 for c in spec.consts}
                 for x in VALUES + (UNDEF,):
-                    val = DictValuation({(v.name, i): x for v in spec.state_vars
-                                         for i in (None, 1, 2)})
-                    for j in ((1,) * len(t.names), (2,) * len(t.names)):
-                        interp = {c: 2.0 for c in spec.consts}
-                        assert _same(_outcome(lambda: gen(val, j, interp)),
-                                     _outcome(lambda: ref(val, j, interp)))
+                    values = {(v.name, i): x for v in spec.state_vars for i in (None, 1, 2)}
+                    a, b = DictValuation(dict(values)), DictValuation(dict(values))
+                    assert _same(_outcome(lambda: tuple(gen(a, js, interp))),
+                                 _outcome(lambda: tuple(ref(b, js, interp))))
+                    assert _same(a.current, b.current)
 
     def test_ten_thousand_pairs_through_the_shield(self, specs):
         spec = specs["train_local"]
@@ -430,6 +434,143 @@ class TestTemplateEvaluators:
             calls.clear()
             v, method = eval_sbi(sa.sbi, shield.interp, val, code=shield.code.templates)
             assert v is not BOTTOM and method == "gaussian" and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# A window: generated, reference, and one SBI per entry
+
+def _ledger(adds) -> KahanLedger:
+    led = KahanLedger(1.0)
+    for x in adds:
+        led.add(x)
+    return led
+
+
+def _budget_loops(sbis, values: dict, n: int, interp, adds, code) -> list:
+    """The window SBIs ``sbis`` run in order three ways, each on its own
+    copies of ``values`` and of a ledger after ``adds``: as the budget loop
+    runs them, one ledger add and one call per SBI, with ``code``'s
+    evaluators and with the reference ones, and one SBI per entry.  Per way,
+    its records (or what it raised), ``val.current`` and the ledger's
+    state."""
+    runs = []
+    for how in ("generated", "reference", "per entry"):
+        val, led = AtStep(dict(values), n), _ledger(adds)
+
+        def run():
+            recs = []
+            for sbi in sbis:
+                t = sbi.template
+                if how == "per entry":
+                    recs += per_entry_window(t, sbi.js, val, interp, led)
+                    continue
+                led.add(0.0)
+                f = code[t] if how == "generated" else reference_evaluator(t)
+                shared = entry_records(str(t.assign.target))
+                recs += [shared[k] for k in f(val, sbi.js, interp)]
+            return recs
+
+        runs.append((_outcome(run), val.current, (led._sum, led._comp)))
+    return runs
+
+
+#: history indices a window entry may hold past those in range
+_ODD_INDICES = (0, -1, 2 ** 70, -(2 ** 70))
+_ADDS = st.lists(st.one_of(st.floats(0.0, 1e-2), st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-7, 0.1, 1 / 3])), max_size=6)
+
+
+def _window(data, width: int, n: int) -> tuple:
+    """A best slot of ``width``-long index tuples, with entries in and past
+    the history of step ``n`` and repeated ones, or, one time in four, a
+    slot of ``_hostile_slot``; and whether the slot is malformed."""
+    if data.draw(st.integers(0, 3)) == 0:
+        # some of these are well formed, as an int index of 10**30 is
+        slot = data.draw(_hostile_slot("best", width))
+        fits = type(slot) is tuple and all(
+            type(j) is tuple and len(j) == width and all(type(i) is int for i in j)
+            for j in slot)
+        return slot, not fits
+    index = st.one_of(st.integers(-1, n + 1), st.sampled_from(_ODD_INDICES))
+    js = data.draw(st.lists(st.tuples(*[index] * width), max_size=8))
+    if js and data.draw(st.booleans()):
+        js += js[:data.draw(st.integers(1, len(js)))]
+    return tuple(js), False
+
+
+def _check_windows(strategy, compiled, code, action, malformed, values, n, interp, adds):
+    """``action`` interpreted: a malformed slot gives the direct SBIs
+    alone, and the window SBIs run the same three ways, bit for bit."""
+    sas = interpret_strategy(strategy, action, {}, {}, compiled)
+    if malformed:
+        assert sas == list(compiled.empty)
+    sbis = [sa.sbi for sa in sas if type(sa.sbi) is WindowSBI]
+    assert all(sbi.js for sbi in sbis)  # an empty best slot makes no SBI
+    gen, ref, per_entry = _budget_loops(sbis, values, n, interp, adds, code)
+    assert _same(gen, ref), (gen, ref)
+    assert _same(gen, per_entry), (gen, per_entry)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("name", ["train_local", "sisyphean", "train_global",
+                                      "river", "acas"])
+    @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_bundled_templates(self, specs, shields, name, data):
+        # the direct and best templates of each bundled spec, in strategy
+        # order, over valuations with holes, UNDEF, NaN, infinities and
+        # signed zeros, and windows with odd, repeated or hostile entries
+        spec, shield = specs[name], shields[name]
+        n = data.draw(st.integers(1, 4))
+        names = sorted({v.name for v in spec.state_vars} | {p.name for p in spec.param_idents})
+        keys = [Ident(x, i) for i in [None, *range(-1, n + 2)] for x in names]
+        drawn = data.draw(st.lists(st.sampled_from(VALUES + (UNDEF, None)),
+                                   min_size=len(keys), max_size=len(keys)))
+        values = {k: v for k, v in zip(keys, drawn) if v is not None}
+        interp = {c: data.draw(st.sampled_from((0.5, 2.0, -0.0, math.inf, 3.0))) for c in spec.consts}
+        action, malformed = [], False
+        for kind, width in shield.strategy.space:
+            slot = None
+            if kind == "best":
+                slot, malformed = _window(data, width, n)
+            action.append(slot)
+        _check_windows(spec.infer, shield.strategy, shield.code.templates, tuple(action),
+                       malformed, values, n, interp, data.draw(_ADDS))
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(term=_terms(), guard=st.one_of(st.just(BoolLit(True)), _formulas()),
+           tail=st.sampled_from(("up", "lo")), val=_valuations(), data=st.data())
+    def test_synthetic_best_templates(self, term, guard, tail, val, data):
+        # random guards and terms over x, which is the target, x@1, x@i and
+        # y@k, read at n as x is when an entry's index is n, after a direct
+        # assignment of the same target
+        strategy = (InferAssign(Ident("x"), Direct(Lit(data.draw(st.sampled_from(VALUES))))),
+                    InferAssign(Ident("x"), Best(NAMES, term), guard))
+        compiled = CompiledStrategy(strategy, {Ident("x"): tail}, {}, ordered_free_vars)
+        m = Module()
+        code = {t: template_code(m, t, OBS) for t in compiled.templates}
+        n = data.draw(st.integers(1, 3))
+        direct = data.draw(st.sampled_from([None, None, ()]))
+        slot, malformed = _window(data, len(NAMES), n)
+        _check_windows(strategy, compiled, code, (direct, slot), malformed, val, n, INTERP,
+                       data.draw(_ADDS))
+
+    def test_target_is_never_hoisted(self):
+        # fbar and fbar@2 read the target, which each entry tightens, so
+        # neither is kept in a slot: at n = 2 each entry reads what the one
+        # before it left
+        strategy = (InferAssign(Ident("fbar"),
+                                Best(("i",), parse_term("x@i + (fbar + fbar@2)/2 - 1"))),)
+        compiled = CompiledStrategy(strategy, {}, {}, ordered_free_vars)
+        t, = compiled.templates
+        code = {t: template_code(Module(), t, frozenset())}
+        values = {Ident("fbar"): 10.0, Ident("x", 1): 0.0, Ident("x", 3): 0.0}
+        sa, = interpret_strategy(strategy, (((1,), (3,), (1,)),), {}, {}, compiled)
+        gen, ref, per_entry = _budget_loops([sa.sbi], values, 2, {}, [], code)
+        assert _same(gen, ref) and _same(gen, per_entry)
+        recs, current, _ = gen
+        assert [(r.updated, r.bottom) for r in recs] == [(True, False)] * 3
+        assert current[Ident("fbar")] == 7.0
 
 
 # ---------------------------------------------------------------------------

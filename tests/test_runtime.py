@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from adashield import runtime
 from adashield.cli import bundled_spec_path
@@ -19,7 +20,7 @@ from adashield.runtime import (
 )
 from adashield.specfile import load_spec
 from adashield.strategy import (
-    BOTTOM, AggregateAction, eval_sbi, interpret_strategy,
+    BOTTOM, AggregateAction, WindowSBI, eval_sbi, interpret_strategy,
     observation_reads, referenced_indices, referenced_observations,
 )
 from adashield.envs import (
@@ -30,6 +31,8 @@ from adashield.policies import (
     greedy_train_control, river_control, river_inference,
     sisyphean_inference, skip_inference,
 )
+
+from dl_oracle import AtStep
 
 
 @pytest.fixture
@@ -135,6 +138,88 @@ class TestBudget:
         for e in spends:
             ledger.add(e)
         assert abs(ledger.spent - math.fsum(spends)) < 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(budget=hst.floats(0.0, 1.0), adds=hst.lists(hst.one_of(
+        hst.floats(0.0, 1.0), hst.floats(0.0, 1e-6),
+        hst.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-7, 0.1, 1 / 3])), max_size=30))
+    def test_a_zero_add_after_a_zero_add_changes_nothing(self, budget, adds):
+        # a compensated add of 0.0 may move the sum and its compensation,
+        # but the next one leaves both as they are: the first one's error
+        # term is exact, so adding it back rounds to the same sum
+        ledger = KahanLedger(budget)
+        for x in adds:
+            ledger.add(x)
+        ledger.add(0.0)
+        state = (repr(ledger._sum), repr(ledger._comp))
+        for _ in range(3):
+            assert ledger.add(0.0) == ledger.remaining
+            assert (repr(ledger._sum), repr(ledger._comp)) == state
+
+    def test_empty_best_slot_makes_no_sbi_record_or_add(self, train_setup):
+        shield, env = train_setup
+        spec = shield.spec
+        adds = []
+
+        class Counting(KahanLedger):
+            def add(self, x):
+                adds.append(x)
+                return super().add(x)
+
+        rngs = _rngs()
+        st = init_shielded_state(shield, env, 1e-3, rngs[0], ledger=Counting(1e-3))
+        accel = make_action(spec.ctrl, ["left"])
+        empty = (None, (), None)
+        assert len(interpret_strategy(spec.infer, empty, spec.directions, spec.noise_decls)) == 1
+        st, _, _, rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
+        assert len(rec.assignments) == 1 and adds == [0.0]
+        # a window of two entries: one SBI, one add, a record per entry
+        st, _, _, rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
+        assert len(rec.assignments) == 3 and adds == [0.0] * 3
+
+    @pytest.mark.parametrize("env_name", ["sisyphean", "versatile"])
+    def test_seeded_run_spends_as_one_add_per_entry(self, env_name, monkeypatch):
+        # a window SBI adds 0.0 once; every ledger of a seeded run ends bit
+        # for bit where one add per entry record, in record order, ends
+        made = []
+
+        class Recorded(KahanLedger):
+            def __init__(self, initial):
+                super().__init__(initial)
+                self.adds = 0
+                made.append(self)
+
+            def add(self, x):
+                self.adds += 1
+                return super().add(x)
+
+        monkeypatch.setattr(runtime, "KahanLedger", Recorded)
+        factory, stem, budget, mode = REGISTRY[env_name]
+        env = factory()
+        shield = Shield(load_spec(bundled_spec_path(stem)), env.consts)
+        ctrl_name, inf_name = DEFAULT_POLICIES[env_name]
+        cfg = ExperimentConfig(stem, factory, CONTROL_POLICIES[ctrl_name],
+                               INFERENCE_POLICIES[inf_name], episodes=3, max_steps=200,
+                               budget=budget, mode=mode, seed=4)
+        replays: dict = {}
+        replayed = 0
+
+        def replay(rec):
+            nonlocal replayed
+            led = replays.setdefault(0 if mode == "fixed" else rec.episode, KahanLedger(budget))
+            for a in rec.assignments:
+                if not a.skipped:
+                    led.add(a.eps)
+                    replayed += 1
+
+        run_experiment(shield, cfg, record_sink=replay)
+        assert len(made) == len(replays) == (1 if mode == "fixed" else 3)
+        for k, led in enumerate(made):
+            ref = replays[k]
+            assert (repr(led._sum), repr(led._comp)) == (repr(ref._sum), repr(ref._comp))
+            assert ref.spent > 0.0
+        # windows of more than one entry ran, with one add each
+        assert sum(led.adds for led in made) < replayed / 5
 
     @pytest.mark.parametrize("budget", [math.nan, -1e-9, 1.5, math.inf])
     def test_budget_outside_the_unit_interval_is_refused(self, budget):
@@ -486,8 +571,9 @@ def _same(a, b) -> bool:
 
 def _check_valuations(shield, env, st, a_inf) -> int:
     """Evaluate the step's assignments in order under the lazy valuation and
-    under a dict of every referenced entry's values, tightening both alike;
-    the number of assignments that read history."""
+    under a dict of every referenced entry's values, tightening both alike
+    (a window SBI tightens its target itself); the number of assignments
+    that read history."""
     assignments = interpret_strategy(shield.spec.infer, a_inf, shield.spec.directions,
                                      shield.spec.noise_decls)
     history = st.history
@@ -500,17 +586,16 @@ def _check_valuations(shield, env, st, a_inf) -> int:
             if 1 <= i <= len(history) and name in history[i - 1].view.available:
                 surfaced[Ident(name, i)] = history[i - 1].cache[name]
     full = dict(current)
-    for k, x in current.items():
-        full[Ident(k.name, n)] = x
     full.update(_reference_history_valuation(history, assignments))
     full.update(surfaced)
+    ref = AtStep(full, n)
     lazy = StepValuation(dict(current), history, n)
     lazy.surfaced.update(surfaced)
-    for ident, x in full.items():
+    for ident in [*full, *(Ident(k.name, n) for k in current)]:
         if ident.index is None:
-            got = lazy.current.get(ident)
+            got, x = lazy.current.get(ident), full[ident]
         else:
-            got = lazy.obs(Ident(ident.name), ident.index)
+            got, x = lazy.obs(Ident(ident.name), ident.index), ref.obs(ident, ident.index)
             if ident.name not in shield.spec.obs_names:
                 # a state variable or bound reads the same past the surfaced
                 assert _same(lazy.at(Ident(ident.name), ident.index), got)
@@ -521,16 +606,19 @@ def _check_valuations(shield, env, st, a_inf) -> int:
 
     read = 0
     for sa in assignments:
-        r, method = eval_sbi(sa.sbi, shield.interp, full)
+        r, method = eval_sbi(sa.sbi, shield.interp, ref)
         r_lazy, method_lazy = eval_sbi(sa.sbi, shield.interp, lazy)
         assert _same(r_lazy, r) and method_lazy == method
         read += bool(referenced_indices([sa]))
+        if type(sa.sbi) is WindowSBI:
+            assert _same(lazy.current.get(sa.param), full.get(sa.param))
+            continue
         if r is BOTTOM or not math.isfinite(r):
             continue
         up = shield.spec.directions.get(sa.param) != "lo"
         cur = full.get(sa.param)
         if cur is None or (r < cur if up else r > cur):
-            full[sa.param] = full[Ident(sa.param.name, n)] = r
+            full[sa.param] = r
             lazy.current[sa.param] = r
     return read
 

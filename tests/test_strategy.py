@@ -13,8 +13,8 @@ from adashield.dl import (
     ordered_free_vars, parse_formula, parse_term, tag_with_index,
 )
 from adashield.strategy import (
-    Aggregate, AggregateAction, AggregateSBI, BOTTOM, BoundSBI,
-    CompiledStrategy, Direct, DistExpr, InferAssign, empty_action, eval_sbi,
+    FAILED, KEPT, TIGHTENED, Aggregate, AggregateAction, AggregateSBI, BOTTOM,
+    CompiledStrategy, Direct, DistExpr, InferAssign, WindowSBI, empty_action, eval_sbi,
     _lin, interpret_strategy, observation_reads,
     referenced_indices, referenced_observations, strategy_action_space,
 )
@@ -28,8 +28,8 @@ def _z(eps):
 
 
 def _read(strategy, action, dirs, noise, compiled=None):
-    """What ``interpret_strategy`` makes of ``action``: per assignment its
-    target, the SBI's kind and index binding, and its tolerance."""
+    """What ``interpret_strategy`` makes of ``action``: per SBI its target,
+    its kind and index bindings, and its tolerance."""
     return [(str(sa.param), type(sa.sbi), sa.sbi[1:], sa.eps)
             for sa in interpret_strategy(strategy, action, dirs, noise, compiled)]
 
@@ -65,11 +65,14 @@ class TestActionSpace:
     def test_shape_validation(self, train_strategy):
         _, strategy, dirs, noise = train_strategy
         empty = _read(strategy, empty_action(strategy), dirs, noise)
-        assert empty == [("fbar", BoundSBI, ((),), 0.0)]
+        assert empty == [("fbar", WindowSBI, (((),),), 0.0)]
         assert _read(strategy, (None, None), dirs, noise) == empty
         assert _read(strategy, (None, ((1, 2),), None), dirs, noise) == empty
+        assert _read(strategy, (None, ((1,), (1, 2)), None), dirs, noise) == empty
+        # an empty best slot makes no SBI; a non-empty one makes one
+        assert _read(strategy, (None, (), None), dirs, noise) == empty
         fits = _read(strategy, (None, ((1,), (2,)), None), dirs, noise)
-        assert [j for _, _, (j,), _ in fits] == [(), (1,), (2,)]
+        assert fits == empty + [("fbar", WindowSBI, (((1,), (2,)),), 0.0)]
 
     @pytest.mark.parametrize("action", [
         None, [None, (), None], (None, ((1.0,),), None), (None, (("i",),), None),
@@ -81,7 +84,7 @@ class TestActionSpace:
     def test_malformed_actions_rejected(self, train_strategy, action):
         # a malformed action reads as the empty one: the direct assignment
         _, strategy, dirs, noise = train_strategy
-        empty = [("fbar", BoundSBI, ((),), 0.0)]
+        empty = [("fbar", WindowSBI, (((),),), 0.0)]
         assert _read(strategy, action, dirs, noise) == empty
         compiled = CompiledStrategy(strategy, dirs, noise, ordered_free_vars)
         assert _read(strategy, action, dirs, noise, compiled) == empty
@@ -108,21 +111,27 @@ class TestInterpret:
         assert len(out) == 1
         sa = out[0]
         assert str(sa.param) == "fbar" and sa.eps == 0.0
-        assert type(sa.sbi) is BoundSBI and sa.sbi.j == ()
+        assert type(sa.sbi) is WindowSBI and sa.sbi.js == ((),)
         assert sa.sbi.template.assign is strategy[0]
-        assert eval_sbi(sa.sbi, {"F": 3.0}, {}) == (3.0, None)
+        val = {}
+        assert eval_sbi(sa.sbi, {"F": 3.0}, val) == ([TIGHTENED], None)
+        assert val == {Ident("fbar"): 3.0}
 
     def test_best_two_instances(self, train_strategy):
+        # one SBI for the window; its first entry tightens fbar, and its
+        # second, which reads nothing at 7, is BOTTOM
         spec, strategy, dirs, noise = train_strategy
         out = interpret_strategy(strategy, (None, ((3,), (7,)), None), dirs, noise)
-        assert len(out) == 3
-        bests = out[1:]
-        assert all(sa.eps == 0.0 for sa in bests)
-        assert [sa.sbi.j for sa in bests] == [(3,), (7,)]
-        assert referenced_indices(bests) == {3, 7}
+        assert len(out) == 2
+        best = out[1]
+        assert best.eps == 0.0 and best.sbi.js == ((3,), (7,))
+        assert referenced_indices([best]) == {3, 7}
         val = {Ident("x"): 0.0, Ident("x", 3): 0.0, Ident("fbar", 3): 1.5}
-        assert eval_sbi(bests[0].sbi, {"k": 1.0}, val)[0] == 1.5
-        assert eval_sbi(bests[1].sbi, {"k": 1.0}, val)[0] is BOTTOM
+        assert eval_sbi(best.sbi, {"k": 1.0}, val) == ([TIGHTENED, FAILED], None)
+        assert val[Ident("fbar")] == 1.5
+        val[Ident("fbar")] = 1.0
+        assert eval_sbi(best.sbi, {"k": 1.0}, val) == ([KEPT, FAILED], None)
+        assert val[Ident("fbar")] == 1.0
 
     def test_aggregate_eps_accounting(self, train_strategy):
         spec, strategy, dirs, noise = train_strategy
@@ -205,17 +214,18 @@ class TestCompiledStrategy:
         assert abs(v - math.sqrt(1.75) * z) < 1e-9 and method == "gaussian"
 
     def test_sliding_window_reuses_instances(self, train_strategy):
-        # the direct assignment is built once; best SBIs bind the shared
-        # template to each index tuple
+        # the direct assignment is built once; a best slot's SBI binds the
+        # shared template to the slot's tuple, as the action holds it
         _, strategy, dirs, noise = train_strategy
         compiled = CompiledStrategy(strategy, dirs, noise, ordered_free_vars)
         first = interpret_strategy(strategy, (None, ((1,), (2,), (3,)), None),
                                    dirs, noise, compiled)
-        second = interpret_strategy(strategy, (None, ((2,), (3,), (4,)), None),
-                                    dirs, noise, compiled)
+        window = ((2,), (3,), (4,))
+        second = interpret_strategy(strategy, (None, window, None), dirs, noise, compiled)
         assert second[0] is first[0]  # the direct assignment
-        assert second[1] == first[2] and second[2] == first[3]
-        assert second[3].sbi == BoundSBI(compiled.templates[1], (4,))
+        assert len(second) == 2 and second[1].sbi == WindowSBI(compiled.templates[1], window)
+        assert second[1].sbi.template is first[1].sbi.template
+        assert second[1].sbi.js is window
 
     def test_rejects_another_strategy(self, specs):
         spec = specs["train_local"]
@@ -230,8 +240,9 @@ class TestCompiledStrategy:
 def _oracle(assign, slot, direction_of, noise_decls, interp, val):
     """The SBIs of one assignment instantiated as trees and evaluated with
     the term semantics: the reference for index-bound evaluation.  A list
-    of ``(value, method)``, one per SBI, ``method`` the tail bound's or
-    None."""
+    with what ``eval_sbi`` gives for the slot's SBI, if it has one: a
+    window's outcomes, after tightening the target in ``val``, or an
+    aggregate's ``(value, method)``, ``method`` the tail bound's or None."""
     body = assign.body
     names = list(getattr(body, "indices", ()))
 
@@ -242,12 +253,24 @@ def _oracle(assign, slot, direction_of, noise_decls, interp, val):
         r = eval_term(term, interp, val)
         return BOTTOM if r is UNDEF else r
 
-    if not names:
-        return [(guarded(assign.guard, body.term), None)]
     if not isinstance(body, Aggregate):
-        return [(guarded(instantiate_indices(assign.guard, names, list(j)),
-                         instantiate_indices(body.term, names, list(j))), None)
-                for j in slot]
+        # the budget loop run one SBI per entry: one evaluation per index tuple, each
+        # one tightening the target in val for the next
+        up = direction_of.get(assign.target) != "lo"
+        out = []
+        for j in (slot if names else ((),)):
+            r = guarded(instantiate_indices(assign.guard, names, list(j)),
+                        instantiate_indices(body.term, names, list(j)))
+            if r is BOTTOM or not math.isfinite(r):
+                out.append(FAILED)
+                continue
+            c = val.get(assign.target)
+            if c is None or (r < c if up else r > c):
+                val[assign.target] = r
+                out.append(TIGHTENED)
+            else:
+                out.append(KEPT)
+        return [(out, None)] if out else []
 
     guards, obs_sum, noise_sum, dists = [], None, None, {}
     for w, j in slot.dist:
@@ -330,18 +353,24 @@ class TestIndexBoundDifferential:
         expected = []
         for assign, slot in zip(spec.infer, action):
             if slot is not None or not getattr(assign.body, "indices", ()):
+                after = dict(val)
                 r = _outcome(lambda: _oracle(
-                    assign, slot, spec.directions, spec.noise_decls, interp, val))
-                expected.extend(r if isinstance(r, list) else [r])
+                    assign, slot, spec.directions, spec.noise_decls, interp, after))
+                expected.extend([(x, after) for x in r] if isinstance(r, list) else [(r, after)])
         compiled = interpret_strategy(spec.infer, action, spec.directions, spec.noise_decls,
                                       shield.strategy)
         assert len(out) == len(compiled) == len(expected)
-        for sa, sc, want in zip(out, compiled, expected):
-            for got in (_outcome(lambda: eval_sbi(sa.sbi, interp, val)),
-                        _outcome(lambda: eval_sbi(sc.sbi, interp, val,
-                                                  code=shield.code.templates))):
+        for sa, sc, (want, after) in zip(out, compiled, expected):
+            # each SBI on its own copy of the valuation, which a window tightens
+            for sbi, code in ((sa.sbi, None), (sc.sbi, shield.code.templates)):
+                cur = dict(val)
+                got = _outcome(lambda: eval_sbi(sbi, interp, cur, code=code))
                 if isinstance(want, tuple) and isinstance(want[0], type):
                     assert got == want
+                elif type(sbi) is WindowSBI:
+                    assert list(got[0]) == want[0] and got[1] is None, (got, want)
+                    assert list(cur) == list(after), (cur, after)
+                    assert all(_exact(cur[k], after[k]) for k in cur), (cur, after)
                 else:
                     assert _exact(got[0], want[0]) and got[1] == want[1], (got, want)
 
@@ -357,8 +386,8 @@ class TestEvalSBI:
     def test_guard_false_is_bottom(self):
         strategy = (InferAssign(Ident("p"), Direct(Lit(5.0)), parse_formula("1 > 2")),)
         sa, = interpret_strategy(strategy, (None,), {}, {})
-        v, _ = eval_sbi(sa.sbi, {}, {})
-        assert v is BOTTOM
+        val = {}
+        assert eval_sbi(sa.sbi, {}, val) == ([FAILED], None) and val == {}
 
     def test_unbound_observation_is_bottom(self, train_strategy):
         spec, strategy, dirs, noise = train_strategy
@@ -450,8 +479,11 @@ class TestEvalSBI:
             for sa in interpret_strategy(spec.infer, slots, spec.directions,
                                          spec.noise_decls, shield.strategy):
                 for code in (None, shield.code.templates):
-                    v, method = eval_sbi(sa.sbi, interp, val, code=code)
-                    assert v is BOTTOM or math.isfinite(v)
+                    v, method = eval_sbi(sa.sbi, interp, dict(val), code=code)
+                    if type(sa.sbi) is WindowSBI:
+                        assert set(v) <= {KEPT, TIGHTENED, FAILED}
+                    else:
+                        assert v is BOTTOM or math.isfinite(v)
                     methods.add(method)
         assert methods - {None}
 
