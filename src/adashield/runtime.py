@@ -98,22 +98,28 @@ class HistoryView(NamedTuple):
 
 @dataclass
 class HistoryEntry:
-    """A history entry.  ``view`` is built once, when the entry is appended,
-    and replaced only when surfacing burns the entry's availability; it is
-    the only record of the entry's state and of what is still available."""
+    """A history entry: the state mapping its view shares, its local bounds
+    and its private measurements."""
 
-    view: HistoryView
+    state: dict
     local_bounds: dict
-    cache: dict = field(default_factory=dict, repr=False)  # private measurements
+    cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
 class ShieldedState:
+    """The one record of an episode, which each transition updates in
+    place.  ``state`` is ``env.state_map(env_state)``, computed once per
+    env state; ``bounds`` the bounds in force, global and the last entry's
+    local ones; ``views[i - 1]`` the view of history entry ``i``, the only
+    record of what is still available at it."""
+
     env_state: object
-    history: list
+    state: dict
+    bounds: dict
     global_bounds: dict
     ledger: KahanLedger
-    #: ``entry.view`` of every history entry, in order
+    history: list = field(default_factory=list)
     views: list = field(default_factory=list)
 
 
@@ -212,9 +218,9 @@ class ShieldCode(NamedTuple):
     evaluator (``template_code``), and the controller's
     ``ControllerEvaluators``, fallback included; per template that reads an
     observation, the observations it reads (``observation_reads``); per
-    template its target's printed name and whether the target is an upper
-    bound; and per direct or best template the record of an entry of each
-    outcome, indexed by ``KEPT``, ``TIGHTENED`` and ``FAILED``."""
+    template its target's printed name; and per direct or best template the
+    record of an entry of each outcome, indexed by ``KEPT``, ``TIGHTENED``
+    and ``FAILED``."""
 
     templates: dict
     ctrl: ControllerEvaluators
@@ -252,8 +258,7 @@ class Shield:
             {t: template_code(m, t, spec.obs_names) for t in ts},
             controller_code(m, spec.ctrl, spec.fallback),
             observation_reads(ts, spec.obs_names),
-            {t: (str(t.assign.target), spec.directions.get(t.assign.target) != "lo")
-             for t in ts},
+            {t: str(t.assign.target) for t in ts},
             {t: entry_records(str(t.assign.target))
              for t in ts if not isinstance(t.assign.body, Aggregate)})
 
@@ -274,8 +279,7 @@ class Shield:
         return dict(env_defaults or {})
 
 
-def init_shielded_state(shield: Shield, env, budget: float, rng,
-                        ledger: Optional[KahanLedger] = None) -> ShieldedState:
+def init_shielded_state(shield: Shield, env, ledger: KahanLedger, rng) -> ShieldedState:
     """Reset the environment and verify the initial-state contract against
     ground truth (a simulation-only privilege)."""
     spec = shield.spec
@@ -287,13 +291,14 @@ def init_shielded_state(shield: Shield, env, budget: float, rng,
             f"initial global bounds missing for {sorted(map(str, missing))}")
 
     audit_interp = {**shield.interp, **env.unknowns()}
-    val = {**env.state_map(s0), **b_g}
+    state = env.state_map(s0)
+    val = {**state, **b_g}
     for name, f in _initial_conjuncts(spec):
         r = eval_formula(f, audit_interp, val)
         if r is UNDEF or not r:
             raise InitialConditionViolation(f"initial state violates {name}")
 
-    return ShieldedState(s0, [], b_g, ledger or KahanLedger(budget))
+    return ShieldedState(s0, state, dict(b_g), b_g, ledger)
 
 
 def _initial_conjuncts(spec: ShieldSpec):
@@ -307,12 +312,11 @@ def _initial_conjuncts(spec: ShieldSpec):
 
 def make_policy_view(shield: Shield, env, st: ShieldedState, step: int,
                      max_steps: int) -> PolicyView:
-    bounds = dict(st.global_bounds)
-    if st.history:
-        bounds.update(st.history[-1].local_bounds)
+    # shield and env go unread; the benchmark's tracer reads step as the
+    # fourth positional argument
     return PolicyView(
-        state=env.state_map(st.env_state),
-        bounds=bounds,
+        state=dict(st.state),
+        bounds=dict(st.bounds),
         step=step,
         max_steps=max_steps,
         budget_remaining=st.ledger.remaining,
@@ -349,7 +353,7 @@ class StepValuation:
             return UNDEF
         entry = self.history[i - 1]
         x = entry.local_bounds.get(key, _MISSING)
-        return entry.view.state.get(key, UNDEF) if x is _MISSING else x
+        return entry.state.get(key, UNDEF) if x is _MISSING else x
 
     def obs(self, key: Ident, i: int):
         """``at(key, i)``, where an observation surfaced at ``i`` comes
@@ -358,28 +362,21 @@ class StepValuation:
         return self.at(key, i) if x is _MISSING else x
 
 
-@dataclass
-class StepFlags:
-    unshielded: bool = False
-    non_adaptive: bool = False
-
-
 def shielded_transition(shield: Shield, st: ShieldedState, env,
                         a_ctrl: ControlAction, a_inf: InferenceAction,
                         env_rng, measure_rng, episode: int, step: int,
-                        flags: StepFlags = StepFlags()):
-    """One transition of the shielded environment.
+                        unshielded: bool = False):
+    """One transition of the shielded environment, made on ``st`` in place.
 
-    Returns ``(new_state, reward, terminal, record, timing)`` where timing is
-    ``(shield_seconds, env_seconds)``.
+    Returns ``(reward, terminal, record, timing)`` where timing is
+    ``(shield_seconds, env_seconds)``.  The record holds copies of the
+    bounds, not the dicts the next step reads.
     """
     spec = shield.spec
     interp = shield.interp
     t0 = time.perf_counter()
     code = shield.code
 
-    if flags.non_adaptive:
-        a_inf = shield.empty_action
     # a malformed inference action reads as the empty one
     assignments = interpret_strategy(spec.infer, a_inf, spec.directions,
                                      spec.noise_decls, shield.strategy)
@@ -387,7 +384,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     history = st.history
     views = st.views
     n = len(history) + 1
-    sval = env.state_map(st.env_state)
+    sval = st.state
     v: dict = dict(sval)
     v.update(st.global_bounds)
     val = StepValuation(v, history, n)
@@ -396,23 +393,20 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     for i, names in sorted(referenced_observations(assignments, code.reads).items()):
         if not 1 <= i < n:
             continue
-        entry = history[i - 1]
-        hv = entry.view
+        hv = views[i - 1]
         if not hv.available:
             continue
+        cache = history[i - 1].cache
         for name in sorted(names) if len(names) > 1 else names:
             if name in hv.available:
-                val.surfaced[(name, i)] = entry.cache[name]
+                val.surfaced[(name, i)] = cache[name]
                 consumed.append((i, name))
         # nothing at this step may be reused later; the view is built past
         # HistoryView's Python-level constructor
-        entry.view = views[i - 1] = tuple.__new__(HistoryView, (i, hv.state, _BURNT))
+        views[i - 1] = tuple.__new__(HistoryView, (i, hv.state, _BURNT))
 
     ledger = st.ledger
     remaining = ledger.remaining
-    bounds_before = dict(st.global_bounds)
-    if history:
-        bounds_before.update(history[-1].local_bounds)
     targets = code.targets
     templates = code.templates
     records = code.records
@@ -421,8 +415,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         # a direct or best SBI spends nothing, so it runs even when rounding
         # has left the remaining budget a hair below zero
         if eps and eps > remaining:
-            arecs.append(AssignmentRecord(targets[sbi.template][0], eps, True, False, False,
-                                          None))
+            arecs.append(AssignmentRecord(targets[sbi.template], eps, True, False, False, None))
             continue
         # one add per SBI: after one add of 0.0, the next leaves the ledger
         # as it is, so a window's entries need no add of their own
@@ -434,9 +427,10 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
             for k in r:
                 arecs.append(rec[k])
             continue
-        name, up = targets[sbi.template]
-        k = tighten(v, param, r, up)
-        arecs.append(AssignmentRecord(name, eps, False, k == FAILED, k == TIGHTENED, method))
+        t = sbi.template
+        k = tighten(v, param, r, t.tail == "up")
+        arecs.append(AssignmentRecord(targets[t], eps, False, k == FAILED, k == TIGHTENED,
+                                      method))
 
     local_params = spec.local_params
     b_l = {p: v[p] for p in local_params if p in v}
@@ -445,11 +439,10 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         raise LocalParamUnset(f"local parameter(s) {unset} not assigned this cycle")
     b_g = {p: v[p] for p in spec.global_params}
 
-    availability = env.obs_available(st.env_state)
-    cache = env.measure(st.env_state, measure_rng)
-    hv = HistoryView(n, MappingProxyType(sval), frozenset(availability))
-    history.append(HistoryEntry(hv, b_l, cache))
-    views.append(hv)
+    env_state = st.env_state
+    availability = env.obs_available(env_state)
+    history.append(HistoryEntry(sval, b_l, env.measure(env_state, measure_rng)))
+    views.append(HistoryView(n, MappingProxyType(sval), frozenset(availability)))
 
     bounds = {**b_g, **b_l}
     # v holds the state and every bound now: what {**sval, **bounds} would
@@ -461,26 +454,29 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     # one the monitor rejects
     proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
     if proposed is None or not (
-            flags.unshielded or ctrl_monitor(code.ctrl, mval, proposed, interp)):
+            unshielded or ctrl_monitor(code.ctrl, mval, proposed, interp)):
         executed = resolve_fallback(code.ctrl, mval, interp)
         overridden = True
     exec_vals = ctrl_exec(code.ctrl, mval, executed, interp)
 
     t1 = time.perf_counter()
-    s2, reward, terminal = env.step(st.env_state, exec_vals, env_rng)
+    s2, reward, terminal = env.step(env_state, exec_vals, env_rng)
     t2 = time.perf_counter()
     if not terminal:
         reward += env.shaping(bounds, ledger.remaining)
 
     record = StepRecord(
         episode=episode, step=step, proposed=proposed, overridden=overridden,
-        executed=executed, bounds_before=bounds_before, bounds_after=bounds,
+        executed=executed, bounds_before=st.bounds, bounds_after=dict(bounds),
         assignments=arecs, consumed=consumed,
         availability={name: True for name in sorted(availability)},
         reward=reward, safe=env.ground_truth_safe(s2), terminal=terminal)
 
-    new_state = ShieldedState(s2, history, b_g, ledger, views)
-    return new_state, reward, terminal, record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
+    st.env_state = s2
+    st.state = env.state_map(s2)
+    st.bounds = bounds
+    st.global_bounds = b_g
+    return reward, terminal, record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
 
 
 @dataclass
@@ -498,9 +494,8 @@ class EpisodeStats:
 
 
 def run_episode(shield: Shield, env, control_policy, inference_policy,
-                budget: float, max_steps: int, seed_seq, episode: int = 0,
-                flags: StepFlags = StepFlags(),
-                ledger: Optional[KahanLedger] = None,
+                ledger: KahanLedger, max_steps: int, seed_seq, episode: int = 0,
+                unshielded: bool = False,
                 record_sink: Optional[Callable] = None) -> EpisodeStats:
     """Run one episode; audits the tolerance ledger and observation reuse on
     the fly.  ``ledger_error`` is the largest of: the ledger's spending
@@ -516,11 +511,10 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
     measure_rng = np.random.default_rng(meas_ss)
 
     try:
-        st = init_shielded_state(shield, env, budget, reset_rng, ledger=ledger)
+        st = init_shielded_state(shield, env, ledger, reset_rng)
     except InitialConditionViolation as e:
         raise InitialConditionViolation(f"episode {episode}: {e}") from e
-    led = st.ledger
-    spent_before = led.spent
+    spent_before = ledger.spent
 
     total = 0.0
     overrides = 0
@@ -544,9 +538,9 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
         except Exception:
             a_inf = shield.empty_action
         try:
-            st, reward, terminal, rec, (ts, te) = shielded_transition(
+            reward, terminal, rec, (ts, te) = shielded_transition(
                 shield, st, env, a_ctrl, a_inf, env_rng, measure_rng,
-                episode, step, flags)
+                episode, step, unshielded)
         except (FallbackViolation, LocalParamUnset) as e:
             raise type(e)(f"episode {episode}, step {step}: {e}") from e
         shield_s += ts
@@ -570,12 +564,12 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
             break
 
     # max(-e, e - 1) is e's distance from [0, 1] outside it, negative inside
-    ledger_error = max(abs((led.spent - spent_before) - math.fsum(spent_records)),
+    ledger_error = max(abs((ledger.spent - spent_before) - math.fsum(spent_records)),
                        max((max(-e, e - 1.0) for e in spent_records), default=0.0),
-                       led.spent - led.initial - 4 * math.ulp(led.initial))
+                       ledger.spent - ledger.initial - 4 * math.ulp(ledger.initial))
     return EpisodeStats(
         episode=episode, steps=steps, ret=total, crash=crash,
-        overrides=overrides, eps_spent=led.spent - spent_before,
+        overrides=overrides, eps_spent=ledger.spent - spent_before,
         ledger_error=ledger_error, reuse_violations=reuse,
         shield_seconds=shield_s, env_seconds=env_s)
 
@@ -612,22 +606,25 @@ class ExperimentStats:
 def run_episodes(shield: Shield, cfg: ExperimentConfig, episodes: range,
                  record_sink: Optional[Callable] = None) -> list[EpisodeStats]:
     """Run the episodes numbered ``episodes`` on one fresh environment and
-    pair of policies.  In fixed mode one budget spans the range and the
+    pair of policies.  In fixed mode one ledger spans the range and the
     environment's unknowns stay fixed; in meta mode both reset every
     episode, whose seed comes from ``cfg.seed`` and its number alone, so
-    disjoint ranges can run in separate processes."""
+    disjoint ranges can run in separate processes.  A non-adaptive run's
+    inference policy sends the empty action."""
     env = cfg.env_factory()
-    env.meta_mode = cfg.mode == "meta"
+    meta = env.meta_mode = cfg.mode == "meta"
     max_steps = env.max_steps if cfg.max_steps is None else cfg.max_steps
     control = cfg.control_policy(shield, env)
-    inference = cfg.inference_policy(shield, env)
-    flags = StepFlags(unshielded=cfg.unshielded, non_adaptive=cfg.non_adaptive)
+    if cfg.non_adaptive:
+        inference = lambda view: shield.empty_action  # noqa: E731
+    else:
+        inference = cfg.inference_policy(shield, env)
 
-    shared = KahanLedger(cfg.budget) if cfg.mode == "fixed" else None
-    return [run_episode(shield, env, control, inference, cfg.budget, max_steps,
+    shared = None if meta else KahanLedger(cfg.budget)
+    return [run_episode(shield, env, control, inference,
+                        KahanLedger(cfg.budget) if meta else shared, max_steps,
                         np.random.SeedSequence(entropy=(cfg.seed, ep)),
-                        episode=ep, flags=flags, ledger=shared,
-                        record_sink=record_sink)
+                        episode=ep, unshielded=cfg.unshielded, record_sink=record_sink)
             for ep in episodes]
 
 

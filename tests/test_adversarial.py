@@ -29,10 +29,10 @@ from adashield.policies import (
 )
 from adashield import runtime
 from adashield.runtime import (
-    ExperimentConfig, KahanLedger, Shield, StepFlags, StepValuation, init_shielded_state,
+    ExperimentConfig, KahanLedger, Shield, StepValuation, init_shielded_state,
     run_episode, run_experiment, shielded_transition,
 )
-from adashield.strategy import AggregateAction
+from adashield.strategy import AggregateAction, interpret_strategy
 
 from dl_oracle import per_entry_window
 
@@ -212,9 +212,8 @@ class TestProbes:
 
         ledger = KahanLedger(1e-7)
         records = []
-        stats = run_episode(shield, env, acas_control(shield, env), inference, 1e-7, 5,
-                            np.random.SeedSequence(0), ledger=ledger,
-                            record_sink=records.append)
+        stats = run_episode(shield, env, acas_control(shield, env), inference, ledger, 5,
+                            np.random.SeedSequence(0), record_sink=records.append)
         assert ledger.remaining < 0.0
         assert stats.steps == 5 and stats.ledger_error <= 1e-12
         step1 = records[1]
@@ -271,8 +270,8 @@ class TestProbes:
         shield = Shield(specs["acas"], env.consts)
         level = acas_control(shield, env)
         huge = lambda view: _map_values(level(view), lambda v: 10 ** 400)  # noqa: E731
-        stats = run_episode(shield, env, huge, acas_inference(shield, env), 1e-7, 5,
-                            np.random.SeedSequence(0))
+        stats = run_episode(shield, env, huge, acas_inference(shield, env), KahanLedger(1e-7),
+                            5, np.random.SeedSequence(0))
         assert stats.steps == stats.overrides == 5 and not stats.crash
 
     def test_int_past_the_float_range_unshielded(self, specs):
@@ -283,8 +282,8 @@ class TestProbes:
         level = acas_control(shield, env)
         huge = lambda view: _map_values(level(view), lambda v: 10 ** 400)  # noqa: E731
         records = []
-        stats = run_episode(shield, env, huge, acas_inference(shield, env), 1e-7, 3,
-                            np.random.SeedSequence(0), flags=StepFlags(unshielded=True),
+        stats = run_episode(shield, env, huge, acas_inference(shield, env), KahanLedger(1e-7),
+                            3, np.random.SeedSequence(0), unshielded=True,
                             record_sink=records.append)
         assert stats.steps == stats.overrides == 3 and len(records) == 3
         assert all(rec.proposed is None and rec.overridden for rec in records)
@@ -298,8 +297,8 @@ class TestLedgerAudit:
         env = make_crossing_river()
         shield = Shield(specs["river"], env.consts)
         return run_episode(shield, env, river_control(shield, env),
-                           river_inference(shield, env), 1e-7, env.max_steps,
-                           np.random.SeedSequence(0), ledger=ledger)
+                           river_inference(shield, env), ledger or KahanLedger(1e-7),
+                           env.max_steps, np.random.SeedSequence(0))
 
     def test_honest_run_has_no_error(self, specs):
         stats = self._episode(specs)
@@ -405,10 +404,11 @@ class Action(AReal):
     pass
 
 
-_JUNK = st.sampled_from([
+_JUNK_VALUES = (
     None, True, 0, 1.0, "a", (), ((),), [(1,)], Raise(), Unprintable(),
     UNIT, AReal(1.0), Tuple(((1,),)), np.int64(1), Fraction(1, 2),
-])
+)
+_JUNK = st.sampled_from(_JUNK_VALUES)
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -437,9 +437,17 @@ def _fitting(space):
 #: a well-formed index: an int, often past the history or out of range
 _INDEX = st.integers(-2, 20)
 
+#: an index no well-formed action has: anything but an exact int, which
+#: may be as big as it likes
 _HOSTILE_INDEX = st.one_of(
-    st.sampled_from([10 ** 30, -(10 ** 30), True, 1.0]),
+    st.sampled_from([True, 1.0]),
     st.integers(0, 20).map(Index), st.integers(0, 20).map(np.int64))
+
+#: junk that fills no slot: None is the empty slot of every kind, and ()
+#: the empty window of a best one
+_HOSTILE_JUNK = st.sampled_from(tuple(x for x in _JUNK_VALUES if x is not None))
+_HOSTILE_WINDOW_JUNK = st.sampled_from(
+    tuple(x for x in _JUNK_VALUES if x is not None and not (type(x) is tuple and not x)))
 
 #: tolerances at the edges; the episode's budget is 1e-6
 _EPS = st.one_of(
@@ -474,9 +482,9 @@ def _hostile_slot(draw, kind, n):
         [(1,), [], Tuple()]))
     if kind == "best":
         return draw(st.sampled_from([
-            (j, bad_j), Tuple((j,)), [j], ShiftingIndices((j,)), draw(_JUNK)]))
+            (j, bad_j), Tuple((j,)), [j], ShiftingIndices((j,)), draw(_HOSTILE_WINDOW_JUNK)]))
     if kind == "direct":
-        return draw(st.one_of(_JUNK.filter(lambda x: x is not None), _aggregate(n)))
+        return draw(st.one_of(_HOSTILE_JUNK, _aggregate(n)))
     agg = draw(_aggregate(n))
     w, j0 = agg.dist[0]
     how = draw(st.sampled_from(["eps", "dist", "weight", "index", "subclass", "shifting",
@@ -489,7 +497,10 @@ def _hostile_slot(draw, kind, n):
              ((Real(1.0), j0),), ((1.0,),), (Tuple((1.0, j0)),), ((1.0, j0, 0),),
              ((1e308, j0), (1e308, j0))])))
     elif how == "weight":
-        object.__setattr__(agg, "dist", ((draw(st.floats()), j0),) + agg.dist[1:])
+        # past (0, 2), so no other weight can make the sum 1
+        w = draw(st.one_of(st.floats(max_value=0.0), st.floats(min_value=2.0),
+                           st.just(math.nan)))
+        object.__setattr__(agg, "dist", ((w, j0),) + agg.dist[1:])
     elif how == "index":
         object.__setattr__(agg, "dist", ((w, bad_j),) + agg.dist[1:])
     elif how == "subclass":
@@ -497,18 +508,23 @@ def _hostile_slot(draw, kind, n):
     elif how == "shifting":
         agg = ShiftingEps(1e-9, agg.dist).reset()
     else:
-        agg = draw(_JUNK)
+        agg = draw(_HOSTILE_JUNK)
     return agg
+
+
+def _well_formed(space):
+    """Well-formed inference actions for ``space``."""
+    return st.tuples(*[
+        st.none() if kind == "direct" else
+        st.one_of(st.none(), st.lists(_tuples(n), max_size=6).map(tuple)) if kind == "best" else
+        st.one_of(st.none(), _aggregate(n))
+        for kind, n in space])
 
 
 def _inference(space):
     """Inference actions for ``space``: well formed, with one hostile slot,
     of the wrong container type or length, or junk."""
-    valid = st.tuples(*[
-        st.none() if kind == "direct" else
-        st.one_of(st.none(), st.lists(_tuples(n), max_size=6).map(tuple)) if kind == "best" else
-        st.one_of(st.none(), _aggregate(n))
-        for kind, n in space])
+    valid = _well_formed(space)
 
     @st.composite
     def one_hostile(draw):
@@ -541,13 +557,30 @@ def test_random_hostile_agents(specs, name, data):
     control = _policy(data, st.one_of(_fitting(shield.ctrl_space), _fitting(shield.ctrl_space),
                                       _JUNK))
     inference = _policy(data, _inference(shield.strategy.space))
-    stats = run_episode(shield, env, control, inference, 1e-6, 12,
+    stats = run_episode(shield, env, control, inference, KahanLedger(1e-6), 12,
                         np.random.SeedSequence(data.draw(st.integers(0, 3))),
                         record_sink=lambda rec: json.dumps(rec.to_json()))
     assert stats.ledger_error <= 1e-12
     assert 0.0 <= stats.eps_spent <= 1e-6
     assert stats.reuse_violations == 0
     assert not stats.crash
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_hostile_slots_are_malformed(specs, name, data):
+    # each slot _hostile_slot draws, in an otherwise well-formed action,
+    # leaves the direct assignments alone
+    shield = Shield(specs[name], ENVS[name]().consts)
+    spec, compiled = shield.spec, shield.strategy
+    valid = data.draw(_well_formed(compiled.space))
+    for k, slot_space in enumerate(compiled.space):
+        action = valid[:k] + (data.draw(_hostile_slot(*slot_space)),) + valid[k + 1:]
+        got = interpret_strategy(spec.infer, action, spec.directions, spec.noise_decls,
+                                 compiled)
+        assert got == list(compiled.empty), (k, action[k])
 
 
 class TestHostileWindows:
@@ -563,20 +596,19 @@ class TestHostileWindows:
         env = make_sisyphean_train()
         shield = Shield(specs["sisyphean"], env.consts)
         reset, env_rng, measure = (np.random.default_rng(s) for s in (0, 1, 2))
-        st = init_shielded_state(shield, env, 1e-3, reset)
+        st = init_shielded_state(shield, env, KahanLedger(1e-3), reset)
         infer = sisyphean_inference(shield, env, n_obs=3)
         brake = make_action(shield.spec.ctrl, ["right"])
         for step in range(steps):
             view = runtime.make_policy_view(shield, env, st, step, env.max_steps)
-            st = shielded_transition(shield, st, env, brake, infer(view), env_rng,
-                                     measure, 0, step)[0]
+            shielded_transition(shield, st, env, brake, infer(view), env_rng, measure, 0, step)
         return shield, env, st, lambda a_inf: shielded_transition(
             shield, st, env, brake, a_inf, env_rng, measure, 0, steps)
 
     def _per_entry(self, shield, env, st, window):
         """The records, bounds and ledger state of the direct default and
         the window run one SBI per entry, on copies of the step's values."""
-        val = StepValuation({**env.state_map(st.env_state), **st.global_bounds},
+        val = StepValuation({**st.state, **st.global_bounds},
                             st.history, len(st.history) + 1)
         led = KahanLedger(st.ledger.initial)
         led._sum, led._comp = st.ledger._sum, st.ledger._comp
@@ -597,7 +629,7 @@ class TestHostileWindows:
             entries = [cycle[k % len(cycle)] for k in range(100_000)]
         window = tuple((named.get(i, i),) for i in entries)
         recs, fbar, ledger = self._per_entry(shield, env, st, window)
-        _, _, _, rec, _ = step((None, window, None))
+        _, _, rec, _ = step((None, window, None))
         assert len(rec.assignments) == 1 + len(window)
         assert rec.assignments == recs
         if len(window) > 5:
@@ -613,6 +645,6 @@ class TestHostileWindows:
         window = [(1 + k % 5,) for k in range(100_000)]
         window[where] = bad
         recs, fbar, _ = self._per_entry(shield, env, st, ())
-        _, _, _, rec, _ = step((None, tuple(window), None))
+        _, _, rec, _ = step((None, tuple(window), None))
         assert rec.assignments == recs and len(recs) == 1
         assert rec.bounds_after[_FBAR] == fbar == shield.interp["F"]

@@ -474,8 +474,9 @@ def _budget_loops(sbis, values: dict, n: int, interp, adds, code) -> list:
     return runs
 
 
-#: history indices a window entry may hold past those in range
-_ODD_INDICES = (0, -1, 2 ** 70, -(2 ** 70))
+#: history indices a window entry may hold past those in range; big ints
+#: are well formed
+_ODD_INDICES = (0, -1, 2 ** 70, -(2 ** 70), 10 ** 30, -(10 ** 30))
 _ADDS = st.lists(st.one_of(st.floats(0.0, 1e-2), st.sampled_from(
     [0.0, 5e-324, 1e-300, 1e-7, 0.1, 1 / 3])), max_size=6)
 
@@ -485,12 +486,7 @@ def _window(data, width: int, n: int) -> tuple:
     the history of step ``n`` and repeated ones, or, one time in four, a
     slot of ``_hostile_slot``; and whether the slot is malformed."""
     if data.draw(st.integers(0, 3)) == 0:
-        # some of these are well formed, as an int index of 10**30 is
-        slot = data.draw(_hostile_slot("best", width))
-        fits = type(slot) is tuple and all(
-            type(j) is tuple and len(j) == width and all(type(i) is int for i in j)
-            for j in slot)
-        return slot, not fits
+        return data.draw(_hostile_slot("best", width)), True
     index = st.one_of(st.integers(-1, n + 1), st.sampled_from(_ODD_INDICES))
     js = data.draw(st.lists(st.tuples(*[index] * width), max_size=8))
     if js and data.draw(st.booleans()):

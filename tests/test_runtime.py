@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from adashield.dl import UNDEF, Ident
 from adashield.actions import ALeft, APair, AReal, UNIT, make_action
 from adashield.runtime import (
     ExperimentConfig, HistoryView, InitialConditionViolation, KahanLedger,
-    PolicyView, Shield, StepFlags, StepValuation, init_shielded_state,
+    PolicyView, Shield, ShieldedState, StepValuation, init_shielded_state,
     make_policy_view, run_episode, run_experiment, shielded_transition,
 )
 from adashield.specfile import load_spec
@@ -47,17 +48,23 @@ def _rngs(seed=0, ep=0):
     return [np.random.default_rng(s) for s in ss.spawn(3)]
 
 
-def _step(shield, env, st, a_ctrl, a_inf, rngs, step=0, flags=StepFlags()):
+def _init(shield, env, budget, rng):
+    return init_shielded_state(shield, env, KahanLedger(budget), rng)
+
+
+def _step(shield, env, st, a_ctrl, a_inf, rngs, step=0, unshielded=False):
+    """One transition of ``st``, in place: its reward, whether it ended the
+    episode, its record and its timing."""
     _, env_rng, meas_rng = rngs
     return shielded_transition(shield, st, env, a_ctrl, a_inf, env_rng,
-                               meas_rng, 0, step, flags)
+                               meas_rng, 0, step, unshielded)
 
 
 class TestInit:
     def test_valid_initial_state(self, train_setup):
         shield, env = train_setup
         reset_rng, _, _ = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, reset_rng)
+        st = _init(shield, env, 1e-3, reset_rng)
         assert st.history == [] and st.ledger.remaining == 1e-3
         assert st.global_bounds == {}  # the only parameter is local
 
@@ -73,21 +80,21 @@ class TestInit:
         shield = Shield(spec, env.consts)
         reset_rng, _, _ = _rngs()
         with pytest.raises(InitialConditionViolation):
-            init_shielded_state(shield, env, 1e-7, reset_rng)
+            _init(shield, env, 1e-7, reset_rng)
 
     def test_initial_invariant_violation(self, train_setup):
         shield, env = train_setup
         env.cfg.x0 = 10.0  # beyond the stopping point
         reset_rng, _, _ = _rngs()
         with pytest.raises(InitialConditionViolation):
-            init_shielded_state(shield, env, 1e-3, reset_rng)
+            _init(shield, env, 1e-3, reset_rng)
 
     def test_contract_failures_name_episode_and_step(self, train_setup, monkeypatch):
         shield, env = train_setup
         control, inference = greedy_train_control(shield, env), skip_inference(shield, env)
 
         def episode(n):
-            run_episode(shield, env, control, inference, 1e-3, 100,
+            run_episode(shield, env, control, inference, KahanLedger(1e-3), 100,
                         np.random.SeedSequence(0), episode=n)
 
         def rejected(*args):
@@ -107,13 +114,13 @@ class TestBudget:
     def test_skip_when_budget_too_small(self, train_setup, specs):
         shield, env = train_setup
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-9, rngs[0])
+        st = _init(shield, env, 1e-9, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         # warm one step to get an observation into history
         empty = (None, (), None)
-        st, *_ = _step(shield, env, st, accel, empty, rngs, 0)
+        _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-8, ((1.0, (1,)),))
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         arec = rec.assignments[-1]
         assert arec.skipped and arec.eps == 1e-8
         assert st.ledger.remaining == 1e-9  # unchanged
@@ -122,11 +129,11 @@ class TestBudget:
     def test_deduct_even_on_bottom(self, train_setup):
         shield, env = train_setup
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         # index 5 does not exist yet: evaluation fails but the budget is spent
         agg = AggregateAction(1e-5, ((1.0, (5,)),))
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 0)
+        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 0)
         arec = rec.assignments[-1]
         assert arec.bottom and not arec.skipped
         assert st.ledger.spent == pytest.approx(1e-5, abs=0)
@@ -167,14 +174,14 @@ class TestBudget:
                 return super().add(x)
 
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, rngs[0], ledger=Counting(1e-3))
+        st = init_shielded_state(shield, env, Counting(1e-3), rngs[0])
         accel = make_action(spec.ctrl, ["left"])
         empty = (None, (), None)
         assert len(interpret_strategy(spec.infer, empty, spec.directions, spec.noise_decls)) == 1
-        st, _, _, rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
+        _, _, rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
         assert len(rec.assignments) == 1 and adds == [0.0]
         # a window of two entries: one SBI, one add, a record per entry
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
+        _, _, rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
         assert len(rec.assignments) == 3 and adds == [0.0] * 3
 
     @pytest.mark.parametrize("env_name", ["sisyphean", "versatile"])
@@ -233,16 +240,16 @@ class TestNonReuse:
     def test_observation_consumed_once(self, train_setup):
         shield, env = train_setup
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         empty = (None, (), None)
-        st, *_ = _step(shield, env, st, accel, empty, rngs, 0)
+        _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-6, ((1.0, (1,)),))
-        st, _, _, rec1, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        _, _, rec1, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         assert rec1.consumed == [(1, "w")]
         assert not rec1.assignments[-1].bottom
         # referencing the same index again: the measurement is gone for good
-        st, _, _, rec2, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 2)
+        _, _, rec2, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 2)
         assert rec2.consumed == []
         assert rec2.assignments[-1].bottom
         assert rec2.assignments[-1].eps == 1e-6  # spent regardless
@@ -252,28 +259,28 @@ class TestNonReuse:
         env = make_acas()
         shield = Shield(specs["acas"], env.consts)
         rngs = _rngs(3)
-        st = init_shielded_state(shield, env, 1e-7, rngs[0])
+        st = _init(shield, env, 1e-7, rngs[0])
         level = make_action(shield.spec.ctrl, [0.0])
         empty = tuple(None for _ in shield.spec.infer)
-        st, *_ = _step(shield, env, st, level, empty, rngs, 0)
-        assert st.history[0].view.available == {"wv", "wh"}
+        _step(shield, env, st, level, empty, rngs, 0)
+        assert st.views[0].available == {"wv", "wh"}
         slots = list(empty)
         slots[4] = AggregateAction(1e-9, ((1.0, (1,)),))  # references wv@1
-        st, _, _, rec, _ = _step(shield, env, st, level, tuple(slots), rngs, 1)
+        _, _, rec, _ = _step(shield, env, st, level, tuple(slots), rngs, 1)
         assert rec.consumed == [(1, "wv")]
-        assert st.history[0].view.available == set()  # wh gone as well
+        assert st.views[0].available == set()  # wh gone as well
 
 
 class TestTightening:
     def test_updates_only_when_tighter(self, train_setup):
         shield, env = train_setup
         rngs = _rngs(11)
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         empty = (None, (), None)
-        st, *_ = _step(shield, env, st, accel, empty, rngs, 0)
+        _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-4, ((1.0, (1,)),))
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         fbar = rec.bounds_after[Ident("fbar")]
         assert fbar < 3.0  # a single observation beats the global default
         assert rec.assignments[-1].updated
@@ -282,11 +289,11 @@ class TestTightening:
         # the default sets fbar = F first, later assignments only lower it
         shield, env = train_setup
         rngs = _rngs(12)
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         for step in range(6):
             view_bounds = []
-            st, _, _, rec, _ = _step(
+            _, _, rec, _ = _step(
                 shield, env, st, accel,
                 (None, tuple((i,) for i in range(1, len(st.history) + 1)), None),
                 rngs, step)
@@ -296,10 +303,9 @@ class TestTightening:
 def _state_near_stop(shield, env):
     """A train 50 m from the stopping point at full speed; the invariant does
     not hold here, so the shielded state is built directly."""
-    from adashield.runtime import ShieldedState
     from adashield.envs.train import TrainState
     s = TrainState(-50.0, 30.0, 3.0, 0.0, 0.0, env.cfg.phase)
-    return ShieldedState(s, [], {}, KahanLedger(1e-3))
+    return ShieldedState(s, env.state_map(s), {}, {}, KahanLedger(1e-3))
 
 
 class TestOverride:
@@ -310,7 +316,7 @@ class TestOverride:
         rngs = _rngs()
         st = _state_near_stop(shield, env)
         accel = make_action(shield.spec.ctrl, ["left"])
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
+        _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
         assert rec.overridden
         assert rec.executed == make_action(shield.spec.ctrl, ["right"])
         assert st.env_state.v < 30.0  # braking happened
@@ -320,23 +326,33 @@ class TestOverride:
         rngs = _rngs()
         st = _state_near_stop(shield, env)
         accel = make_action(shield.spec.ctrl, ["left"])
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0,
-                                 flags=StepFlags(unshielded=True))
+        _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0,
+                             unshielded=True)
         assert not rec.overridden
         assert st.env_state.v > 30.0
 
-    def test_non_adaptive_keeps_defaults(self, train_setup):
-        shield, env = train_setup
-        rngs = _rngs(13)
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
-        accel = make_action(shield.spec.ctrl, ["left"])
-        empty = (None, (), None)
-        st, *_ = _step(shield, env, st, accel, empty, rngs, 0)
-        agg = AggregateAction(1e-4, ((1.0, (1,)),))
-        st, _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1,
-                                 flags=StepFlags(non_adaptive=True))
-        assert rec.bounds_after[Ident("fbar")] == 3.0
-        assert st.ledger.spent == 0.0
+    def test_non_adaptive_keeps_defaults(self, specs):
+        # a non-adaptive run never calls its inference policy: each step
+        # runs the direct default alone and spends nothing
+        called = []
+
+        def inference(shield, env):
+            called.append("built")
+            return lambda view: called.append(view.step)
+
+        records = []
+        cfg = ExperimentConfig(
+            spec_name="sisyphean", env_factory=make_sisyphean_train,
+            control_policy=greedy_train_control, inference_policy=inference,
+            episodes=2, max_steps=20, budget=1e-3, mode="fixed", seed=13,
+            non_adaptive=True)
+        shield = Shield(specs["sisyphean"], make_sisyphean_train().consts)
+        stats = run_experiment(shield, cfg, record_sink=records.append)
+        assert called == [] and stats.steps == len(records) > 0
+        assert stats.eps_spent == 0.0
+        for rec in records:
+            assert [(a.param, a.eps) for a in rec.assignments] == [("fbar", 0.0)]
+            assert rec.bounds_after[Ident("fbar")] == 3.0
 
 
 class TestZeroTrust:
@@ -348,9 +364,9 @@ class TestZeroTrust:
     def test_malformed_control_action_is_overridden(self, train_setup, bad, unshielded):
         shield, env = train_setup
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
-        st, _, _, rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
-                                 flags=StepFlags(unshielded=unshielded))
+        st = _init(shield, env, 1e-3, rngs[0])
+        _, _, rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
+                                 unshielded=unshielded)
         assert rec.overridden and rec.proposed is None
         assert rec.executed == make_action(shield.spec.ctrl, ["right"])
         json.dumps(rec.to_json())
@@ -359,7 +375,7 @@ class TestZeroTrust:
         env = make_acas()
         shield = Shield(specs["acas"], env.consts)
         rngs = _rngs(3)
-        st = init_shielded_state(shield, env, 1e-7, rngs[0])
+        st = _init(shield, env, 1e-7, rngs[0])
         level = make_action(shield.spec.ctrl, [0.0])
 
         def swap(a):
@@ -372,7 +388,7 @@ class TestZeroTrust:
                 return t(swap(a.action))
             return a
 
-        st, _, _, rec, _ = _step(shield, env, st, swap(level),
+        _, _, rec, _ = _step(shield, env, st, swap(level),
                                  shield.empty_action, rngs, 0)
         assert rec.overridden
 
@@ -384,13 +400,13 @@ class TestZeroTrust:
     def test_malformed_inference_action_is_empty(self, train_setup, bad):
         shield, env = train_setup
         rngs = _rngs()
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
-        st, *_ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
-        st, _, _, rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
+        _step(shield, env, st, accel, (None, (), None), rngs, 0)
+        _, _, rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
         assert [(a.param, a.eps) for a in rec.assignments] == [("fbar", 0.0)]
         assert st.ledger.spent == 0.0
-        assert rec.consumed == [] and st.history[0].view.available == {"w"}
+        assert rec.consumed == [] and st.views[0].available == {"w"}
 
 
     def test_raising_policies_do_not_end_the_run(self, specs):
@@ -509,14 +525,63 @@ class TestPolicyBarrier:
         assert hostile == _run_digest(specs, sisyphean_inference)
         assert hostile[2] > 0.0
 
+    @pytest.mark.parametrize("env_name", ["sisyphean", "river"])
+    def test_writes_to_views_and_records_do_not_reach_the_shield(self, env_name):
+        # once they have chosen, the control policy adds a key to the view's
+        # state and bounds, and the inference policy, which sees the same
+        # view after it, overwrites every value as well; the sink writes
+        # into the record's bounds once the trace line is encoded.  The run
+        # is the untouched one
+        factory, stem, budget, mode = REGISTRY[env_name]
+        shield = Shield(load_spec(bundled_spec_path(stem)), factory().consts)
+        ctrl_name, inf_name = DEFAULT_POLICIES[env_name]
+
+        def writing(make, overwrite):
+            def build(shield, env):
+                policy = make(shield, env)
+
+                def call(view):
+                    action = policy(view)
+                    for d in (view.state, view.bounds):
+                        for k in list(d) if overwrite else ():
+                            d[k] = -1e9
+                        d[Ident("planted")] = 0.0
+                    return action
+                return call
+            return build
+
+        def run(write):
+            lines = []
+
+            def sink(rec):
+                lines.append(json.dumps(rec.to_json()))
+                if write:
+                    for d in (rec.bounds_before, rec.bounds_after):
+                        for k in list(d):
+                            d[k] = math.nan
+                        d[Ident("planted")] = 1.0
+
+            control, inference = CONTROL_POLICIES[ctrl_name], INFERENCE_POLICIES[inf_name]
+            if write:
+                control, inference = writing(control, False), writing(inference, True)
+            cfg = ExperimentConfig(stem, factory, control, inference, episodes=4,
+                                   max_steps=60, budget=budget, mode=mode, seed=6)
+            stats = run_experiment(shield, cfg, record_sink=sink)
+            return [(e.steps, e.ret, e.crash, e.overrides, e.eps_spent, e.ledger_error,
+                     e.reuse_violations) for e in stats.episodes], lines
+
+        written, untouched = run(True), run(False)
+        assert written == untouched
+        assert untouched[1] and any(json.loads(line)["bounds_after"] for line in untouched[1])
+
 
     def test_view_invariant_under_cache_perturbation(self, train_setup):
         shield, env = train_setup
         rngs = _rngs(21)
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         for step in range(3):
-            st, *_ = _step(shield, env, st, accel, (None, (), None), rngs, step)
+            _step(shield, env, st, accel, (None, (), None), rngs, step)
         view1 = make_policy_view(shield, env, st, 3, 100)
         for entry in st.history:
             for k in entry.cache:
@@ -527,9 +592,9 @@ class TestPolicyBarrier:
     def test_view_has_no_measurement_fields(self, train_setup):
         shield, env = train_setup
         rngs = _rngs(22)
-        st = init_shielded_state(shield, env, 1e-3, rngs[0])
+        st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
-        st, *_ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
+        _step(shield, env, st, accel, (None, (), None), rngs, 0)
         view = make_policy_view(shield, env, st, 1, 100)
         blob = repr(view)
         assert "cache" not in blob
@@ -542,8 +607,8 @@ def _reference_policy_view(env, st, step, max_steps) -> PolicyView:
     bounds = dict(st.global_bounds)
     if st.history:
         bounds.update(st.history[-1].local_bounds)
-    views = [HistoryView(i, e.view.state, frozenset(e.view.available))
-             for i, e in enumerate(st.history, start=1)]
+    views = [HistoryView(i, MappingProxyType(e.state), frozenset(hv.available))
+             for i, (e, hv) in enumerate(zip(st.history, st.views), start=1)]
     return PolicyView(
         state=env.state_map(st.env_state), bounds=bounds, step=step,
         max_steps=max_steps, budget_remaining=st.ledger.remaining,
@@ -557,7 +622,7 @@ def _reference_history_valuation(history, assignments) -> dict:
     for i in sorted(referenced_indices(assignments)):
         if 1 <= i <= len(history):
             entry = history[i - 1]
-            for k, x in entry.view.state.items():
+            for k, x in entry.state.items():
                 v[Ident(k.name, i)] = x
             for k, x in entry.local_bounds.items():
                 v[Ident(k.name, i)] = x
@@ -583,7 +648,7 @@ def _check_valuations(shield, env, st, a_inf) -> int:
     reads = observation_reads({sa.sbi.template for sa in assignments}, shield.spec.obs_names)
     for i, names in referenced_observations(assignments, reads).items():
         for name in names:
-            if 1 <= i <= len(history) and name in history[i - 1].view.available:
+            if 1 <= i <= len(history) and name in st.views[i - 1].available:
                 surfaced[Ident(name, i)] = history[i - 1].cache[name]
     full = dict(current)
     full.update(_reference_history_valuation(history, assignments))
@@ -638,17 +703,27 @@ class TestIncrementalState:
         ledger = KahanLedger(budget)
         for ep in range(episodes):
             rngs = _rngs(5, ep)
-            st = init_shielded_state(shield, env, budget, rngs[0], ledger=ledger)
+            st = init_shielded_state(shield, env, ledger, rngs[0])
             for step in range(env.max_steps):
                 view = make_policy_view(shield, env, st, step, env.max_steps)
                 assert view == _reference_policy_view(env, st, step, env.max_steps)
                 a_ctrl, a_inf = cp(view), ip(view)
                 read += _check_valuations(shield, env, st, a_inf)
-                st, _, term, rec, _ = _step(shield, env, st, a_ctrl, a_inf, rngs, step)
+                _, term, rec, _ = _step(shield, env, st, a_ctrl, a_inf, rngs, step)
                 burned += len(rec.consumed)
                 if term:
                     break
         assert burned > 0 and read > 0
+
+    def test_each_env_state_is_mapped_once(self, train_setup):
+        shield, env = train_setup
+        mapped = []
+        state_map = env.state_map
+        env.state_map = lambda s: mapped.append(s) or state_map(s)
+        stats = run_episode(shield, env, greedy_train_control(shield, env),
+                            sisyphean_inference(shield, env), KahanLedger(1e-3), 40,
+                            np.random.SeedSequence(2))
+        assert stats.steps > 1 and len(mapped) == stats.steps + 1
 
     def test_shield_seconds_include_the_policy_view(self, train_setup, monkeypatch):
         shield, env = train_setup
@@ -660,7 +735,7 @@ class TestIncrementalState:
 
         monkeypatch.setattr(runtime, "make_policy_view", slow)
         stats = run_episode(shield, env, greedy_train_control(shield, env),
-                            skip_inference(shield, env), 1e-3, 5,
+                            skip_inference(shield, env), KahanLedger(1e-3), 5,
                             np.random.SeedSequence(1))
         assert stats.steps == 5 and stats.shield_seconds >= 5 * 0.01
 
@@ -709,11 +784,11 @@ class TestDeterminism:
         from adashield.runtime import make_policy_view
         for ep in range(10):
             rngs = _rngs(31, ep)
-            st = init_shielded_state(shield, env, 1e-7, rngs[0])
+            st = _init(shield, env, 1e-7, rngs[0])
             ups, los = [], []
             for step in range(50):
                 view = make_policy_view(shield, env, st, step, 50)
-                st, _, term, rec, _ = _step(shield, env, st, cp(view), ip(view),
+                _, term, rec, _ = _step(shield, env, st, cp(view), ip(view),
                                             rngs, step)
                 ups.append(rec.bounds_after[Ident("yb_up")])
                 los.append(rec.bounds_after[Ident("yb_lo")])
@@ -733,6 +808,6 @@ class TestDeterminism:
     def test_zero_step_episode(self, train_setup):
         shield, env = train_setup
         stats = run_episode(shield, env, greedy_train_control(shield, env),
-                            skip_inference(shield, env), 1e-3, 0,
+                            skip_inference(shield, env), KahanLedger(1e-3), 0,
                             np.random.SeedSequence(1))
         assert stats.steps == 0 and stats.ret == 0.0 and not stats.crash
