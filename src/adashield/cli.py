@@ -229,7 +229,9 @@ def cmd_simulate(args) -> int:
     summary = {
         "env": args.env, "spec": spec.name, "episodes": args.episodes,
         "mode": mode, "budget": budget,
-        "control_policy": ctrl_name, "inference_policy": infer_name,
+        "control_policy": ctrl_name,
+        # a non-adaptive run neither builds nor calls its inference policy
+        "inference_policy": None if args.non_adaptive else infer_name,
         "unshielded": args.unshielded, "non_adaptive": args.non_adaptive,
         "crashes": stats.crashes, "mean_return": stats.mean_return,
         "overrides": stats.overrides, "eps_spent": stats.eps_spent,

@@ -434,8 +434,9 @@ def _fitting(space):
                      st.builds(ARight, _fitting(space.right)))
 
 
-#: a well-formed index: an int, often past the history or out of range
-_INDEX = st.integers(-2, 20)
+#: a well-formed index: an int, often past the history or out of range, and
+#: sometimes far past any float's exact range
+_INDEX = st.one_of(st.integers(-2, 20), st.sampled_from([10 ** 30, -(10 ** 30)]))
 
 #: an index no well-formed action has: anything but an exact int, which
 #: may be as big as it likes

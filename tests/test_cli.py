@@ -127,6 +127,15 @@ class TestSimulate:
         assert doc["crashes"] >= 1
         assert doc["control_policy"] == "river-naive"
 
+    def test_non_adaptive_names_no_inference_policy(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--env", "sisyphean", "--episodes", "1", "--max-steps", "5",
+             "--seed", "0", "--out", str(tmp_path), "--non-adaptive", "--json"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["non_adaptive"] and doc["eps_spent"] == 0.0
+        assert doc["inference_policy"] is None
+        assert doc["control_policy"] == "greedy-train"
+
     def test_trace_roundtrip(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--env", "sisyphean", "--episodes", "2", "--seed", "4",
