@@ -2,12 +2,12 @@
 
 A control action is a tree of choices that pins down one run of a
 nondeterministic loop-free controller: each choice contributes a branch side,
-each unconstrained assignment contributes a real value.  Execution replays
-the chosen path ignoring tests; the monitor replays the same path and checks
-every test in its intermediate state (an undefined test is fail-safe false).
-Both run a controller's ``ControllerEvaluators``: ``interpreted`` walks its
-tree, the reference, and ``controller_code`` generates the functions a
-``Shield`` runs.
+each unconstrained assignment contributes a real value.  One replay runs the
+chosen path and checks every test in its intermediate state (an undefined
+test is fail-safe false): the monitor is that replay, and its post-state is
+the execution.  It runs a controller's ``ControllerEvaluators``:
+``interpreted`` walks its tree, the reference, and ``controller_code``
+generates the functions a ``Shield`` runs.
 """
 
 from __future__ import annotations
@@ -164,16 +164,14 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
 
 class ControllerEvaluators(NamedTuple):
     """What running a controller calls: its program, whose tree the
-    fallback's directives walk; the monitor and execution, each as
-    ``f(state, action, interp)`` on a state it updates, the monitor
-    returning ``_monitor``'s verdict and execution nothing; and the
+    fallback's directives walk; the replay, as ``f(state, action, interp)``
+    on a state it updates, returning ``_replay``'s verdict; and the
     fallback's cases, each guard (None for the unguarded case) and each
     term of its directives as ``f(state, interp)``.  ``interpreted`` walks
     the trees, the reference; ``controller_code`` generates the functions."""
 
     program: HybridProgram
-    monitor: Callable
-    exec: Callable
+    replay: Callable
     fallback: tuple
 
 
@@ -182,8 +180,7 @@ def interpreted(ctrl: HybridProgram, fb: Optional[FallbackDecl] = None) -> Contr
     and terms."""
     return ControllerEvaluators(
         ctrl,
-        lambda state, a, interp: _monitor(ctrl, state, a, interp, None),
-        lambda state, a, interp: _exec(ctrl, state, a, interp),
+        lambda state, a, interp: _replay(ctrl, state, a, interp, None),
         _cases(fb, lambda f: lambda state, interp: eval_formula(f, interp, state),
                lambda t: lambda state, interp: eval_term(t, interp, state)))
 
@@ -198,101 +195,77 @@ def _cases(fb: Optional[FallbackDecl], formula: Callable, term: Callable) -> tup
 
 def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
               interp=None) -> dict:
-    """State after running ``ctrl`` along the path selected by ``a``.
-
-    Tests are skipped (the monitor checks them); an undefined assignment
-    right-hand side leaves the family of UNDEF in the state so downstream
-    monitors fail safe.
-    """
+    """State after running ``ctrl`` along the path selected by ``a``,
+    whatever its tests give; an undefined assignment right-hand side
+    leaves the family of UNDEF in the state so downstream monitors fail
+    safe."""
     out = dict(state)
-    ctrl.exec(out, a, interp or {})
+    ctrl.replay(out, a, interp or {})
     return out
 
 
-def _exec(ctrl, state: dict, a, interp) -> None:
-    t = type(ctrl)
-    if t is Seq:
-        if type(a) is not APair:
-            raise StructureError("sequence expects a pair action")
-        _exec(ctrl.left, state, a.left, interp)
-        _exec(ctrl.right, state, a.right, interp)
-        return
-    if t is Choice:
-        at = type(a)
-        if at is ALeft:
-            _exec(ctrl.left, state, a.action, interp)
-        elif at is ARight:
-            _exec(ctrl.right, state, a.action, interp)
-        else:
-            raise StructureError("choice expects a left/right action")
-        return
-    if t is Assign:
-        if type(a) is not AUnit:
-            raise StructureError("assignment expects the unit action")
-        state[ctrl.var] = eval_term(ctrl.term, interp, state)
-        return
-    if t is AssignAny:
-        if type(a) is not AReal:
-            raise StructureError("unconstrained assignment expects a real action")
-        state[ctrl.var] = float(a.value)
-        return
-    if t is Test:
-        if type(a) is not AUnit:
-            raise StructureError("test expects the unit action")
-        return
-    raise StructureError(f"controller contains {t.__name__}, not executable")
-
-
 def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
-                 interp=None) -> bool:
-    """True iff every test on the selected path holds in its intermediate
-    state; undefined tests are false.  Stops at the first failing test."""
-    return ctrl.monitor(dict(state), a, interp or {})
+                 interp=None) -> Optional[dict]:
+    """``ctrl_exec``'s state if every test on the selected path holds in its
+    intermediate state, None if one does not; undefined tests do not hold.
+    A post-state may be ``{}``, so test the result with ``is None``."""
+    out = dict(state)
+    return out if ctrl.replay(out, a, interp or {}) else None
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
                        interp=None) -> tuple[list[tuple[str, object]], list[str]]:
     """Per-test breakdown: (list of (test, verdict), list of failing tests).
-    The diagnostic path behind ``monitor-eval``: it checks every test on the
-    path, past failures, and prints each."""
+    The diagnostic path behind ``monitor-eval``: it prints each test on the
+    path."""
     tests: list = []
-    _monitor(ctrl, dict(state), a, interp or {}, tests)
+    _replay(ctrl, dict(state), a, interp or {}, tests)
     results = [(pretty_print(cond), r) for cond, r in tests]
     failures = [shown for shown, r in results if r is UNDEF or not r]
     return results, failures
 
 
-def _monitor(p, st: dict, act, interp, tests: Optional[list]) -> bool:
-    """Replay the path of ``act`` through ``p`` in ``st``.  With ``tests`` a
-    list, append every test's (condition, verdict) and go on past failures;
-    with None, return at the first failure."""
+def _replay(p, st: dict, act, interp, tests: Optional[list]) -> bool:
+    """Run the path of ``act`` through ``p`` on ``st`` in place and return
+    whether every test on it held.  A failing test does not stop it; with
+    ``tests`` a list, each test's (condition, verdict) is appended."""
     t = type(p)
     if t is Seq:
         if type(act) is not APair:
             raise StructureError("sequence expects a pair action")
-        ok = _monitor(p.left, st, act.left, interp, tests)
-        if not ok and tests is None:
-            return False
-        return _monitor(p.right, st, act.right, interp, tests) and ok
+        ok = _replay(p.left, st, act.left, interp, tests)
+        return _replay(p.right, st, act.right, interp, tests) and ok
     if t is Choice:
         at = type(act)
         if at is ALeft:
-            return _monitor(p.left, st, act.action, interp, tests)
+            return _replay(p.left, st, act.action, interp, tests)
         if at is ARight:
-            return _monitor(p.right, st, act.action, interp, tests)
+            return _replay(p.right, st, act.action, interp, tests)
         raise StructureError("choice expects a left/right action")
+    if t is Assign:
+        if type(act) is not AUnit:
+            raise StructureError("assignment expects the unit action")
+        st[p.var] = eval_term(p.term, interp, st)
+        return True
+    if t is AssignAny:
+        if type(act) is not AReal:
+            raise StructureError("unconstrained assignment expects a real action")
+        st[p.var] = float(act.value)
+        return True
     if t is Test:
+        if type(act) is not AUnit:
+            raise StructureError("test expects the unit action")
         r = eval_formula(p.cond, interp, st)
         if tests is not None:
             tests.append((p.cond, r))
         return r is not UNDEF and bool(r)
-    _exec(p, st, act, interp)
-    return True
+    raise StructureError(f"controller contains {t.__name__}, not executable")
 
 
-def resolve_fallback(ctrl: ControllerEvaluators, state: dict, interp=None) -> ControlAction:
-    """Action denoted by the first fallback case whose guard holds;
-    verified against the monitor before being returned."""
+def resolve_fallback(ctrl: ControllerEvaluators, state: dict,
+                     interp=None) -> tuple[ControlAction, dict]:
+    """Action denoted by the first fallback case whose guard holds, and the
+    state it gives, from the replay that checks it against the monitor."""
     interp = interp or {}
     template = None
     for guard, tpl in ctrl.fallback:
@@ -314,36 +287,35 @@ def resolve_fallback(ctrl: ControllerEvaluators, state: dict, interp=None) -> Co
         return v
 
     action = walk_directives(ctrl.program, template, term_value)
-    if not ctrl_monitor(ctrl, state, action, interp):
+    out = ctrl_monitor(ctrl, state, action, interp)
+    if out is None:
         raise FallbackViolation(
             "fallback action rejected by the controller monitor "
             "(unproven totality obligation or bounds outside their contract)")
-    return action
+    return action, out
 
 
 def controller_code(m: Module, ctrl: HybridProgram,
                     fb: Optional[FallbackDecl]) -> ControllerEvaluators:
     """``interpreted(ctrl, fb)`` as functions generated into ``m``.  The
-    monitor and execution replay the path as ``_monitor`` and ``_exec`` do,
-    with the same checks of the action's shape in the same order."""
+    replay runs the path as ``_replay`` does, with the same checks of the
+    action's shape in the same order."""
     m.ns.update(APair=APair, ALeft=ALeft, ARight=ARight, AUnit=AUnit, AReal=AReal,
                 StructureError=StructureError)
-    return ControllerEvaluators(ctrl, _path_function(m, ctrl, True),
-                                _path_function(m, ctrl, False),
-                                _cases(fb, m.formula, m.term))
+    return ControllerEvaluators(ctrl, _path_function(m, ctrl), _cases(fb, m.formula, m.term))
 
 
-def _path_function(m: Module, p: HybridProgram, monitor: bool):
+def _path_function(m: Module, p: HybridProgram):
     def emit(b: Body):
-        _path_code(b, p, "a", monitor)
-        if monitor:
-            b.emit("return True")
+        b.emit("ok = True")
+        _path_code(b, p, "a")
+        b.emit("return ok")
     return m.function("cur, a, interp", None, None, emit)
 
 
-def _path_code(b: Body, p, act: str, monitor: bool) -> None:
-    """Emit the replay of action ``act`` through ``p``: the monitor returns
-    False at the first test that does not hold."""
+def _path_code(b: Body, p, act: str) -> None:
+    """Emit the replay of action ``act`` through ``p``: a test that does not
+    hold sets ``ok`` False and the replay goes on."""
     t = type(p)
 
     def expect(cls: str, message: str) -> None:
@@ -354,11 +326,9 @@ def _path_code(b: Body, p, act: str, monitor: bool) -> None:
         for side, sub in (("left", p.left), ("right", p.right)):
             a = b.new()
             b.emit(f"{a} = {act}.{side}")
-            _path_code(b, sub, a, monitor)
+            _path_code(b, sub, a)
     elif t is Choice and b.depth >= MAX_DEPTH:
-        fn = _path_function(b.m, p, monitor).__name__
-        b.emit(f"if not {fn}(cur, {act}, interp): return False" if monitor
-               else f"{fn}(cur, {act}, interp)")
+        b.emit(f"if not {_path_function(b.m, p).__name__}(cur, {act}, interp): ok = False")
     elif t is Choice:
         kind = b.new()
         b.emit(f"{kind} = type({act})")
@@ -366,11 +336,8 @@ def _path_code(b: Body, p, act: str, monitor: bool) -> None:
             with b.block(f"{word} {kind} is {cls}:"):
                 a = b.new()
                 b.emit(f"{a} = {act}.action")
-                _path_code(b, sub, a, monitor)
+                _path_code(b, sub, a)
         b.emit(f"else: raise StructureError({b.const('choice expects a left/right action')})")
-    elif t is Test and monitor:
-        r = b.formula(p.cond)
-        b.emit(f"if {r} is UNDEF or not {r}: return False")
     elif t is Assign:
         expect("AUnit", "assignment expects the unit action")
         b.emit(f"cur[{b.const(p.var)}] = {b.term_into(p.term)}")
@@ -379,6 +346,8 @@ def _path_code(b: Body, p, act: str, monitor: bool) -> None:
         b.emit(f"cur[{b.const(p.var)}] = float({act}.value)")
     elif t is Test:
         expect("AUnit", "test expects the unit action")
+        r = b.formula(p.cond)
+        b.emit(f"if {r} is UNDEF or not {r}: ok = False")
     else:
         b.emit(f"raise StructureError("
                f"{b.const(f'controller contains {t.__name__}, not executable')})")

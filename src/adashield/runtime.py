@@ -368,9 +368,9 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
                         unshielded: bool = False):
     """One transition of the shielded environment, made on ``st`` in place.
 
-    Returns ``(reward, terminal, record, timing)`` where timing is
-    ``(shield_seconds, env_seconds)``.  The record holds copies of the
-    bounds, not the dicts the next step reads.
+    Returns ``(record, timing)`` where timing is ``(shield_seconds,
+    env_seconds)``.  The record holds the reward, whether the episode
+    ended, and copies of the bounds, not the dicts the next step reads.
     """
     spec = shield.spec
     interp = shield.interp
@@ -447,17 +447,18 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     bounds = {**b_g, **b_l}
     # v holds the state and every bound now: what {**sval, **bounds} would
     mval = v
-    overridden = False
     # the one read of the control action; one that does not fit, of the
     # wrong shape or with a value not of an exact real type or past the
     # float range, cannot be run even unshielded, and is overridden like
-    # one the monitor rejects
+    # one the monitor rejects.  The replay that checks an action runs it
     proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
-    if proposed is None or not (
-            unshielded or ctrl_monitor(code.ctrl, mval, proposed, interp)):
-        executed = resolve_fallback(code.ctrl, mval, interp)
-        overridden = True
-    exec_vals = ctrl_exec(code.ctrl, mval, executed, interp)
+    exec_vals = None
+    if proposed is not None:
+        exec_vals = (ctrl_exec(code.ctrl, mval, proposed, interp) if unshielded
+                     else ctrl_monitor(code.ctrl, mval, proposed, interp))
+    overridden = exec_vals is None
+    if overridden:
+        executed, exec_vals = resolve_fallback(code.ctrl, mval, interp)
 
     t1 = time.perf_counter()
     s2, reward, terminal = env.step(env_state, exec_vals, env_rng)
@@ -476,7 +477,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     st.state = env.state_map(s2)
     st.bounds = bounds
     st.global_bounds = b_g
-    return reward, terminal, record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
+    return record, (t1 - t0 + time.perf_counter() - t2, t2 - t1)
 
 
 @dataclass
@@ -538,14 +539,14 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
         except Exception:
             a_inf = shield.empty_action
         try:
-            reward, terminal, rec, (ts, te) = shielded_transition(
+            rec, (ts, te) = shielded_transition(
                 shield, st, env, a_ctrl, a_inf, env_rng, measure_rng,
                 episode, step, unshielded)
         except (FallbackViolation, LocalParamUnset) as e:
             raise type(e)(f"episode {episode}, step {step}: {e}") from e
         shield_s += ts
         env_s += te
-        total += reward
+        total += rec.reward
         steps += 1
         overrides += 1 if rec.overridden else 0
         crash = crash or not rec.safe
@@ -560,7 +561,7 @@ def run_episode(shield: Shield, env, control_policy, inference_policy,
             seen_pairs.add(key)
         if record_sink is not None:
             record_sink(rec)
-        if terminal:
+        if rec.terminal:
             break
 
     # max(-e, e - 1) is e's distance from [0, 1] outside it, negative inside

@@ -154,7 +154,7 @@ class TestCriterion4MonitorCorrectness:
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
             end = path_oracle(ctrl, s, a)
-            assert ctrl_monitor(interpreted(ctrl), s, a) == (end is not None)
+            assert (ctrl_monitor(interpreted(ctrl), s, a) is not None) == (end is not None)
             if end is not None:
                 assert ctrl_exec(interpreted(ctrl), s, a) == end
             probes += 1

@@ -630,7 +630,7 @@ class TestHostileWindows:
             entries = [cycle[k % len(cycle)] for k in range(100_000)]
         window = tuple((named.get(i, i),) for i in entries)
         recs, fbar, ledger = self._per_entry(shield, env, st, window)
-        _, _, rec, _ = step((None, window, None))
+        rec, _ = step((None, window, None))
         assert len(rec.assignments) == 1 + len(window)
         assert rec.assignments == recs
         if len(window) > 5:
@@ -646,6 +646,6 @@ class TestHostileWindows:
         window = [(1 + k % 5,) for k in range(100_000)]
         window[where] = bad
         recs, fbar, _ = self._per_entry(shield, env, st, ())
-        _, _, rec, _ = step((None, tuple(window), None))
+        rec, _ = step((None, tuple(window), None))
         assert rec.assignments == recs and len(recs) == 1
         assert rec.bounds_after[_FBAR] == fbar == shield.interp["F"]

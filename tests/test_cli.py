@@ -320,7 +320,18 @@ class TestMonitorEval:
              "--action", str(apath)], capsys)
         assert code == 1 and "malformed" in err
 
-    @pytest.mark.parametrize("directives", [["sideways"], [], ["left", 1.0]])
+    def test_real_at_a_test_is_a_shape_error(self, docs, capsys):
+        # the replay checks the action's shape at every node, tests included
+        tmp, spath, cpath = docs
+        apath = tmp / "action.json"
+        apath.write_text(json.dumps(["*", {"left": [1.0, "*"]}]))
+        code, out, err = run_cli(
+            ["monitor-eval", "--spec", "sisyphean", "--state", str(spath),
+             "--action", str(apath), "--consts", str(cpath)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: test expects the unit action\n"
+
+    @pytest.mark.parametrize("directives",[["sideways"], [], ["left", 1.0]])
     def test_bad_directives_are_malformed(self, docs, capsys, directives):
         tmp, spath, _ = docs
         apath = tmp / "action.json"

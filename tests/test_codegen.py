@@ -4,8 +4,8 @@
 the code a ``Module`` generates must give the same value, bit for bit, or
 raise the same error, on any input: random trees, valuations with holes,
 UNDEF, NaN, infinities, signed zeros and numpy floats, and the controller
-monitor, controller execution and fallback of every bundled spec and of
-random controllers with random fallbacks.
+replay and fallback of every bundled spec and of random controllers with
+random fallbacks.
 """
 
 import math
@@ -20,8 +20,8 @@ from adashield.actions import (
     resolve_fallback,
 )
 from adashield.dl import (
-    Abs, And, App, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp, Lit,
-    Module, Neg, Not, Or, Test, UNDEF, Var, eval_formula, eval_term,
+    Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp,
+    Lit, Module, Neg, Not, Or, Seq, Test, UNDEF, Var, eval_formula, eval_term,
     ordered_free_vars, parse_formula, parse_term,
 )
 from adashield.dl.codegen import MAX_DEPTH
@@ -172,19 +172,26 @@ class TestTermsAndFormulas:
         s = Lit(0.0)
         for k in range(400):
             s = BinOp("+", s, Var(Ident("x")))
-        ctrl = Test(BoolLit(True))
+        # the innermost choice's test fails at x <= 0, in a function of its
+        # own, and the assignments after it still run
+        ctrl = Seq(Test(Cmp(">", Var(Ident("x")), Lit(0.0))), Assign(Ident("y"), Var(Ident("x"))))
+        a = APair(UNIT, UNIT)
         for k in range(n):
             ctrl = Choice(Test(Cmp(">", Var(Ident("x")), Lit(float(k)))), ctrl)
-        a = UNIT
-        for k in range(n):
             a = ARight(a)
+        ctrl, a = Seq(ctrl, Assign(Ident("z"), Lit(1.0))), APair(a, UNIT)
         fns = Module().formula(f), Module().term(s)
         code = controller_code(Module(), ctrl, None)
+        verdicts = []
         for x in (-1.0, float(n) / 2, math.nan):
             val = {Ident("x"): x}
             assert _same(fns[0](val, {}), eval_formula(f, {}, val))
             assert _same(fns[1](val, {}), eval_term(s, {}, val))
-            assert ctrl_monitor(code, val, a) is ctrl_monitor(interpreted(ctrl), val, a)
+            got = _replayed(code, val, a)
+            assert _same(got, _replayed(interpreted(ctrl), val, a))
+            assert _same(got[1], {Ident("x"): x, Ident("y"): x, Ident("z"): 1.0})
+            verdicts.append(got[0])
+        assert verdicts == [False, True, False]
 
 
 NOISE = (Ident("eta", "i"), Ident("nu"))
@@ -618,7 +625,7 @@ class TestBundledControllers:
     def test_random_controllers(self):
         # with a random fallback: a guarded case and an unguarded one
         gen = ControllerGen(77)
-        resolved = violations = 0
+        resolved = violations = past_failures = 0
         for _ in range(300):
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
@@ -627,14 +634,44 @@ class TestBundledControllers:
                                (None, _fallback_case(gen, ctrl))))
             code = controller_code(Module(), ctrl, fb)
             ref = interpreted(ctrl, fb)
-            assert ctrl_monitor(code, s, a) is ctrl_monitor(ref, s, a)
-            assert _same(ctrl_exec(code, s, a), ctrl_exec(ref, s, a))
+            assert _same(_replayed(code, s, a), _replayed(ref, s, a))
+            past_failures += _assigns_after_a_failing_test(ctrl, s, a)
             got = _outcome(lambda: resolve_fallback(code, s))
             assert repr(got) == repr(_outcome(lambda: resolve_fallback(ref, s)))
             failed = type(got) is tuple and got[0] is FallbackViolation
             violations += failed
             resolved += not failed
         assert resolved and violations
+        assert past_failures > 0
+
+
+def _replayed(ev, state: dict, a, interp=None) -> tuple:
+    """The verdict and post-state of ``ev``'s replay of ``a`` from ``state``."""
+    out = dict(state)
+    return ev.replay(out, a, interp or {}), out
+
+
+def _assigns_after_a_failing_test(ctrl, state: dict, a) -> bool:
+    """Whether the path of ``a`` through ``ctrl`` runs an assignment after a
+    test that does not hold in its intermediate state."""
+    cur = dict(state)
+    failed = False
+    todo = [(ctrl, a)]
+    while todo:
+        p, act = todo.pop()
+        t = type(p)
+        if t is Seq:
+            todo += [(p.right, act.right), (p.left, act.left)]
+        elif t is Choice:
+            todo.append((p.left, act.action) if type(act) is ALeft else (p.right, act.action))
+        elif t is Test:
+            r = eval_formula(p.cond, {}, cur)
+            failed = failed or r is UNDEF or not r
+        elif failed:
+            return True
+        else:
+            cur[p.var] = float(act.value) if t is AssignAny else eval_term(p.term, {}, cur)
+    return False
 
 
 def _fallback_case(gen: ControllerGen, ctrl) -> tuple:

@@ -2,7 +2,8 @@
 
 For each bundled environment the test runs ``simulate --seed 0 --episodes 4
 --trace`` with one worker and with two, and pins the sha256 of the summary
-CSV and of the JSONL trace.  The trace holds every step's bounds, spent
+CSV and of the JSONL trace; for sisyphean and river it also pins the same
+run with ``--unshielded``.  The trace holds every step's bounds, spent
 tolerances and actions at full precision, so a change of one ulp in any
 bound value changes its digest.  In fixed mode ``--workers 2`` runs
 sequentially; both worker counts must give the same bytes either way.
@@ -35,14 +36,36 @@ GOLDEN = {
 }
 
 
+#: ``--unshielded`` runs, which execute every fitting proposal; river's
+#: default control policy under the flag is ``river-naive``.  Recorded at
+#: the commit before the monitor's replay became the execution
+GOLDEN_UNSHIELDED = {
+    "sisyphean": (
+        "fc9da55c49f5552705d004f351e0e18b8906a77b5d9e5d937bb622de44286a52",
+        "7c644723d642bdba905764eb077afd53465ebc05b67d8b86a312d95859ff6e6d"),
+    "river": (
+        "a88559808e2f05c3bcb58564251f606e2f3dca60b0431c4c0da628c1eea5b37f",
+        "309d04aaa4ce44b0b2580c4a2882e7a965c6f13b84127c5da11bf93b9f7f831b"),
+}
+
+
+def _digests(tmp_path, capsys, env, workers, *flags):
+    code = main(["simulate", "--env", env, "--seed", "0", "--episodes", "4",
+                 "--trace", "--workers", workers, "--out", str(tmp_path), "--json", *flags])
+    capsys.readouterr()
+    assert code == 0
+    return tuple(
+        hashlib.sha256((tmp_path / f"{env}_seed0{suffix}").read_bytes()).hexdigest()
+        for suffix in ("_summary.csv", ".jsonl"))
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("env", sorted(GOLDEN))
 def test_seeded_outputs(tmp_path, capsys, env, workers):
-    code = main(["simulate", "--env", env, "--seed", "0", "--episodes", "4",
-                 "--trace", "--workers", workers, "--out", str(tmp_path), "--json"])
-    capsys.readouterr()
-    assert code == 0
-    digests = tuple(
-        hashlib.sha256((tmp_path / f"{env}_seed0{suffix}").read_bytes()).hexdigest()
-        for suffix in ("_summary.csv", ".jsonl"))
-    assert digests == GOLDEN[env]
+    assert _digests(tmp_path, capsys, env, workers) == GOLDEN[env]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("env", sorted(GOLDEN_UNSHIELDED))
+def test_seeded_unshielded_outputs(tmp_path, capsys, env, workers):
+    assert _digests(tmp_path, capsys, env, workers, "--unshielded") == GOLDEN_UNSHIELDED[env]

@@ -179,11 +179,12 @@ class TestMonitor:
     def test_test_free_path_always_true(self):
         ctrl = parse_program("a := -4 ++ { ?(x > 0); a := 4 }")
         for x in (-10.0, 0.0, 10.0):
-            assert ctrl_monitor(interpreted(ctrl), {Ident("x"): x}, ALeft(UNIT))
+            assert ctrl_monitor(interpreted(ctrl), {Ident("x"): x}, ALeft(UNIT)) \
+                == {Ident("x"): x, Ident("a"): -4.0}
 
     def test_undefined_test_fails_safe(self):
         ctrl = parse_program("?(1/x > 0)")
-        assert ctrl_monitor(interpreted(ctrl), {Ident("x"): 0.0}, UNIT) is False
+        assert ctrl_monitor(interpreted(ctrl), {Ident("x"): 0.0}, UNIT) is None
 
     def test_monitor_agrees_with_path_oracle(self):
         gen = ControllerGen(2024)
@@ -200,19 +201,21 @@ class TestMonitor:
             if end is not None:
                 # when the path passes, exec must land exactly on the oracle state
                 assert ctrl_exec(ev, s, a) == end
-            assert got == expected
+            assert (got is not None) == expected
+            if got is not None:
+                assert got == end
             agreements += 1
         assert agreements == 1000
 
-    def test_bool_path_agrees_with_trace(self):
-        # the bool-only path stops at the first failing test; the trace
-        # checks them all, and both must give the same verdict
+    def test_verdict_agrees_with_trace(self):
+        # the monitor accepts exactly where the trace lists no failing test
         gen = ControllerGen(31)
         for _ in range(1000):
             ctrl = gen.controller()
             a = gen.action_for(ctrl)
             s = gen.terms.valuation()
-            assert ctrl_monitor(interpreted(ctrl), s, a) == (not ctrl_monitor_trace(ctrl, s, a)[1])
+            assert (ctrl_monitor(interpreted(ctrl), s, a) is not None) \
+                == (not ctrl_monitor_trace(ctrl, s, a)[1])
 
     def test_trace_reports_tests_after_a_failure(self):
         ctrl = parse_program("?(x > 0); ?(x > 1)")
@@ -227,8 +230,11 @@ class TestFallback:
         consts = {"A": 4.0, "B": 4.0, "T": 1.0, "sigma": 0.1}
         s = {Ident("x"): 0.0, Ident("v"): 10.0, Ident("e"): 1000.0,
              Ident("theta_lo"): 0.5, Ident("theta_up"): 1.5, Ident("phi_up"): 0.5}
-        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
+        ev = interpreted(spec.ctrl, spec.fallback)
+        a, out = resolve_fallback(ev, s, consts)
         assert a == make_action(spec.ctrl, [-4.0])
+        # the state is the one the checking replay reached: a's execution
+        assert out == ctrl_exec(ev, s, a, consts)
 
     def test_binary_fallback_is_right_branch(self, specs):
         spec = specs["sisyphean"]
@@ -236,8 +242,9 @@ class TestFallback:
                   "eta_r": 0.3}
         s = {Ident("x"): -1000.0, Ident("v"): 30.0, Ident("y"): 3.0,
              Ident("a"): 0.0, Ident("t"): 0.0, Ident("fbar"): 3.0}
-        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
+        a, out = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
         assert a == make_action(spec.ctrl, ["right"])
+        assert out[Ident("a")] == -4.0
 
     def test_fallback_violation_out_of_contract(self, specs):
         # a state violating the invariant may make the fallback unmonitorable
@@ -256,8 +263,8 @@ class TestFallback:
         for value, expected in ((10.0, False), (1.0, True)):
             for a in (make_action(ctrl, [value]), APair(AReal(np.float64(value)), UNIT)):
                 assert action_fits(derive_action_space(ctrl), a)
-                assert ctrl_monitor(interpreted(ctrl), s, a, {"A": 3.0}) is expected
-                assert ctrl_monitor(code, s, a, {"A": 3.0}) is expected
+                for ev in (interpreted(ctrl), code):
+                    assert (ctrl_monitor(ev, s, a, {"A": 3.0}) is not None) is expected
 
     def test_acas_numpy_actions_match_floats(self, specs, shields):
         spec = specs["acas"]
@@ -270,13 +277,13 @@ class TestFallback:
             s = {Ident("h"): h, Ident("v"): 0.0, Ident("t"): 0.0,
                  Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
             for value in (-3.0, -1.0, 0.0, 2.0, 3.0, 5.0):
-                verdict = ctrl_monitor(ref, s, make_action(spec.ctrl, [value]), consts)
+                verdict = ctrl_monitor(ref, s, make_action(spec.ctrl, [value]), consts) is not None
                 accepted += verdict
                 a = make_action(spec.ctrl, [np.float64(value)])
                 a = APair(AReal(np.float64(value)), a.right)
                 assert type(a.left.value) is np.float64
-                assert ctrl_monitor(ref, s, a, consts) is verdict
-                assert ctrl_monitor(code, s, a, consts) is verdict
+                assert (ctrl_monitor(ref, s, a, consts) is not None) is verdict
+                assert (ctrl_monitor(code, s, a, consts) is not None) is verdict
         assert 0 < accepted < 18
 
     def test_guarded_fallback_picks_matching_case(self, specs):
@@ -290,10 +297,10 @@ class TestFallback:
                 Ident("hint_lo"): -2000.0, Ident("hint_up"): 2000.0,
                 Ident("h0int_lo"): -500.0, Ident("h0int_up"): 500.0}
         up = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
-        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), up, consts)
+        a, _ = resolve_fallback(interpreted(spec.ctrl, spec.fallback), up, consts)
         assert a == make_action(spec.ctrl, [3.0])  # climb case holds
         down = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 4000.0}
-        a = resolve_fallback(interpreted(spec.ctrl, spec.fallback), down, consts)
+        a, _ = resolve_fallback(interpreted(spec.ctrl, spec.fallback), down, consts)
         assert a == make_action(spec.ctrl, [-3.0])
 
 

@@ -53,8 +53,7 @@ def _init(shield, env, budget, rng):
 
 
 def _step(shield, env, st, a_ctrl, a_inf, rngs, step=0, unshielded=False):
-    """One transition of ``st``, in place: its reward, whether it ended the
-    episode, its record and its timing."""
+    """One transition of ``st``, in place: its record and its timing."""
     _, env_rng, meas_rng = rngs
     return shielded_transition(shield, st, env, a_ctrl, a_inf, env_rng,
                                meas_rng, 0, step, unshielded)
@@ -120,7 +119,7 @@ class TestBudget:
         empty = (None, (), None)
         _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-8, ((1.0, (1,)),))
-        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         arec = rec.assignments[-1]
         assert arec.skipped and arec.eps == 1e-8
         assert st.ledger.remaining == 1e-9  # unchanged
@@ -133,7 +132,7 @@ class TestBudget:
         accel = make_action(shield.spec.ctrl, ["left"])
         # index 5 does not exist yet: evaluation fails but the budget is spent
         agg = AggregateAction(1e-5, ((1.0, (5,)),))
-        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 0)
+        rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 0)
         arec = rec.assignments[-1]
         assert arec.bottom and not arec.skipped
         assert st.ledger.spent == pytest.approx(1e-5, abs=0)
@@ -178,10 +177,10 @@ class TestBudget:
         accel = make_action(spec.ctrl, ["left"])
         empty = (None, (), None)
         assert len(interpret_strategy(spec.infer, empty, spec.directions, spec.noise_decls)) == 1
-        _, _, rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
+        rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
         assert len(rec.assignments) == 1 and adds == [0.0]
         # a window of two entries: one SBI, one add, a record per entry
-        _, _, rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
+        rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
         assert len(rec.assignments) == 3 and adds == [0.0] * 3
 
     @pytest.mark.parametrize("env_name", ["sisyphean", "versatile"])
@@ -245,11 +244,11 @@ class TestNonReuse:
         empty = (None, (), None)
         _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-6, ((1.0, (1,)),))
-        _, _, rec1, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        rec1, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         assert rec1.consumed == [(1, "w")]
         assert not rec1.assignments[-1].bottom
         # referencing the same index again: the measurement is gone for good
-        _, _, rec2, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 2)
+        rec2, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 2)
         assert rec2.consumed == []
         assert rec2.assignments[-1].bottom
         assert rec2.assignments[-1].eps == 1e-6  # spent regardless
@@ -266,7 +265,7 @@ class TestNonReuse:
         assert st.views[0].available == {"wv", "wh"}
         slots = list(empty)
         slots[4] = AggregateAction(1e-9, ((1.0, (1,)),))  # references wv@1
-        _, _, rec, _ = _step(shield, env, st, level, tuple(slots), rngs, 1)
+        rec, _ = _step(shield, env, st, level, tuple(slots), rngs, 1)
         assert rec.consumed == [(1, "wv")]
         assert st.views[0].available == set()  # wh gone as well
 
@@ -280,7 +279,7 @@ class TestTightening:
         empty = (None, (), None)
         _step(shield, env, st, accel, empty, rngs, 0)
         agg = AggregateAction(1e-4, ((1.0, (1,)),))
-        _, _, rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
+        rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         fbar = rec.bounds_after[Ident("fbar")]
         assert fbar < 3.0  # a single observation beats the global default
         assert rec.assignments[-1].updated
@@ -293,7 +292,7 @@ class TestTightening:
         accel = make_action(shield.spec.ctrl, ["left"])
         for step in range(6):
             view_bounds = []
-            _, _, rec, _ = _step(
+            rec, _ = _step(
                 shield, env, st, accel,
                 (None, tuple((i,) for i in range(1, len(st.history) + 1)), None),
                 rngs, step)
@@ -308,6 +307,21 @@ def _state_near_stop(shield, env):
     return ShieldedState(s, env.state_map(s), {}, {}, KahanLedger(1e-3))
 
 
+def _count_replays(shield) -> list:
+    """Make ``shield``'s controller replay append to the returned list on
+    every call."""
+    code = shield.code
+    replay = code.ctrl.replay
+    calls: list = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return replay(*args)
+
+    shield.code = code._replace(ctrl=code.ctrl._replace(replay=counted))
+    return calls
+
+
 class TestOverride:
     def test_near_stop_acceleration_is_overridden(self, train_setup):
         # x = -50, v = 30 with only the conservative default bound: the
@@ -316,7 +330,7 @@ class TestOverride:
         rngs = _rngs()
         st = _state_near_stop(shield, env)
         accel = make_action(shield.spec.ctrl, ["left"])
-        _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
+        rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0)
         assert rec.overridden
         assert rec.executed == make_action(shield.spec.ctrl, ["right"])
         assert st.env_state.v < 30.0  # braking happened
@@ -326,10 +340,35 @@ class TestOverride:
         rngs = _rngs()
         st = _state_near_stop(shield, env)
         accel = make_action(shield.spec.ctrl, ["left"])
-        _, _, rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0,
-                             unshielded=True)
+        rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0,
+                       unshielded=True)
         assert not rec.overridden
         assert st.env_state.v > 30.0
+
+    @pytest.mark.parametrize("case, replays", [
+        ("accepted", 1), ("rejected", 2), ("unfit", 1), ("unshielded", 1)])
+    def test_each_action_run_is_replayed_once(self, train_setup, case, replays):
+        # the replay that checks an action is its execution: a rejected
+        # proposal is replayed once, and the fallback once to check and run it
+        shield, env = train_setup
+        calls = _count_replays(shield)
+        rngs = _rngs()
+        near_stop = case in ("rejected", "unshielded")
+        st = _state_near_stop(shield, env) if near_stop else _init(shield, env, 1e-3, rngs[0])
+        accel = None if case == "unfit" else make_action(shield.spec.ctrl, ["left"])
+        rec, _ = _step(shield, env, st, accel, (None, (), None), rngs, 0,
+                       unshielded=case == "unshielded")
+        assert rec.overridden is (case in ("rejected", "unfit"))
+        assert len(calls) == replays
+
+    def test_an_episode_replays_each_step_once_and_each_override_twice(self, train_setup):
+        shield, env = train_setup
+        calls = _count_replays(shield)
+        stats = run_episode(shield, env, greedy_train_control(shield, env),
+                            sisyphean_inference(shield, env), KahanLedger(1e-3),
+                            env.max_steps, np.random.SeedSequence(3))
+        assert 0 < stats.overrides < stats.steps
+        assert len(calls) == stats.steps + stats.overrides
 
     def test_non_adaptive_keeps_defaults(self, specs):
         # a non-adaptive run never calls its inference policy: each step
@@ -365,8 +404,8 @@ class TestZeroTrust:
         shield, env = train_setup
         rngs = _rngs()
         st = _init(shield, env, 1e-3, rngs[0])
-        _, _, rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
-                                 unshielded=unshielded)
+        rec, _ = _step(shield, env, st, bad, (None, (), None), rngs, 0,
+                       unshielded=unshielded)
         assert rec.overridden and rec.proposed is None
         assert rec.executed == make_action(shield.spec.ctrl, ["right"])
         json.dumps(rec.to_json())
@@ -388,8 +427,7 @@ class TestZeroTrust:
                 return t(swap(a.action))
             return a
 
-        _, _, rec, _ = _step(shield, env, st, swap(level),
-                                 shield.empty_action, rngs, 0)
+        rec, _ = _step(shield, env, st, swap(level), shield.empty_action, rngs, 0)
         assert rec.overridden
 
     @pytest.mark.parametrize("bad", [
@@ -403,7 +441,7 @@ class TestZeroTrust:
         st = _init(shield, env, 1e-3, rngs[0])
         accel = make_action(shield.spec.ctrl, ["left"])
         _step(shield, env, st, accel, (None, (), None), rngs, 0)
-        _, _, rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
+        rec, _ = _step(shield, env, st, accel, bad, rngs, 1)
         assert [(a.param, a.eps) for a in rec.assignments] == [("fbar", 0.0)]
         assert st.ledger.spent == 0.0
         assert rec.consumed == [] and st.views[0].available == {"w"}
@@ -709,9 +747,9 @@ class TestIncrementalState:
                 assert view == _reference_policy_view(env, st, step, env.max_steps)
                 a_ctrl, a_inf = cp(view), ip(view)
                 read += _check_valuations(shield, env, st, a_inf)
-                _, term, rec, _ = _step(shield, env, st, a_ctrl, a_inf, rngs, step)
+                rec, _ = _step(shield, env, st, a_ctrl, a_inf, rngs, step)
                 burned += len(rec.consumed)
-                if term:
+                if rec.terminal:
                     break
         assert burned > 0 and read > 0
 
@@ -788,11 +826,10 @@ class TestDeterminism:
             ups, los = [], []
             for step in range(50):
                 view = make_policy_view(shield, env, st, step, 50)
-                _, term, rec, _ = _step(shield, env, st, cp(view), ip(view),
-                                            rngs, step)
+                rec, _ = _step(shield, env, st, cp(view), ip(view), rngs, step)
                 ups.append(rec.bounds_after[Ident("yb_up")])
                 los.append(rec.bounds_after[Ident("yb_lo")])
-                if term:
+                if rec.terminal:
                     break
             assert all(b <= a for a, b in zip(ups, ups[1:]))
             assert all(b >= a for a, b in zip(los, los[1:]))
