@@ -163,26 +163,29 @@ def action_fits(space: ActionSpace, a: ControlAction) -> bool:
 # Execution and monitoring
 
 class ControllerEvaluators(NamedTuple):
-    """What running a controller calls: its program, whose tree the
-    fallback's directives walk; the replay, as ``f(state, action, interp)``
-    on a state it updates, returning ``_replay``'s verdict; and the
-    fallback's cases, each guard (None for the unguarded case) and each
-    term of its directives as ``f(state, interp)``.  ``interpreted`` walks
-    the trees, the reference; ``controller_code`` generates the functions."""
+    """What running a controller calls, under one interpretation of the
+    constants: its program, whose tree the fallback's directives walk; the
+    replay, as ``f(state, action)`` on a state it updates, returning
+    ``_replay``'s verdict; and the fallback's cases, each guard (None for
+    the unguarded case) and each term of its directives as ``f(state)``.
+    ``interpreted`` walks the trees, the reference; ``controller_code``
+    generates the functions."""
 
     program: HybridProgram
     replay: Callable
     fallback: tuple
 
 
-def interpreted(ctrl: HybridProgram, fb: Optional[FallbackDecl] = None) -> ControllerEvaluators:
+def interpreted(ctrl: HybridProgram, fb: Optional[FallbackDecl] = None,
+                interp=None) -> ControllerEvaluators:
     """The reference evaluators: walk ``ctrl``'s tree and ``fb``'s guards
-    and terms."""
+    and terms under the constants ``interp`` (none if None)."""
+    interp = {} if interp is None else interp
     return ControllerEvaluators(
         ctrl,
-        lambda state, a, interp: _replay(ctrl, state, a, interp, None),
-        _cases(fb, lambda f: lambda state, interp: eval_formula(f, interp, state),
-               lambda t: lambda state, interp: eval_term(t, interp, state)))
+        lambda state, a: _replay(ctrl, state, a, interp, None),
+        _cases(fb, lambda f: lambda state: eval_formula(f, interp, state),
+               lambda t: lambda state: eval_term(t, interp, state)))
 
 
 def _cases(fb: Optional[FallbackDecl], formula: Callable, term: Callable) -> tuple:
@@ -193,24 +196,22 @@ def _cases(fb: Optional[FallbackDecl], formula: Callable, term: Callable) -> tup
                  for guard, tpl in (fb.cases if fb else ()))
 
 
-def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
-              interp=None) -> dict:
+def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction) -> dict:
     """State after running ``ctrl`` along the path selected by ``a``,
     whatever its tests give; an undefined assignment right-hand side
     leaves the family of UNDEF in the state so downstream monitors fail
     safe."""
     out = dict(state)
-    ctrl.replay(out, a, interp or {})
+    ctrl.replay(out, a)
     return out
 
 
-def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction,
-                 interp=None) -> Optional[dict]:
+def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction) -> Optional[dict]:
     """``ctrl_exec``'s state if every test on the selected path holds in its
     intermediate state, None if one does not; undefined tests do not hold.
     A post-state may be ``{}``, so test the result with ``is None``."""
     out = dict(state)
-    return out if ctrl.replay(out, a, interp or {}) else None
+    return out if ctrl.replay(out, a) else None
 
 
 def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
@@ -262,17 +263,15 @@ def _replay(p, st: dict, act, interp, tests: Optional[list]) -> bool:
     raise StructureError(f"controller contains {t.__name__}, not executable")
 
 
-def resolve_fallback(ctrl: ControllerEvaluators, state: dict,
-                     interp=None) -> tuple[ControlAction, dict]:
+def resolve_fallback(ctrl: ControllerEvaluators, state: dict) -> tuple[ControlAction, dict]:
     """Action denoted by the first fallback case whose guard holds, and the
     state it gives, from the replay that checks it against the monitor."""
-    interp = interp or {}
     template = None
     for guard, tpl in ctrl.fallback:
         if guard is None:
             template = tpl
             break
-        g = guard(state, interp)
+        g = guard(state)
         if g is not UNDEF and g:
             template = tpl
             break
@@ -280,14 +279,14 @@ def resolve_fallback(ctrl: ControllerEvaluators, state: dict,
         raise FallbackViolation("no fallback template is applicable")
 
     def term_value(p, term):
-        v = term(state, interp)
+        v = term(state)
         if v is UNDEF:
             raise FallbackViolation(
                 f"fallback term for {p.var} is undefined in the current state")
         return v
 
     action = walk_directives(ctrl.program, template, term_value)
-    out = ctrl_monitor(ctrl, state, action, interp)
+    out = ctrl_monitor(ctrl, state, action)
     if out is None:
         raise FallbackViolation(
             "fallback action rejected by the controller monitor "
@@ -297,9 +296,9 @@ def resolve_fallback(ctrl: ControllerEvaluators, state: dict,
 
 def controller_code(m: Module, ctrl: HybridProgram,
                     fb: Optional[FallbackDecl]) -> ControllerEvaluators:
-    """``interpreted(ctrl, fb)`` as functions generated into ``m``.  The
-    replay runs the path as ``_replay`` does, with the same checks of the
-    action's shape in the same order."""
+    """``interpreted(ctrl, fb, m.consts)`` as functions generated into
+    ``m``, against its constants.  The replay runs the path as ``_replay``
+    does, with the same checks of the action's shape in the same order."""
     m.ns.update(APair=APair, ALeft=ALeft, ARight=ARight, AUnit=AUnit, AReal=AReal,
                 StructureError=StructureError)
     return ControllerEvaluators(ctrl, _path_function(m, ctrl), _cases(fb, m.formula, m.term))
@@ -310,7 +309,7 @@ def _path_function(m: Module, p: HybridProgram):
         b.emit("ok = True")
         _path_code(b, p, "a")
         b.emit("return ok")
-    return m.function("cur, a, interp", None, None, emit)
+    return m.function("cur, a", None, None, emit)
 
 
 def _path_code(b: Body, p, act: str) -> None:
@@ -328,7 +327,7 @@ def _path_code(b: Body, p, act: str) -> None:
             b.emit(f"{a} = {act}.{side}")
             _path_code(b, sub, a)
     elif t is Choice and b.depth >= MAX_DEPTH:
-        b.emit(f"if not {_path_function(b.m, p).__name__}(cur, {act}, interp): ok = False")
+        b.emit(f"if not {_path_function(b.m, p).__name__}(cur, {act}): ok = False")
     elif t is Choice:
         kind = b.new()
         b.emit(f"{kind} = type({act})")

@@ -34,6 +34,7 @@ ARITY_MISMATCH = "symbol-arity-mismatch"
 UNKNOWN_IN_STRATEGY = "unknown-in-strategy"
 GUARD_NOT_EVALUABLE = "guard-not-runtime-evaluable"
 INITIAL_NOT_GLOBAL = "initial-value-for-non-global"
+INFER_TARGET = "inference-target-not-bound-parameter"
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,17 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
     out: list[Diagnostic] = []
     local = set(spec.local_params)
     local_names = {p.name for p in local}
+    params = set(spec.param_idents)
     seen_first: dict[Ident, bool] = {}
 
     for a in spec.infer:
         body = a.body
+        # the runtime tightens each target in the valuation the monitor
+        # checks, so any other target would replace what the monitor reads
+        if a.target.index is not None or a.target not in params:
+            out.append(Diagnostic(
+                INFER_TARGET,
+                f"inference target {a.target} is not an unindexed declared bound parameter"))
         nodes = (*a.terms, a.guard)
         for t in nodes:
             for name, _arity in spec.symbols(t):

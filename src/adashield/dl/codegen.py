@@ -1,23 +1,39 @@
 """Straight-line Python for terms and quantifier-free formulas.
 
-A :class:`Module` compiles each function it generates as soon as the
-function's statements are emitted.  Each function has exactly the semantics
-of :func:`~adashield.dl.semantics.eval_term` or ``eval_formula``, which stay
-the reference: operands evaluate left to right, an undefined term operand
-makes its term undefined at once, and each connective follows strong Kleene
-logic as ``eval_formula`` does, so a decided left operand skips the right
-one and an undefined left operand does not stop it.  Nothing is folded or
-simplified.  Every constant and identifier of the tree is a name in the
-module's namespace, never text in its source.
+A :class:`Module` is generated against one interpretation of the constant
+symbols, and compiles each function it generates as soon as the function's
+statements are emitted.  Each function has exactly the semantics of
+:func:`~adashield.dl.semantics.eval_term` or ``eval_formula`` under those
+constants, which stay the reference: operands evaluate left to right, an
+undefined term operand makes its term undefined at once, and each
+connective follows strong Kleene logic as ``eval_formula`` does, so a
+decided left operand skips the right one and an undefined left operand does
+not stop it.  Every literal, constant and identifier of the tree is a name
+in the module's namespace, never text in its source, except an exponent.
+
+What the constants fix is decided as the code is generated, with the
+reference's own tests:
+
+* a nullary symbol bound to a value that is not callable reads that name,
+  with no test; one bound to a callable is called on each use; an unbound
+  symbol makes its point of evaluation fail unconditionally, before its
+  arguments are evaluated;
+* ``x ^ n`` with a literal ``n`` that ``semantics.power`` admits, a natural
+  number, is ``x ** n`` inline, followed by ``power``'s finiteness test;
+  with any other literal it fails unconditionally once ``x`` is defined;
+* a division by a literal or a constant that is not zero has no zero test,
+  and one by zero fails unconditionally once both operands are defined.
+
+Nothing else is folded or simplified.
 
 A function reads variables one of two ways.  Without index names it reads a
 plain dict, ``cur``, as ``eval_term`` reads a valuation: its signature is
-``(cur, interp)``.  With a template's index names it reads ``val``, ``j``
-and ``interp``: ``x`` reads ``val.current``, and ``x@i`` at an index name
-reads ``val.at(x, j[k])``, where ``k`` is the position of ``i`` among the
-names, without building a binding.  An observation name reads through
-``val.obs`` instead, which also sees the observations surfaced this step;
-``val.at`` reads only state variables and bounds.
+``(cur)``.  With a template's index names it reads ``val`` and ``j``: ``x``
+reads ``val.current``, and ``x@i`` at an index name reads ``val.at(x,
+j[k])``, where ``k`` is the position of ``i`` among the names, without
+building a binding.  An observation name reads through ``val.obs`` instead,
+which also sees the observations surfaced this step; ``val.at`` reads only
+state variables and bounds.
 
 A function that evaluates a template for many index tuples, in a loop
 that binds ``j`` to each in turn, may keep the largest subterms that read no
@@ -28,8 +44,9 @@ the function itself writes is never kept in a slot.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .semantics import UNDEF, StructuralError, apply, power
 from .syntax import (
@@ -50,13 +67,19 @@ _KLEENE = {And: ("False", "False", "False", "True"),
            Imp: ("False", "True", "True", "False")}
 
 
+#: what ``Body.fixed`` gives for a term whose value is not fixed
+FREE = object()
+
+
 class Module:
-    """Generated functions and the namespace they share: each function is
+    """Generated functions and the namespace they share, generated against
+    the interpretation ``consts`` of the constant symbols: each function is
     compiled as soon as its statements are emitted."""
 
-    def __init__(self):
+    def __init__(self, consts: Mapping):
+        self.consts = consts
         self.ns = {"UNDEF": UNDEF, "StructuralError": StructuralError,
-                   "_apply": apply, "_power": power}
+                   "_apply": apply, "_power": power, "_isfinite": math.isfinite}
         self.count = 0
 
     def const(self, value) -> str:
@@ -82,18 +105,19 @@ class Module:
         return self.ns[name]
 
     def term(self, t) -> Callable:
-        """``eval_term(t, ...)`` over a plain dict: a value or UNDEF."""
+        """``eval_term(t, consts, cur)`` as ``f(cur)``: a value or UNDEF."""
         return self.function(_params(None), None, None,
                              lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}"))
 
     def formula(self, f) -> Callable:
-        """``eval_formula(f, ...)`` over a plain dict: True, False or UNDEF."""
+        """``eval_formula(f, consts, cur)`` as ``f(cur)``: True, False or
+        UNDEF."""
         return self.function(_params(None), None, None,
                              lambda b: b.emit(f"return {b.formula(f)}"))
 
 
 def _params(names: Optional[tuple]) -> str:
-    return "cur, interp" if names is None else "val, j, interp"
+    return "cur" if names is None else "val, j"
 
 
 class Body:
@@ -156,6 +180,48 @@ class Body:
         at = f"j[{self.pos[i]}]" if i.__class__ is str else self.const(i)
         return f"{how}({self.const(Ident(name))}, {at})"
 
+    def fixed(self, t):
+        """The value of ``t`` where the constants fix it: a literal's, or
+        that of a nullary symbol bound to a value that is not callable;
+        ``FREE`` otherwise."""
+        tt = type(t)
+        if tt is Lit:
+            return t.value
+        if tt is App and not t.args:
+            f = self.m.consts.get(t.func, UNDEF)
+            if f is not UNDEF and not callable(f):
+                return f
+        return FREE
+
+    def closed(self, t) -> bool:
+        """Whether ``t`` reads no variable and calls nothing, so that the
+        constants fix its value."""
+        tt = type(t)
+        if tt is Lit:
+            return True
+        if tt is App:
+            f = self.m.consts.get(t.func, UNDEF)
+            return f is UNDEF or (not t.args and not callable(f))
+        if tt is BinOp:
+            return self.closed(t.left) and self.closed(t.right)
+        if tt is Neg or tt is Abs:
+            return self.closed(t.arg)
+        return False
+
+    def leaf(self, t) -> Optional[str]:
+        """The name that holds ``t``'s value where the constants fix it, or
+        ``UNDEF`` where ``t`` applies an unbound symbol; None otherwise."""
+        tt = type(t)
+        if tt is Lit:
+            return self.const(t.value)
+        if tt is App:
+            f = self.m.consts.get(t.func, UNDEF)
+            if f is UNDEF:
+                return "UNDEF"
+            if not t.args and not callable(f):
+                return self.const(f)
+        return None
+
     def invariant(self, t) -> bool:
         """Whether the term ``t`` reads no index name and no name the
         function writes."""
@@ -202,9 +268,12 @@ class Body:
     def term(self, t, fail: str) -> str:
         """Emit ``t`` in post-order; ``fail`` runs where ``eval_term`` would
         return UNDEF."""
+        leaf = self.leaf(t)
+        if leaf is not None:
+            if leaf == "UNDEF":
+                self.emit(fail)
+            return leaf
         tt = type(t)
-        if tt is Lit:
-            return self.const(t.value)
         if self.slots is not None and self.invariant(t):
             s = self.slot(t)
             if s not in self.known:
@@ -221,10 +290,24 @@ class Body:
             if op in ("+", "-", "*"):
                 self.emit(f"{r} = {a} {op} {b}")
             elif op == "/":
-                self.emit(f"if {b} == 0.0: {fail}")
+                d = self.fixed(t.right)
+                if d is FREE:
+                    self.emit(f"if {b} == 0.0: {fail}")
+                elif d == 0.0:
+                    self.emit(fail)
                 self.emit(f"{r} = {a} / {b}")
             elif op in ("min", "max"):
                 self.emit(f"{r} = {a} if {a} {'<=' if op == 'min' else '>='} {b} else {b}")
+            elif op == "^" and type(t.right) is Lit:
+                n = _natural(t.right.value)
+                if n is None:
+                    self.emit(fail)
+                else:
+                    with self.block("try:"):
+                        self.emit(f"{r} = {a} ** {n}")
+                    with self.block("except (OverflowError, ValueError):"):
+                        self.emit(fail)
+                    self.emit(f"if not _isfinite({r}): {fail}")
             elif op == "^":
                 self.emit(f"{r} = _power({a}, {b})")
                 self.emit(f"if {r} is UNDEF: {fail}")
@@ -235,15 +318,17 @@ class Body:
         elif tt is Abs:
             self.emit(f"{r} = abs({self.term(t.arg, fail)})")
         elif tt is App:
-            f = self.new()
-            self.emit(f"{f} = interp.get({self.const(t.func)}, UNDEF)")
-            self.emit(f"if {f} is UNDEF: {fail}")
+            # bound, as leaf() shows: to a callable, or applied to arguments
+            value = self.m.consts[t.func]
+            f = self.const(value)
+            args = ", ".join(self.term(arg, fail) for arg in t.args)
             if not t.args:
-                self.emit(f"{r} = float({f}()) if callable({f}) else {f}")
+                self.emit(f"{r} = float({f}())")
+            elif callable(value):
+                self.emit(f"{r} = float({f}({args}))")
+                self.emit(f"if not _isfinite({r}): {fail}")
             else:
-                args = [self.term(arg, fail) for arg in t.args]
-                self.emit(f"{r} = _apply({self.const(t.func)}, {f}, ({', '.join(args)},))")
-                self.emit(f"if {r} is UNDEF: {fail}")
+                self.emit(f"{r} = _apply({self.const(t.func)}, {f}, ({args},))")
         else:
             self._raise(f"not a term: {t!r}")
         return r
@@ -251,8 +336,9 @@ class Body:
     def term_into(self, t) -> str:
         """Emit ``t`` so that an undefined ``t`` leaves UNDEF in the
         returned name and the function goes on."""
-        if type(t) is Lit:
-            return self.const(t.value)
+        leaf = self.leaf(t)
+        if leaf is not None:
+            return leaf
         if self.slots is not None and self.invariant(t):
             return self.slot(t)
         r = self.new()
@@ -355,7 +441,7 @@ class _Lin:
             return self.op("0.0"), [(t.ident, self.op("1.0"))]
         if tt in (Lit, Var, App, Abs) or (tt is BinOp and t.op not in ("+", "-", "*", "/")):
             v = self.b.term_into(t)
-            if tt is not Lit and v not in self.b.known:
+            if self.b.fixed(t) is FREE and v not in self.b.known:
                 self.leaves.append(v)
             return v, []
         if tt is Neg:
@@ -384,6 +470,21 @@ class _Lin:
             return self.op(f"{a[0]} * {b[0]}"), [(v, self.op(f"{c} * {b[0]}")) for v, c in a[1]]
         if b[1]:
             return None
-        self.ops.append(f"if {b[0]} == 0.0: {self.fail}")
+        d = self.b.fixed(t.right)
+        if d is FREE:
+            self.ops.append(f"if {b[0]} == 0.0: {self.fail}")
+        elif d == 0.0:
+            self.ops.append(self.fail)
         inv = self.op(f"1.0 / {b[0]}")
         return self.op(f"{a[0]} * {inv}"), [(v, self.op(f"{c} * {inv}")) for v, c in a[1]]
+
+
+def _natural(b) -> Optional[int]:
+    """The int that ``power`` raises its base to at the exponent ``b``, or
+    None where ``power`` is UNDEF whatever the base."""
+    try:
+        if b != int(b) or b < 0:
+            return None
+        return int(b)
+    except (OverflowError, ValueError):
+        return None

@@ -214,7 +214,8 @@ class PolicyView:
 
 
 class ShieldCode(NamedTuple):
-    """What a step evaluates, as generated code: per strategy template its
+    """What a step evaluates, as code generated against a ``Shield``'s
+    constants, which no generated function takes: per strategy template its
     evaluator (``template_code``), and the controller's
     ``ControllerEvaluators``, fallback included; per template that reads an
     observation, the observations it reads (``observation_reads``); per
@@ -235,13 +236,15 @@ class Shield:
     Everything that depends on the spec alone is worked out here once, not
     on every step: both action spaces, the empty inference action and the
     compiled strategy, whose templates every step's SBIs bind.  The
-    generated code of ``code`` is compiled on first use, which is the first
-    transition, so that a shield that never steps does not pay for it.
+    generated code of ``code`` is specialized to the constants ``interp``,
+    read-only so that they cannot change after, and compiled on first use,
+    which is the first transition, so that a shield that never steps does
+    not pay for it.
     """
 
     def __init__(self, spec: ShieldSpec, consts: dict):
         self.spec = spec
-        self.interp = dict(consts)
+        self.interp = MappingProxyType(dict(consts))
         self.ctrl_space = derive_action_space(spec.ctrl)
         self.strategy = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
                                          spec.free_vars)
@@ -249,9 +252,10 @@ class Shield:
 
     @cached_property
     def code(self) -> ShieldCode:
-        """One generated module for every term and formula a step
-        evaluates: the strategy templates, the controller and the fallback."""
-        m = Module()
+        """One module, generated against ``interp``, for every term and
+        formula a step evaluates: the strategy templates, the controller and
+        the fallback."""
+        m = Module(self.interp)
         spec = self.spec
         ts = self.strategy.templates
         return ShieldCode(
@@ -454,11 +458,11 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
     exec_vals = None
     if proposed is not None:
-        exec_vals = (ctrl_exec(code.ctrl, mval, proposed, interp) if unshielded
-                     else ctrl_monitor(code.ctrl, mval, proposed, interp))
+        exec_vals = (ctrl_exec(code.ctrl, mval, proposed) if unshielded
+                     else ctrl_monitor(code.ctrl, mval, proposed))
     overridden = exec_vals is None
     if overridden:
-        executed, exec_vals = resolve_fallback(code.ctrl, mval, interp)
+        executed, exec_vals = resolve_fallback(code.ctrl, mval)
 
     t1 = time.perf_counter()
     s2, reward, terminal = env.step(env_state, exec_vals, env_rng)

@@ -25,6 +25,7 @@ from .dl import (
     Abs, App, BinOp, BoolLit, Formula, Ident, Lit, Module, Neg, Term, UNDEF,
     Var, eval_formula, eval_term, index_tags, ordered_free_vars, substitute,
 )
+from .dl.codegen import FREE
 from . import tailbounds
 from .tailbounds import Dist
 
@@ -398,37 +399,38 @@ class Bound:
 KEPT, TIGHTENED, FAILED = range(3)
 
 
-def interpreted(t: Template) -> Callable:
-    """The reference evaluator of ``t``'s SBIs, which binds the index names
-    and walks the trees.  For a direct or best template it is ``f(val, js,
-    interp)``, which runs ``_eval_window``: it tightens the target in
-    ``val.current`` and returns one outcome per ``j`` of ``js``.  For an
-    aggregate it is ``f(val, dist, interp, eps)``: ``(value, method)`` as
-    ``_eval_aggregate`` gives them."""
+def interpreted(t: Template, interp) -> Callable:
+    """The reference evaluator of ``t``'s SBIs under the constants
+    ``interp``, which binds the index names and walks the trees.  For a
+    direct or best template it is ``f(val, js)``, which runs
+    ``_eval_window``: it tightens the target in ``val.current`` and returns
+    one outcome per ``j`` of ``js``.  For an aggregate it is ``f(val, dist,
+    eps)``: ``(value, method)`` as ``_eval_aggregate`` gives them."""
     a = t.assign
     body = a.body
     pos = {name: k for k, name in enumerate(t.names)}  # the last one wins
     if isinstance(body, Aggregate):
-        return lambda val, dist, interp, eps: _eval_aggregate(t, pos, val, dist, interp, eps)
-    return lambda val, js, interp: _eval_window(t, pos, val, js, interp)
+        return lambda val, dist, eps: _eval_aggregate(t, pos, val, dist, interp, eps)
+    return lambda val, js: _eval_window(t, pos, val, js, interp)
 
 
 def template_code(m: Module, t: Template, obs: frozenset) -> Callable:
-    """``t``'s evaluator, of the shape ``interpreted(t)`` gives, as one
-    function generated into ``m`` that reads the names ``obs`` as
+    """``t``'s evaluator, of the shape ``interpreted(t, m.consts)`` gives,
+    as one function generated into ``m`` that reads the names ``obs`` as
     observations.  A best template's function runs its whole window in one
     loop, and a direct template's has no loop.  An aggregate's function
     runs ``_eval_aggregate``'s stages in its order with the same float
-    operations.  A best or aggregate function evaluates each largest
-    subterm that reads neither an index name nor a best template's target
-    at most once per call."""
+    operations; a noise distribution whose hyperparameters read no variable
+    and call nothing is built once, here, and one they leave undefined or
+    outside its domain makes its stage fail unconditionally.  A best or
+    aggregate function evaluates each largest subterm that reads neither an
+    index name nor a best template's target at most once per call."""
     body = t.assign.body
     if isinstance(body, Aggregate):
-        return m.function("val, dist, interp, eps", t.names, obs,
-                          lambda b: _emit_aggregate(b, t))
+        return m.function("val, dist, eps", t.names, obs, lambda b: _emit_aggregate(b, t))
     # a direct template's function has no loop to bind j, the name a
     # function under index names passes on, so its window is named j
-    params = "val, j, interp" if isinstance(body, Direct) else "val, js, interp"
+    params = "val, j" if isinstance(body, Direct) else "val, js"
     return m.function(params, t.names, obs, lambda b: _emit_window(b, t))
 
 
@@ -500,7 +502,7 @@ def _emit_aggregate(b, t: Template) -> None:
     # it, and under its key otherwise
     def dist(dx, key: str) -> None:
         ps = [b.term_into(q) for q in dx.params]
-        undef = [x for x, q in zip(ps, dx.params) if type(q) is not Lit and x not in b.known]
+        undef = [x for x, q in zip(ps, dx.params) if b.fixed(q) is FREE and x not in b.known]
         if undef:
             b.emit(f"if {' or '.join(f'{x} is UNDEF' for x in undef)}: {fail}")
         with b.block("try:"):
@@ -517,7 +519,14 @@ def _emit_aggregate(b, t: Template) -> None:
         first_pair()
     b.emit("dists = {}")
     for v, dx, p, variant in moves:
-        dist(dx, keys[v] if variant else b.const(v.name))
+        # a Dist the constants fix was built with the code
+        d = _built_dist(b, dx)
+        if d is BOTTOM:
+            b.emit(fail)
+        elif d is not None:
+            b.emit(f"dists[{b.const(v.name)}] = {b.const(d)}")
+        else:
+            dist(dx, keys[v] if variant else b.const(v.name))
     b.known |= b.reached
     keyed = [(v, dx) for v, dx, p, variant in moves if variant and p is not None]
     if keyed:
@@ -535,7 +544,8 @@ def _emit_aggregate(b, t: Template) -> None:
         if shared:
             k = ", ".join(f"{b.const(v)}: {keys[v]}" for v in noise)
             bound = f"{b.const(Bound)}(val, {b.const(dict(b.pos))}, j)"
-            b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, interp, {bound}, {{{k}}})")
+            b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, {b.const(b.m.consts)}, "
+                   f"{bound}, {{{k}}})")
             b.emit(f"if r is None: {fail}")
             if first:
                 b.emit("c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}")
@@ -566,10 +576,29 @@ def _emit_aggregate(b, t: Template) -> None:
         lin_pair(False)
 
     coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
-    b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, tail={b.const(t.tail)})")
+    b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, {b.const(t.tail)})")
     b.emit(f"if r is None: {fail}")
     b.emit("value, method = r")
     b.emit(f"return (s + value if {b.const(math.isfinite)}(value) else {bottom}), method")
+
+
+def _built_dist(b, dx: DistExpr):
+    """``dx``'s Dist, built once as ``_eval_aggregate`` builds it, where its
+    hyperparameters read no variable and call nothing; BOTTOM where they
+    are undefined or outside its domain.  None where they are not fixed by
+    the constants, or raise, as the generated code then does."""
+    if not all(b.closed(q) for q in dx.params):
+        return None
+    try:
+        ps = [eval_term(q, b.m.consts, {}) for q in dx.params]
+    except Exception:
+        return None
+    if UNDEF in ps:
+        return BOTTOM
+    try:
+        return Dist(dx.kind, *ps)
+    except ValueError:
+        return BOTTOM
 
 
 def eval_sbi(e: SBI, interp, val, code=None):
@@ -579,17 +608,18 @@ def eval_sbi(e: SBI, interp, val, code=None):
     ``(value, method)``: a float or ``BOTTOM``, and the tail-bound method
     used, None if no tail bound ran.  ``val`` is a valuation such as
     ``DictValuation``, or a dict for one.  ``code`` maps each template to
-    its generated evaluator (a ``Shield``'s ``code.templates``); without it
-    the template's trees are walked."""
+    its generated evaluator (a ``Shield``'s ``code.templates``), generated
+    against the constants ``interp``; without it the template's trees are
+    walked under ``interp``."""
     if isinstance(val, dict):
         val = DictValuation(val)
     t = type(e)
     if t is not WindowSBI and t is not AggregateSBI:
         raise TypeError(f"not an SBI: {e!r}")
-    f = interpreted(e.template) if code is None else code[e.template]
+    f = interpreted(e.template, interp) if code is None else code[e.template]
     if t is WindowSBI:
-        return f(val, e.js, interp), None
-    return f(val, e.dist, interp, e.eps)
+        return f(val, e.js), None
+    return f(val, e.dist, e.eps)
 
 
 def _eval_bound(guard: Formula, term: Term, interp, val):

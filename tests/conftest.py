@@ -16,14 +16,6 @@ def specs():
     return {name: load_spec(bundled_spec_path(name)) for name in BUNDLED}
 
 
-@pytest.fixture(scope="session")
-def shields(specs):
-    """A ``Shield`` per bundled spec, for its generated code; constants are
-    passed to each evaluation."""
-    from adashield.runtime import Shield
-    return {name: Shield(spec, {}) for name, spec in specs.items()}
-
-
 class TermGen:
     """Seeded random generator for terms/formulas over a small variable pool."""
 

@@ -1,12 +1,14 @@
 """Helpers that only tests read: the reference of index-bound evaluation,
-the flattening of a conjunction, a dict as the valuation of a step, and a
-best window run one SBI per entry."""
+the flattening of a conjunction, a dict as the valuation of a step, a best
+window run one SBI per entry, and a shield's code with the reference
+evaluators in place of the generated ones."""
 
 import math
 
 from adashield.dl import (
     UNDEF, And, Ident, SubstitutionError, Var, ordered_free_vars, substitute,
 )
+from adashield import actions, strategy
 from adashield.runtime import AssignmentRecord
 from adashield.strategy import BOTTOM, Bound, DictValuation, _eval_bound
 
@@ -65,3 +67,14 @@ def per_entry_window(t, js, val, interp, ledger) -> list:
             val.current[a.target] = r
         out.append(AssignmentRecord(name, 0.0, False, False, tighter, None))
     return out
+
+
+def reference_code(shield):
+    """``shield.code`` with the reference evaluators in place of the
+    generated ones, which walk the trees under the shield's constants:
+    ``strategy.interpreted`` for each template and ``actions.interpreted``
+    for the controller and its fallback."""
+    spec, code = shield.spec, shield.code
+    return code._replace(
+        templates={t: strategy.interpreted(t, shield.interp) for t in code.templates},
+        ctrl=actions.interpreted(spec.ctrl, spec.fallback, shield.interp))

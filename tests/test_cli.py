@@ -46,6 +46,26 @@ class TestCheck:
         assert err == (f"parse error: cannot {verb} declared symbol 'V' "
                        f"at line {where[0]}, column {where[1]}\n")
 
+    @pytest.mark.parametrize("target", ["v", "T", "i", "nan", "x@0", "fbar@i"])
+    def test_inference_target_must_be_a_bound_parameter(self, tmp_path, capsys, target):
+        # the runtime tightens a target in the valuation the monitor checks:
+        # an aggregate into the state variable v would have the monitor read
+        # an inferred speed; a constant, an index name, an undeclared name or
+        # an indexed target is refused as well
+        src = open(bundled_spec_path("sisyphean")).read()
+        old = "fbar := aggregate i:"
+        assert src.count(old) == 1
+        path = tmp_path / "target.shield"
+        path.write_text(src.replace(old, f"{target} := aggregate i:"))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert out == (f"[inference-target-not-bound-parameter] inference target {target} "
+                       "is not an unindexed declared bound parameter\n")
+        code, _, err = run_cli(["simulate", "--env", "sisyphean", "--spec", str(path),
+                                "--episodes", "1", "--out", str(tmp_path)], capsys)
+        assert code == 1 and "inference-target-not-bound-parameter" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_arity_in_fallback_and_initial_is_checked(self, tmp_path, capsys):
         src = open(bundled_spec_path("river")).read()
         path = tmp_path / "arity.shield"

@@ -120,15 +120,15 @@ class TestTermsAndFormulas:
     @settings(max_examples=400, deadline=None)
     @given(t=_terms(), val=_valuations())
     def test_term_over_a_dict(self, t, val):
-        fn = Module().term(t)
-        assert _same(_outcome(lambda: fn(val, INTERP)),
+        fn = Module(INTERP).term(t)
+        assert _same(_outcome(lambda: fn(val)),
                      _outcome(lambda: eval_term(t, INTERP, val)))
 
     @settings(max_examples=400, deadline=None)
     @given(f=_formulas(), val=_valuations())
     def test_formula_over_a_dict(self, f, val):
-        fn = Module().formula(f)
-        assert _same(_outcome(lambda: fn(val, INTERP)),
+        fn = Module(INTERP).formula(f)
+        assert _same(_outcome(lambda: fn(val)),
                      _outcome(lambda: eval_formula(f, INTERP, val)))
 
     @settings(max_examples=300, deadline=None)
@@ -137,15 +137,15 @@ class TestTermsAndFormulas:
     def test_under_index_names(self, t, f, val, j):
         # x@i and y@k read at j, x@m (no such name) and x@1 as written
         ref = Bound(DictValuation(val), POS, j)
-        m = Module()
-        fns = (m.function("val, j, interp", NAMES, None,
+        m = Module(INTERP)
+        fns = (m.function("val, j", NAMES, None,
                           lambda b: b.emit(f"return {b.term(t, 'return UNDEF')}")),
-               m.function("val, j, interp", NAMES, None,
+               m.function("val, j", NAMES, None,
                           lambda b: b.emit(f"return {b.formula(f)}")))
         got = DictValuation(val)
-        assert _same(_outcome(lambda: fns[0](got, j, INTERP)),
+        assert _same(_outcome(lambda: fns[0](got, j)),
                      _outcome(lambda: eval_term(t, INTERP, ref)))
-        assert _same(_outcome(lambda: fns[1](got, j, INTERP)),
+        assert _same(_outcome(lambda: fns[1](got, j)),
                      _outcome(lambda: eval_formula(f, INTERP, ref)))
 
     @pytest.mark.parametrize("f, val, expected", [
@@ -158,8 +158,8 @@ class TestTermsAndFormulas:
         (Cmp("<=", Var(Ident("x")), Lit(3.0)), {Ident("x"): np.float64(1.0)}, True),
     ])
     def test_kleene_cases(self, f, val, expected):
-        fn = Module().formula(f)
-        assert fn(val, INTERP) is expected
+        fn = Module(INTERP).formula(f)
+        assert fn(val) is expected
         assert eval_formula(f, INTERP, val) is expected
 
     def test_deeper_than_a_block_allows(self):
@@ -180,13 +180,13 @@ class TestTermsAndFormulas:
             ctrl = Choice(Test(Cmp(">", Var(Ident("x")), Lit(float(k)))), ctrl)
             a = ARight(a)
         ctrl, a = Seq(ctrl, Assign(Ident("z"), Lit(1.0))), APair(a, UNIT)
-        fns = Module().formula(f), Module().term(s)
-        code = controller_code(Module(), ctrl, None)
+        fns = Module({}).formula(f), Module({}).term(s)
+        code = controller_code(Module({}), ctrl, None)
         verdicts = []
         for x in (-1.0, float(n) / 2, math.nan):
             val = {Ident("x"): x}
-            assert _same(fns[0](val, {}), eval_formula(f, {}, val))
-            assert _same(fns[1](val, {}), eval_term(s, {}, val))
+            assert _same(fns[0](val), eval_formula(f, {}, val))
+            assert _same(fns[1](val), eval_term(s, {}, val))
             got = _replayed(code, val, a)
             assert _same(got, _replayed(interpreted(ctrl), val, a))
             assert _same(got[1], {Ident("x"): x, Ident("y"): x, Ident("z"): 1.0})
@@ -214,7 +214,7 @@ def _noise_terms(noise=NOISE):
 
 
 def _lin_code(t, noise: tuple, names: tuple):
-    """``_lin(t, interp, val, k)`` as ``f(val, j, interp, k)``: the code
+    """``_lin(t, INTERP, val, k)`` as ``f(val, j, k)``: the code
     ``Body.lin`` emits inline in an aggregate, as a function of its own."""
     def emit(b):
         r = b.lin(t, noise, "return None")
@@ -222,7 +222,7 @@ def _lin_code(t, noise: tuple, names: tuple):
             c0, cs = r
             b.emit(f"return {c0}, {{{', '.join(f'k[{b.const(v)}]: {c}' for v, c in cs)}}}")
 
-    return Module().function("val, j, interp, k", names, None, emit)
+    return Module(INTERP).function("val, j, k", names, None, emit)
 
 
 class TestLinearization:
@@ -232,7 +232,7 @@ class TestLinearization:
         keys = {NOISE[0]: Ident("eta", j[0]), NOISE[1]: NOISE[1]}
         ref = Bound(DictValuation(val), POS, j)
         fn = _lin_code(t, NOISE, NAMES)
-        assert _same(_outcome(lambda: fn(DictValuation(val), j, INTERP, keys)),
+        assert _same(_outcome(lambda: fn(DictValuation(val), j, keys)),
                      _outcome(lambda: _lin(t, INTERP, ref, keys)))
 
 
@@ -244,7 +244,7 @@ class TestLinearization:
         noise = {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}
         compiled = CompiledStrategy(strategy, {}, noise, ordered_free_vars)
         t, = compiled.templates
-        code = {t: template_code(Module(), t, frozenset({"w"}))}
+        code = {t: template_code(Module({}), t, frozenset({"w"}))}
         for j in (3, 4):
             sa, = interpret_strategy(strategy, (AggregateAction(0.1, ((1.0, (j,)),)),), {},
                                      noise, compiled)
@@ -311,10 +311,10 @@ def _template(observable, noise, guard, decls, tail):
 
 def _both(t, val, dist, eps, interp=INTERP):
     """The generated evaluator's outcome and the reference's."""
-    gen = template_code(Module(), t, OBS)
-    ref = reference_evaluator(t)
-    return (_outcome(lambda: gen(val, dist, interp, eps)),
-            _outcome(lambda: ref(val, dist, interp, eps)))
+    gen = template_code(Module(interp), t, OBS)
+    ref = reference_evaluator(t, interp)
+    return (_outcome(lambda: gen(val, dist, eps)),
+            _outcome(lambda: ref(val, dist, eps)))
 
 
 class TestTemplateEvaluators:
@@ -387,9 +387,9 @@ class TestTemplateEvaluators:
                       {"eta": DistExpr("normal", (Lit(0.0), Lit(1.0)))}, "up")
         val = DictValuation({Ident("x", 2): -1.0, Ident("x", 3): 1.0, Ident("y", 3): 1.0})
         dist = ((0.25, (1, 0)), (0.5, (2, 0)), (0.25, (3, 0)))
-        for f in (template_code(Module(), t, OBS), reference_evaluator(t)):
+        for f in (template_code(Module(interp), t, OBS), reference_evaluator(t, interp)):
             calls.clear()
-            assert f(val, dist, interp, 0.1) == (BOTTOM, None)
+            assert f(val, dist, 0.1) == (BOTTOM, None)
             assert calls == [-1.0]
 
     def test_bound_equals_reference(self, specs):
@@ -401,14 +401,15 @@ class TestTemplateEvaluators:
             for t in shield_templates:
                 if isinstance(t.assign.body, Aggregate):
                     continue
-                gen, ref = template_code(Module(), t, spec.obs_names), reference_evaluator(t)
-                js = ((1,) * len(t.names), (2,) * len(t.names)) if t.names else ((),)
                 interp = {c: 2.0 for c in spec.consts}
+                gen = template_code(Module(interp), t, spec.obs_names)
+                ref = reference_evaluator(t, interp)
+                js = ((1,) * len(t.names), (2,) * len(t.names)) if t.names else ((),)
                 for x in VALUES + (UNDEF,):
                     values = {(v.name, i): x for v in spec.state_vars for i in (None, 1, 2)}
                     a, b = DictValuation(dict(values)), DictValuation(dict(values))
-                    assert _same(_outcome(lambda: tuple(gen(a, js, interp))),
-                                 _outcome(lambda: tuple(ref(b, js, interp))))
+                    assert _same(_outcome(lambda: tuple(gen(a, js))),
+                                 _outcome(lambda: tuple(ref(b, js))))
                     assert _same(a.current, b.current)
 
     def test_ten_thousand_pairs_through_the_shield(self, specs):
@@ -444,6 +445,126 @@ class TestTemplateEvaluators:
 
 
 # ---------------------------------------------------------------------------
+# What the constants decide at generation: generated against the reference
+
+class _Calls:
+    """A callable constant that logs each call under its name."""
+
+    def __init__(self, name: str, log: list, value=0.5):
+        self.name, self.log, self.value = name, log, value
+
+    def __call__(self, *args):
+        self.log.append((self.name, args))
+        return self.value
+
+
+class TestConstantBinding:
+    @pytest.mark.parametrize("text", [
+        "g + x", "x + g", "x*g(x, y)", "f(g, x)", "g^2", "c + g",  # g is unbound
+        "k0 + x*k0", "f(x, k0) - k0", "k0^2", "x/k0", "abs(k0)",  # k0 is callable
+        "c*x", "x - c", "-c", "z*x",  # bound to reals
+    ])
+    def test_unbound_and_callable_constants(self, text):
+        # an unbound symbol fails where it is evaluated, before its
+        # arguments; a callable one is called on every use, in the same
+        # order as the reference calls it
+        t = parse_term(text, frozenset(INTERP) | {"g"})
+        for x in (1.5, -0.0, math.nan, UNDEF):
+            got_log, ref_log = [], []
+            val = {Ident("x"): x, Ident("y"): 2.0}
+            got = Module({**INTERP, "k0": _Calls("k0", got_log)}).term(t)
+            ref = {**INTERP, "k0": _Calls("k0", ref_log)}
+            assert _same(_outcome(lambda: got(val)), _outcome(lambda: eval_term(t, ref, val)))
+            assert got_log == ref_log
+
+    @pytest.mark.parametrize("divisor", [0, 0.0, -0.0, 2, 2.0, np.float64(-0.0), math.nan,
+                                         math.inf])
+    def test_literal_divisors(self, divisor):
+        # no zero test for a divisor other than zero; a division by zero
+        # fails once the dividend is defined, as in the reference
+        t = BinOp("/", Var(Ident("x")), Lit(divisor))
+        fn = Module({}).term(t)
+        f = Module({}).formula(Cmp(">=", t, Lit(0.0)))
+        for x in VALUES + (UNDEF,):
+            val = {Ident("x"): x}
+            assert _same(_outcome(lambda: fn(val)), _outcome(lambda: eval_term(t, {}, val)))
+            assert _same(_outcome(lambda: f(val)),
+                         _outcome(lambda: eval_formula(Cmp(">=", t, Lit(0.0)), {}, val)))
+
+    @pytest.mark.parametrize("divisor", ["0", "-0.0", "2", "c", "z"])
+    def test_literal_divisors_in_a_noise_term(self, divisor):
+        t = parse_term(f"(x + eta@i)/{divisor} + nu", _P)
+        keys = {NOISE[0]: Ident("eta", 1), NOISE[1]: NOISE[1]}
+        fn = _lin_code(t, NOISE, NAMES)
+        for x in VALUES + (UNDEF,):
+            val = {Ident("x"): x}
+            assert _same(_outcome(lambda: fn(DictValuation(val), (1, 0), keys)),
+                         _outcome(lambda: _lin(t, INTERP, Bound(DictValuation(val), POS, (1, 0)),
+                                               keys)))
+
+    @pytest.mark.parametrize("base", [1e200, -1e200, math.inf, -math.inf, math.nan, 2.0, -0.0,
+                                      np.float64(1e200), np.float64(math.nan)])
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, 2.0, 3, 0.5, -1.0, math.inf, math.nan])
+    def test_literal_powers(self, base, exponent):
+        # x ^ n inline: the base as a literal, a constant and a variable
+        for t, interp, val in ((BinOp("^", Lit(base), Lit(exponent)), {}, {}),
+                               (BinOp("^", App("b"), Lit(exponent)), {"b": base}, {}),
+                               (BinOp("^", Var(Ident("x")), Lit(exponent)), {},
+                                {Ident("x"): base})):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _outcome(lambda: Module(interp).term(t)(val))
+                assert _same(got, _outcome(lambda: eval_term(t, interp, val))), (t, got)
+
+    @pytest.mark.parametrize("n", [2, 3, 307, 308, 400, 1000])
+    def test_int_constant_to_a_large_power(self, n):
+        # an int constant's power is an int; past the float range the
+        # finiteness test raises OverflowError in both, as power() does
+        t = BinOp("^", App("m"), Lit(float(n)))
+        interp = {"m": 10}
+        got = _outcome(lambda: Module(interp).term(t)({}))
+        assert _same(got, _outcome(lambda: eval_term(t, interp, {})))
+        assert (type(got) is tuple) is (n > 308)
+
+    @pytest.mark.parametrize("eta, nu, fails", [
+        (("normal", "0", "g"), None, True),  # a hyperparameter reads an unbound symbol
+        (("normal", "0", "-1"), None, True),  # a negative variance
+        (("normal", "0", "-c"), None, True),
+        (("uniform", "c", "0"), None, True),  # an empty support
+        (("bernoulli", "2"), None, True),  # p outside [0, 1]
+        (("bernoulli", "g"), None, True),
+        (("normal", "0", "c^2"), ("bernoulli", "c"), True),  # the second one fails
+        (("bernoulli", "c"), ("normal", "0", "c^2"), True),  # the first one fails
+        (("normal", "0", "k0"), ("uniform", "1", "-1"), True),  # after a callable one
+        (("uniform", "1", "-1"), ("normal", "0", "k0"), True),  # before a callable one
+        (("normal", "0", "c^2"), ("uniform", "-c", "c"), False),  # both built
+        (("normal", "0", "c^2"), ("normal", "0", "k0"), False),  # one built
+    ])
+    def test_closed_hyperparameters(self, eta, nu, fails):
+        # a Dist whose hyperparameters read no variable is built once;
+        # undefined or outside its domain it is BOTTOM at the same stage:
+        # the observable's callable has run, the noise term's has not
+        decls = {name: DistExpr(d[0], tuple(parse_term(p, _P | {"g"}) for p in d[1:]))
+                 for name, d in (("eta", eta), ("nu", nu)) if d is not None}
+        noise = "eta@i*f(x@i) + nu" if nu else "f(x@i)*eta@i"
+        t = _template(parse_term("f(y@i, x)", _P), parse_term(noise, _P), BoolLit(True), decls, "up")
+        val = DictValuation({Ident("x"): 0.5, Ident("x", 1): 2.0, Ident("y", 1): 1.0,
+                             Ident("x", 2): 3.0, Ident("y", 2): 4.0})
+        dist = ((0.5, (1, 0)), (0.5, (2, 0)))
+        logs = []
+        for gen in (True, False):
+            log = []
+            interp = {"c": 2.0, "f": _Calls("f", log), "k0": _Calls("k0", log)}
+            f = template_code(Module(interp), t, OBS) if gen else reference_evaluator(t, interp)
+            logs.append((_outcome(lambda: f(val, dist, 0.05)), log))
+        assert _same(logs[0][0], logs[1][0]) and logs[0][1] == logs[1][1], logs
+        (value, _), log = logs[0]
+        assert (value is BOTTOM) is fails
+        # f(y@i, x) of the observable ran at both pairs; f(x@i) of the noise
+        # term ran only where the Dists were all built
+        assert [len(args) for name, args in log if name == "f"] == [2, 2] + [1, 1] * (not fails)
+
+
+# ---------------------------------------------------------------------------
 # A window: generated, reference, and one SBI per entry
 
 def _ledger(adds) -> KahanLedger:
@@ -457,7 +578,8 @@ def _budget_loops(sbis, values: dict, n: int, interp, adds, code) -> list:
     """The window SBIs ``sbis`` run in order three ways, each on its own
     copies of ``values`` and of a ledger after ``adds``: as the budget loop
     runs them, one ledger add and one call per SBI, with ``code``'s
-    evaluators and with the reference ones, and one SBI per entry.  Per way,
+    evaluators, generated against ``interp``, and with the reference ones,
+    and one SBI per entry.  Per way,
     its records (or what it raised), ``val.current`` and the ledger's
     state."""
     runs = []
@@ -472,9 +594,9 @@ def _budget_loops(sbis, values: dict, n: int, interp, adds, code) -> list:
                     recs += per_entry_window(t, sbi.js, val, interp, led)
                     continue
                 led.add(0.0)
-                f = code[t] if how == "generated" else reference_evaluator(t)
+                f = code[t] if how == "generated" else reference_evaluator(t, interp)
                 shared = entry_records(str(t.assign.target))
-                recs += [shared[k] for k in f(val, sbi.js, interp)]
+                recs += [shared[k] for k in f(val, sbi.js)]
             return recs
 
         runs.append((_outcome(run), val.current, (led._sum, led._comp)))
@@ -519,11 +641,11 @@ class TestWindows:
                                       "river", "acas"])
     @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
     @given(data=st.data())
-    def test_bundled_templates(self, specs, shields, name, data):
+    def test_bundled_templates(self, specs, name, data):
         # the direct and best templates of each bundled spec, in strategy
         # order, over valuations with holes, UNDEF, NaN, infinities and
         # signed zeros, and windows with odd, repeated or hostile entries
-        spec, shield = specs[name], shields[name]
+        spec = specs[name]
         n = data.draw(st.integers(1, 4))
         names = sorted({v.name for v in spec.state_vars} | {p.name for p in spec.param_idents})
         keys = [Ident(x, i) for i in [None, *range(-1, n + 2)] for x in names]
@@ -531,6 +653,7 @@ class TestWindows:
                                    min_size=len(keys), max_size=len(keys)))
         values = {k: v for k, v in zip(keys, drawn) if v is not None}
         interp = {c: data.draw(st.sampled_from((0.5, 2.0, -0.0, math.inf, 3.0))) for c in spec.consts}
+        shield = Shield(spec, interp)
         action, malformed = [], False
         for kind, width in shield.strategy.space:
             slot = None
@@ -550,7 +673,7 @@ class TestWindows:
         strategy = (InferAssign(Ident("x"), Direct(Lit(data.draw(st.sampled_from(VALUES))))),
                     InferAssign(Ident("x"), Best(NAMES, term), guard))
         compiled = CompiledStrategy(strategy, {Ident("x"): tail}, {}, ordered_free_vars)
-        m = Module()
+        m = Module(INTERP)
         code = {t: template_code(m, t, OBS) for t in compiled.templates}
         n = data.draw(st.integers(1, 3))
         direct = data.draw(st.sampled_from([None, None, ()]))
@@ -566,7 +689,7 @@ class TestWindows:
                                 Best(("i",), parse_term("x@i + (fbar + fbar@2)/2 - 1"))),)
         compiled = CompiledStrategy(strategy, {}, {}, ordered_free_vars)
         t, = compiled.templates
-        code = {t: template_code(Module(), t, frozenset())}
+        code = {t: template_code(Module({}), t, frozenset())}
         values = {Ident("fbar"): 10.0, Ident("x", 1): 0.0, Ident("x", 3): 0.0}
         sa, = interpret_strategy(strategy, (((1,), (3,), (1,)),), {}, {}, compiled)
         gen, ref, per_entry = _budget_loops([sa.sbi], values, 2, {}, [], code)
@@ -604,23 +727,23 @@ class TestBundledControllers:
                                       "river", "acas"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_monitor_exec_and_fallback(self, specs, shields, name, data):
+    def test_monitor_exec_and_fallback(self, specs, name, data):
         spec = specs[name]
-        code = shields[name].code
         malformed = data.draw(st.booleans())
         a = data.draw(_actions(derive_action_space(spec.ctrl), malformed))
         interp = {c: data.draw(st.sampled_from((0.5, 2.0, 3.0, 40.0, np.float64(1.0))))
                   for c in spec.consts}
+        code = controller_code(Module(interp), spec.ctrl, spec.fallback)
         keys = sorted({Ident(v.name) for v in spec.state_vars} | set(spec.param_idents))
         state = {k: data.draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(VALUES)))
                  for k in keys if data.draw(st.integers(0, 9))}
-        ref = interpreted(spec.ctrl, spec.fallback)
+        ref = interpreted(spec.ctrl, spec.fallback, interp)
         for f in (ctrl_monitor, ctrl_exec):
-            assert _same(_outcome(lambda: f(code.ctrl, state, a, interp)),
-                         _outcome(lambda: f(ref, state, a, interp)))
+            assert _same(_outcome(lambda: f(code, state, a)),
+                         _outcome(lambda: f(ref, state, a)))
         # repr tells 2.0 from np.float64(2.0) and -0.0 from 0.0
-        assert repr(_outcome(lambda: resolve_fallback(code.ctrl, state, interp))) \
-            == repr(_outcome(lambda: resolve_fallback(ref, state, interp)))
+        assert repr(_outcome(lambda: resolve_fallback(code, state))) \
+            == repr(_outcome(lambda: resolve_fallback(ref, state)))
 
     def test_random_controllers(self):
         # with a random fallback: a guarded case and an unguarded one
@@ -632,7 +755,7 @@ class TestBundledControllers:
             s = gen.terms.valuation()
             fb = FallbackDecl(((gen.terms.formula(1), _fallback_case(gen, ctrl)),
                                (None, _fallback_case(gen, ctrl))))
-            code = controller_code(Module(), ctrl, fb)
+            code = controller_code(Module({}), ctrl, fb)
             ref = interpreted(ctrl, fb)
             assert _same(_replayed(code, s, a), _replayed(ref, s, a))
             past_failures += _assigns_after_a_failing_test(ctrl, s, a)
@@ -645,10 +768,10 @@ class TestBundledControllers:
         assert past_failures > 0
 
 
-def _replayed(ev, state: dict, a, interp=None) -> tuple:
+def _replayed(ev, state: dict, a) -> tuple:
     """The verdict and post-state of ``ev``'s replay of ``a`` from ``state``."""
     out = dict(state)
-    return ev.replay(out, a, interp or {}), out
+    return ev.replay(out, a), out
 
 
 def _assigns_after_a_failing_test(ctrl, state: dict, a) -> bool:

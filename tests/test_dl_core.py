@@ -53,11 +53,11 @@ class TestEvalTerm:
     def test_power_overflow_is_undefined(self):
         # float ** int raises OverflowError where float * float gives inf
         t = parse_term("x^2")
-        fn = Module().term(t)
+        fn = Module({}).term(t)
         with np.errstate(over="ignore"):  # numpy gives inf, with a warning
             for x in (1e200, -1e200, np.float64(1e200)):
                 assert eval_term(t, {}, {Ident("x"): x}) is UNDEF
-                assert fn({Ident("x"): x}, {}) is UNDEF
+                assert fn({Ident("x"): x}) is UNDEF
 
 
 class TestEvalFormula:

@@ -110,7 +110,7 @@ def rollout_transitions(spec, env, policy_directives, episodes, seed, steps=30):
             bounds = policy_directives.bounds(env, s)
             mval = {**env.state_map(s), **bounds}
             a = make_action(spec.ctrl, directives)
-            exec_vals = ctrl_exec(interpreted(spec.ctrl), mval, a, shield.interp)
+            exec_vals = ctrl_exec(interpreted(spec.ctrl, None, shield.interp), mval, a)
             s2, _, term = env.step(s, exec_vals, rng)
             out.append((s, exec_vals, s2, env.unknowns()))
             if term:
@@ -169,8 +169,8 @@ class TestPlantConformance:
         s = env.reset(rng)
         mval = {**env.state_map(s), Ident("fbar"): 3.0}
         spec = specs["sisyphean"]
-        exec_vals = ctrl_exec(interpreted(spec.ctrl), mval, make_action(spec.ctrl, ["right"]),
-                              env.consts)
+        exec_vals = ctrl_exec(interpreted(spec.ctrl, None, env.consts), mval,
+                              make_action(spec.ctrl, ["right"]))
         s2, _, _ = env.step(s, exec_vals, rng)
         assert s2.v == 0.0
         assert s2.t < env.cfg.T  # the run ended when the speed hit zero

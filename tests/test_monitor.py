@@ -15,6 +15,7 @@ from adashield.actions import (
     ctrl_monitor, ctrl_monitor_trace, derive_action_space, interpreted, make_action,
     resolve_fallback,
 )
+from adashield.runtime import Shield
 
 from conftest import TermGen
 
@@ -230,11 +231,11 @@ class TestFallback:
         consts = {"A": 4.0, "B": 4.0, "T": 1.0, "sigma": 0.1}
         s = {Ident("x"): 0.0, Ident("v"): 10.0, Ident("e"): 1000.0,
              Ident("theta_lo"): 0.5, Ident("theta_up"): 1.5, Ident("phi_up"): 0.5}
-        ev = interpreted(spec.ctrl, spec.fallback)
-        a, out = resolve_fallback(ev, s, consts)
+        ev = interpreted(spec.ctrl, spec.fallback, consts)
+        a, out = resolve_fallback(ev, s)
         assert a == make_action(spec.ctrl, [-4.0])
         # the state is the one the checking replay reached: a's execution
-        assert out == ctrl_exec(ev, s, a, consts)
+        assert out == ctrl_exec(ev, s, a)
 
     def test_binary_fallback_is_right_branch(self, specs):
         spec = specs["sisyphean"]
@@ -242,7 +243,7 @@ class TestFallback:
                   "eta_r": 0.3}
         s = {Ident("x"): -1000.0, Ident("v"): 30.0, Ident("y"): 3.0,
              Ident("a"): 0.0, Ident("t"): 0.0, Ident("fbar"): 3.0}
-        a, out = resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
+        a, out = resolve_fallback(interpreted(spec.ctrl, spec.fallback, consts), s)
         assert a == make_action(spec.ctrl, ["right"])
         assert out[Ident("a")] == -4.0
 
@@ -253,37 +254,38 @@ class TestFallback:
         s = {Ident("x"): 999.0, Ident("v"): 100.0, Ident("e"): 0.0,
              Ident("theta_lo"): 0.1, Ident("theta_up"): 9.9, Ident("phi_up"): 0.3}
         with pytest.raises(FallbackViolation):
-            resolve_fallback(interpreted(spec.ctrl, spec.fallback), s, consts)
+            resolve_fallback(interpreted(spec.ctrl, spec.fallback, consts), s)
 
     def test_numpy_action_is_checked(self):
         # action_fits admits numpy's float64, so a numpy float reaches the monitor
         ctrl = parse_program("a := *; ?(a <= A & x <= 0)", frozenset({"A"}))
-        code = controller_code(Module(), ctrl, None)
+        consts = {"A": 3.0}
+        code = controller_code(Module(consts), ctrl, None)
         s = {Ident("x"): -1.0}
         for value, expected in ((10.0, False), (1.0, True)):
             for a in (make_action(ctrl, [value]), APair(AReal(np.float64(value)), UNIT)):
                 assert action_fits(derive_action_space(ctrl), a)
-                for ev in (interpreted(ctrl), code):
-                    assert (ctrl_monitor(ev, s, a, {"A": 3.0}) is not None) is expected
+                for ev in (interpreted(ctrl, None, consts), code):
+                    assert (ctrl_monitor(ev, s, a) is not None) is expected
 
-    def test_acas_numpy_actions_match_floats(self, specs, shields):
+    def test_acas_numpy_actions_match_floats(self, specs):
         spec = specs["acas"]
-        code = shields["acas"].code.ctrl
-        ref = interpreted(spec.ctrl)
         consts = dict(tm=40.0, T=1.0, A=3.0, Aint=3.0, R=500.0, V=50.0,
                       H=2000.0, sigv=2.0, sigh=20.0, p=1e-4)
+        code = Shield(spec, consts).code.ctrl
+        ref = interpreted(spec.ctrl, None, consts)
         accepted = 0
         for h in (-800.0, 0.0, 800.0):
             s = {Ident("h"): h, Ident("v"): 0.0, Ident("t"): 0.0,
                  Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
             for value in (-3.0, -1.0, 0.0, 2.0, 3.0, 5.0):
-                verdict = ctrl_monitor(ref, s, make_action(spec.ctrl, [value]), consts) is not None
+                verdict = ctrl_monitor(ref, s, make_action(spec.ctrl, [value])) is not None
                 accepted += verdict
                 a = make_action(spec.ctrl, [np.float64(value)])
                 a = APair(AReal(np.float64(value)), a.right)
                 assert type(a.left.value) is np.float64
-                assert (ctrl_monitor(ref, s, a, consts) is not None) is verdict
-                assert (ctrl_monitor(code, s, a, consts) is not None) is verdict
+                assert (ctrl_monitor(ref, s, a) is not None) is verdict
+                assert (ctrl_monitor(code, s, a) is not None) is verdict
         assert 0 < accepted < 18
 
     def test_guarded_fallback_picks_matching_case(self, specs):
@@ -297,10 +299,11 @@ class TestFallback:
                 Ident("hint_lo"): -2000.0, Ident("hint_up"): 2000.0,
                 Ident("h0int_lo"): -500.0, Ident("h0int_up"): 500.0}
         up = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 1600.0}
-        a, _ = resolve_fallback(interpreted(spec.ctrl, spec.fallback), up, consts)
+        ev = interpreted(spec.ctrl, spec.fallback, consts)
+        a, _ = resolve_fallback(ev, up)
         assert a == make_action(spec.ctrl, [3.0])  # climb case holds
         down = {**base, Ident("hmint_lo"): -1600.0, Ident("hmint_up"): 4000.0}
-        a, _ = resolve_fallback(interpreted(spec.ctrl, spec.fallback), down, consts)
+        a, _ = resolve_fallback(ev, down)
         assert a == make_action(spec.ctrl, [-3.0])
 
 

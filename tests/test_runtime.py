@@ -60,6 +60,14 @@ def _step(shield, env, st, a_ctrl, a_inf, rngs, step=0, unshielded=False):
 
 
 class TestInit:
+    def test_constants_are_read_only(self, train_setup):
+        # the generated code is specialized to them, and the initial bounds
+        # and the audit read them too
+        shield, env = train_setup
+        with pytest.raises(TypeError):
+            shield.interp["F"] = 0.0
+        assert dict(shield.interp) == env.consts
+
     def test_valid_initial_state(self, train_setup):
         shield, env = train_setup
         reset_rng, _, _ = _rngs()

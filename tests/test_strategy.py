@@ -12,6 +12,7 @@ from adashield.dl import (
     BinOp, Ident, Lit, UNDEF, conj, eval_formula, eval_term, free_vars,
     ordered_free_vars, parse_formula, parse_term, tag_with_index,
 )
+from adashield.runtime import Shield
 from adashield.strategy import (
     FAILED, KEPT, TIGHTENED, Aggregate, AggregateAction, AggregateSBI, BOTTOM,
     CompiledStrategy, Direct, DistExpr, InferAssign, WindowSBI, empty_action, eval_sbi,
@@ -324,18 +325,18 @@ class TestIndexBoundDifferential:
                                       "river", "acas"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_equals_instantiated_oracle(self, specs, shields, name, data):
+    def test_equals_instantiated_oracle(self, specs, name, data):
         # random well-formed actions with indices in [-3, n + 3], duplicate
         # index tuples, and valuations with missing, NaN and infinite
         # values: index-bound evaluation, walking the templates' trees or
         # running the shield's generated code, gives the instantiated trees'
         # value, BOTTOM or raise, and the same tail methods
         spec = specs[name]
-        shield = shields[name]
         n = data.draw(st.integers(1, 5))
         space = strategy_action_space(spec.infer)
         action = data.draw(_actions(space, min_index=-3, max_index=n + 3))
         interp = {c: data.draw(st.floats(0.01, 10.0)) for c in spec.consts}
+        shield = Shield(spec, interp)
         names = sorted({v.name for v in spec.state_vars} | {p.name for p in spec.param_idents}
                        | set(spec.obs_names))
         keys = [Ident(x, i) for i in [None, *range(-3, n + 4)] for x in names]
@@ -459,16 +460,16 @@ class TestEvalSBI:
         assert method == "gaussian"
 
     @pytest.mark.parametrize("name", ["train_local", "sisyphean", "river", "acas"])
-    def test_no_tolerance_raises(self, specs, shields, name):
+    def test_no_tolerance_raises(self, specs, name):
         # every eps in [0, 1] gives a value or BOTTOM, down to the least
         # positive float, for Gaussian, uniform and Bernoulli aggregates;
         # some tail bound is reached on each spec
         spec = specs[name]
-        shield = shields[name]
+        interp = {c: 0.5 for c in spec.consts}
+        shield = Shield(spec, interp)
         keys = {v.name for t in shield.strategy.templates for v in t.fixed} | {
             name for t in shield.strategy.templates for name, _ in t.indexed}
         val = {Ident(x, i): 0.5 for x in keys | set(spec.obs_names) for i in (None, 1, 2)}
-        interp = {c: 0.5 for c in spec.consts}
         methods = set()
         for eps in (0.0, 5e-324, 1e-310, 1e-17, 5.6e-17, 1e-16, 1e-9, 0.5, 1.0):
             act = AggregateAction(eps, ((0.5, (1,)), (0.5, (2,))))
