@@ -199,8 +199,7 @@ def _cases(fb: Optional[FallbackDecl], formula: Callable, term: Callable) -> tup
 def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction) -> dict:
     """State after running ``ctrl`` along the path selected by ``a``,
     whatever its tests give; an undefined assignment right-hand side
-    leaves the family of UNDEF in the state so downstream monitors fail
-    safe."""
+    leaves UNDEF in the state."""
     out = dict(state)
     ctrl.replay(out, a)
     return out
@@ -208,8 +207,9 @@ def ctrl_exec(ctrl: ControllerEvaluators, state: dict, a: ControlAction) -> dict
 
 def ctrl_monitor(ctrl: ControllerEvaluators, state: dict, a: ControlAction) -> Optional[dict]:
     """``ctrl_exec``'s state if every test on the selected path holds in its
-    intermediate state, None if one does not; undefined tests do not hold.
-    A post-state may be ``{}``, so test the result with ``is None``."""
+    intermediate state and every assignment on it is defined, None if not;
+    undefined tests do not hold.  A post-state may be ``{}``, so test the
+    result with ``is None``."""
     out = dict(state)
     return out if ctrl.replay(out, a) else None
 
@@ -218,7 +218,8 @@ def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
                        interp=None) -> tuple[list[tuple[str, object]], list[str]]:
     """Per-test breakdown: (list of (test, verdict), list of failing tests).
     The diagnostic path behind ``monitor-eval``: it prints each test on the
-    path."""
+    path, and each assignment on it whose value is undefined, which fails
+    as a test does."""
     tests: list = []
     _replay(ctrl, dict(state), a, interp or {}, tests)
     results = [(pretty_print(cond), r) for cond, r in tests]
@@ -228,8 +229,10 @@ def ctrl_monitor_trace(ctrl: HybridProgram, state: dict, a: ControlAction,
 
 def _replay(p, st: dict, act, interp, tests: Optional[list]) -> bool:
     """Run the path of ``act`` through ``p`` on ``st`` in place and return
-    whether every test on it held.  A failing test does not stop it; with
-    ``tests`` a list, each test's (condition, verdict) is appended."""
+    whether every test on it held and every assignment on it was defined.
+    A failing test or undefined assignment does not stop it; with ``tests``
+    a list, each test's (condition, verdict) is appended, and each undefined
+    assignment's (assignment, UNDEF)."""
     t = type(p)
     if t is Seq:
         if type(act) is not APair:
@@ -246,8 +249,14 @@ def _replay(p, st: dict, act, interp, tests: Optional[list]) -> bool:
     if t is Assign:
         if type(act) is not AUnit:
             raise StructureError("assignment expects the unit action")
-        st[p.var] = eval_term(p.term, interp, st)
-        return True
+        # an undefined value fails like a failing test, so it never reaches
+        # the plant, with or without a test after it
+        r = st[p.var] = eval_term(p.term, interp, st)
+        if r is not UNDEF:
+            return True
+        if tests is not None:
+            tests.append((p, r))
+        return False
     if t is AssignAny:
         if type(act) is not AReal:
             raise StructureError("unconstrained assignment expects a real action")
@@ -339,7 +348,9 @@ def _path_code(b: Body, p, act: str) -> None:
         b.emit(f"else: raise StructureError({b.const('choice expects a left/right action')})")
     elif t is Assign:
         expect("AUnit", "assignment expects the unit action")
-        b.emit(f"cur[{b.const(p.var)}] = {b.term_into(p.term)}")
+        r = b.term_into(p.term)
+        b.emit(f"cur[{b.const(p.var)}] = {r}")
+        b.emit(f"if {r} is UNDEF: ok = False")
     elif t is AssignAny:
         expect("AReal", "unconstrained assignment expects a real action")
         b.emit(f"cur[{b.const(p.var)}] = float({act}.value)")

@@ -35,6 +35,9 @@ UNKNOWN_IN_STRATEGY = "unknown-in-strategy"
 GUARD_NOT_EVALUABLE = "guard-not-runtime-evaluable"
 INITIAL_NOT_GLOBAL = "initial-value-for-non-global"
 INFER_TARGET = "inference-target-not-bound-parameter"
+NOISE_OUTSIDE_AGG = "noise-outside-aggregate"
+INDEXED_IN_OBS = "indexed-variable-in-observation"
+UNDECLARED_SYMBOL = "undeclared-symbol"
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,16 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
             if v.name in param_names:
                 out.append(Diagnostic(code, f"parameter {v.name} in {what}"))
 
-    # observations: no bound parameters
+    # observations: no bound parameters, and no variable at an index, since
+    # an observation is read at the index its own use gives it
     for o in spec.obs:
         for v in spec.free_vars(o.definition):
             if v.name in param_names:
                 out.append(Diagnostic(
                     PARAM_IN_OBS, f"observation {o.var} mentions parameter {v.name}"))
+            if v.index is not None:
+                out.append(Diagnostic(
+                    INDEXED_IN_OBS, f"observation {o.var} reads indexed variable {v}"))
 
     # controller: no unknowns, monitorable structure, assigns state vars only
     for name, arity in spec.symbols(spec.ctrl):
@@ -119,11 +126,19 @@ def check_spec(spec: ShieldSpec) -> list[Diagnostic]:
                 INDEX_COLLISION,
                 f"indexed variable {v} has no declared base name"))
 
-    # arity consistency of every application
+    # every application is of a declared symbol, at its declared arity: an
+    # undeclared one has no value, so a controller assignment of it would
+    # hand UNDEF to the plant
+    undeclared: set[str] = set()
     for node in spec.nodes():
         for name, arity in spec.symbols(node):
             want = declared_arity.get(name)
-            if want is not None and want != arity:
+            if want is None and name not in undeclared:
+                undeclared.add(name)
+                out.append(Diagnostic(
+                    UNDECLARED_SYMBOL,
+                    f"symbol {name} is applied but declared under neither constant nor unknown"))
+            elif want is not None and want != arity:
                 out.append(Diagnostic(
                     ARITY_MISMATCH,
                     f"symbol {name} declared with arity {want}, used with {arity}"))
@@ -223,7 +238,14 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
                         f"index name {v.index!r} in assignment to {a.target} "
                         "is not declared by the assignment"))
 
-        if isinstance(body, Aggregate):
+        if not isinstance(body, Aggregate):
+            # only an aggregate's tail bound accounts for noise
+            for v in spec.free_vars(*nodes):
+                if v.name in spec.noise_names:
+                    out.append(Diagnostic(
+                        NOISE_OUTSIDE_AGG,
+                        f"noise variable {v} in direct or best assignment to {a.target}"))
+        else:
             for v in spec.free_vars(body.observable):
                 if v.name in spec.noise_names:
                     out.append(Diagnostic(

@@ -33,12 +33,12 @@ from .actions import (
 )
 # referenced_indices is not called per step; shieldbench's tracer wraps it here
 from .strategy import (  # noqa: F401
-    FAILED, KEPT, TIGHTENED, Aggregate, CompiledStrategy, InferenceAction, WindowSBI,
+    FAILED, TIGHTENED, CompiledStrategy, InferenceAction, WindowSBI,
     empty_action, eval_sbi, interpret_strategy, observation_reads, referenced_indices,
     referenced_observations, template_code, tighten,
 )
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 _MISSING = object()
 
@@ -124,23 +124,19 @@ class ShieldedState:
 
 
 class AssignmentRecord(NamedTuple):
-    """What one evaluation did: per aggregate SBI, or per entry of a
-    direct or best SBI's window.  Immutable, so that a template's records of
-    its entries' outcomes are built once and shared."""
+    """What one SBI did, or that it was skipped for lack of budget: how
+    many entries it evaluated (a window's index tuples, or 1 for an
+    aggregate), and how many of them were BOTTOM or not finite and how
+    many tightened the target.  So a record's size does not grow with the
+    agent's window."""
 
     param: str
     eps: float
     skipped: bool
-    bottom: bool
-    updated: bool
+    entries: int
+    bottom: int
+    tightened: int
     method: Optional[str]
-
-
-def entry_records(param: str) -> tuple:
-    """The record of a window entry, for the target printed ``param``, of
-    each outcome, indexed by ``KEPT``, ``TIGHTENED`` and ``FAILED``."""
-    return tuple(AssignmentRecord(param, 0.0, False, k == FAILED, k == TIGHTENED, None)
-                 for k in (KEPT, TIGHTENED, FAILED))
 
 
 @dataclass
@@ -155,7 +151,7 @@ class StepRecord:
     bounds_after: dict
     assignments: list
     consumed: list
-    availability: dict
+    availability: list
     reward: float
     safe: bool
     terminal: bool
@@ -218,16 +214,13 @@ class ShieldCode(NamedTuple):
     constants, which no generated function takes: per strategy template its
     evaluator (``template_code``), and the controller's
     ``ControllerEvaluators``, fallback included; per template that reads an
-    observation, the observations it reads (``observation_reads``); per
-    template its target's printed name; and per direct or best template the
-    record of an entry of each outcome, indexed by ``KEPT``, ``TIGHTENED``
-    and ``FAILED``."""
+    observation, the observations it reads (``observation_reads``); and per
+    template its target's printed name."""
 
     templates: dict
     ctrl: ControllerEvaluators
     reads: dict
     targets: dict
-    records: dict
 
 
 class Shield:
@@ -262,9 +255,7 @@ class Shield:
             {t: template_code(m, t, spec.obs_names) for t in ts},
             controller_code(m, spec.ctrl, spec.fallback),
             observation_reads(ts, spec.obs_names),
-            {t: str(t.assign.target) for t in ts},
-            {t: entry_records(str(t.assign.target))
-             for t in ts if not isinstance(t.assign.body, Aggregate)})
+            {t: str(t.assign.target) for t in ts})
 
     def initial_globals(self, env) -> dict:
         if self.spec.initial_global_bounds:
@@ -413,28 +404,25 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     remaining = ledger.remaining
     targets = code.targets
     templates = code.templates
-    records = code.records
     arecs: list[AssignmentRecord] = []
     for param, sbi, eps in assignments:
+        t = sbi.template
         # a direct or best SBI spends nothing, so it runs even when rounding
         # has left the remaining budget a hair below zero
         if eps and eps > remaining:
-            arecs.append(AssignmentRecord(targets[sbi.template], eps, True, False, False, None))
+            arecs.append(AssignmentRecord(targets[t], eps, True, 0, 0, 0, None))
             continue
         # one add per SBI: after one add of 0.0, the next leaves the ledger
         # as it is, so a window's entries need no add of their own
         remaining = ledger.add(eps)
         r, method = eval_sbi(sbi, interp, val, templates)
-        if sbi.__class__ is WindowSBI:
-            # the window tightened its target; r holds its entries' outcomes
-            rec = records[sbi.template]
-            for k in r:
-                arecs.append(rec[k])
-            continue
-        t = sbi.template
-        k = tighten(v, param, r, t.tail == "up")
-        arecs.append(AssignmentRecord(targets[t], eps, False, k == FAILED, k == TIGHTENED,
-                                      method))
+        # a window tightened its target and gave its entries' outcomes; an
+        # aggregate's tightening is its one outcome.  The record is built
+        # past AssignmentRecord's Python-level constructor, a call per SBI
+        if sbi.__class__ is not WindowSBI:
+            r = (tighten(v, param, r, t.tail == "up"),)
+        arecs.append(tuple.__new__(AssignmentRecord, (
+            targets[t], eps, False, len(r), r.count(FAILED), r.count(TIGHTENED), method)))
 
     local_params = spec.local_params
     b_l = {p: v[p] for p in local_params if p in v}
@@ -457,9 +445,13 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
     # one the monitor rejects.  The replay that checks an action runs it
     proposed = executed = a_ctrl if action_fits(shield.ctrl_space, a_ctrl) else None
     exec_vals = None
-    if proposed is not None:
-        exec_vals = (ctrl_exec(code.ctrl, mval, proposed) if unshielded
-                     else ctrl_monitor(code.ctrl, mval, proposed))
+    if proposed is not None and not unshielded:
+        exec_vals = ctrl_monitor(code.ctrl, mval, proposed)
+    elif proposed is not None:
+        exec_vals = ctrl_exec(code.ctrl, mval, proposed)
+        # a path that assigns an undefined value cannot be run either
+        if any(x is UNDEF for x in exec_vals.values()):
+            exec_vals = None
     overridden = exec_vals is None
     if overridden:
         executed, exec_vals = resolve_fallback(code.ctrl, mval)
@@ -474,7 +466,7 @@ def shielded_transition(shield: Shield, st: ShieldedState, env,
         episode=episode, step=step, proposed=proposed, overridden=overridden,
         executed=executed, bounds_before=st.bounds, bounds_after=dict(bounds),
         assignments=arecs, consumed=consumed,
-        availability={name: True for name in sorted(availability)},
+        availability=sorted(availability),
         reward=reward, safe=env.ground_truth_safe(s2), terminal=terminal)
 
     st.env_state = s2

@@ -395,7 +395,7 @@ class Bound:
 
 #: what one entry of a window did to its target: its value was no tighter
 #: than the target's, it tightened the target, or it was BOTTOM or not
-#: finite.  Each is an index into a template's per-entry records.
+#: finite.
 KEPT, TIGHTENED, FAILED = range(3)
 
 

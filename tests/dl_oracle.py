@@ -9,8 +9,9 @@ from adashield.dl import (
     UNDEF, And, Ident, SubstitutionError, Var, ordered_free_vars, substitute,
 )
 from adashield import actions, strategy
-from adashield.runtime import AssignmentRecord
-from adashield.strategy import BOTTOM, Bound, DictValuation, _eval_bound
+from adashield.strategy import (
+    BOTTOM, FAILED, KEPT, TIGHTENED, Bound, DictValuation, _eval_bound,
+)
 
 
 def instantiate_indices(e, names: list[str], values: list[int]):
@@ -48,24 +49,26 @@ class AtStep(DictValuation):
 
 def per_entry_window(t, js, val, interp, ledger) -> list:
     """The direct or best template ``t`` run over the window ``js`` as the
-    budget loop runs one SBI per entry: per index tuple an add of 0.0 to
-    ``ledger``, the reference evaluation, the target tightened in
-    ``val.current``, and a record of its own.  The records, in order."""
+    budget loop ran it when each entry was an SBI of its own: per index
+    tuple an add of 0.0 to ``ledger``, the reference evaluation and the
+    target tightened in ``val.current``.  The outcomes, one per entry, in
+    order: ``KEPT``, ``TIGHTENED`` or ``FAILED``."""
     a = t.assign
-    name, up = str(a.target), t.tail == "up"
+    up = t.tail == "up"
     pos = {n: k for k, n in enumerate(t.names)}
     out = []
     for j in js:
         ledger.add(0.0)
         r = _eval_bound(a.guard, a.body.term, interp, Bound(val, pos, j))
         if r is BOTTOM or not math.isfinite(r):
-            out.append(AssignmentRecord(name, 0.0, False, True, False, None))
+            out.append(FAILED)
             continue
         cur = val.current.get(a.target)
-        tighter = cur is None or (r < cur if up else r > cur)
-        if tighter:
+        if cur is None or (r < cur if up else r > cur):
             val.current[a.target] = r
-        out.append(AssignmentRecord(name, 0.0, False, False, tighter, None))
+            out.append(TIGHTENED)
+        else:
+            out.append(KEPT)
     return out
 
 

@@ -27,12 +27,12 @@ from adashield.policies import (
     acas_control, acas_inference, greedy_train_control, river_control,
     river_inference, river_naive_control, sisyphean_inference,
 )
-from adashield import runtime
+from adashield import runtime, strategy
 from adashield.runtime import (
     ExperimentConfig, KahanLedger, Shield, StepValuation, init_shielded_state,
     run_episode, run_experiment, shielded_transition,
 )
-from adashield.strategy import AggregateAction, interpret_strategy
+from adashield.strategy import FAILED, TIGHTENED, AggregateAction, interpret_strategy
 
 from dl_oracle import per_entry_window
 
@@ -586,9 +586,9 @@ def test_hostile_slots_are_malformed(specs, name, data):
 
 class TestHostileWindows:
     """A best window of any length and any int entries is one SBI: it
-    raises nothing, gives one record per entry, and leaves the bounds and
-    the ledger as one SBI per entry does.  A malformed entry anywhere makes
-    the action the empty one."""
+    raises nothing, gives one record of its entries' counts, and leaves the
+    bounds and the ledger as one SBI per entry does.  A malformed entry
+    anywhere makes the action the empty one."""
 
     def _state(self, specs, steps: int = 12):
         """A sisyphean shield after ``steps`` steps that aggregate three
@@ -606,17 +606,37 @@ class TestHostileWindows:
         return shield, env, st, lambda a_inf: shielded_transition(
             shield, st, env, brake, a_inf, env_rng, measure, 0, steps)
 
-    def _per_entry(self, shield, env, st, window):
-        """The records, bounds and ledger state of the direct default and
-        the window run one SBI per entry, on copies of the step's values."""
-        val = StepValuation({**st.state, **st.global_bounds},
-                            st.history, len(st.history) + 1)
-        led = KahanLedger(st.ledger.initial)
-        led._sum, led._comp = st.ledger._sum, st.ledger._comp
+    def _runs(self, shield, st, window):
+        """The direct default and the window, if it is not empty, run three
+        ways, each on its own copy of the step's values and ledger: with the
+        generated evaluators and with the reference ones, one add and one
+        call per SBI, and one SBI per entry.  Per way, each SBI's outcomes,
+        the bound they leave and the ledger's state."""
         direct, best, _ = shield.strategy.templates
-        recs = per_entry_window(direct, ((),), val, shield.interp, led)
-        recs += per_entry_window(best, window, val, shield.interp, led)
-        return recs, val.current[_FBAR], (led._sum, led._comp)
+        runs = []
+        for how in ("generated", "reference", "per entry"):
+            val = StepValuation({**st.state, **st.global_bounds},
+                                st.history, len(st.history) + 1)
+            led = KahanLedger(st.ledger.initial)
+            led._sum, led._comp = st.ledger._sum, st.ledger._comp
+            outcomes = []
+            for t, js in ((direct, ((),)), (best, window)):
+                if not js:
+                    continue  # an empty best slot makes no SBI
+                if how == "per entry":
+                    outcomes.append(per_entry_window(t, js, val, shield.interp, led))
+                    continue
+                led.add(0.0)
+                f = (shield.code.templates[t] if how == "generated"
+                     else strategy.interpreted(t, shield.interp))
+                outcomes.append(list(f(val, js)))
+            runs.append((outcomes, repr(val.current[_FBAR]), (repr(led._sum), repr(led._comp))))
+        return runs
+
+    @staticmethod
+    def _counts(outcomes) -> list:
+        """Per SBI, what its record counts: entries, ⊥ and tightened."""
+        return [(len(o), o.count(FAILED), o.count(TIGHTENED)) for o in outcomes]
 
     @pytest.mark.parametrize("entries", [
         "all", (0,), (-1,), ("n",), ("n+1",), (2 ** 70,), (1, 1, 1), (3, 1, 3, "n", 3)])
@@ -629,14 +649,20 @@ class TestHostileWindows:
             cycle = [0, -1, n, n + 1, 2 ** 70, *range(1, n)]
             entries = [cycle[k % len(cycle)] for k in range(100_000)]
         window = tuple((named.get(i, i),) for i in entries)
-        recs, fbar, ledger = self._per_entry(shield, env, st, window)
+        gen, ref, per_entry = self._runs(shield, st, window)
+        # entry by entry, then the bound and the ledger
+        assert gen == ref == per_entry
+        outcomes, fbar, ledger = per_entry
         rec, _ = step((None, window, None))
-        assert len(rec.assignments) == 1 + len(window)
-        assert rec.assignments == recs
+        assert [(a.param, a.skipped) for a in rec.assignments] == [("fbar", False)] * 2
+        assert [(a.entries, a.bottom, a.tightened) for a in rec.assignments] == \
+            self._counts(outcomes)
+        # one record per slot, so the trace line does not grow with the window
+        assert len(json.dumps(rec.to_json())) < 1024
         if len(window) > 5:
-            assert any(r.updated for r in recs[1:]) and any(r.bottom for r in recs)
-        assert repr(rec.bounds_after[_FBAR]) == repr(fbar)
-        assert (repr(st.ledger._sum), repr(st.ledger._comp)) == tuple(map(repr, ledger))
+            assert TIGHTENED in outcomes[1] and FAILED in outcomes[1]
+        assert repr(rec.bounds_after[_FBAR]) == fbar
+        assert (repr(st.ledger._sum), repr(st.ledger._comp)) == ledger
 
     @pytest.mark.parametrize("bad", [(1.0,), (True,), (np.int64(1),), [1], (1, 2), (),
                                      (Index(1),), Tuple((1,))])
@@ -645,7 +671,10 @@ class TestHostileWindows:
         shield, env, st, step = self._state(specs)
         window = [(1 + k % 5,) for k in range(100_000)]
         window[where] = bad
-        recs, fbar, _ = self._per_entry(shield, env, st, ())
+        gen, ref, per_entry = self._runs(shield, st, ())
+        assert gen == ref == per_entry
+        outcomes, fbar, _ = per_entry
         rec, _ = step((None, tuple(window), None))
-        assert rec.assignments == recs and len(recs) == 1
-        assert rec.bounds_after[_FBAR] == fbar == shield.interp["F"]
+        assert [(a.entries, a.bottom, a.tightened) for a in rec.assignments] == \
+            self._counts(outcomes) == [(1, 0, 1)]
+        assert repr(rec.bounds_after[_FBAR]) == fbar == repr(shield.interp["F"])

@@ -66,6 +66,38 @@ class TestCheck:
         assert code == 1 and "inference-target-not-bound-parameter" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        ("fbar := best i: fbar@i + k*abs(x - x@i);",
+         "fbar := best i: fbar@i + k*abs(x - x@i) + eta@i;",
+         "[noise-outside-aggregate] noise variable eta@i in direct or best assignment to fbar"),
+        ("fbar := best i: fbar@i + k*abs(x - x@i);",
+         "fbar := best i: fbar@i + k*abs(x - x@i) when eta@i <= 0;",
+         "[noise-outside-aggregate] noise variable eta@i in direct or best assignment to fbar"),
+        ("fbar := F;", "fbar := F + eta;",
+         "[noise-outside-aggregate] noise variable eta in direct or best assignment to fbar"),
+        ("observe w = f(x) - eta", "observe w = f(x) - eta + x@0",
+         "[indexed-variable-in-observation] observation w reads indexed variable x@0"),
+        ("y := min(y, fbar);", "y := min(m0n(y, fbar), fbar);",
+         "[undeclared-symbol] symbol m0n is applied but declared under neither constant "
+         "nor unknown"),
+    ])
+    def test_spec_that_checks_clean_can_be_run(self, tmp_path, capsys, old, new, diagnostic):
+        # each of these used to check clean, then crash obligations (a noise
+        # variable outside an aggregate, an indexed read in an observation)
+        # or hand an undefined control value to env.step (m0n)
+        src = open(bundled_spec_path("sisyphean")).read()
+        assert src.count(old) == 1
+        path = tmp_path / "variant.shield"
+        path.write_text(src.replace(old, new))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1 and out == diagnostic + "\n"
+        code, _, err = run_cli(["obligations", str(path), "--out", str(tmp_path)], capsys)
+        assert code == 1 and err == diagnostic + "\n"
+        code, _, err = run_cli(["simulate", "--env", "sisyphean", "--spec", str(path),
+                                "--episodes", "1", "--out", str(tmp_path)], capsys)
+        assert code == 1 and err == diagnostic + "\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_arity_in_fallback_and_initial_is_checked(self, tmp_path, capsys):
         src = open(bundled_spec_path("river")).read()
         path = tmp_path / "arity.shield"
@@ -164,9 +196,12 @@ class TestSimulate:
         trace = tmp_path / "sisyphean_seed4.jsonl"
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert len(lines) == doc["steps"]
-        assert all(rec["v"] == 1 for rec in lines)
+        assert all(rec["v"] == 2 for rec in lines)
         assert {"episode", "step", "proposed", "executed", "bounds_after",
-                "assignments", "consumed", "reward", "safe"} <= set(lines[0])
+                "assignments", "consumed", "availability", "reward", "safe"} <= set(lines[0])
+        assert all(list(a) == ["param", "eps", "skipped", "entries", "bottom", "tightened",
+                               "method"] for rec in lines for a in rec["assignments"])
+        assert all(rec["availability"] == sorted(rec["availability"]) for rec in lines)
 
     def test_deterministic_outputs(self, tmp_path, capsys):
         outs = []
@@ -330,6 +365,20 @@ class TestMonitorEval:
         doc = json.loads(out)
         assert code == 1 and doc["verdict"] == "UNSAFE"
         assert any(t["holds"] is False for t in doc["tests"])
+
+    def test_undefined_assignment_is_unsafe(self, docs, capsys):
+        # the replay fails at an assignment it cannot evaluate, and lists it
+        tmp, spath, cpath = docs
+        src = open(bundled_spec_path("sisyphean")).read()
+        path = tmp / "m0n.shield"
+        path.write_text(src.replace("y := min(y, fbar);", "y := min(m0n(y, fbar), fbar);"))
+        apath = tmp / "action.json"
+        apath.write_text(json.dumps({"directives": ["right"]}))
+        code, out, _ = run_cli(
+            ["monitor-eval", "--spec", str(path), "--state", str(spath),
+             "--action", str(apath), "--consts", str(cpath)], capsys)
+        assert code == 1
+        assert out == "UNSAFE\n  test 0: undefined  y := min(m0n(y, fbar), fbar)\n"
 
     def test_malformed_action(self, docs, capsys):
         tmp, spath, cpath = docs

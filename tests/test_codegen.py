@@ -17,19 +17,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from adashield.actions import (
     ALeft, APair, AReal, ARight, FallbackViolation, SpaceProd, SpaceReal, SpaceSum, UNIT,
     controller_code, ctrl_exec, ctrl_monitor, derive_action_space, interpreted,
-    resolve_fallback,
+    make_action, resolve_fallback,
 )
 from adashield.dl import (
     Abs, And, App, Assign, AssignAny, BinOp, BoolLit, Choice, Cmp, Forall, Ident, Imp,
     Lit, Module, Neg, Not, Or, Seq, Test, UNDEF, Var, eval_formula, eval_term,
-    ordered_free_vars, parse_formula, parse_term,
+    ordered_free_vars, parse_formula, parse_program, parse_term,
 )
 from adashield.dl.codegen import MAX_DEPTH
 from adashield.specfile import FallbackDecl
-from adashield.runtime import KahanLedger, Shield, entry_records
+from adashield.runtime import KahanLedger, Shield
 from adashield.strategy import (
     BOTTOM, Aggregate, AggregateAction, Best, Bound, CompiledStrategy, DictValuation, Direct,
-    DistExpr, InferAssign, WindowSBI, _lin, eval_sbi, interpret_strategy, template_code,
+    DistExpr, InferAssign, TIGHTENED, WindowSBI, _lin, eval_sbi, interpret_strategy,
+    template_code,
 )
 from adashield.strategy import interpreted as reference_evaluator
 
@@ -579,25 +580,23 @@ def _budget_loops(sbis, values: dict, n: int, interp, adds, code) -> list:
     copies of ``values`` and of a ledger after ``adds``: as the budget loop
     runs them, one ledger add and one call per SBI, with ``code``'s
     evaluators, generated against ``interp``, and with the reference ones,
-    and one SBI per entry.  Per way,
-    its records (or what it raised), ``val.current`` and the ledger's
-    state."""
+    and one SBI per entry.  Per way, per SBI its entries' outcomes (or what
+    it raised), ``val.current`` and the ledger's state."""
     runs = []
     for how in ("generated", "reference", "per entry"):
         val, led = AtStep(dict(values), n), _ledger(adds)
 
         def run():
-            recs = []
+            outcomes = []
             for sbi in sbis:
                 t = sbi.template
                 if how == "per entry":
-                    recs += per_entry_window(t, sbi.js, val, interp, led)
+                    outcomes.append(tuple(per_entry_window(t, sbi.js, val, interp, led)))
                     continue
                 led.add(0.0)
                 f = code[t] if how == "generated" else reference_evaluator(t, interp)
-                shared = entry_records(str(t.assign.target))
-                recs += [shared[k] for k in f(val, sbi.js)]
-            return recs
+                outcomes.append(tuple(f(val, sbi.js)))
+            return tuple(outcomes)
 
         runs.append((_outcome(run), val.current, (led._sum, led._comp)))
     return runs
@@ -694,8 +693,8 @@ class TestWindows:
         sa, = interpret_strategy(strategy, (((1,), (3,), (1,)),), {}, {}, compiled)
         gen, ref, per_entry = _budget_loops([sa.sbi], values, 2, {}, [], code)
         assert _same(gen, ref) and _same(gen, per_entry)
-        recs, current, _ = gen
-        assert [(r.updated, r.bottom) for r in recs] == [(True, False)] * 3
+        outcomes, current, _ = gen
+        assert outcomes == ((TIGHTENED,) * 3,)
         assert current[Ident("fbar")] == 7.0
 
 
@@ -766,6 +765,41 @@ class TestBundledControllers:
             resolved += not failed
         assert resolved and violations
         assert past_failures > 0
+
+
+class TestUndefinedAssignment:
+    """An assignment whose value is UNDEF fails the replay as a failing
+    test does, with or without a test after it, and a fallback whose path
+    runs one raises ``FallbackViolation``: generated and reference alike."""
+
+    @pytest.mark.parametrize("text, directives, ok", [
+        # an undeclared symbol, before a test that holds
+        ("y := min(m0n(y, fbar), fbar); {?(x <= 0); a := A ++ a := -A}", ["left"], False),
+        ("y := min(m0n(y, fbar), fbar); {?(x <= 0); a := A ++ a := -A}", ["right"], False),
+        # a constant the interpretation does not bind, with no test after it
+        ("{?(x <= 0); a := B ++ a := -A}", ["left"], False),
+        ("{?(x <= 0); a := B ++ a := -A}", ["right"], True),
+        # a division by zero, an unset variable, and a defined value
+        ("a := x / z; ?(x <= 0)", [], False),
+        ("a := w", [], False),
+        ("a := z * x; ?(x <= 0)", [], True),
+    ])
+    def test_generated_and_reference_replays_agree(self, text, directives, ok):
+        ctrl = parse_program(text, frozenset({"A", "B"}))
+        interp = {"A": 2.0}
+        fb = FallbackDecl(((None, tuple(directives)),))
+        code = controller_code(Module(interp), ctrl, fb)
+        ref = interpreted(ctrl, fb, interp)
+        a = make_action(ctrl, directives)
+        state = {Ident("x"): -1.0, Ident("y"): 1.0, Ident("fbar"): 2.0, Ident("z"): 0.0}
+        got = _replayed(code, state, a)
+        assert _same(got, _replayed(ref, state, a))
+        assert got[0] is ok
+        assert _same(_outcome(lambda: ctrl_monitor(code, state, a)),
+                     _outcome(lambda: ctrl_monitor(ref, state, a)))
+        fallback = _outcome(lambda: resolve_fallback(code, state))
+        assert repr(fallback) == repr(_outcome(lambda: resolve_fallback(ref, state)))
+        assert (fallback[0] is FallbackViolation) is not ok
 
 
 def _replayed(ev, state: dict, a) -> tuple:

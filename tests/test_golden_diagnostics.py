@@ -27,10 +27,13 @@ from conftest import BUNDLED
 
 K = 5
 
-#: recorded at the commit before the one-pass tokenizer
+#: recorded at the commit before the one-pass tokenizer; sisyphean's and
+#: acas's again when an applied undeclared symbol became a diagnostic, as
+#: in the variants whose deleted ``*`` glues ``k*abs(...)`` into
+#: ``kabs(...)``
 GOLDEN = {
     "sisyphean":
-        "c36a173263316fd3b9680aa2e9e10afdd9fca7fa3b7b1c8985c68f61d7c7ee04",
+        "d40c916ee94e5503708a750bb3e2041ded9ad3f4c21a05521eff1bde932a2a1b",
     "train_local":
         "97b6b07474ea7a4bce96bf25fe29ffbdc3553a194a80a5ce96b3e73b2e81df95",
     "train_global":
@@ -38,7 +41,7 @@ GOLDEN = {
     "river":
         "094cd4426333171a18ee07240996e41370d62d9f8828389534f443974fda9399",
     "acas":
-        "608f2f8ca51f29d54ba7f64abbe8f7df684c025eaf39f251f6e0d840963ac08f",
+        "3de7e1d24657e9bef2d8fc0f60f376a8d4e31c744f3b21a069f1b662b111968b",
 }
 
 

@@ -18,34 +18,36 @@ import pytest
 
 from adashield.cli import main
 
-#: recorded at the commit before the inference boundary read each agent
-#: action once
+#: (summary CSV, trace).  The CSVs were recorded at the commit before the
+#: inference boundary read each agent action once, the traces when a
+#: step's record became one per SBI with counts (trace schema v2)
 GOLDEN = {
     "sisyphean": (
         "6f44daf7178f2df08aea6bb6b5a675e50046f51b9fe1cd0b01153178d37850d1",
-        "d4c8a4bf2f08d0ab4abe7b1bb02906723845cb361972e300f949791310caeb47"),
+        "99576335e2a0268ac4c7d9a4f4732f68b36fdffad9516f30cce4663b4085e9f0"),
     "versatile": (
         "1592d6e7381596e844943593a5dc15209f95a214578dd54dc7c89fa001f28c79",
-        "1776b4eec7058f46eba4134dad12bb929f80c17bfe6eaa9cdc823e41c63c22a9"),
+        "d45acf2fda52b2fdf36833f9b177ff0da9be73ead6065f7038b2c8ff744e2ef6"),
     "river": (
         "d7b6411428de194d9ccdf226135b4b279b4fe20f6caa387c424ac1ee81d9083d",
-        "80d26b452c738c476f0031ee23a18e5f75c7de7aae57faf2de6ad0e4dd3d3a41"),
+        "f50d395ef888471726ade175424054fba071f5014ffec9c9421fb58f8f43a0e6"),
     "acas": (
         "54a0a202277fe0e39b0b907f1f84a5e4771fbfeffd40e3efc26bddde2518b96b",
-        "f95c1a47d0e4fce08131e815cbbdc2d247e5f61bce6341d61afdfcd788c7aafd"),
+        "094fcc0a4408e373c59f8050e3380f0b0e13123c03bbe223833e357daf57a387"),
 }
 
 
 #: ``--unshielded`` runs, which execute every fitting proposal; river's
-#: default control policy under the flag is ``river-naive``.  Recorded at
-#: the commit before the monitor's replay became the execution
+#: default control policy under the flag is ``river-naive``.  The CSVs
+#: were recorded at the commit before the monitor's replay became the
+#: execution, the traces with trace schema v2
 GOLDEN_UNSHIELDED = {
     "sisyphean": (
         "fc9da55c49f5552705d004f351e0e18b8906a77b5d9e5d937bb622de44286a52",
-        "7c644723d642bdba905764eb077afd53465ebc05b67d8b86a312d95859ff6e6d"),
+        "3453dc6504f9ae16f5181f6b6d8ab87d128b4c352a004bf32a041687651ea5cb"),
     "river": (
         "a88559808e2f05c3bcb58564251f606e2f3dca60b0431c4c0da628c1eea5b37f",
-        "309d04aaa4ce44b0b2580c4a2882e7a965c6f13b84127c5da11bf93b9f7f831b"),
+        "fcfc3ed700215e98c25aaeadf15387df0644aedaceb684eea887d98972a3c905"),
 }
 
 

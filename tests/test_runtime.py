@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as hst
 from adashield import runtime
 from adashield.cli import bundled_spec_path
 from adashield.dl import UNDEF, Ident
-from adashield.actions import ALeft, APair, AReal, UNIT, make_action
+from adashield.actions import ALeft, APair, AReal, UNIT, FallbackViolation, make_action
 from adashield.runtime import (
     ExperimentConfig, HistoryView, InitialConditionViolation, KahanLedger,
     PolicyView, Shield, ShieldedState, StepValuation, init_shielded_state,
     make_policy_view, run_episode, run_experiment, shielded_transition,
 )
-from adashield.specfile import load_spec
+from adashield.specfile import load_spec, parse_spec
 from adashield.strategy import (
     BOTTOM, AggregateAction, WindowSBI, eval_sbi, interpret_strategy,
     observation_reads, referenced_indices, referenced_observations,
@@ -76,7 +76,7 @@ class TestInit:
         assert st.global_bounds == {}  # the only parameter is local
 
     def test_initial_bound_violation(self):
-        from adashield.specfile import load_spec
+        from adashield.specfile import load_spec, parse_spec
         from adashield.cli import bundled_spec_path
         env = make_crossing_river()
         spec = load_spec(bundled_spec_path("river"))
@@ -187,14 +187,15 @@ class TestBudget:
         assert len(interpret_strategy(spec.infer, empty, spec.directions, spec.noise_decls)) == 1
         rec, _ = _step(shield, env, st, accel, empty, rngs, 0)
         assert len(rec.assignments) == 1 and adds == [0.0]
-        # a window of two entries: one SBI, one add, a record per entry
+        # a window of two entries: one SBI, one add, one record of both
         rec, _ = _step(shield, env, st, accel, (None, ((1,), (1,)), None), rngs, 1)
-        assert len(rec.assignments) == 3 and adds == [0.0] * 3
+        assert len(rec.assignments) == 2 and adds == [0.0] * 3
+        assert rec.assignments[1].entries == 2
 
     @pytest.mark.parametrize("env_name", ["sisyphean", "versatile"])
     def test_seeded_run_spends_as_one_add_per_entry(self, env_name, monkeypatch):
         # a window SBI adds 0.0 once; every ledger of a seeded run ends bit
-        # for bit where one add per entry record, in record order, ends
+        # for bit where one add per entry, in record order, ends
         made = []
 
         class Recorded(KahanLedger):
@@ -222,7 +223,7 @@ class TestBudget:
             nonlocal replayed
             led = replays.setdefault(0 if mode == "fixed" else rec.episode, KahanLedger(budget))
             for a in rec.assignments:
-                if not a.skipped:
+                for _ in range(0 if a.skipped else a.entries):
                     led.add(a.eps)
                     replayed += 1
 
@@ -290,7 +291,7 @@ class TestTightening:
         rec, _ = _step(shield, env, st, accel, (None, (), agg), rngs, 1)
         fbar = rec.bounds_after[Ident("fbar")]
         assert fbar < 3.0  # a single observation beats the global default
-        assert rec.assignments[-1].updated
+        assert rec.assignments[-1].tightened == 1
 
     def test_within_cycle_order_is_monotone(self, train_setup):
         # the default sets fbar = F first, later assignments only lower it
@@ -377,6 +378,41 @@ class TestOverride:
                             env.max_steps, np.random.SeedSequence(3))
         assert 0 < stats.overrides < stats.steps
         assert len(calls) == stats.steps + stats.overrides
+
+    def _variant(self, old, new):
+        """The sisyphean shield with ``old`` replaced by ``new`` in its
+        spec, which the static checks would refuse, and its environment."""
+        src = open(bundled_spec_path("sisyphean")).read()
+        assert src.count(old) == 1
+        env = make_sisyphean_train()
+        return Shield(parse_spec(src.replace(old, new)), env.consts), env
+
+    @pytest.mark.parametrize("unshielded", [False, True])
+    def test_undefined_control_value_is_overridden(self, unshielded):
+        # accelerating assigns a := A + m0n(v), UNDEF, after the test that
+        # guards it: the monitor rejects it and the fallback brakes.  An
+        # unshielded run cannot run it either
+        shield, env = self._variant("a := A }", "a := A + m0n(v) }")
+        accel = make_action(shield.spec.ctrl, ["left"])
+        stepped = []
+        env.step = lambda s, vals, rng, step=env.step: stepped.append(vals) or step(s, vals, rng)
+        stats = run_episode(shield, env, lambda view: accel, lambda view: shield.empty_action,
+                            KahanLedger(1e-3), 20, np.random.SeedSequence(0),
+                            unshielded=unshielded)
+        assert stats.steps == stats.overrides == len(stepped) == 20
+        assert all(vals[Ident("a")] == -env.consts["B"] for vals in stepped)
+
+    def test_undefined_fallback_value_is_a_contract_failure(self):
+        # the fallback's own path assigns y := min(m0n(y, fbar), fbar)
+        shield, env = self._variant("y := min(y, fbar);", "y := min(m0n(y, fbar), fbar);")
+        stepped = []
+        env.step = lambda *args: stepped.append(args)
+        with pytest.raises(FallbackViolation, match=r"^episode 0, step 0: fallback action "
+                                                    r"rejected by the controller monitor"):
+            run_episode(shield, env, greedy_train_control(shield, env),
+                        lambda view: shield.empty_action, KahanLedger(1e-3), 20,
+                        np.random.SeedSequence(0))
+        assert stepped == []
 
     def test_non_adaptive_keeps_defaults(self, specs):
         # a non-adaptive run never calls its inference policy: each step
