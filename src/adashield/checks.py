@@ -240,12 +240,10 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
 
         if not isinstance(body, Aggregate):
             # only an aggregate's tail bound accounts for noise
-            for v in spec.free_vars(*nodes):
-                if v.name in spec.noise_names:
-                    out.append(Diagnostic(
-                        NOISE_OUTSIDE_AGG,
-                        f"noise variable {v} in direct or best assignment to {a.target}"))
+            outside, where = nodes, "direct or best assignment"
         else:
+            # and only in its noise component: a guard reads it as undefined
+            outside, where = (a.guard,), "guard of aggregate assignment"
             for v in spec.free_vars(body.observable):
                 if v.name in spec.noise_names:
                     out.append(Diagnostic(
@@ -256,6 +254,10 @@ def _check_strategy(spec: ShieldSpec, unknown_names: set[str]) -> list[Diagnosti
                     out.append(Diagnostic(
                         OBS_IN_AGG_NOISE,
                         f"observation variable {v} in noise component of {a.target}"))
+        for v in spec.free_vars(*outside):
+            if v.name in spec.noise_names:
+                out.append(Diagnostic(
+                    NOISE_OUTSIDE_AGG, f"noise variable {v} in {where} to {a.target}"))
 
         if a.target in local and a.target not in seen_first:
             seen_first[a.target] = _is_valid_default(a, spec, local_names)

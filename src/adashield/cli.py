@@ -12,7 +12,7 @@ from importlib import resources
 from .dl import Ident, ParseError
 from .specfile import load_spec
 from .checks import check_spec
-from .obligations import gen_obligations, emit_obligation_files
+from .obligations import ObligationError, gen_obligations, emit_obligation_files
 from .actions import (
     ALeft, APair, AReal, ARight, UNIT, FallbackViolation, StructureError,
     ctrl_monitor_trace, make_action,
@@ -72,7 +72,11 @@ def cmd_obligations(args) -> int:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    obls = gen_obligations(spec, include_invariant_monotone=args.invariant_monotone)
+    try:
+        obls = gen_obligations(spec, include_invariant_monotone=args.invariant_monotone)
+    except ObligationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     paths = emit_obligation_files(obls, args.out, spec)
     if args.json:
         print(json.dumps({"spec": spec.name,
@@ -209,6 +213,11 @@ def cmd_simulate(args) -> int:
         stats = _run(args, spec_path, shield, cfg, trace_file)
     except (InitialConditionViolation, LocalParamUnset, FallbackViolation) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    except StructureError as e:
+        # only a policy's own construction lets one escape a run
+        print(f"error: control policy {ctrl_name!r} does not fit the controller: {e}",
+              file=sys.stderr)
         return EXIT_DIAGNOSTICS
     finally:
         if trace_file:

@@ -38,8 +38,9 @@ state variables and bounds.
 A function that evaluates a template for many index tuples, in a loop
 that binds ``j`` to each in turn, may keep the largest subterms that read no
 index name in slots: each is evaluated where it is first reached, at most
-once per call, and read from its slot after.  A subterm that reads a name
-the function itself writes is never kept in a slot.
+once per call, and read from its slot after.  Every read tests its slot,
+empty or UNDEF, so a loop needs no first iteration of its own.  A subterm
+that reads a name the function itself writes is never kept in a slot.
 """
 
 from __future__ import annotations
@@ -136,10 +137,6 @@ class Body:
         #: the slot of each largest subterm that reads no index name, once
         #: set to a dict; a slot holds None until its subterm is evaluated
         self.slots: Optional[dict] = None
-        #: slots known to hold a defined value where the next lines run
-        self.known: set[str] = set()
-        #: slots read by the lines emitted since it was last reset
-        self.reached: set[str] = set()
         #: names the function writes to ``val.current``, at any index
         self.written: frozenset = frozenset()
         self._invariant: dict[int, bool] = {}
@@ -246,8 +243,8 @@ class Body:
         return r
 
     def slot(self, t) -> str:
-        """The slot of ``t``, evaluated into it here unless known: a value
-        or UNDEF."""
+        """The slot of ``t``, evaluated into it here if it is still empty:
+        a value or UNDEF."""
         # trees that compare equal may differ in a literal's sign of zero
         # or type, as Lit(0.0) == Lit(-0.0) == Lit(0); their reprs do not
         key = t, repr(t)
@@ -255,12 +252,10 @@ class Body:
         if s is None:
             self.m.count += 1
             s = self.slots[key] = f"_s{self.m.count}"
-        self.reached.add(s)
-        if s not in self.known:
-            slots, self.slots = self.slots, None
-            with self.block(f"if {s} is None:"):
-                self.emit(f"{s} = {self.term_into(t)}")
-            self.slots = slots
+        slots, self.slots = self.slots, None
+        with self.block(f"if {s} is None:"):
+            self.emit(f"{s} = {self.term_into(t)}")
+        self.slots = slots
         return s
 
     # -- terms -----------------------------------------------------------------
@@ -276,8 +271,7 @@ class Body:
         tt = type(t)
         if self.slots is not None and self.invariant(t):
             s = self.slot(t)
-            if s not in self.known:
-                self.emit(f"if {s} is UNDEF: {fail}")
+            self.emit(f"if {s} is UNDEF: {fail}")
             return s
         r = self.new()
         if tt is Var:
@@ -403,9 +397,9 @@ class Body:
         """Emit ``strategy._lin`` of ``t`` for noise variables ``noise`` of
         distinct names: every subterm it evaluates with ``eval_term``, in
         its order, then, if all are defined, its float operations, in its
-        order; ``fail`` runs where it is None.  Returns the names ``(c0,
-        [(variable, c)])``, in ``_lin``'s key order, or None where ``_lin``
-        is None whatever the values."""
+        order; ``fail`` runs where it is None.  Returns ``(c0, [(variable,
+        c)])``, each a name or a float literal, in ``_lin``'s key order, or
+        None where ``_lin`` is None whatever the values."""
         lin = _Lin(self, noise, fail)
         r = lin.lin(t)
         if r is None:
@@ -434,14 +428,15 @@ class _Lin:
         return r
 
     def lin(self, t):
-        """``(c0, [(noise variable, coefficient)])`` as names, in ``_lin``'s
-        key order, or None where ``_lin`` is None whatever the values."""
+        """``(c0, [(noise variable, coefficient)])`` as names or float
+        literals, in ``_lin``'s key order, or None where ``_lin`` is None
+        whatever the values."""
         tt = type(t)
         if tt is Var and t.ident in self.noise:
-            return self.op("0.0"), [(t.ident, self.op("1.0"))]
+            return "0.0", [(t.ident, "1.0")]
         if tt in (Lit, Var, App, Abs) or (tt is BinOp and t.op not in ("+", "-", "*", "/")):
             v = self.b.term_into(t)
-            if self.b.fixed(t) is FREE and v not in self.b.known:
+            if self.b.fixed(t) is FREE:
                 self.leaves.append(v)
             return v, []
         if tt is Neg:

@@ -23,7 +23,10 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dl import Ident, Module, UNDEF, eval_formula, eval_term, is_runtime_evaluable
+from .dl import (
+    Assign, AssignAny, Choice, Ident, Module, Seq, UNDEF, eval_formula, eval_term,
+    is_runtime_evaluable,
+)
 from .specfile import ShieldSpec
 from .actions import (
     ALeft, APair, AReal, ARight, AUnit,
@@ -228,7 +231,8 @@ class Shield:
 
     Everything that depends on the spec alone is worked out here once, not
     on every step: both action spaces, the empty inference action and the
-    compiled strategy, whose templates every step's SBIs bind.  The
+    compiled strategy, whose templates every step's SBIs bind, and the
+    state variables an environment's state map must give.  The
     generated code of ``code`` is specialized to the constants ``interp``,
     read-only so that they cannot change after, and compiled on first use,
     which is the first transition, so that a shield that never steps does
@@ -242,6 +246,8 @@ class Shield:
         self.strategy = CompiledStrategy(spec.infer, spec.directions, spec.noise_decls,
                                          spec.free_vars)
         self.empty_action = empty_action(spec.infer)
+        #: every state variable but those the controller assigns
+        self.mapped = tuple(sorted(spec.state_vars - _assigned(spec.ctrl), key=str))
 
     @cached_property
     def code(self) -> ShieldCode:
@@ -287,6 +293,10 @@ def init_shielded_state(shield: Shield, env, ledger: KahanLedger, rng) -> Shield
 
     audit_interp = {**shield.interp, **env.unknowns()}
     state = env.state_map(s0)
+    missing = [v for v in shield.mapped if v not in state]
+    if missing:
+        raise InitialConditionViolation(
+            f"the environment's state maps no state variable(s) {list(map(str, missing))}")
     val = {**state, **b_g}
     for name, f in _initial_conjuncts(spec):
         r = eval_formula(f, audit_interp, val)
@@ -294,6 +304,14 @@ def init_shielded_state(shield: Shield, env, ledger: KahanLedger, rng) -> Shield
             raise InitialConditionViolation(f"initial state violates {name}")
 
     return ShieldedState(s0, state, dict(b_g), b_g, ledger)
+
+
+def _assigned(p) -> frozenset:
+    """The variables the controller ``p`` assigns."""
+    t = type(p)
+    if t is Choice or t is Seq:
+        return _assigned(p.left) | _assigned(p.right)
+    return frozenset({p.var}) if t is Assign or t is AssignAny else frozenset()
 
 
 def _initial_conjuncts(spec: ShieldSpec):

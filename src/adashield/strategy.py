@@ -18,6 +18,7 @@ aggregate.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -467,19 +468,17 @@ def _emit_window(b, t: Template) -> None:
 
 
 def _emit_aggregate(b, t: Template) -> None:
-    """``_eval_aggregate`` on ``t``.  Every stage but the guards peels its
-    first pair: the slots that pair reads hold defined values after it, or
-    the call has returned, so the other pairs read them bare."""
+    """``_eval_aggregate`` on ``t``, each stage emitted once: the guards,
+    then per stage one loop over the pairs, whose sums start from the first
+    pair as the reference's do.  A noise ``Dist`` the constants fix is built
+    with the code and kept under its variable's name, which every key of
+    the name shares; unless all are, one loop builds each pair's other
+    ``Dist``s under their keys."""
     a = t.assign
     body = a.body
     bottom = b.const(BOTTOM)
     fail = f"return {bottom}, None"
     b.slots = {}
-
-    def first_pair() -> None:
-        b.emit("it = iter(dist)")
-        b.emit("w, j = next(it)")
-        b.reached = set()
 
     if a.guard == BoolLit(True):
         b.emit(f"if not dist: {fail}")
@@ -491,89 +490,65 @@ def _emit_aggregate(b, t: Template) -> None:
             b.emit(f"if g is not UNDEF: g = {h}")
         b.emit(f"if g is not True: {fail}")
 
-    first_pair()
-    b.emit(f"s = w * {b.term(body.observable, fail)}")
-    b.known |= b.reached
-    with b.block("for w, j in it:"):
-        b.emit(f"s = s + w * {b.term(body.observable, fail)}")
-
-    # a noise variable's Dist is kept under its name where its
-    # hyperparameters read no index name, for every key of the name shares
-    # it, and under its key otherwise
-    def dist(dx, key: str) -> None:
-        ps = [b.term_into(q) for q in dx.params]
-        undef = [x for x, q in zip(ps, dx.params) if b.fixed(q) is FREE and x not in b.known]
-        if undef:
-            b.emit(f"if {' or '.join(f'{x} is UNDEF' for x in undef)}: {fail}")
-        with b.block("try:"):
-            b.emit(f"dists[{key}] = {b.const(Dist)}({', '.join([b.const(dx.kind), *ps])})")
-        with b.block("except ValueError:"):
-            b.emit(fail)
+    b.emit("s = None")
+    with b.block("for w, j in dist:"):
+        o = b.term(body.observable, fail)
+        b.emit(f"s = w * {o} if s is None else s + w * {o}")
 
     noise = tuple(v for v, _ in t.noise)
     keys = {v: b.const(v) if p is None else f"({b.const(v.name)}, j[{p}])"
             for v, p in zip(noise, t.noise_at)}
-    moves = [(v, dx, p, not all(b.invariant(q) for q in dx.params))
-             for (v, dx), p in zip(t.noise, t.noise_at)]
-    if any(m[3] for m in moves):
-        first_pair()
+    built = [_built_dist(b, dx) for _, dx in t.noise]
+
+    def build(v, dx, d) -> None:
+        if d is not None:
+            b.emit(fail if d is BOTTOM else f"dists[{b.const(v.name)}] = {b.const(d)}")
+            return
+        b.emit(f"key = {keys[v]}")
+        with b.block("if key not in dists:"):
+            ps = [b.term_into(q) for q in dx.params]
+            undef = [x for x, q in zip(ps, dx.params) if b.fixed(q) is FREE]
+            if undef:
+                b.emit(f"if {' or '.join(f'{x} is UNDEF' for x in undef)}: {fail}")
+            with b.block("try:"):
+                b.emit(f"dists[key] = {b.const(Dist)}({', '.join([b.const(dx.kind), *ps])})")
+            with b.block("except ValueError:"):
+                b.emit(fail)
+
     b.emit("dists = {}")
-    for v, dx, p, variant in moves:
-        # a Dist the constants fix was built with the code
-        d = _built_dist(b, dx)
-        if d is BOTTOM:
-            b.emit(fail)
-        elif d is not None:
-            b.emit(f"dists[{b.const(v.name)}] = {b.const(d)}")
-        else:
-            dist(dx, keys[v] if variant else b.const(v.name))
-    b.known |= b.reached
-    keyed = [(v, dx) for v, dx, p, variant in moves if variant and p is not None]
-    if keyed:
-        with b.block("for _, j in it:"):
-            for v, dx in keyed:
-                b.emit(f"key = {keys[v]}")
-                with b.block("if key not in dists:"):
-                    dist(dx, "key")
+    with b.block("for _, j in dist:") if None in built else nullcontext():
+        for (v, dx), d in zip(t.noise, built):
+            build(v, dx, d)
+
+    def accumulate(c0: str, cs: str, add: list) -> None:
+        with b.block("if cs is None:"):
+            b.emit(f"c0 = {c0} * w")
+            b.emit(f"cs = {cs}")
+        with b.block("else:"):
+            b.emit(f"c0 = c0 + {c0} * w")
+            for line in add:
+                b.emit(line)
 
     # two noise variables of one name may meet at a pair, whose
     # coefficients _lin merges, so such a template runs _lin on every pair
-    shared = len({v.name for v in noise}) < len(noise)
-
-    def lin_pair(first: bool) -> bool:
-        if shared:
+    b.emit("cs = None")
+    with b.block("for w, j in dist:"):
+        if len({v.name for v in noise}) < len(noise):
             k = ", ".join(f"{b.const(v)}: {keys[v]}" for v in noise)
             bound = f"{b.const(Bound)}(val, {b.const(dict(b.pos))}, j)"
             b.emit(f"r = {b.const(_lin)}({b.const(body.noise)}, {b.const(b.m.consts)}, "
                    f"{bound}, {{{k}}})")
             b.emit(f"if r is None: {fail}")
-            if first:
-                b.emit("c0, cs = r[0] * w, {key: c * w for key, c in r[1].items()}")
-            else:
-                b.emit("c0 = c0 + r[0] * w")
-                with b.block("for key, c in r[1].items():"):
-                    b.emit("cs[key] = cs.get(key, 0.0) + c * w")
-            return True
-        r = b.lin(body.noise, noise, fail)
-        if r is None:
-            return False
-        c0, cs = r
-        if first:
-            b.emit(f"c0 = {c0} * w")
-            b.emit(f"cs = {{{', '.join(f'{keys[v]}: {c} * w' for v, c in cs)}}}")
+            accumulate("r[0]", "{key: c * w for key, c in r[1].items()}",
+                       ["for key, c in r[1].items(): cs[key] = cs.get(key, 0.0) + c * w"])
         else:
-            b.emit(f"c0 = c0 + {c0} * w")
-            for v, c in cs:
-                b.emit(f"key = {keys[v]}")
-                b.emit(f"cs[key] = cs.get(key, 0.0) + {c} * w")
-        return True
-
-    first_pair()
-    if not lin_pair(True):
-        return
-    b.known |= b.reached
-    with b.block("for w, j in it:"):
-        lin_pair(False)
+            r = b.lin(body.noise, noise, fail)
+            if r is None:
+                return
+            c0, cs = r
+            accumulate(c0, f"{{{', '.join(f'{keys[v]}: {c} * w' for v, c in cs)}}}",
+                       [line for v, c in cs for line in (
+                           f"key = {keys[v]}", f"cs[key] = cs.get(key, 0.0) + {c} * w")])
 
     coeffs = "[(c, dists.get(key) or dists[key[0]]) for key, c in cs.items() if c != 0.0]"
     b.emit(f"r = {b.const(tailbounds)}.invccdf({coeffs}, c0, eps, {b.const(t.tail)})")

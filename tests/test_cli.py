@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from adashield import cli
 from adashield.cli import main, bundled_spec_path
+from adashield.obligations import ObligationError
 
 
 def run_cli(args, capsys):
@@ -80,6 +82,9 @@ class TestCheck:
         ("y := min(y, fbar);", "y := min(m0n(y, fbar), fbar);",
          "[undeclared-symbol] symbol m0n is applied but declared under neither constant "
          "nor unknown"),
+        ("and eta@i\n", "and eta@i when eta@i <= 0\n",
+         "[noise-outside-aggregate] noise variable eta@i in guard of aggregate assignment "
+         "to fbar"),
     ])
     def test_spec_that_checks_clean_can_be_run(self, tmp_path, capsys, old, new, diagnostic):
         # each of these used to check clean, then crash obligations (a noise
@@ -159,6 +164,14 @@ class TestObligations:
         assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_obligation_error_is_a_diagnostic(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ObligationError("free variable z of an inference assignment has no definition")
+        monkeypatch.setattr(cli, "gen_obligations", fail)
+        code, out, err = run_cli(["obligations", "sisyphean", "--out", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: free variable z of an inference assignment has no definition\n"
 
 
 class TestSimulate:
@@ -297,6 +310,37 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: InitialConditionViolation: episode 0: ")
+
+    @pytest.mark.parametrize("old, new", [
+        ("  { { ?(x + v*T", "  { { ?(x1B + x + v*T"),
+        ("  y := min(y, fbar);", "  y := min(x1B, fbar);"),
+    ])
+    def test_state_variable_the_env_does_not_map(self, tmp_path, capsys, old, new):
+        # x1B checks clean as a state variable; sisyphean's env has no value
+        # for it, which the test would read as undefined on every step
+        src = open(bundled_spec_path("sisyphean")).read()
+        assert src.count(old) == 1
+        path = tmp_path / "unmapped.shield"
+        path.write_text(src.replace(old, new))
+        assert run_cli(["check", str(path)], capsys)[0] == 0
+        code, out, err = run_cli(["simulate", "--env", "sisyphean", "--spec", str(path),
+                                  "--episodes", "2", "--out", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: InitialConditionViolation: episode 0: the environment's "
+                       "state maps no state variable(s) ['x1B']\n")
+
+    def test_policy_that_does_not_fit_the_controller(self, tmp_path, capsys):
+        # greedy-train picks the left branch, whose a := * wants a real
+        src = open(bundled_spec_path("sisyphean")).read()
+        path = tmp_path / "unfit.shield"
+        path.write_text(src.replace("      a := A }", "      a := * }"))
+        assert run_cli(["check", str(path)], capsys)[0] == 0
+        code, out, err = run_cli(["simulate", "--env", "sisyphean", "--spec", str(path),
+                                  "--episodes", "2", "--trace", "--out", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: control policy 'greedy-train' does not fit the controller: "
+                       "directives end before the controller path does\n")
+        assert list(tmp_path.glob("*.jsonl*")) == []
 
     def test_failed_run_leaves_no_trace(self, tmp_path, capsys):
         cfgfile = tmp_path / "env.cfg"

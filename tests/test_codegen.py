@@ -367,6 +367,12 @@ class TestTemplateEvaluators:
         # but x*-0 is -0.0: on the lower tail the bound of a zero noise sum
         # is -0.0, so the value keeps the observable's sign of zero
         ("0*eta@i", ("normal", "0", "1"), None, ((1.0, (1, 0)),), {Ident("y", 1): -0.0}),
+        # eta@3, eta@4 and eta read no index name, but their variances
+        # differ: each keeps a Dist of its own
+        ("eta@3 + 2*eta@4", ("normal", "0", "x^2 + 1"), None, ((1.0, (1, 0)),),
+         {Ident("x", 3): 1.0, Ident("x", 4): 10.0}),
+        ("eta + eta@3", ("uniform", "-1", "x^2 + 1"), None, ((0.5, (1, 0)), (0.5, (2, 0))),
+         {Ident("x", 3): 3.0}),
     ])
     @pytest.mark.parametrize("eps", [1e-9, 0.05])
     @pytest.mark.parametrize("tail", ["up", "lo"])

@@ -8,9 +8,12 @@ but their timing must be the same.  The per-function tests in
 ``test_codegen`` check each evaluator on its own; this test checks that the
 step runs them as the reference would be run, over whole episodes.
 
-A Hypothesis variant drives both with hostile agents: one sequence of
-control and inference actions per example, drawn from the adversarial
-suite's strategies, replayed step by step against each.
+A multi-pair variant runs both with an inference policy whose aggregates
+span every entry still holding an observation, since the bundled ones
+mostly aggregate one observation at a time.  A Hypothesis variant drives
+both with hostile agents: one sequence of control and inference actions
+per example, drawn from the adversarial suite's strategies, replayed step
+by step against each.
 """
 
 import copy
@@ -26,6 +29,7 @@ from adashield.cli import _experiment, build_parser, bundled_spec_path
 from adashield.envs import REGISTRY
 from adashield.runtime import run_experiment
 from adashield.specfile import load_spec
+from adashield.strategy import AggregateAction
 
 from dl_oracle import reference_code
 from test_adversarial import _JUNK, Raise, _fitting, _inference
@@ -72,6 +76,43 @@ def _assert_same(gen, ref) -> None:
 @pytest.mark.parametrize("env", ["sisyphean", "versatile", "versatile-small", "river", "acas"])
 def test_generated_run_equals_reference_run(env, seed):
     _assert_same(_run(env, seed, reference=False), _run(env, seed, reference=True))
+
+
+def _multi_pair(shield, env):
+    """Every third step, each aggregate slot aggregates, uniformly at eps
+    1e-10, each history entry that still holds an observation, where there
+    are at least two: an n-index slot binds its names to n consecutive such
+    entries.  Best slots take the last three entries."""
+    def policy(view):
+        if view.step % 3:
+            return shield.empty_action
+        fresh = [hv.index for hv in view.history if hv.available]
+        slots = []
+        for kind, n in shield.strategy.space:
+            if kind == "best":
+                slots.append(tuple((hv.index,) * n for hv in view.history[-3:]))
+            elif kind == "aggregate" and len(fresh) >= 2:
+                dist = tuple((1.0 / len(fresh), tuple(fresh[(k + m) % len(fresh)]
+                                                      for m in range(n)))
+                             for k in range(len(fresh)))
+                slots.append(AggregateAction(1e-10, dist))
+            else:
+                slots.append(None)
+        return tuple(slots)
+    return policy
+
+
+@pytest.mark.parametrize("env", ["sisyphean", "versatile", "versatile-small", "river", "acas"])
+def test_multi_pair_run_equals_reference_run(env):
+    runs = []
+    for reference in (False, True):
+        shield, cfg = _experiment_of(env, 0, reference, 3)
+        runs.append(_lines_and_stats(shield, dataclasses.replace(
+            cfg, inference_policy=_multi_pair, max_steps=60)))
+    _assert_same(*runs)
+    # some step consumes two or more observations and runs a tail bound
+    assert any(len(rec["consumed"]) >= 2 and any(a["method"] for a in rec["assignments"])
+               for rec in map(json.loads, runs[0][0]))
 
 
 @functools.lru_cache(maxsize=None)
